@@ -661,7 +661,7 @@ def verify_dual_recurrences(n_max: int, all_indices_up_to: int = 12) -> Verifica
 # ---------------------------------------------------------------------------
 
 
-def run_suite(name: str, n_max: int, threads: int | None = None, progress=None) -> VerificationReport:
+def run_suite(name: str, n_max: int, progress=None) -> VerificationReport:
     """Run a named suite aggregated over its natural range up to n_max."""
     per_n = {
         "signs": (verify_sign_pattern, 2),
@@ -675,17 +675,9 @@ def run_suite(name: str, n_max: int, threads: int | None = None, progress=None) 
         func, n_min = per_n[name]
         if n_max < n_min:
             raise ValueError(f"suite {name} needs n_max >= {n_min}")
-        ns = list(range(n_min, n_max + 1))
-        if threads and threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(func, ns))
-        else:
-            results = [func(n) for n in ns]
-        merged = results[0]
-        for rep in results[1:]:
-            merged.merge(rep)
+        merged = func(n_min)
+        for n in range(n_min + 1, n_max + 1):
+            merged.merge(func(n))
         return merged
     if name == "identities":
         return verify_product_identities(size_budget=n_max)

@@ -4,9 +4,9 @@ Subcommands map one-to-one onto library operations:
 
     pmspec eta    --partition 3+2+1
     pmspec xi     --partition 2+1
-    pmspec table  --n 3 --family pm --format csv
-    pmspec verify --suite thm6 --n-max 14 [--format json|text] [--threads K]
-    pmspec oracle --family pm --n 4 [--format json|text]
+    pmspec table  --n 3 [--family pm|sym] [--format text|csv|json]
+    pmspec verify --suite thm6 --n-max 14 [--format text|json]
+    pmspec oracle --n 4 [--family pm|sym] [--format text|json]
     pmspec scan   --n-max 12 [--progress]
 
 Exit codes: 0 success/pass, 1 verification failure, 2 usage error.  All
@@ -17,10 +17,9 @@ json/csv output (timing is therefore excluded from json reports).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
-from . import analysis, oracle
+from . import analysis
 from .partitions import Partition
 from .pm_spectrum import eta, pm_spectrum_table
 from .sym_spectrum import sym_spectrum_table, xi
@@ -48,7 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", required=True, choices=analysis.SUITE_NAMES)
     p_verify.add_argument("--n-max", type=int, required=True)
     p_verify.add_argument("--format", choices=("json", "text"), default="text")
-    p_verify.add_argument("--threads", type=int, default=os.cpu_count() or 1)
 
     p_oracle = sub.add_parser("oracle", help="certify a table against the real graph")
     p_oracle.add_argument("--family", choices=("pm", "sym"), default="pm")
@@ -59,7 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--target", choices=("conjecture2",), default="conjecture2")
     p_scan.add_argument("--n-max", type=int, required=True)
     p_scan.add_argument("--progress", action="store_true")
-    p_scan.add_argument("--threads", type=int, default=os.cpu_count() or 1)
 
     return parser
 
@@ -99,7 +96,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
-        report = analysis.run_suite(args.suite, args.n_max, threads=args.threads)
+        report = analysis.run_suite(args.suite, args.n_max)
     except ValueError as exc:
         return _usage_error(str(exc))
     if args.format == "json":
@@ -110,6 +107,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import oracle  # numpy is needed by this command alone
+
     try:
         if args.family == "pm":
             graph = oracle.build_pm_graph(args.n)

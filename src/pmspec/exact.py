@@ -2,18 +2,14 @@
 matching-graph degrees, and hook-length dimensions.
 
 Everything here is arbitrary-precision integer arithmetic; recurrences are
-authoritative and memoized in growable tables behind a lock, so concurrent
-readers are safe.
+authoritative and memoized in growable tables.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 
 from .partitions import Partition
-
-_lock = threading.Lock()
 
 # memo tables, index = argument
 _odd_df = [1]          # (2k-1)!!, with (-1)!! = 1
@@ -25,11 +21,10 @@ def odd_double_factorial(k: int) -> int:
     """(2k-1)!! = 1*3*...*(2k-1); the empty product 1 for k = 0."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    with _lock:
-        while len(_odd_df) <= k:
-            m = len(_odd_df)
-            _odd_df.append(_odd_df[-1] * (2 * m - 1))
-        return _odd_df[k]
+    while len(_odd_df) <= k:
+        m = len(_odd_df)
+        _odd_df.append(_odd_df[-1] * (2 * m - 1))
+    return _odd_df[k]
 
 
 def binomial(n: int, k: int) -> int:
@@ -46,11 +41,10 @@ def pm_degree(n: int) -> int:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    with _lock:
-        while len(_pm_deg) <= n:
-            m = len(_pm_deg)
-            _pm_deg.append(2 * (m - 1) * (_pm_deg[m - 1] + _pm_deg[m - 2]))
-        return _pm_deg[n]
+    while len(_pm_deg) <= n:
+        m = len(_pm_deg)
+        _pm_deg.append(2 * (m - 1) * (_pm_deg[m - 1] + _pm_deg[m - 2]))
+    return _pm_deg[n]
 
 
 def pm_degree_inclusion_exclusion(n: int) -> int:
@@ -83,18 +77,20 @@ def derangement_count(n: int) -> int:
     """Number of fixed-point-free permutations of [n]; D_0 = 1, D_1 = 0."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    with _lock:
-        while len(_derange) <= n:
-            m = len(_derange)
-            _derange.append((m - 1) * (_derange[m - 1] + _derange[m - 2]))
-        return _derange[n]
+    while len(_derange) <= n:
+        m = len(_derange)
+        _derange.append((m - 1) * (_derange[m - 1] + _derange[m - 2]))
+    return _derange[n]
 
 
 def conjugate(mu: Partition) -> Partition:
-    """Transpose of the Young diagram."""
-    if not mu:
-        return Partition()
-    return Partition(sum(1 for p in mu if p > j) for j in range(mu[0]))
+    """Transpose of the Young diagram, in one pass over the parts."""
+    columns: list[int] = []
+    # from the last row up: the columns beyond the ones seen so far and
+    # within row i all have height i
+    for i in range(len(mu), 0, -1):
+        columns += [i] * (mu[i - 1] - len(columns))
+    return Partition._trusted(tuple(columns))
 
 
 def irrep_dimension(mu: Partition) -> int:

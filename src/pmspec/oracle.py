@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -32,6 +33,28 @@ def oracle_cap() -> int:
         return int(raw)
     except ValueError as exc:
         raise ValueError(f"bad {CAP_ENV_VAR}={raw!r}") from exc
+
+
+def physical_memory_bytes() -> int:
+    """Physical memory of this machine, as the operating system reports it."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _admit(family: str, n: int, cap: int | None) -> None:
+    """Refuse a graph above the size cap, or one whose dense float64
+    adjacency (V^2 * 8 bytes, as the spectrum solve needs it) would not fit
+    in physical memory, whatever the cap allows."""
+    cap = oracle_cap() if cap is None else cap
+    if not 1 <= n <= cap:
+        raise ValueError(f"n={n} outside oracle cap 1..{cap}")
+    vertices = odd_double_factorial(n) if family == "pm" else math.factorial(n)
+    matrix_bytes = vertices * vertices * 8
+    memory = physical_memory_bytes()
+    if matrix_bytes > memory:
+        raise ValueError(
+            f"oracle {family} n={n}: the dense {vertices}x{vertices} matrix needs "
+            f"{matrix_bytes / 1e6:.0f} MB, more than the {memory / 1e6:.0f} MB of physical memory"
+        )
 
 
 @dataclass
@@ -126,6 +149,7 @@ def _observed_degree(adjacency: np.ndarray, expected: int, what: str) -> int:
 
 def build_pm_graph(n: int, cap: int | None = None) -> Graph:
     """Graph on the perfect matchings of K_{2n}, adjacent iff edge-disjoint."""
+    _admit("pm", n, cap)
     matchings = enumerate_perfect_matchings(n, cap=cap)
     edge_index = {
         pair: k for k, pair in enumerate(itertools.combinations(range(1, 2 * n + 1), 2))
@@ -141,9 +165,7 @@ def build_pm_graph(n: int, cap: int | None = None) -> Graph:
 
 def build_derangement_graph(n: int, cap: int | None = None) -> Graph:
     """Graph on all permutations of [n], adjacent iff they differ everywhere."""
-    cap = oracle_cap() if cap is None else cap
-    if not 1 <= n <= cap:
-        raise ValueError(f"n={n} outside oracle cap 1..{cap}")
+    _admit("sym", n, cap)
     perms = list(itertools.permutations(range(n)))
     incidence = np.zeros((len(perms), n * n), dtype=np.float32)
     for v, perm in enumerate(perms):

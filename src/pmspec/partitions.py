@@ -18,20 +18,33 @@ class Partition(tuple):
 
     Construction normalizes by stripping trailing zeros; an all-zero input
     yields the empty partition.  Negative entries or increasing sequences
-    are rejected.
+    are rejected.  A Partition argument is returned as it is.
     """
 
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
+        if type(parts) is cls:
+            return parts
         data = tuple(int(p) for p in parts)
         if any(p < 0 for p in data):
             raise ValueError(f"negative part in {data!r}")
         if any(a < b for a, b in zip(data, data[1:])):
             raise ValueError(f"parts not non-increasing: {data!r}")
-        while data and data[-1] == 0:
-            data = data[:-1]
-        return super().__new__(cls, data)
+        end = len(data)
+        while end and data[end - 1] == 0:
+            end -= 1
+        return super().__new__(cls, data[:end])
+
+    @classmethod
+    def _trusted(cls, parts: tuple) -> "Partition":
+        """Wrap a tuple that is already a partition, without checking it.
+
+        Only for results that are non-increasing with positive parts by
+        construction, such as surgery on a valid partition after its own
+        argument checks; outside input goes through ``Partition(parts)``.
+        """
+        return tuple.__new__(cls, parts)
 
     # -- basic attributes -------------------------------------------------
 
@@ -72,7 +85,7 @@ class Partition(tuple):
         """Drop the last part."""
         if not self:
             raise ValueError("empty partition has no last part")
-        return Partition(self[:-1])
+        return Partition._trusted(self[:-1])
 
     def subtract_all(self, k: int) -> "Partition":
         """Subtract k from every part (1 <= k <= last part), normalizing."""
@@ -80,7 +93,7 @@ class Partition(tuple):
             raise ValueError("cannot subtract from the empty partition")
         if not 1 <= k <= self[-1]:
             raise ValueError(f"k={k} out of range [1, {self[-1]}] for {self!r}")
-        return Partition(p - k for p in self)
+        return Partition._trusted(tuple([p - k for p in self if p > k]))
 
     def raise_part(self, i: int) -> "Partition":
         """Increment part i (1-based); requires 2 <= i <= length and a strict
@@ -89,7 +102,7 @@ class Partition(tuple):
             raise ValueError(f"raise index {i} out of range for {self!r}")
         if self[i - 2] <= self[i - 1]:
             raise ValueError(f"cannot raise part {i} of {self!r}: no descent at {i - 1}")
-        return Partition(self[: i - 1] + (self[i - 1] + 1,) + self[i:])
+        return Partition._trusted(self[: i - 1] + (self[i - 1] + 1,) + self[i:])
 
     def lower_part(self, i: int) -> "Partition":
         """Decrement part i (1-based); requires i = length or a strict descent
@@ -98,7 +111,8 @@ class Partition(tuple):
             raise ValueError(f"lower index {i} out of range for {self!r}")
         if i < len(self) and self[i - 1] <= self[i]:
             raise ValueError(f"cannot lower part {i} of {self!r}: no descent at {i}")
-        return Partition(self[: i - 1] + (self[i - 1] - 1,) + self[i:])
+        lowered = self[i - 1] - 1
+        return Partition._trusted(self[: i - 1] + ((lowered,) if lowered else ()) + self[i:])
 
     def transfer(self, move: "TransferMove") -> "Partition":
         """Move one box down the index axis: raise part i, lower part j (i < j).
@@ -139,16 +153,30 @@ def enumerate_partitions(n: int) -> list[Partition]:
     """All partitions of n in decreasing lexicographic order, (n) first."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    return [Partition._trusted(parts) for parts in _descending(n)]
 
-    def gen(remaining: int, max_part: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
+
+def _descending(n: int) -> Iterator[tuple[int, ...]]:
+    # Each step lowers the last part above 1 by one, then regroups the freed
+    # box and the trailing 1s greedily into parts no larger than the lowered one.
+    if n == 0:
+        yield ()
+        return
+    parts = [n]
+    while True:
+        yield tuple(parts)
+        ones = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            ones += 1
+        if not parts:
             return
-        for first in range(min(remaining, max_part), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
-
-    return [Partition(parts) for parts in gen(n, n if n else 1)]
+        part = parts.pop() - 1
+        parts.append(part)
+        count, rest = divmod(ones + 1, part)
+        parts += [part] * count
+        if rest:
+            parts.append(rest)
 
 
 def dominance_compare(mu: Partition, nu: Partition) -> Dominance:

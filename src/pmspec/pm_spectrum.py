@@ -7,17 +7,17 @@ Two fully independent recurrence paths are provided:
 * ``eta_alt`` compares a partition against the one obtained by lowering its
   last part, recursing only through that comparison.
 
-The caches of the two paths are separate, so agreement between them is a
-genuine cross-check of the code, not a cache readback.  ``f_value`` is the
-sign-normalized quantity (-1)^(n - lambda_1) * eta, which is nonnegative and
-vanishes only at the single-box partition (1).
+Each path memoizes in its own store (:mod:`pmspec.memo`), so agreement
+between them is a genuine cross-check of the code, not a cache readback.
+``f_value`` is the sign-normalized quantity (-1)^(n - lambda_1) * eta, which
+is nonnegative and vanishes only at the single-box partition (1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
+from . import memo
 from .exact import binomial, irrep_dimension, odd_double_factorial, pm_degree
 from .partitions import Partition, enumerate_partitions
 from .tables import SpectrumTable
@@ -30,46 +30,28 @@ class EtaValue:
     f: int
 
 
-@lru_cache(maxsize=None)
-def f_value(lam: Partition) -> int:
-    """Sign-normalized eigenvalue, by the strip-last-part recurrence.
-
-    f(()) = 1, f((n)) = d_n, and for r >= 2 parts
-    f(lam) = f(head) + sum_k C(last, k) (2k-1)!! f(head - k on every part),
-    where head drops the last part.
-    """
-    lam = Partition(lam)
-    if not lam:
-        return 1
-    if len(lam) == 1:
-        return pm_degree(lam[0])
+def _strip_children(lam: Partition) -> list:
+    if len(lam) < 2:
+        return []
     head = lam.remove_last_part()
-    last = lam[-1]
-    total = f_value(head)
-    for k in range(1, last + 1):
-        total += binomial(last, k) * odd_double_factorial(k) * f_value(head.subtract_all(k))
-    return total
+    return [head] + [head.subtract_all(j) for j in range(1, lam[-1] + 1)]
 
 
-@lru_cache(maxsize=None)
-def _eta_strip(lam: Partition) -> int:
+def _strip_combine(lam: Partition, values: list) -> int:
     # (-1)^last * eta = eta(head) + sum_j (-1)^(j r) C(last,j) (2j-1)!! eta(head - j)
     if not lam:
         return 1
     if len(lam) == 1:
         return pm_degree(lam[0])
     r = len(lam)
-    head = lam.remove_last_part()
     last = lam[-1]
-    rhs = _eta_strip(head)
+    rhs = values[0]
     for j in range(1, last + 1):
-        rhs += (
-            (-1) ** (j * r)
-            * binomial(last, j)
-            * odd_double_factorial(j)
-            * _eta_strip(head.subtract_all(j))
-        )
+        rhs += (-1) ** (j * r) * binomial(last, j) * odd_double_factorial(j) * values[j]
     return (-1) ** last * rhs
+
+
+_eta_strip = memo.Recurrence(_strip_children, _strip_combine)
 
 
 def eta(lam: Partition) -> EtaValue:
@@ -84,7 +66,44 @@ def eta(lam: Partition) -> EtaValue:
     return EtaValue(partition=lam, eta=value, f=f)
 
 
-@lru_cache(maxsize=None)
+def f_value(lam: Partition) -> int:
+    """Sign-normalized eigenvalue (-1)^(n - lambda_1) * eta, read from :func:`eta`.
+
+    f(()) = 1, f((n)) = d_n, and for r >= 2 parts
+    f(lam) = f(head) + sum_k C(last, k) (2k-1)!! f(head - k on every part),
+    where head drops the last part.
+    """
+    return eta(lam).f
+
+
+def _lowering_children(lam: Partition) -> tuple:
+    if len(lam) < 2:
+        return ()
+    if lam[-1] == 1:
+        return (lam.remove_last_part(), lam.subtract_all(1))
+    lowered = lam.lower_part(len(lam))
+    return (lowered, lam.subtract_all(1), lowered.subtract_all(1))
+
+
+def _lowering_combine(lam: Partition, values: list) -> int:
+    if not lam:
+        return 1
+    if len(lam) == 1:
+        return pm_degree(lam[0])
+    s = len(lam)
+    if lam[-1] == 1:
+        # f(lam) - f(lam minus last part) = f(lam - 1 everywhere)
+        head, shifted = values
+        return -head + (-1) ** (s - 1) * shifted
+    lowered, shifted, lowered_shifted = values
+    sign = (-1) ** (s + 1)
+    c = 2 * lam[-1] - 1
+    return -lowered + sign * c * shifted + sign * (c - 1) * lowered_shifted
+
+
+_eta_alt = memo.Recurrence(_lowering_children, _lowering_combine)
+
+
 def eta_alt(lam: Partition) -> int:
     """Eigenvalue by the lowering-comparison recurrence, last-part flavor.
 
@@ -94,32 +113,14 @@ def eta_alt(lam: Partition) -> int:
     eta(lam'), eta(lam - 1 everywhere) and eta(lam' - 1 everywhere) applies.
     Kept fully independent of :func:`eta`.
     """
-    lam = Partition(lam)
-    if not lam:
-        return 1
-    if len(lam) == 1:
-        return pm_degree(lam[0])
-    s = len(lam)
-    if lam[-1] == 1:
-        # f(lam) - f(lam minus last part) = f(lam - 1 everywhere)
-        return -eta_alt(lam.remove_last_part()) + (-1) ** (s - 1) * eta_alt(
-            lam.subtract_all(1)
-        )
-    lowered = lam.lower_part(s)
-    sign = (-1) ** (s + 1)
-    c = 2 * lam[-1] - 1
-    return (
-        -eta_alt(lowered)
-        + sign * c * eta_alt(lam.subtract_all(1))
-        + sign * (c - 1) * eta_alt(lowered.subtract_all(1))
-    )
+    return _eta_alt(Partition(lam))
 
 
 def eta_alt_at(lam: Partition, i: int) -> int:
     """One step of the lowering-comparison recurrence at an arbitrary index i.
 
     Admissible when 2 <= i <= s and either i = s or part i strictly exceeds
-    part i+1.  Sub-values come from the ``eta_alt`` cache; used to check that
+    part i+1.  Sub-values come from the ``eta_alt`` store; used to check that
     every admissible index yields the same eigenvalue.
     """
     lam = Partition(lam)
@@ -159,6 +160,6 @@ def pm_spectrum_table(n: int) -> SpectrumTable:
         raise ValueError("n must be positive")
     rows = {}
     for lam in enumerate_partitions(n):
-        doubled = Partition(2 * p for p in lam)
+        doubled = Partition._trusted(tuple([2 * p for p in lam]))
         rows[lam] = (eta(lam).eta, irrep_dimension(doubled))
     return SpectrumTable(family="pm", n=n, rows=rows)

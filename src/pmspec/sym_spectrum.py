@@ -1,7 +1,7 @@
 """Eigenvalues of the permutation derangement graph on S_n, the baseline
 family the matching-graph results parallel.
 
-Two published recurrences are implemented with separate caches and must agree:
+Two published recurrences are implemented with separate stores and must agree:
 ``xi_by_first_part`` carries the coefficient (mu_1 + r - 1) and recurses on
 the first-column strip, ``xi_by_last_part`` carries the coefficient mu_r and
 recurses by dropping the last part.  A common transcription of the second one
@@ -12,8 +12,8 @@ kept as a diagnostic because it already disagrees at (1,1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
+from . import memo
 from .exact import derangement_count, irrep_dimension
 from .partitions import Partition, enumerate_partitions
 from .tables import SpectrumTable
@@ -25,39 +25,58 @@ class XiValue:
     xi: int
 
 
-@lru_cache(maxsize=None)
-def xi_by_first_part(mu: Partition) -> int:
-    """xi by the recurrence with coefficient (mu_1 + r - 1).
+def _first_part_children(mu: Partition) -> tuple:
+    if len(mu) < 2:
+        return ()
+    tail = Partition._trusted(tuple([p - 1 for p in mu[1:] if p > 1]))
+    return (mu.subtract_all(1), tail)
 
-    Bases: xi(()) = 1 and xi((n)) = D_n, the derangement number.
-    """
-    mu = Partition(mu)
+
+def _first_part_combine(mu: Partition, values: list) -> int:
     if not mu:
         return 1
     if len(mu) == 1:
         return derangement_count(mu[0])
     r = len(mu)
-    return (-1) ** (r - 1) * (mu[0] + r - 1) * xi_by_first_part(
-        mu.subtract_all(1)
-    ) + (-1) ** (mu[0] + r - 1) * xi_by_first_part(Partition(p - 1 for p in mu[1:]))
+    shifted, tail = values
+    return (-1) ** (r - 1) * (mu[0] + r - 1) * shifted + (-1) ** (mu[0] + r - 1) * tail
 
 
-@lru_cache(maxsize=None)
+def _last_part_children(mu: Partition) -> tuple:
+    if len(mu) < 2:
+        return ()
+    return (mu.subtract_all(1), mu.remove_last_part())
+
+
+def _last_part_combine(mu: Partition, values: list) -> int:
+    if not mu:
+        return 1
+    if len(mu) == 1:
+        return derangement_count(mu[0])
+    r = len(mu)
+    shifted, head = values
+    return (-1) ** (r - 1) * mu[-1] * shifted + (-1) ** mu[-1] * head
+
+
+_xi_first = memo.Recurrence(_first_part_children, _first_part_combine)
+_xi_last = memo.Recurrence(_last_part_children, _last_part_combine)
+
+
+def xi_by_first_part(mu: Partition) -> int:
+    """xi by the recurrence with coefficient (mu_1 + r - 1).
+
+    Bases: xi(()) = 1 and xi((n)) = D_n, the derangement number.
+    """
+    return _xi_first(Partition(mu))
+
+
 def xi_by_last_part(mu: Partition) -> int:
     """xi by the recurrence with coefficient mu_r; must equal xi_by_first_part.
 
     xi(mu) = (-1)^(r-1) mu_r xi(mu - 1 everywhere) + (-1)^(mu_r) xi(mu minus
     its last part).
     """
-    mu = Partition(mu)
-    if not mu:
-        return 1
-    if len(mu) == 1:
-        return derangement_count(mu[0])
-    r = len(mu)
-    return (-1) ** (r - 1) * mu[-1] * xi_by_last_part(mu.subtract_all(1)) + (
-        -1
-    ) ** mu[-1] * xi_by_last_part(mu.remove_last_part())
+    return _xi_last(Partition(mu))
 
 
 def xi_by_last_part_printed_variant(mu: Partition) -> int:

@@ -124,7 +124,7 @@ def test_dual_recurrence_suite():
 def test_run_suite_dispatch_and_merge():
     report = analysis.run_suite("signs", 6)
     assert report.n_range == (2, 6) and report.passed
-    report = analysis.run_suite("thm6", 8, threads=4)
+    report = analysis.run_suite("thm6", 8)
     assert report.passed
     with pytest.raises(ValueError):
         analysis.run_suite("nope", 5)

@@ -1,6 +1,16 @@
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from pmspec import oracle
 from pmspec.cli import main
+from pmspec.partitions import Partition
+from pmspec.pm_spectrum import f_closed_form_2a1b
+from pmspec.sym_spectrum import xi_by_last_part
 
 
 def run(capsys, *argv):
@@ -90,3 +100,52 @@ def test_scan_progress_goes_to_stderr(capsys):
     code, out, err = run(capsys, "scan", "--n-max", "6", "--progress")
     assert code == 0
     assert "finished n=6" in err and "finished" not in out
+
+
+def test_import_leaves_numpy_out():
+    # only the oracle command needs numpy; every other command starts without it
+    code = "import sys, pmspec.cli; sys.exit('numpy' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def test_eta_deep_partitions(capsys):
+    # one recurrence step per part: far past the interpreter's recursion limit
+    code, out, _ = run(capsys, "eta", "--partition", "+".join(["1"] * 600))
+    assert code == 0 and "eta: -599\n" in out  # (-1)^(n-1) (n-1) on 1^n
+    code, out, _ = run(capsys, "eta", "--partition", "+".join(["2"] * 300 + ["1"] * 250))
+    assert code == 0 and f"f: {f_closed_form_2a1b(300, 250)}\n" in out
+
+
+def test_xi_deep_partition(capsys):
+    code, out, _ = run(capsys, "xi", "--partition", "600+600")
+    assert code == 0
+    assert f"xi: {xi_by_last_part(Partition((600, 600)))}\n" in out
+
+
+def test_oracle_refuses_what_memory_cannot_hold(capsys, monkeypatch):
+    # sym n=5 needs a 120 x 120 float64 matrix, 115,200 bytes
+    monkeypatch.setattr(oracle, "physical_memory_bytes", lambda: 100_000)
+    code, _, err = run(capsys, "oracle", "--family", "sym", "--n", "5")
+    assert code == 2 and "physical memory" in err
+    # pm n=7 would need about 146 GB; raising the cap does not lift the guard
+    monkeypatch.setattr(oracle, "physical_memory_bytes", lambda: 64 * 2**30)
+    monkeypatch.setenv(oracle.CAP_ENV_VAR, "7")
+    code, _, err = run(capsys, "oracle", "--family", "pm", "--n", "7")
+    assert code == 2 and "physical memory" in err
+
+
+def _readme_cli_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("pmspec ")]
+
+
+def test_readme_cli_examples_run(capsys):
+    commands = _readme_cli_commands()
+    assert len(commands) >= 6
+    for argv in commands:
+        assert argv[0] == "pmspec"
+        code, _, err = run(capsys, *argv[1:])
+        assert code == 0, (argv, err)

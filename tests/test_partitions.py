@@ -24,6 +24,14 @@ def test_normalize():
         normalize((3, -1))
 
 
+def test_construction_strips_long_zero_tails_and_reuses_partitions():
+    k = 5000
+    assert Partition((1,) * k + (0,) * k) == (1,) * k
+    assert Partition((0,) * k) == ()
+    p = Partition((3, 1))
+    assert Partition(p) is p
+
+
 def test_size_and_length():
     p = Partition((3, 2, 1))
     assert p.size == 6 and p.length == 3

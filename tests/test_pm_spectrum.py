@@ -1,5 +1,6 @@
 import pytest
 
+from pmspec import pm_spectrum
 from pmspec.exact import binomial, odd_double_factorial, pm_degree
 from pmspec.partitions import Partition, enumerate_partitions
 from pmspec.pm_spectrum import (
@@ -23,6 +24,20 @@ def test_f_desk_values():
     assert f_value(P((3, 2, 1))) == 14
     for n in range(1, 12):
         assert f_value(P((n,))) == pm_degree(n)
+
+
+def test_f_strip_recurrence():
+    # the unsigned strip recurrence f_value documents, checked against eta's f
+    for n in range(2, 13):
+        for lam in enumerate_partitions(n):
+            if len(lam) < 2:
+                continue
+            head, last = lam.remove_last_part(), lam[-1]
+            rhs = f_value(head) + sum(
+                binomial(last, k) * odd_double_factorial(k) * f_value(head.subtract_all(k))
+                for k in range(1, last + 1)
+            )
+            assert f_value(lam) == rhs, lam
 
 
 def test_eta_desk_values():
@@ -139,3 +154,21 @@ def test_csv_rendering():
         "2+1,-2,9",
         "1+1+1,2,5",
     ]
+
+
+def test_eta_on_deep_partitions():
+    # one recurrence step per part, far past the interpreter's recursion limit
+    assert eta(P((1,) * 5000)).eta == -4999
+    lam = P((3, 2) + (1,) * 1998)
+    assert eta_alt(lam) == eta(lam).eta
+
+
+def test_recurrence_stores_are_separate():
+    lam = P((4, 3, 1))
+    assert eta(lam).eta == eta_alt(lam)
+    alt_size = pm_spectrum._eta_alt.cache_info().currsize
+    assert alt_size > 0
+    pm_spectrum._eta_strip.cache_clear()
+    assert pm_spectrum._eta_strip.cache_info().currsize == 0
+    assert pm_spectrum._eta_alt.cache_info().currsize == alt_size
+    assert eta(lam).eta == eta_alt(lam)
