@@ -1,9 +1,11 @@
 """Certify the predicted tables against the literal graphs.
 
-The oracle builds each graph vertex by vertex, takes a dense numeric
-eigendecomposition, and greedily matches the numeric spectrum to the
-predicted integers; trace identities are checked separately in exact
-integers, so the float step can only confirm, never contaminate."""
+The oracle builds each graph vertex by vertex, groups the vertices into
+cells around a base vertex, and checks in exact integers that the cells
+form an equitable partition of a vertex-transitive graph whose small
+quotient matrix has exactly the predicted eigenvalues and closed-walk
+counts.  That fixes the whole spectrum with multiplicities; trace
+identities are checked as well.  No step uses floating point."""
 
 import io
 

@@ -697,4 +697,5 @@ SUITE_NAMES = (
     "crossblock",
     "kuwong-xi",
     "dualpath",
+    "conjecture2",
 )

@@ -1,10 +1,28 @@
-"""Brute-force ground truth: build the actual derangement graphs, take their
-numeric spectra, and certify the predicted integer tables against them.
+"""Brute-force ground truth: build the actual derangement graphs and certify
+the predicted integer tables against them in exact integers.
 
 Vertices are encoded as incidence vectors (matchings over the edges of
 K_{2n}, permutations over position/value cells), so adjacency reduces to a
 single Gram-matrix product: two vertices are adjacent iff their incidence
 vectors are orthogonal.
+
+Certification never diagonalises the V x V adjacency A.  Every vertex is
+labelled by its cell relative to the base vertex x0 = vertex 0: the coset
+type of m ∪ x0 for a matching m, the cycle type of x0^-1 σ for a permutation
+σ.  The certificate checks, on the real graph, that
+
+- the cells form an equitable partition with x0 alone in its cell, so
+  A P = P B for the cell indicator P and a p(n) x p(n) integer quotient B;
+- a transposition and a full cycle of the points act on the vertices as
+  automorphisms of A whose orbit of x0 is every vertex;
+- charpoly(B) = prod over the table's rows of (x - theta), q(B) = 0 for
+  q = prod over the distinct predicted theta of (x - theta), and
+  sum m_theta theta^k = V (B^k)[c0, c0] for every k < #distinct theta.
+
+The first two give q(A) e_x0 = P q(B) e_c0 = 0, hence q(A) = 0 by
+transitivity, and tr(A^k) = V (A^k)[x0, x0] = V (B^k)[c0, c0].  So every
+eigenvalue of A is a predicted one, and the walk moments fix each
+multiplicity (a Vandermonde system), with no float step anywhere.
 """
 
 from __future__ import annotations
@@ -41,19 +59,21 @@ def physical_memory_bytes() -> int:
 
 
 def _admit(family: str, n: int, cap: int | None) -> None:
-    """Refuse a graph above the size cap, or one whose dense float64
-    adjacency (V^2 * 8 bytes, as the spectrum solve needs it) would not fit
-    in physical memory, whatever the cap allows."""
+    """Refuse a graph above the size cap, or one whose build and
+    certificate would not fit in physical memory, whatever the cap allows."""
     cap = oracle_cap() if cap is None else cap
     if not 1 <= n <= cap:
         raise ValueError(f"n={n} outside oracle cap 1..{cap}")
     vertices = odd_double_factorial(n) if family == "pm" else math.factorial(n)
-    matrix_bytes = vertices * vertices * 8
+    # the build's peak: the float32 Gram product (4 bytes per vertex pair),
+    # its bool mask and the uint8 adjacency (1 byte each) are alive at once;
+    # certification later holds at most the adjacency and two copies of it
+    needed = 6 * vertices * vertices
     memory = physical_memory_bytes()
-    if matrix_bytes > memory:
+    if needed > memory:
         raise ValueError(
-            f"oracle {family} n={n}: the dense {vertices}x{vertices} matrix needs "
-            f"{matrix_bytes / 1e6:.0f} MB, more than the {memory / 1e6:.0f} MB of physical memory"
+            f"oracle {family} n={n}: the {vertices}-vertex graph needs about "
+            f"{needed / 1e6:.0f} MB, more than the {memory / 1e6:.0f} MB of physical memory"
         )
 
 
@@ -76,9 +96,13 @@ class OracleReport:
     n: int
     vertex_count: int
     degree_observed: int
-    spectrum_match: bool
-    max_abs_residual: float
+    quotient_size: int
+    quotient_checks: list  # (name, passed), the equitable-quotient certificate
     trace_checks: list = field(default_factory=list)  # (name, passed)
+
+    @property
+    def spectrum_match(self) -> bool:
+        return all(ok for _, ok in self.quotient_checks)
 
     @property
     def passed(self) -> bool:
@@ -88,10 +112,12 @@ class OracleReport:
         payload = {
             "family": self.family,
             "n": self.n,
+            "method": "quotient",
             "vertex_count": self.vertex_count,
             "degree_observed": self.degree_observed,
+            "quotient_size": self.quotient_size,
             "spectrum_match": self.spectrum_match,
-            "max_abs_residual": f"{self.max_abs_residual:.3e}",
+            "quotient_checks": [{"name": name, "passed": ok} for name, ok in self.quotient_checks],
             "trace_checks": [{"name": name, "passed": ok} for name, ok in self.trace_checks],
         }
         return json.dumps(payload, separators=(",", ":")) + "\n"
@@ -100,9 +126,11 @@ class OracleReport:
         lines = [
             f"oracle {self.family} n={self.n}: "
             f"{self.vertex_count} vertices, degree {self.degree_observed}",
-            f"  spectrum match: {'yes' if self.spectrum_match else 'NO'}"
-            f" (max residual {self.max_abs_residual:.3e})",
+            f"  method: quotient ({self.quotient_size} cells)",
+            f"  spectrum match: {'yes' if self.spectrum_match else 'NO'}",
         ]
+        for name, ok in self.quotient_checks:
+            lines.append(f"  quotient {name}: {'pass' if ok else 'FAIL'}")
         for name, ok in self.trace_checks:
             lines.append(f"  trace {name}: {'pass' if ok else 'FAIL'}")
         lines.append(f"  verdict: {'PASS' if self.passed else 'FAIL'}")
@@ -182,41 +210,199 @@ def numeric_spectrum(graph_or_matrix) -> np.ndarray:
     return np.linalg.eigvalsh(np.asarray(matrix, dtype=np.float64))
 
 
-def certify(table: SpectrumTable, graph: Graph, tol_scale: float = 1e-8) -> OracleReport:
-    """Match a predicted table against the graph's numeric spectrum.
+# ---------------------------------------------------------------------------
+# exact integer polynomials and matrices
+# ---------------------------------------------------------------------------
 
-    Each numeric eigenvalue is assigned to the nearest predicted integer; the
-    match succeeds iff every predicted row receives exactly its multiplicity
-    and every residual is within tol = tol_scale * max(1, degree).  Trace
-    identities are checked purely in integers.  Mismatches are reported, not
-    raised.
+
+def charpoly(matrix: list[list[int]]) -> list[int]:
+    """Coefficients of det(xI - M), highest degree first, by Berkowitz's
+    division-free algorithm in Python integers.
+
+    Splitting M = [[a, R], [C, S]], charpoly(M) is the lower-triangular
+    Toeplitz matrix with first column (1, -a, -RC, -RSC, -RS^2C, ...) applied
+    to charpoly(S); the loop runs this from the bottom-right corner out.
+    """
+    size = len(matrix)
+    poly = [1]
+    for k in range(size - 1, -1, -1):
+        row = matrix[k][k + 1 :]
+        sub = [r[k + 1 :] for r in matrix[k + 1 :]]
+        column = [r[k] for r in matrix[k + 1 :]]
+        toeplitz = [1, -matrix[k][k]]
+        for _ in range(size - k - 1):
+            toeplitz.append(-sum(a * b for a, b in zip(row, column)))
+            column = [sum(a * b for a, b in zip(r, column)) for r in sub]
+        poly = [
+            sum(toeplitz[i - j] * poly[j] for j in range(min(i, len(poly) - 1) + 1))
+            for i in range(len(poly) + 1)
+        ]
+    return poly
+
+
+def _poly_from_roots(roots) -> list[int]:
+    """Coefficients of prod (x - r), highest degree first."""
+    poly = [1]
+    for r in roots:
+        poly = [a - r * b for a, b in zip(poly + [0], [0] + poly)]
+    return poly
+
+
+def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+# ---------------------------------------------------------------------------
+# the equitable partition around x0 and the group acting on the vertices
+# ---------------------------------------------------------------------------
+
+
+def _cycle_type(step: dict) -> tuple:
+    """Cycle lengths of the permutation `step` (point -> point), descending."""
+    seen = set()
+    lengths = []
+    for start in step:
+        length, point = 0, start
+        while point not in seen:
+            seen.add(point)
+            point = step[point]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def _partner(matching) -> dict:
+    out = {}
+    for a, b in matching:
+        out[a], out[b] = b, a
+    return out
+
+
+def _cell_labels(graph: Graph) -> list[tuple]:
+    """Each vertex's cell relative to x0 = vertex 0, computed from the labels."""
+    x0 = graph.labels[0]
+    if graph.family == "pm":
+        # a component of m ∪ x0 on 2k points splits into two k-cycles of
+        # x0∘m, so every other sorted cycle length is the coset type
+        x0_partner = _partner(x0)
+        return [
+            _cycle_type({p: x0_partner[q] for p, q in _partner(m).items()})[::2]
+            for m in graph.labels
+        ]
+    x0_inverse = {value: pos for pos, value in enumerate(x0)}
+    return [
+        _cycle_type({pos: x0_inverse[v] for pos, v in enumerate(perm)}) for perm in graph.labels
+    ]
+
+
+def _quotient(adjacency: np.ndarray, cell_of: np.ndarray, cell_count: int):
+    """The quotient matrix B, whose row c counts the edges from each cell
+    into the first vertex of cell c, and whether every vertex's counts equal
+    the row of its cell.
+
+    Counting edges into a vertex reads whole rows, which is fast; it checks
+    A^T P = P B, and the certificate's argument holds for A^T as for A.
+    """
+    counts = np.stack(
+        [adjacency[cell_of == c].sum(axis=0, dtype=np.int64) for c in range(cell_count)], axis=1
+    )
+    quotient = counts[np.unique(cell_of, return_index=True)[1]]
+    return quotient.tolist(), bool((counts == quotient[cell_of]).all())
+
+
+def _vertex_permutations(graph: Graph) -> list[np.ndarray]:
+    """How a transposition and a full cycle of the points move the vertices:
+    left multiplication on the values 0..n-1 of a permutation, relabelling
+    of the points 1..2n of a matching.  The two generate the symmetric group.
+    A vertex whose image is not on the vertex list maps to -1."""
+    points = list(range(graph.n)) if graph.family == "sym" else list(range(1, 2 * graph.n + 1))
+    swap = dict(zip(points, points[1::-1] + points[2:]))
+    shift = dict(zip(points, points[1:] + points[:1]))
+    index = {label: v for v, label in enumerate(graph.labels)}
+
+    def act(g, label):
+        if graph.family == "sym":
+            return tuple(g[v] for v in label)
+        return tuple(sorted(tuple(sorted((g[a], g[b]))) for a, b in label))
+
+    return [
+        np.array([index.get(act(g, label), -1) for label in graph.labels]) for g in (swap, shift)
+    ]
+
+
+def _is_automorphism(adjacency: np.ndarray, move: np.ndarray) -> bool:
+    """Whether `move` permutes the vertices and preserves the adjacency."""
+    return np.array_equal(np.sort(move), np.arange(len(move))) and np.array_equal(
+        adjacency.take(move, 0).take(move, 1), adjacency
+    )
+
+
+def _orbit_size(moves: list[np.ndarray], vertex_count: int) -> int:
+    """Size of the orbit of vertex 0 under the group the moves generate."""
+    reached = np.zeros(vertex_count, dtype=bool)
+    reached[0] = True
+    frontier = np.array([0])
+    while frontier.size:
+        images = np.concatenate([move[frontier] for move in moves])
+        images = images[images >= 0]
+        frontier = np.unique(images[~reached[images]])
+        reached[frontier] = True
+    return int(reached.sum())
+
+
+def certify(table: SpectrumTable, graph: Graph) -> OracleReport:
+    """Certify a predicted table against the graph in exact integers.
+
+    The quotient checks (see the module docstring) establish that the
+    graph's spectrum, with multiplicities, is exactly the table's; the trace
+    identities are checked separately.  Mismatches are reported, not raised.
     """
     if table.n != graph.n:
         raise ValueError(f"table n={table.n} does not match graph n={graph.n}")
     # distinct partitions can share an eigenvalue (e.g. the permutation family
-    # at n = 4); merge such rows before matching
+    # at n = 4); merge such rows for the multiplicity checks
     predicted: dict = {}
-    for _, (val, mult) in table.rows.items():
+    for val, mult in table.rows.values():
         predicted[val] = predicted.get(val, 0) + mult
 
-    tol = tol_scale * max(1, graph.degree)
-    values = sorted(predicted)
-    if len(values) > 1:
-        gap = min(b - a for a, b in zip(values, values[1:]))
-        if tol >= gap / 2:
-            raise ValueError(f"tolerance {tol} too large for eigenvalue gap {gap}")
-
-    spectrum = numeric_spectrum(graph)
-    counts = dict.fromkeys(values, 0)
-    max_residual = 0.0
-    for x in spectrum:
-        nearest = min(values, key=lambda v: abs(x - v))
-        counts[nearest] += 1
-        max_residual = max(max_residual, abs(x - nearest))
-
-    match = max_residual <= tol and all(counts[v] == predicted[v] for v in values)
-
+    adjacency = graph.adjacency
     vertex_count = graph.vertex_count
+    cell_labels = _cell_labels(graph)
+    cells = {cell: c for c, cell in enumerate(sorted(set(cell_labels), reverse=True))}
+    cell_of = np.array([cells[cell] for cell in cell_labels])
+    quotient, equitable = _quotient(adjacency, cell_of, len(cells))
+    base = int(cell_of[0])
+    moves = _vertex_permutations(graph)
+
+    annihilator = [[int(i == j) for j in range(len(cells))] for i in range(len(cells))]
+    for theta in predicted:
+        shifted = [
+            [b - theta * (i == j) for j, b in enumerate(row)] for i, row in enumerate(quotient)
+        ]
+        annihilator = _matmul(annihilator, shifted)
+    closed_walks = []
+    walk = [int(c == base) for c in range(len(cells))]  # row c0 of B^k
+    for _ in range(len(predicted)):
+        closed_walks.append(walk[base])
+        walk = [sum(w * row[j] for w, row in zip(walk, quotient)) for j in range(len(cells))]
+
+    quotient_checks = [
+        ("equitable", equitable),
+        ("base_alone", cell_labels.count(cell_labels[0]) == 1),
+        ("automorphisms", all(_is_automorphism(adjacency, move) for move in moves)),
+        ("orbit", _orbit_size(moves, vertex_count) == vertex_count),
+        ("charpoly", charpoly(quotient) == _poly_from_roots(table.eigenvalues())),
+        ("annihilator", not any(any(row) for row in annihilator)),
+        (
+            "walk_moments",
+            all(
+                sum(m * theta**k for theta, m in predicted.items()) == vertex_count * walks
+                for k, walks in enumerate(closed_walks)
+            ),
+        ),
+    ]
+
     expected_count = (
         odd_double_factorial(graph.n) if graph.family == "pm" else None
     )
@@ -236,8 +422,8 @@ def certify(table: SpectrumTable, graph: Graph, tol_scale: float = 1e-8) -> Orac
         n=graph.n,
         vertex_count=vertex_count,
         degree_observed=graph.degree,
-        spectrum_match=match,
-        max_abs_residual=float(max_residual),
+        quotient_size=len(cells),
+        quotient_checks=quotient_checks,
         trace_checks=trace_checks,
     )
 

@@ -1,12 +1,9 @@
 """Acceptance suite: one test per exit criterion, each printing a pass/fail
-line.  Everything is exact integer arithmetic except the numeric oracle,
-whose tolerance is 1e-8 * max(1, degree).
-
-The two largest oracle instances (matching family n=6 with 10395 vertices,
-permutation family n=7 with 5040 vertices) are opt-in: set PMSPEC_RUN_SLOW=1.
+line.  Everything is exact integer arithmetic, the oracle included: it
+certifies each table through the equitable quotient of the literal graph,
+up to the matching family at n=6 (10395 vertices) and the permutation
+family at n=7 (5040 vertices).
 """
-
-import os
 
 import pytest
 
@@ -30,9 +27,6 @@ from pmspec.sym_spectrum import (
     xi_by_last_part,
     xi_by_last_part_printed_variant,
 )
-
-RUN_SLOW = os.environ.get("PMSPEC_RUN_SLOW") == "1"
-
 
 def _report(criterion, ok):
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'}")
@@ -60,13 +54,13 @@ def test_criterion_02_xi_cross_recurrence():
     _report("2 xi cross-recurrence n<=30 + printed-form divergence", ok)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5] + ([6] if RUN_SLOW else []))
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_criterion_03_oracle_pm(n):
     report = oracle.certify(pm_spectrum_table(n), oracle.build_pm_graph(n))
     _report(f"3 oracle certification pm n={n}", report.passed)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6] + ([7] if RUN_SLOW else []))
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_criterion_04_oracle_sym(n):
     cap = max(oracle.oracle_cap(), n)
     report = oracle.certify(sym_spectrum_table(n), oracle.build_derangement_graph(n, cap=cap))

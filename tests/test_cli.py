@@ -1,3 +1,4 @@
+import json
 import os
 import shlex
 import subprocess
@@ -6,11 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from pmspec import oracle
+from pmspec import analysis, cli, oracle
 from pmspec.cli import main
 from pmspec.partitions import Partition
-from pmspec.pm_spectrum import f_closed_form_2a1b
+from pmspec.pm_spectrum import f_closed_form_2a1b, pm_spectrum_table
 from pmspec.sym_spectrum import xi_by_last_part
+from pmspec.tables import SpectrumTable
 
 
 def run(capsys, *argv):
@@ -66,6 +68,13 @@ def test_verify_pass_and_exit_codes(capsys):
     assert code == 2
 
 
+def test_verify_conjecture2(capsys):
+    args = ("verify", "--suite", "conjecture2", "--n-max", "6", "--format", "json")
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert json.loads(out)["checks_run"] == analysis.scan_cross_gap_conjecture(6).checks_run
+
+
 def test_verify_unknown_suite_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "bogus", "--n-max", "5"])
@@ -84,6 +93,21 @@ def test_oracle_command(capsys):
     assert code == 0 and "PASS" in out and "105 vertices" in out
     code, out, _ = run(capsys, "oracle", "--family", "sym", "--n", "5")
     assert code == 0 and "120 vertices" in out
+    code, out, _ = run(capsys, "oracle", "--family", "sym", "--n", "5", "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and report["method"] == "quotient" and report["quotient_size"] == 7
+    assert all(check["passed"] for check in report["quotient_checks"])
+
+
+def test_oracle_exits_1_on_a_wrong_table(capsys, monkeypatch):
+    table = pm_spectrum_table(4)
+    rows = dict(table.rows)
+    (lam, (a, ma)), (mu, (b, mb)) = list(rows.items())[:2]
+    rows[lam], rows[mu] = (a, ma - 1), (b, mb + 1)  # a multiplicity moved between rows
+    monkeypatch.setattr(cli, "pm_spectrum_table", lambda n: SpectrumTable("pm", n, rows))
+    code, out, _ = run(capsys, "oracle", "--family", "pm", "--n", "4")
+    assert code == 1
+    assert "quotient walk_moments: FAIL" in out and "verdict: FAIL" in out
 
 
 def test_oracle_cap_refusal(capsys):
@@ -125,11 +149,11 @@ def test_xi_deep_partition(capsys):
 
 
 def test_oracle_refuses_what_memory_cannot_hold(capsys, monkeypatch):
-    # sym n=5 needs a 120 x 120 float64 matrix, 115,200 bytes
-    monkeypatch.setattr(oracle, "physical_memory_bytes", lambda: 100_000)
+    # sym n=5 peaks at 6 bytes per vertex pair, 6 * 120 * 120 = 86,400 bytes
+    monkeypatch.setattr(oracle, "physical_memory_bytes", lambda: 80_000)
     code, _, err = run(capsys, "oracle", "--family", "sym", "--n", "5")
     assert code == 2 and "physical memory" in err
-    # pm n=7 would need about 146 GB; raising the cap does not lift the guard
+    # pm n=7 would need about 110 GB; raising the cap does not lift the guard
     monkeypatch.setattr(oracle, "physical_memory_bytes", lambda: 64 * 2**30)
     monkeypatch.setenv(oracle.CAP_ENV_VAR, "7")
     code, _, err = run(capsys, "oracle", "--family", "pm", "--n", "7")

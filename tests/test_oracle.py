@@ -81,7 +81,7 @@ def test_certify_pm(n):
     assert report.passed
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_certify_sym(n):
     report = oracle.certify(sym_spectrum_table(n), oracle.build_derangement_graph(n))
     assert report.passed
@@ -102,6 +102,7 @@ def test_injected_fault_is_detected():
     assert not report.spectrum_match
     checks = dict(report.trace_checks)
     assert checks["sum_val"] is False
+    assert dict(report.quotient_checks)["charpoly"] is False
     assert not report.passed
 
 
@@ -116,5 +117,107 @@ def test_report_rendering():
     report = oracle.certify(pm_spectrum_table(3), oracle.build_pm_graph(3))
     text = report.to_text()
     assert "PASS" in text and "15 vertices" in text
+    assert "method: quotient (3 cells)" in text and "residual" not in text
     js = report.to_json()
     assert '"spectrum_match":true' in js
+    assert '"method":"quotient"' in js and '"quotient_size":3' in js
+    assert "max_abs_residual" not in js
+
+
+@pytest.mark.parametrize(
+    "matrix, poly",
+    [
+        ([], [1]),
+        ([[7]], [1, -7]),
+        ([[0, 2], [1, 1]], [1, -1, -2]),  # the triangle's quotient: (x - 2)(x + 1)
+        ([[2, 0, 0], [0, 3, 0], [0, 0, 5]], [1, -10, 31, -30]),
+        # trace 16, principal 2x2 minors -3 - 11 + 2, determinant -3
+        ([[1, 2, 3], [4, 5, 6], [7, 8, 10]], [1, -16, -12, 3]),
+        ([[0, 1, 0], [0, 0, 1], [0, 0, 0]], [1, 0, 0, 0]),  # nilpotent
+    ],
+)
+def test_charpoly_by_hand(matrix, poly):
+    assert oracle.charpoly(matrix) == poly
+
+
+def _with_moved_multiplicity(table):
+    # move one unit of multiplicity between the first two rows, whose
+    # eigenvalues differ: the eigenvalues and their total count stay the same
+    rows = dict(table.rows)
+    (lam, (a, ma)), (mu, (b, mb)) = list(rows.items())[:2]
+    assert a != b and ma >= 1
+    rows[lam], rows[mu] = (a, ma - 1), (b, mb + 1)
+    return SpectrumTable(family=table.family, n=table.n, rows=rows)
+
+
+@pytest.mark.parametrize("family, n", [("pm", 4), ("sym", 5)])
+def test_moved_multiplicity_is_caught_by_walk_moments(family, n):
+    table = pm_spectrum_table(n) if family == "pm" else sym_spectrum_table(n)
+    graph = oracle.build_pm_graph(n) if family == "pm" else oracle.build_derangement_graph(n)
+    report = oracle.certify(_with_moved_multiplicity(table), graph)
+    checks = dict(report.quotient_checks)
+    assert dict(report.trace_checks)["sum_mult"] is True
+    assert checks["charpoly"] and checks["annihilator"] and checks["equitable"]
+    assert checks["walk_moments"] is False
+    assert not report.spectrum_match and not report.passed
+
+
+@pytest.mark.parametrize("family, n", [("pm", 3), ("pm", 4), ("sym", 4), ("sym", 5)])
+def test_removed_edge_fails_the_partition_or_the_symmetry(family, n):
+    graph = oracle.build_pm_graph(n) if family == "pm" else oracle.build_derangement_graph(n)
+    table = pm_spectrum_table(n) if family == "pm" else sym_spectrum_table(n)
+    u = graph.vertex_count // 2
+    for edge in [(0, int(graph.adjacency[0].argmax())), (u, int(graph.adjacency[u].argmax()))]:
+        adjacency = graph.adjacency.copy()
+        adjacency[edge] = adjacency[edge[::-1]] = 0
+        broken = oracle.Graph(graph.family, n, graph.labels, adjacency, graph.degree)
+        report = oracle.certify(table, broken)
+        checks = dict(report.quotient_checks)
+        assert not (checks["equitable"] and checks["automorphisms"]), edge
+        assert not report.passed
+
+
+def test_equitable_edge_switch_is_caught_by_the_automorphism_check():
+    # swapping edges ab, cd for ad, cb with a, c in one cell and b, d in
+    # another keeps every vertex's count per cell, so B and all its checks
+    # still pass; only the symmetry the argument relies on is broken
+    graph = oracle.build_pm_graph(4)
+    adjacency = graph.adjacency.copy()
+    cells = oracle._cell_labels(graph)
+    a, b, c, d = next(
+        (a, b, c, d)
+        for a, b in zip(*np.nonzero(adjacency))
+        for c in range(graph.vertex_count)
+        if c not in (a, b) and cells[c] == cells[a] and not adjacency[c, b]
+        for d in np.nonzero(adjacency[c])[0]
+        if d not in (a, b) and cells[d] == cells[b] and not adjacency[a, d]
+    )
+    for u, v, bit in [(a, b, 0), (c, d, 0), (a, d, 1), (c, b, 1)]:
+        adjacency[u, v] = adjacency[v, u] = bit
+    broken = oracle.Graph(graph.family, graph.n, graph.labels, adjacency, graph.degree)
+    report = oracle.certify(pm_spectrum_table(4), broken)
+    checks = dict(report.quotient_checks)
+    assert checks.pop("automorphisms") is False
+    assert all(checks.values()) and not report.passed
+
+
+def test_base_vertex_sharing_its_cell_is_caught():
+    graph = oracle.build_pm_graph(3)
+    labels = [graph.labels[0]] + graph.labels[:1] + graph.labels[2:]  # vertex 1 relabelled as x0
+    broken = oracle.Graph(graph.family, graph.n, labels, graph.adjacency, graph.degree)
+    report = oracle.certify(pm_spectrum_table(3), broken)
+    assert dict(report.quotient_checks)["base_alone"] is False and not report.passed
+
+
+@pytest.mark.parametrize(
+    "family, n", [("pm", k) for k in range(1, 5)] + [("sym", k) for k in range(1, 6)]
+)
+def test_dense_spectrum_equals_table(family, n):
+    # the literal cross-check: diagonalise the whole adjacency matrix
+    graph = oracle.build_pm_graph(n) if family == "pm" else oracle.build_derangement_graph(n)
+    table = pm_spectrum_table(n) if family == "pm" else sym_spectrum_table(n)
+    predicted = sorted(val for val, mult in table.rows.values() for _ in range(mult))
+    spectrum = oracle.numeric_spectrum(graph)
+    assert sorted(round(x) for x in spectrum) == predicted
+    assert np.allclose(spectrum, predicted, atol=1e-8 * max(1, graph.degree))
+
