@@ -14,15 +14,16 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .exact import binomial, odd_double_factorial, pm_degree
 from .partitions import (
     Dominance,
     Partition,
-    dominance_chain,
     dominance_compare,
     enumerate_partitions,
     has_first_part_three_rest_small,
+    next_transfer,
     valid_transfers,
 )
 from .pm_spectrum import eta, eta_alt, eta_alt_at, f_closed_form_2a1b, f_value
@@ -49,12 +50,14 @@ class VerificationReport:
     def passed(self) -> bool:
         return self.failure_count == 0
 
-    def check(self, ok: bool, **witness) -> bool:
+    def check(self, ok: bool, witness) -> bool:
+        """Count one check.  A failure is listed as ``witness()``, a dict, so
+        the witness is built only for the failures that are listed."""
         self.checks_run += 1
         if not ok:
             self.failure_count += 1
             if len(self.failures) < MAX_LISTED_FAILURES:
-                self.failures.append(witness)
+                self.failures.append(witness())
         return ok
 
     def witness_equality(self, **witness) -> None:
@@ -110,11 +113,48 @@ def _abs_eta(lam: Partition) -> int:
     return abs(eta(lam).eta)
 
 
-def _blocks_by_first_part(n: int) -> dict:
-    blocks: dict = {}
-    for p in enumerate_partitions(n):
-        blocks.setdefault(p[0], []).append(p)
-    return blocks
+class _Level:
+    """The partitions of n with what the pair suites need of each, computed once.
+
+    ``parts`` come in decreasing lexicographic order, so each first part owns
+    a run of consecutive indices, and ``blocks`` maps each first part to its
+    run.  ``values[i]`` is ``value(parts[i])``.  Bit j of ``above[i]`` is set iff
+    parts[i] is strictly dominated by parts[j]: lam is dominated by mu iff
+    every prefix sum of lam is at most mu's.  Each set is the intersection,
+    over the prefix positions k, of the partitions whose k-th prefix sum
+    reaches lam's.
+    """
+
+    def __init__(self, n: int, value) -> None:
+        self.parts = enumerate_partitions(n)
+        self.values = [value(lam) for lam in self.parts]
+        self.blocks: dict = {}
+        for i, lam in enumerate(self.parts):
+            self.blocks.setdefault(lam[0], []).append(i)
+        rows = [list(accumulate(lam)) + [n] * (n - len(lam)) for lam in self.parts]
+        everyone = (1 << len(rows)) - 1
+        self.above = [everyone ^ (1 << i) for i in range(len(rows))]
+        for k in range(n - 1):  # the last prefix sum is n for every partition
+            reaching = [0] * (n + 2)  # reaching[s]: partitions with k-th sum >= s
+            for j, row in enumerate(rows):
+                reaching[row[k]] |= 1 << j
+            for s in range(n, -1, -1):
+                reaching[s] |= reaching[s + 1]
+            for i, row in enumerate(rows):
+                self.above[i] &= reaching[row[k]]
+
+
+def _span(block: list) -> int:
+    """Bitset of a run of consecutive indices."""
+    return (1 << (block[-1] + 1)) - (1 << block[0])
+
+
+def _bits(mask: int):
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +172,10 @@ def verify_sign_pattern(n: int) -> VerificationReport:
         value = eta(lam).eta
         report.check(
             (-1) ** (n - lam[0]) * value > 0,
-            partition=lam.to_text(),
-            eta=str(value),
+            lambda: dict(
+                partition=lam.to_text(),
+                eta=str(value),
+            ),
         )
     return _timed(report, start)
 
@@ -155,20 +197,23 @@ def verify_abs_dominance(n: int) -> VerificationReport:
         raise ValueError("n must be at least 2")
     start = time.perf_counter()
     report = VerificationReport(suite="thm6", n_range=(n, n))
-    for u, block in _blocks_by_first_part(n).items():
-        for lam in block:
-            for lam2 in block:
-                if lam == lam2:
-                    continue
-                if dominance_compare(lam, lam2) is not Dominance.LESS:
-                    continue
-                a, b = _abs_eta(lam), _abs_eta(lam2)
+    level = _Level(n, _abs_eta)
+    parts, values = level.parts, level.values
+    index = {lam: i for i, lam in enumerate(parts)}
+    for u, block in level.blocks.items():
+        span, chain_memo = _span(block), {}
+        for i in block:
+            lam, a = parts[i], values[i]
+            for j in _bits(level.above[i] & span):
+                lam2, b = parts[j], values[j]
                 report.check(
                     a <= b,
-                    relation="|eta(lo)| <= |eta(hi)|",
-                    lo=lam.to_text(),
-                    hi=lam2.to_text(),
-                    values=(str(a), str(b)),
+                    lambda: dict(
+                        relation="|eta(lo)| <= |eta(hi)|",
+                        lo=lam.to_text(),
+                        hi=lam2.to_text(),
+                        values=(str(a), str(b)),
+                    ),
                 )
                 in_star = has_first_part_three_rest_small(
                     lam
@@ -177,27 +222,51 @@ def verify_abs_dominance(n: int) -> VerificationReport:
                     report.witness_equality(lo=lam.to_text(), hi=lam2.to_text(), abs_eta=str(a))
                 report.check(
                     (a == b) == (u == 3 and in_star),
-                    relation="equality iff first part 3 with small tail",
-                    lo=lam.to_text(),
-                    hi=lam2.to_text(),
-                    values=(str(a), str(b)),
+                    lambda: dict(
+                        relation="equality iff first part 3 with small tail",
+                        lo=lam.to_text(),
+                        hi=lam2.to_text(),
+                        values=(str(a), str(b)),
+                    ),
                 )
-                # stepwise monotonicity along an explicit transfer chain
-                cur = lam
-                ok_steps = True
-                for move in dominance_chain(lam, lam2):
-                    nxt = cur.transfer(move)
-                    if _abs_eta(nxt) < _abs_eta(cur):
-                        ok_steps = False
-                        break
-                    cur = nxt
                 report.check(
-                    ok_steps and cur == lam2,
-                    relation="stepwise |eta| monotone along chain",
-                    lo=lam.to_text(),
-                    hi=lam2.to_text(),
+                    _chain_monotone(level, index, chain_memo, i, j),
+                    lambda: dict(
+                        relation="stepwise |eta| monotone along chain",
+                        lo=lam.to_text(),
+                        hi=lam2.to_text(),
+                    ),
                 )
     return _timed(report, start)
+
+
+def _chain_monotone(level: _Level, index: dict, memo: dict, start: int, target: int) -> bool:
+    """Whether the level's value never decreases along the dominance chain
+    from parts[start] to parts[target] (one first part, start below target).
+
+    The chain is deterministic: every node on it continues along the rest of
+    the same chain, which is its own chain to target.  So ``memo``, keyed by
+    node * len(parts) + target, records each node's outcome once for all the
+    chains that pass through it.  ``index`` maps each partition to its index.
+    """
+    parts, values = level.parts, level.values
+    path = []
+    node, ok = start, True
+    while node != target:
+        key = node * len(parts) + target
+        if key in memo:
+            ok = memo[key]
+            break
+        path.append(key)
+        cur = parts[node]
+        nxt = index[cur.transfer(next_transfer(cur, parts[target]))]
+        if values[nxt] < values[node]:
+            ok = False
+            break
+        node = nxt
+    for key in path:
+        memo[key] = ok
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -218,20 +287,24 @@ def verify_transfer_monotone(n: int) -> VerificationReport:
             lhs, rhs = f_value(moved), f_value(mu)
             report.check(
                 lhs >= rhs,
-                relation="f(transfer) >= f",
-                partition=mu.to_text(),
-                move=list(move),
-                values=(str(lhs), str(rhs)),
+                lambda: dict(
+                    relation="f(transfer) >= f",
+                    partition=mu.to_text(),
+                    move=list(move),
+                    values=(str(lhs), str(rhs)),
+                ),
             )
             expected_equal = has_first_part_three_rest_small(mu) and mu[move.i - 1] == 1
             if lhs == rhs:
                 report.witness_equality(partition=mu.to_text(), move=list(move))
             report.check(
                 (lhs == rhs) == expected_equal,
-                relation="transfer equality characterization",
-                partition=mu.to_text(),
-                move=list(move),
-                values=(str(lhs), str(rhs)),
+                lambda: dict(
+                    relation="transfer equality characterization",
+                    partition=mu.to_text(),
+                    move=list(move),
+                    values=(str(lhs), str(rhs)),
+                ),
             )
     return _timed(report, start)
 
@@ -296,9 +369,11 @@ def verify_step_identities(n: int) -> VerificationReport:
             )
             report.check(
                 lhs == rhs,
-                relation="weighted-sum identity",
-                partition=mu.to_text(),
-                values=(str(lhs), str(rhs)),
+                lambda: dict(
+                    relation="weighted-sum identity",
+                    partition=mu.to_text(),
+                    values=(str(lhs), str(rhs)),
+                ),
             )
 
         for i in _raisable_indices(mu):
@@ -311,38 +386,46 @@ def verify_step_identities(n: int) -> VerificationReport:
             )
             report.check(
                 diff == rhs,
-                relation="raising identity",
-                partition=mu.to_text(),
-                index=i,
-                values=(str(diff), str(rhs)),
+                lambda: dict(
+                    relation="raising identity",
+                    partition=mu.to_text(),
+                    index=i,
+                    values=(str(diff), str(rhs)),
+                ),
             )
             if n >= 3:
                 bound = f_value(raised.subtract_all(1))
                 report.check(
                     diff >= bound > 0,
-                    relation="raising lower bound",
-                    partition=mu.to_text(),
-                    index=i,
-                    values=(str(diff), str(bound)),
+                    lambda: dict(
+                        relation="raising lower bound",
+                        partition=mu.to_text(),
+                        index=i,
+                        values=(str(diff), str(bound)),
+                    ),
                 )
                 lo_raised = f_value(raised.subtract_all(1))
                 lo_plain = f_value(mu.subtract_all(1))
                 report.check(
                     lo_raised >= lo_plain,
-                    relation="raised-vs-plain subtraction bound",
-                    partition=mu.to_text(),
-                    index=i,
-                    values=(str(lo_raised), str(lo_plain)),
+                    lambda: dict(
+                        relation="raised-vs-plain subtraction bound",
+                        partition=mu.to_text(),
+                        index=i,
+                        values=(str(lo_raised), str(lo_plain)),
+                    ),
                 )
                 expected_equal = (
                     has_first_part_three_rest_small(mu) and mu[i - 1] == 1
                 )
                 report.check(
                     (lo_raised == lo_plain) == expected_equal,
-                    relation="subtraction-bound equality characterization",
-                    partition=mu.to_text(),
-                    index=i,
-                    values=(str(lo_raised), str(lo_plain)),
+                    lambda: dict(
+                        relation="subtraction-bound equality characterization",
+                        partition=mu.to_text(),
+                        index=i,
+                        values=(str(lo_raised), str(lo_plain)),
+                    ),
                 )
 
             # transfer recurrence with the last index lowered
@@ -357,10 +440,12 @@ def verify_step_identities(n: int) -> VerificationReport:
                 )
                 report.check(
                     lhs == rhs,
-                    relation="last-index transfer recurrence",
-                    partition=mu.to_text(),
-                    index=i,
-                    values=(str(lhs), str(rhs)),
+                    lambda: dict(
+                        relation="last-index transfer recurrence",
+                        partition=mu.to_text(),
+                        index=i,
+                        values=(str(lhs), str(rhs)),
+                    ),
                 )
 
         # f is constant under transfers of a 1-part inside the special family
@@ -369,14 +454,16 @@ def verify_step_identities(n: int) -> VerificationReport:
                 if mu[move.i - 1] == 1:
                     report.check(
                         f_value(mu.transfer(move)) == f_value(mu),
-                        relation="special-family transfer equality",
-                        partition=mu.to_text(),
-                        move=list(move),
+                        lambda: dict(
+                            relation="special-family transfer equality",
+                            partition=mu.to_text(),
+                            move=list(move),
+                        ),
                     )
 
     report.check(
         raising_identity_fails_at_first_index(),
-        relation="raising identity must fail at index 1",
+        lambda: dict(relation="raising identity must fail at index 1"),
     )
     return _timed(report, start)
 
@@ -413,10 +500,12 @@ def verify_product_identities(size_budget: int = 40) -> VerificationReport:
                 )
                 report.check(
                     lhs == rhs,
-                    relation="one-box-over-rectangle identity",
-                    u=u,
-                    q=q,
-                    values=(str(lhs), str(rhs)),
+                    lambda: dict(
+                        relation="one-box-over-rectangle identity",
+                        u=u,
+                        q=q,
+                        values=(str(lhs), str(rhs)),
+                    ),
                 )
                 # derived proportionality between the two dominated shapes
                 tail_shape = Partition([u] * q + [1])
@@ -424,17 +513,21 @@ def verify_product_identities(size_budget: int = 40) -> VerificationReport:
                 derived_rhs = 2 * u * f_value(tail_shape)
                 report.check(
                     derived_lhs == derived_rhs,
-                    relation="rectangle-with-tail proportionality",
-                    u=u,
-                    q=q,
-                    values=(str(derived_lhs), str(derived_rhs)),
+                    lambda: dict(
+                        relation="rectangle-with-tail proportionality",
+                        u=u,
+                        q=q,
+                        values=(str(derived_lhs), str(derived_rhs)),
+                    ),
                 )
                 if q > 2 * u:
                     report.check(
                         f_value(tail_shape) > lhs,
-                        relation="tail shape exceeds raised shape for long rectangles",
-                        u=u,
-                        q=q,
+                        lambda: dict(
+                            relation="tail shape exceeds raised shape for long rectangles",
+                            u=u,
+                            q=q,
+                        ),
                     )
             if q * (u + 2) + 1 <= size_budget:
                 lhs = f_value(Partition([u + 2] * q + [1]))
@@ -443,10 +536,12 @@ def verify_product_identities(size_budget: int = 40) -> VerificationReport:
                 )
                 report.check(
                     lhs == rhs,
-                    relation="rectangle-step identity",
-                    u=u,
-                    q=q,
-                    values=(str(lhs), str(rhs)),
+                    lambda: dict(
+                        relation="rectangle-step identity",
+                        u=u,
+                        q=q,
+                        values=(str(lhs), str(rhs)),
+                    ),
                 )
             q += 1
         u += 1
@@ -482,10 +577,12 @@ def find_cross_block_counterexamples(n: int) -> VerificationReport:
         staircase_f = f_value(staircase)
         report.check(
             staircase_f == f_closed_form_2a1b(a, b),
-            relation="staircase closed form",
-            a=a,
-            b=b,
-            values=(str(staircase_f), str(f_closed_form_2a1b(a, b))),
+            lambda: dict(
+                relation="staircase closed form",
+                a=a,
+                b=b,
+                values=(str(staircase_f), str(f_closed_form_2a1b(a, b))),
+            ),
         )
         for mu in first_part_three_family(n):
             ones = sum(1 for p in mu if p == 1)
@@ -493,16 +590,20 @@ def find_cross_block_counterexamples(n: int) -> VerificationReport:
                 continue
             report.check(
                 dominance_compare(staircase, mu) is Dominance.LESS,
-                relation="staircase dominated by special partition",
-                a=a,
-                partition=mu.to_text(),
+                lambda: dict(
+                    relation="staircase dominated by special partition",
+                    a=a,
+                    partition=mu.to_text(),
+                ),
             )
             report.check(
                 f_value(mu) == constant and constant < staircase_f,
-                relation="dominated shape has strictly larger f",
-                a=a,
-                partition=mu.to_text(),
-                values=(str(constant), str(staircase_f)),
+                lambda: dict(
+                    relation="dominated shape has strictly larger f",
+                    a=a,
+                    partition=mu.to_text(),
+                    values=(str(constant), str(staircase_f)),
+                ),
             )
     return _timed(report, start)
 
@@ -520,23 +621,27 @@ def scan_cross_gap_conjecture(n_max: int, progress=None) -> VerificationReport:
     start = time.perf_counter()
     report = VerificationReport(suite="conjecture2", n_range=(2, n_max))
     for n in range(2, n_max + 1):
-        blocks = _blocks_by_first_part(n)
-        for u, low_block in blocks.items():
+        level = _Level(n, _abs_eta)
+        parts, values = level.parts, level.values
+        for u, low_block in level.blocks.items():
             if u < 2:
                 continue
-            for v, high_block in blocks.items():
+            for v, high_block in level.blocks.items():
                 if v < u + 2:
                     continue
-                for lam in low_block:
-                    for mu in high_block:
-                        if dominance_compare(lam, mu) is not Dominance.LESS:
-                            continue
+                span = _span(high_block)
+                for i in low_block:
+                    a = values[i]
+                    for j in _bits(level.above[i] & span):
+                        b = values[j]
                         report.check(
-                            _abs_eta(lam) < _abs_eta(mu),
-                            relation="strict |eta| growth across blocks",
-                            lo=lam.to_text(),
-                            hi=mu.to_text(),
-                            values=(str(_abs_eta(lam)), str(_abs_eta(mu))),
+                            a < b,
+                            lambda: dict(
+                                relation="strict |eta| growth across blocks",
+                                lo=parts[i].to_text(),
+                                hi=parts[j].to_text(),
+                                values=(str(a), str(b)),
+                            ),
                         )
         if progress is not None:
             progress(n, report.checks_run)
@@ -561,33 +666,38 @@ def verify_xi_comparison(n: int) -> VerificationReport:
         raise ValueError("n must be at least 2")
     start = time.perf_counter()
     report = VerificationReport(suite="kuwong-xi", n_range=(n, n))
-    for mu in enumerate_partitions(n):
+    level = _Level(n, lambda mu: abs(xi_by_first_part(mu)))
+    parts, values = level.parts, level.values
+    for mu in parts:
         report.check(
             xi_by_first_part(mu) == xi_by_last_part(mu),
-            relation="xi recurrence agreement",
-            partition=mu.to_text(),
-            values=(str(xi_by_first_part(mu)), str(xi_by_last_part(mu))),
+            lambda: dict(
+                relation="xi recurrence agreement",
+                partition=mu.to_text(),
+                values=(str(xi_by_first_part(mu)), str(xi_by_last_part(mu))),
+            ),
         )
     if n == 2:
         report.check(
             xi_by_last_part_printed_variant(Partition((1, 1))) == -2
             and xi_by_first_part(Partition((1, 1))) == -1,
-            relation="mis-transcribed variant disagrees at (1,1)",
+            lambda: dict(relation="mis-transcribed variant disagrees at (1,1)"),
         )
 
-    for u, block in _blocks_by_first_part(n).items():
-        abs_values = {mu: abs(xi_by_first_part(mu)) for mu in block}
-        for lam in block:
-            for lam2 in block:
-                if lam == lam2 or dominance_compare(lam, lam2) is not Dominance.LESS:
-                    continue
-                a, b = abs_values[lam], abs_values[lam2]
+    for u, block in level.blocks.items():
+        span = _span(block)
+        for i in block:
+            lam, a = parts[i], values[i]
+            for j in _bits(level.above[i] & span):
+                lam2, b = parts[j], values[j]
                 report.check(
                     a <= b,
-                    relation="|xi(lo)| <= |xi(hi)|",
-                    lo=lam.to_text(),
-                    hi=lam2.to_text(),
-                    values=(str(a), str(b)),
+                    lambda: dict(
+                        relation="|xi(lo)| <= |xi(hi)|",
+                        lo=lam.to_text(),
+                        hi=lam2.to_text(),
+                        values=(str(a), str(b)),
+                    ),
                 )
                 in_star = has_first_part_three_rest_small(
                     lam
@@ -596,23 +706,23 @@ def verify_xi_comparison(n: int) -> VerificationReport:
                     report.witness_equality(lo=lam.to_text(), hi=lam2.to_text(), abs_xi=str(a))
                 report.check(
                     (a == b) == (u == 3 and in_star),
-                    relation="xi equality characterization",
-                    lo=lam.to_text(),
-                    hi=lam2.to_text(),
-                    values=(str(a), str(b)),
+                    lambda: dict(
+                        relation="xi equality characterization",
+                        lo=lam.to_text(),
+                        hi=lam2.to_text(),
+                        values=(str(a), str(b)),
+                    ),
                 )
-        # lexicographic extremes bound the whole block
-        lex_low = Partition([u] + [1] * (n - u))
-        lex_high = block[0]  # blocks come in decreasing lexicographic order
-        for mu in block:
+        # lexicographic extremes bound the whole block: it runs in decreasing
+        # lexicographic order, from block[0] down to (u, 1^(n-u))
+        low, high = values[block[-1]], values[block[0]]
+        for i in block:
             report.check(
-                abs_values[lex_low] <= abs_values[mu] <= abs_values[lex_high],
-                relation="lexicographic extremes bound |xi|",
-                partition=mu.to_text(),
-                values=(
-                    str(abs_values[lex_low]),
-                    str(abs_values[mu]),
-                    str(abs_values[lex_high]),
+                low <= values[i] <= high,
+                lambda: dict(
+                    relation="lexicographic extremes bound |xi|",
+                    partition=parts[i].to_text(),
+                    values=(str(low), str(values[i]), str(high)),
                 ),
             )
     return _timed(report, start)
@@ -638,9 +748,11 @@ def verify_dual_recurrences(n_max: int, all_indices_up_to: int = 12) -> Verifica
             a, b = eta(lam).eta, eta_alt(lam)
             report.check(
                 a == b,
-                relation="dual-path agreement",
-                partition=lam.to_text(),
-                values=(str(a), str(b)),
+                lambda: dict(
+                    relation="dual-path agreement",
+                    partition=lam.to_text(),
+                    values=(str(a), str(b)),
+                ),
             )
             if n <= all_indices_up_to and len(lam) >= 2:
                 s = len(lam)
@@ -649,9 +761,11 @@ def verify_dual_recurrences(n_max: int, all_indices_up_to: int = 12) -> Verifica
                         continue
                     report.check(
                         eta_alt_at(lam, i) == a,
-                        relation="lowering recurrence index-independent",
-                        partition=lam.to_text(),
-                        index=i,
+                        lambda: dict(
+                            relation="lowering recurrence index-independent",
+                            partition=lam.to_text(),
+                            index=i,
+                        ),
                     )
     return _timed(report, start)
 

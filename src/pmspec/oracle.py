@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -38,43 +37,34 @@ import numpy as np
 from .exact import derangement_count, odd_double_factorial, pm_degree
 from .tables import SpectrumTable
 
-DEFAULT_CAP = 6
-CAP_ENV_VAR = "PMSPEC_ORACLE_CAP"
-
-
-def oracle_cap() -> int:
-    """Size cap for graph construction; override via PMSPEC_ORACLE_CAP."""
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_CAP
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"bad {CAP_ENV_VAR}={raw!r}") from exc
-
 
 def physical_memory_bytes() -> int:
     """Physical memory of this machine, as the operating system reports it."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _admit(family: str, n: int, cap: int | None) -> None:
-    """Refuse a graph above the size cap, or one whose build and
-    certificate would not fit in physical memory, whatever the cap allows."""
-    cap = oracle_cap() if cap is None else cap
-    if not 1 <= n <= cap:
-        raise ValueError(f"n={n} outside oracle cap 1..{cap}")
-    vertices = odd_double_factorial(n) if family == "pm" else math.factorial(n)
+def _admit(family: str, n: int) -> None:
+    """Refuse n < 1, and any graph whose build and certificate would not fit
+    in physical memory."""
+    if n < 1:
+        raise ValueError(f"oracle {family} needs n >= 1, got n={n}")
     # the build's peak: the float32 Gram product (4 bytes per vertex pair),
     # its bool mask and the uint8 adjacency (1 byte each) are alive at once;
-    # certification later holds at most the adjacency and two copies of it
-    needed = 6 * vertices * vertices
+    # certification later holds at most the adjacency and two copies of it.
+    # The vertex count (2n-1)!! or n! grows factor by factor, and the check
+    # stops at the first factor that overflows memory, so a huge n costs
+    # no more than a small one.
     memory = physical_memory_bytes()
-    if needed > memory:
-        raise ValueError(
-            f"oracle {family} n={n}: the {vertices}-vertex graph needs about "
-            f"{needed / 1e6:.0f} MB, more than the {memory / 1e6:.0f} MB of physical memory"
-        )
+    vertices = 1
+    for k in range(1, n + 1):
+        vertices *= 2 * k - 1 if family == "pm" else k
+        needed = 6 * vertices * vertices
+        if needed > memory:
+            raise ValueError(
+                f"oracle {family} n={n}: the graph has at least {vertices} vertices, "
+                f"which need about {needed / 1e6:.0f} MB, more than the "
+                f"{memory / 1e6:.0f} MB of physical memory"
+            )
 
 
 @dataclass
@@ -137,15 +127,14 @@ class OracleReport:
         return "\n".join(lines) + "\n"
 
 
-def enumerate_perfect_matchings(n: int, cap: int | None = None) -> list[tuple]:
+def enumerate_perfect_matchings(n: int) -> list[tuple]:
     """All perfect matchings of K_{2n}, each a tuple of sorted pairs.
 
     Deterministic order: the smallest uncovered vertex is paired with each
-    larger uncovered vertex in turn.  Count is (2n-1)!!.
+    larger uncovered vertex in turn.  Count is (2n-1)!!.  Refuses n < 1 and
+    any n whose matching graph would not fit in physical memory.
     """
-    cap = oracle_cap() if cap is None else cap
-    if not 1 <= n <= cap:
-        raise ValueError(f"n={n} outside oracle cap 1..{cap}")
+    _admit("pm", n)
 
     def rec(verts: tuple) -> list[tuple]:
         if not verts:
@@ -175,10 +164,9 @@ def _observed_degree(adjacency: np.ndarray, expected: int, what: str) -> int:
     return expected
 
 
-def build_pm_graph(n: int, cap: int | None = None) -> Graph:
+def build_pm_graph(n: int) -> Graph:
     """Graph on the perfect matchings of K_{2n}, adjacent iff edge-disjoint."""
-    _admit("pm", n, cap)
-    matchings = enumerate_perfect_matchings(n, cap=cap)
+    matchings = enumerate_perfect_matchings(n)  # refuses what would not fit
     edge_index = {
         pair: k for k, pair in enumerate(itertools.combinations(range(1, 2 * n + 1), 2))
     }
@@ -191,9 +179,9 @@ def build_pm_graph(n: int, cap: int | None = None) -> Graph:
     return Graph(family="pm", n=n, labels=matchings, adjacency=adjacency, degree=degree)
 
 
-def build_derangement_graph(n: int, cap: int | None = None) -> Graph:
+def build_derangement_graph(n: int) -> Graph:
     """Graph on all permutations of [n], adjacent iff they differ everywhere."""
-    _admit("sym", n, cap)
+    _admit("sym", n)
     perms = list(itertools.permutations(range(n)))
     incidence = np.zeros((len(perms), n * n), dtype=np.float32)
     for v, perm in enumerate(perms):

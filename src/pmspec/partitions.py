@@ -10,7 +10,8 @@ interface are 1-based, matching the usual mu_1 >= mu_2 >= ... notation.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from itertools import accumulate
+from typing import Iterable, Iterator, NamedTuple
 
 
 class Partition(tuple):
@@ -144,11 +145,6 @@ class Dominance(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
-def normalize(raw: Sequence[int]) -> Partition:
-    """Canonicalize a raw non-increasing sequence (trailing zeros allowed)."""
-    return Partition(raw)
-
-
 def enumerate_partitions(n: int) -> list[Partition]:
     """All partitions of n in decreasing lexicographic order, (n) first."""
     if n < 0:
@@ -207,8 +203,11 @@ def dominated_by(mu: Partition, nu: Partition) -> bool:
 
 
 def valid_transfers(mu: Partition) -> list[TransferMove]:
-    """All transfer moves admissible on mu."""
-    moves = []
+    """All transfer moves admissible on mu, by raise index i, then lower index j."""
+    return list(_transfers(mu))
+
+
+def _transfers(mu: Partition) -> Iterator[TransferMove]:
     r = len(mu)
     for i in range(2, r + 1):
         if mu[i - 2] <= mu[i - 1]:
@@ -216,8 +215,27 @@ def valid_transfers(mu: Partition) -> list[TransferMove]:
         for j in range(i + 1, r + 1):
             if j < r and mu[j - 1] <= mu[j]:
                 continue
-            moves.append(TransferMove(i, j))
-    return moves
+            yield TransferMove(i, j)
+
+
+def next_transfer(cur: Partition, target: Partition) -> TransferMove:
+    """The move a dominance chain takes from cur toward target.
+
+    cur must be strictly dominated by target.  The move is the first of
+    ``valid_transfers(cur)`` (smallest raise index i, then smallest lower
+    index j) whose result is still dominated by target.  A move (i, j) adds
+    one to the prefix sums S_i .. S_{j-1} and leaves the others alone, so it
+    does not overshoot iff cur's prefix sums there are strictly below
+    target's.
+    """
+    below = [t > c for c, t in zip(accumulate(cur), accumulate(target))]
+    # past target's last part its prefix sums are n, and cur's stay below n
+    # until cur's own last part, which no move's range reaches
+    below += [True] * (len(cur) - 1 - len(below))
+    for move in _transfers(cur):
+        if all(below[move.i - 1 : move.j - 1]):
+            return move
+    raise RuntimeError(f"no admissible move from {cur!r} toward {target!r}")
 
 
 def dominance_chain(lam: Partition, target: Partition) -> list[TransferMove]:
@@ -226,8 +244,7 @@ def dominance_chain(lam: Partition, target: Partition) -> list[TransferMove]:
     Both partitions must have the same size and the same first part, with
     lam dominated by target.  Every intermediate partition keeps the common
     first part (moves never touch index 1) and stays dominated by target.
-    Tie-breaking is deterministic: smallest raise index i, then smallest
-    lower index j, among moves that do not overshoot the target.
+    Each move is :func:`next_transfer`'s choice.
     """
     if lam.size != target.size:
         raise ValueError("size mismatch")
@@ -242,14 +259,9 @@ def dominance_chain(lam: Partition, target: Partition) -> list[TransferMove]:
     moves: list[TransferMove] = []
     cur = lam
     while cur != target:
-        for move in valid_transfers(cur):
-            nxt = cur.transfer(move)
-            if dominated_by(nxt, target):
-                moves.append(move)
-                cur = nxt
-                break
-        else:  # pragma: no cover - would indicate a broken move generator
-            raise RuntimeError(f"no admissible move from {cur!r} toward {target!r}")
+        move = next_transfer(cur, target)
+        moves.append(move)
+        cur = cur.transfer(move)
     return moves
 
 

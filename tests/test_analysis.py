@@ -1,9 +1,16 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from pmspec import analysis
-from pmspec.partitions import Partition
+from pmspec.partitions import (
+    Dominance,
+    Partition,
+    dominance_chain,
+    dominance_compare,
+    enumerate_partitions,
+)
 from pmspec.pm_spectrum import eta, f_value
 
 P = Partition
@@ -152,7 +159,151 @@ def test_report_serialization_deterministic():
 def test_report_failure_capping():
     report = analysis.VerificationReport(suite="x", n_range=(1, 1))
     for k in range(250):
-        report.check(False, k=k)
+        report.check(False, lambda: {"k": k})
     assert report.failure_count == 250
     assert len(report.failures) == analysis.MAX_LISTED_FAILURES
     assert "more failures" in report.to_text()
+
+
+# ---------------------------------------------------------------------------
+# the per-n pair engine against the literal pair loop
+# ---------------------------------------------------------------------------
+
+
+def _blocks(n):
+    blocks = {}
+    for lam in enumerate_partitions(n):
+        blocks.setdefault(lam[0], []).append(lam)
+    return blocks
+
+
+def _literal_chain_monotone(value, lam, target):
+    cur = lam
+    for move in dominance_chain(lam, target):
+        nxt = cur.transfer(move)
+        if value(nxt) < value(cur):
+            return False
+        cur = nxt
+    return cur == target
+
+
+def _reference_thm6(n):
+    report = analysis.VerificationReport(suite="thm6", n_range=(n, n))
+    abs_eta = lambda lam: abs(analysis.eta(lam).eta)  # noqa: E731
+    star = analysis.has_first_part_three_rest_small
+    for u, block in _blocks(n).items():
+        for lam in block:
+            for lam2 in block:
+                if lam == lam2 or dominance_compare(lam, lam2) is not Dominance.LESS:
+                    continue
+                a, b = abs_eta(lam), abs_eta(lam2)
+                pair = dict(lo=lam.to_text(), hi=lam2.to_text())
+                report.check(
+                    a <= b,
+                    lambda: dict(relation="|eta(lo)| <= |eta(hi)|", **pair, values=(str(a), str(b))),
+                )
+                if a == b:
+                    report.witness_equality(**pair, abs_eta=str(a))
+                report.check(
+                    (a == b) == (u == 3 and star(lam) and star(lam2)),
+                    lambda: dict(
+                        relation="equality iff first part 3 with small tail",
+                        **pair,
+                        values=(str(a), str(b)),
+                    ),
+                )
+                report.check(
+                    _literal_chain_monotone(abs_eta, lam, lam2),
+                    lambda: dict(relation="stepwise |eta| monotone along chain", **pair),
+                )
+    return report
+
+
+def _reference_scan(n_max):
+    report = analysis.VerificationReport(suite="conjecture2", n_range=(2, n_max))
+    abs_eta = lambda lam: abs(analysis.eta(lam).eta)  # noqa: E731
+    for n in range(2, n_max + 1):
+        blocks = _blocks(n)
+        for u, low_block in blocks.items():
+            for v, high_block in blocks.items():
+                if u < 2 or v < u + 2:
+                    continue
+                for lam in low_block:
+                    for mu in high_block:
+                        if dominance_compare(lam, mu) is not Dominance.LESS:
+                            continue
+                        a, b = abs_eta(lam), abs_eta(mu)
+                        report.check(
+                            a < b,
+                            lambda: dict(
+                                relation="strict |eta| growth across blocks",
+                                lo=lam.to_text(),
+                                hi=mu.to_text(),
+                                values=(str(a), str(b)),
+                            ),
+                        )
+    return report
+
+
+def test_level_dominance_matches_dominance_compare():
+    for n in range(1, 13):
+        level = analysis._Level(n, len)
+        assert level.parts == enumerate_partitions(n)
+        assert level.values == [len(lam) for lam in level.parts]
+        assert level.blocks == {
+            u: [level.parts.index(lam) for lam in block] for u, block in _blocks(n).items()
+        }
+        for i, lam in enumerate(level.parts):
+            for j, mu in enumerate(level.parts):
+                less = dominance_compare(lam, mu) is Dominance.LESS
+                assert bool(level.above[i] >> j & 1) == less, (lam, mu)
+
+
+def _scrambled(lam):
+    # an arbitrary value, so that many chains fail, at many different steps
+    return sum((k + 3) * p * p for k, p in enumerate(lam)) * 7919 % 23
+
+
+@pytest.mark.parametrize("value", [analysis._abs_eta, _scrambled], ids=["abs_eta", "scrambled"])
+def test_memoized_chain_matches_literal_walk(value):
+    failed = 0
+    for n in range(2, 13):
+        level = analysis._Level(n, value)
+        index = {lam: i for i, lam in enumerate(level.parts)}
+        for block in level.blocks.values():
+            pairs = [(i, j) for i in block for j in block if level.above[i] >> j & 1]
+            # the suite's order, then the reverse order with a fresh memo
+            for order in (pairs, pairs[::-1]):
+                memo = {}
+                for i, j in order:
+                    expected = _literal_chain_monotone(value, level.parts[i], level.parts[j])
+                    assert analysis._chain_monotone(level, index, memo, i, j) == expected
+                    failed += not expected
+    assert failed > 1000 if value is _scrambled else failed == 0
+
+
+FAULTY = {P((4, 2, 2, 1, 1)): 0, P((3, 3, 1, 1, 1, 1)): 3, P((5, 3, 2, 2)): 50}
+
+
+def _faulty_eta(lam):
+    value = eta(lam).eta
+    if lam in FAULTY:
+        value = value * FAULTY[lam] or 1  # the zero factor leaves |eta| = 1
+    return SimpleNamespace(eta=value)
+
+
+def test_pair_suites_match_literal_loops_under_injected_fault(monkeypatch):
+    monkeypatch.setattr(analysis, "eta", _faulty_eta)
+    thm6 = analysis.run_suite("thm6", 14)
+    reference = _reference_thm6(2)
+    for n in range(3, 15):
+        reference.merge(_reference_thm6(n))
+    assert thm6.to_json() == reference.to_json()
+    assert thm6.to_text() == reference.to_text()
+    assert thm6.failure_count > 0
+    relations = {item["relation"] for item in thm6.failures}
+    assert "stepwise |eta| monotone along chain" in relations
+
+    scan = analysis.run_suite("conjecture2", 14)
+    assert scan.to_json() == _reference_scan(14).to_json()
+    assert scan.failure_count > 0

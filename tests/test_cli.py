@@ -110,9 +110,13 @@ def test_oracle_exits_1_on_a_wrong_table(capsys, monkeypatch):
     assert "quotient walk_moments: FAIL" in out and "verdict: FAIL" in out
 
 
-def test_oracle_cap_refusal(capsys):
+def test_oracle_cap_refusal(capsys, monkeypatch):
+    code, _, err = run(capsys, "oracle", "--family", "pm", "--n", "0")
+    assert code == 2 and "n >= 1" in err
+    # pm n=9 has 34,459,425 vertices: about 7 PB at 6 bytes per vertex pair
+    monkeypatch.setattr(oracle, "physical_memory_bytes", lambda: 64 * 2**30)
     code, _, err = run(capsys, "oracle", "--family", "pm", "--n", "9")
-    assert code == 2 and "cap" in err
+    assert code == 2 and "physical memory" in err
 
 
 def test_scan_command(capsys):
@@ -153,9 +157,8 @@ def test_oracle_refuses_what_memory_cannot_hold(capsys, monkeypatch):
     monkeypatch.setattr(oracle, "physical_memory_bytes", lambda: 80_000)
     code, _, err = run(capsys, "oracle", "--family", "sym", "--n", "5")
     assert code == 2 and "physical memory" in err
-    # pm n=7 would need about 110 GB; raising the cap does not lift the guard
+    # pm n=7 would need about 110 GB
     monkeypatch.setattr(oracle, "physical_memory_bytes", lambda: 64 * 2**30)
-    monkeypatch.setenv(oracle.CAP_ENV_VAR, "7")
     code, _, err = run(capsys, "oracle", "--family", "pm", "--n", "7")
     assert code == 2 and "physical memory" in err
 

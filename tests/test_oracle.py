@@ -28,16 +28,24 @@ def test_enumeration_is_canonical_and_unique():
 
 
 def test_cap_enforced(monkeypatch):
+    # the only limits are n >= 1 and physical memory, 6 bytes per vertex pair
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            oracle.enumerate_perfect_matchings(n)
+        with pytest.raises(ValueError):
+            oracle.build_derangement_graph(n)
+    monkeypatch.setattr(oracle, "physical_memory_bytes", lambda: 64 * 2**30)
     with pytest.raises(ValueError):
         oracle.enumerate_perfect_matchings(9)
     with pytest.raises(ValueError):
         oracle.build_derangement_graph(9)
-    monkeypatch.setenv(oracle.CAP_ENV_VAR, "2")
+    with pytest.raises(ValueError, match="physical memory"):
+        oracle.build_derangement_graph(10**6)  # refused without computing 10**6!
+    oracle._admit("pm", 6)  # n alone refuses nothing that fits
+    oracle._admit("sym", 8)
+    monkeypatch.setattr(oracle, "physical_memory_bytes", lambda: 1000)
     with pytest.raises(ValueError):
-        oracle.build_pm_graph(3)
-    monkeypatch.setenv(oracle.CAP_ENV_VAR, "junk")
-    with pytest.raises(ValueError):
-        oracle.oracle_cap()
+        oracle.build_pm_graph(3)  # 15 vertices, 1,350 bytes
 
 
 def test_pm_graph_small():

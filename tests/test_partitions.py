@@ -10,18 +10,17 @@ from pmspec.partitions import (
     dominated_by,
     enumerate_partitions,
     has_first_part_three_rest_small,
-    normalize,
     valid_transfers,
 )
 
 
 def test_normalize():
-    assert normalize((3, 1, 0, 0)) == (3, 1)
-    assert normalize((0, 0)) == ()
+    assert Partition((3, 1, 0, 0)) == (3, 1)
+    assert Partition((0, 0)) == ()
     with pytest.raises(ValueError):
-        normalize((2, 3))
+        Partition((2, 3))
     with pytest.raises(ValueError):
-        normalize((3, -1))
+        Partition((3, -1))
 
 
 def test_construction_strips_long_zero_tails_and_reuses_partitions():
@@ -168,6 +167,10 @@ def test_dominance_chain_exhaustive_replay():
                     continue
                 cur = lam
                 for move in dominance_chain(lam, target):
+                    # the tie-break: the first admissible move that stays dominated
+                    assert move == next(
+                        m for m in valid_transfers(cur) if dominated_by(cur.transfer(m), target)
+                    )
                     cur = cur.transfer(move)
                     assert cur[0] == lam[0]
                     assert dominated_by(cur, target)
