@@ -151,6 +151,11 @@ def _usage_error(message: str) -> int:
 
 
 def main(argv=None) -> int:
+    # exact eigenvalues run to thousands of digits (eta at 1600 has about
+    # 4,900); lift the decimal conversion limit, which Python gained in 3.10.7
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is not None:
+        set_limit(0)
     args = _build_parser().parse_args(argv)
     handlers = {
         "eta": _cmd_eta,

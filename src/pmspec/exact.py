@@ -2,13 +2,17 @@
 matching-graph degrees, and hook-length dimensions.
 
 Everything here is arbitrary-precision integer arithmetic; recurrences are
-authoritative and memoized in growable tables.
+authoritative and memoized in growable tables.  Hook products come two
+ways: cell by cell in :func:`irrep_dimension`, the reference, and one
+first column at a time through the column-strip recurrences the spectrum
+tables run (:func:`hook_dimensions`).
 """
 
 from __future__ import annotations
 
 import math
 
+from . import memo
 from .partitions import Partition
 
 # memo tables, index = argument
@@ -96,8 +100,9 @@ def conjugate(mu: Partition) -> Partition:
 def irrep_dimension(mu: Partition) -> int:
     """Dimension of the symmetric-group irreducible indexed by mu.
 
-    Computed as N! over the product of hook lengths, in exact integers; the
-    division must be remainder-free, anything else signals a hook bug.
+    Computed as N! over the product of hook lengths, cell by cell, in exact
+    integers; the division must be remainder-free, anything else signals a
+    hook bug.  The reference the column-strip recurrences are tested against.
     """
     n = mu.size
     if n < 1:
@@ -107,7 +112,56 @@ def irrep_dimension(mu: Partition) -> int:
     for i, row in enumerate(mu):
         for j in range(row):
             hook_product *= row - j + conj[j] - i - 1
-    dim, rem = divmod(math.factorial(n), hook_product)
+    return _hook_quotient(math.factorial(n), hook_product)
+
+
+def _hook_quotient(n_factorial: int, hook_product: int) -> int:
+    """n! over the hook product of a shape of size n, which must divide it."""
+    dim, rem = divmod(n_factorial, hook_product)
     if rem:
-        raise ArithmeticError(f"hook product {hook_product} does not divide {n}!")
+        raise ArithmeticError(f"hook product {hook_product} does not divide {n_factorial}")
     return dim
+
+
+# Removing the first column of a Young diagram changes no other cell's hook,
+# so a hook product is the first column's hooks times the hook product of
+# the rest: a recurrence with a single child, run through memo.Recurrence.
+
+
+def column_strip(mu: tuple) -> tuple:
+    """The children of both hook recurrences: mu without its first column."""
+    return (tuple([p - 1 for p in mu if p > 1]),) if mu else ()
+
+
+def hook_combine(mu: tuple, values: list) -> int:
+    """H(mu) = prod_i (mu_i + r - i) * H(mu - 1), with H(()) = 1."""
+    if not mu:
+        return 1
+    r = len(mu)
+    return math.prod([p + r - i for i, p in enumerate(mu, 1)]) * values[0]
+
+
+def doubled_hook_combine(lam: tuple, values: list) -> int:
+    """H(2 lam), the hook product of lam with every part doubled.
+
+    H(2 lam) = prod_i (2 lam_i + r - i)(2 lam_i + r - i - 1) * H(2 (lam - 1)):
+    every row of 2 lam has at least two cells, so its first two columns go
+    together and leave the doubled shape of lam - 1.
+    """
+    if not lam:
+        return 1
+    r = len(lam)
+    return math.prod([(2 * p + r - i) * (2 * p + r - i - 1) for i, p in enumerate(lam, 1)]) * values[0]
+
+
+def hook_dimensions(shapes: list, size: int, combine) -> list:
+    """size! over the hook product ``combine`` gives each shape, in order.
+
+    ``combine`` is :func:`hook_combine` for the shapes themselves, or
+    :func:`doubled_hook_combine` for the doubled shapes they stand for.  The
+    column-strip recurrence runs in a store of this call's own, freed when
+    it returns.
+    """
+    hook_product = memo.Recurrence(column_strip, combine)
+    order = math.factorial(size)
+    return [_hook_quotient(order, hook_product(mu)) for mu in shapes]

@@ -10,7 +10,14 @@ list, so children are built once per node.
 
 Every recurrence gets its own store: two recurrences computing the same
 quantity never share values, which keeps their agreement a real
-cross-check.
+cross-check.  A store lives as long as its ``Recurrence``.  The module-level
+instances behind single queries such as ``eta`` keep theirs until
+``cache_clear``; the spectrum tables create their own instances from the
+same ``children`` and ``combine`` functions, so a table's stores are freed
+once it is built, and building it leaves the module stores as they were.
+
+Stores compare nodes by value, so children may be plain tuples, as the
+strip and first-part recurrences build them, without ``Partition``'s checks.
 """
 
 from __future__ import annotations

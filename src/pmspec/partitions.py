@@ -53,10 +53,6 @@ class Partition(tuple):
     def size(self) -> int:
         return sum(self)
 
-    @property
-    def length(self) -> int:
-        return len(self)
-
     def __repr__(self) -> str:
         return f"Partition{tuple(self)!r}"
 
@@ -195,11 +191,6 @@ def dominance_compare(mu: Partition, nu: Partition) -> Dominance:
     if ge:
         return Dominance.GREATER
     return Dominance.INCOMPARABLE
-
-
-def dominated_by(mu: Partition, nu: Partition) -> bool:
-    """True iff mu is dominated by nu (weakly)."""
-    return dominance_compare(mu, nu) in (Dominance.LESS, Dominance.EQUAL)
 
 
 def valid_transfers(mu: Partition) -> list[TransferMove]:

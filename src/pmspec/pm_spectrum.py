@@ -16,9 +16,10 @@ is nonnegative and vanishes only at the single-box partition (1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from . import memo
-from .exact import binomial, irrep_dimension, odd_double_factorial, pm_degree
+from .exact import binomial, doubled_hook_combine, hook_dimensions, odd_double_factorial, pm_degree
 from .partitions import Partition, enumerate_partitions
 from .tables import SpectrumTable
 
@@ -30,40 +31,58 @@ class EtaValue:
     f: int
 
 
-def _strip_children(lam: Partition) -> list:
+def _strip_children(lam: tuple) -> list:
+    # plain tuples: every child is a partition by construction, since head's
+    # last part is at least lam's, and j never exceeds it
     if len(lam) < 2:
         return []
-    head = lam.remove_last_part()
-    return [head] + [head.subtract_all(j) for j in range(1, lam[-1] + 1)]
+    head = lam[:-1]
+    return [head] + [tuple([p - j for p in head if p > j]) for j in range(1, lam[-1] + 1)]
 
 
-def _strip_combine(lam: Partition, values: list) -> int:
-    # (-1)^last * eta = eta(head) + sum_j (-1)^(j r) C(last,j) (2j-1)!! eta(head - j)
+# (-1)^last * eta = eta(head) + sum_j (-1)^(j r) C(last,j) (2j-1)!! eta(head - j):
+# eta is the children's values dotted with one coefficient row per
+# (last, r mod 2), with the factor (-1)^last folded into the row
+_strip_rows: dict = {}
+
+
+def _strip_row(last: int, parity: int) -> list:
+    """[(-1)^(last + j r) C(last, j) (2j-1)!! for j in 0..last], r of the given parity."""
+    key = (last, parity)
+    row = _strip_rows.get(key)
+    if row is None:
+        row = _strip_rows[key] = [
+            (-1) ** (last + j * parity) * binomial(last, j) * odd_double_factorial(j)
+            for j in range(last + 1)
+        ]
+    return row
+
+
+def _strip_combine(lam: tuple, values: list) -> int:
     if not lam:
         return 1
     if len(lam) == 1:
         return pm_degree(lam[0])
-    r = len(lam)
-    last = lam[-1]
-    rhs = values[0]
-    for j in range(1, last + 1):
-        rhs += (-1) ** (j * r) * binomial(last, j) * odd_double_factorial(j) * values[j]
-    return (-1) ** last * rhs
+    return sum(map(mul, _strip_row(lam[-1], len(lam) & 1), values))
 
 
 _eta_strip = memo.Recurrence(_strip_children, _strip_combine)
+
+
+def _normalized(lam: tuple, value: int) -> int:
+    """f = (-1)^(n - lam_1) eta, checked nonnegative and zero only at (1)."""
+    first = lam[0] if lam else 0
+    f = -value if (sum(lam) - first) & 1 else value
+    if f < 0 or (f == 0) != (lam == (1,)):
+        raise AssertionError(f"sign normalization violated at {lam!r}: eta={value}")
+    return f
 
 
 def eta(lam: Partition) -> EtaValue:
     """Eigenvalue indexed by lam, with its sign-normalized companion."""
     lam = Partition(lam)
     value = _eta_strip(lam)
-    n = lam.size
-    first = lam[0] if lam else 0
-    f = (-1) ** (n - first) * value
-    if f < 0 or (f == 0) != (lam == (1,)):
-        raise AssertionError(f"sign normalization violated at {lam!r}: eta={value}")
-    return EtaValue(partition=lam, eta=value, f=f)
+    return EtaValue(partition=lam, eta=value, f=_normalized(lam, value))
 
 
 def f_value(lam: Partition) -> int:
@@ -71,7 +90,9 @@ def f_value(lam: Partition) -> int:
 
     f(()) = 1, f((n)) = d_n, and for r >= 2 parts
     f(lam) = f(head) + sum_k C(last, k) (2k-1)!! f(head - k on every part),
-    where head drops the last part.
+    where head drops the last part.  Every value comes from the strip
+    recurrence's module store, as for :func:`eta`; :func:`pm_spectrum_table`
+    runs the same recurrence in a store of its own.
     """
     return eta(lam).f
 
@@ -154,12 +175,16 @@ def pm_spectrum_table(n: int) -> SpectrumTable:
     """Full eigenvalue table of the matching derangement graph on K_{2n}.
 
     The multiplicity of the row indexed by lam is the hook-length dimension
-    of the doubled partition 2*lam; multiplicities total (2n-1)!!.
+    of the doubled partition 2*lam; multiplicities total (2n-1)!!.  The
+    strip recurrence and then the doubled-shape hook recurrence each run in
+    a store of the table's own, freed before the next one fills: building a
+    table leaves the module stores as they were.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    rows = {}
-    for lam in enumerate_partitions(n):
-        doubled = Partition._trusted(tuple([2 * p for p in lam]))
-        rows[lam] = (eta(lam).eta, irrep_dimension(doubled))
-    return SpectrumTable(family="pm", n=n, rows=rows)
+    lams = enumerate_partitions(n)
+    values = list(map(memo.Recurrence(_strip_children, _strip_combine), lams))
+    for lam, value in zip(lams, values):
+        _normalized(lam, value)
+    dims = hook_dimensions(lams, 2 * n, doubled_hook_combine)
+    return SpectrumTable(family="pm", n=n, rows=dict(zip(lams, zip(values, dims))))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import memo
-from .exact import derangement_count, irrep_dimension
+from .exact import derangement_count, hook_combine, hook_dimensions
 from .partitions import Partition, enumerate_partitions
 from .tables import SpectrumTable
 
@@ -25,14 +25,14 @@ class XiValue:
     xi: int
 
 
-def _first_part_children(mu: Partition) -> tuple:
+def _first_part_children(mu: tuple) -> tuple:
+    # plain tuples: mu - 1 everywhere, and mu's tail after its first part - 1
     if len(mu) < 2:
         return ()
-    tail = Partition._trusted(tuple([p - 1 for p in mu[1:] if p > 1]))
-    return (mu.subtract_all(1), tail)
+    return (tuple([p - 1 for p in mu if p > 1]), tuple([p - 1 for p in mu[1:] if p > 1]))
 
 
-def _first_part_combine(mu: Partition, values: list) -> int:
+def _first_part_combine(mu: tuple, values: list) -> int:
     if not mu:
         return 1
     if len(mu) == 1:
@@ -103,11 +103,14 @@ def xi(mu: Partition) -> XiValue:
 def sym_spectrum_table(n: int) -> SpectrumTable:
     """Eigenvalue table of the derangement graph on S_n.
 
-    The row indexed by mu has multiplicity dim(mu)^2; multiplicities total n!.
+    The row indexed by mu has multiplicity dim(mu)^2; multiplicities total
+    n!.  Like :func:`pmspec.pm_spectrum.pm_spectrum_table`, the table runs
+    the first-part recurrence and then the hook recurrence in stores of its
+    own.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    rows = {}
-    for mu in enumerate_partitions(n):
-        rows[mu] = (xi_by_first_part(mu), irrep_dimension(mu) ** 2)
-    return SpectrumTable(family="sym", n=n, rows=rows)
+    mus = enumerate_partitions(n)
+    values = list(map(memo.Recurrence(_first_part_children, _first_part_combine), mus))
+    dims = hook_dimensions(mus, n, hook_combine)
+    return SpectrumTable(family="sym", n=n, rows={mu: (v, d * d) for mu, v, d in zip(mus, values, dims)})

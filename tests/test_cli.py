@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shlex
@@ -9,6 +10,7 @@ import pytest
 
 from pmspec import analysis, cli, oracle
 from pmspec.cli import main
+from pmspec.exact import pm_degree
 from pmspec.partitions import Partition
 from pmspec.pm_spectrum import f_closed_form_2a1b, pm_spectrum_table
 from pmspec.sym_spectrum import xi_by_last_part
@@ -54,6 +56,21 @@ def test_table_csv(capsys):
     code, out, _ = run(capsys, "table", "--n", "3", "--family", "sym", "--format", "csv")
     assert code == 0
     assert out.splitlines()[1:] == ["3,2,1", "2+1,-1,4", "1+1+1,2,1"]
+
+
+@pytest.mark.parametrize(
+    "family, digest",
+    [
+        ("pm", "5052bb82aed2a2204cee31f4dac947c9f920f75ee7267c68682c501eb632fd98"),
+        ("sym", "b40667d1895867d0feb8a249ab2d7fbfa6692b3f0f03c918a30b0e53eb21f45a"),
+    ],
+    ids=["pm", "sym"],
+)
+def test_table_csv_golden_digest(capsys, family, digest):
+    # sha256 of the n = 30 csv, recorded before the table engine was rebuilt
+    code, out, _ = run(capsys, "table", "--n", "30", "--family", family, "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_table_rejects_bad_n(capsys):
@@ -144,6 +161,13 @@ def test_eta_deep_partitions(capsys):
     assert code == 0 and "eta: -599\n" in out  # (-1)^(n-1) (n-1) on 1^n
     code, out, _ = run(capsys, "eta", "--partition", "+".join(["2"] * 300 + ["1"] * 250))
     assert code == 0 and f"f: {f_closed_form_2a1b(300, 250)}\n" in out
+
+
+def test_eta_prints_integers_past_the_decimal_limit(capsys):
+    # d_1600 has 4,914 digits, beyond Python's default 4,300 for int -> str
+    code, out, _ = run(capsys, "eta", "--partition", "1600")
+    assert code == 0
+    assert f"eta: {pm_degree(1600)}\n" in out
 
 
 def test_xi_deep_partition(capsys):

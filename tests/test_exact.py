@@ -6,6 +6,8 @@ from pmspec.exact import (
     binomial,
     conjugate,
     derangement_count,
+    hook_combine,
+    hook_dimensions,
     irrep_dimension,
     odd_double_factorial,
     pm_degree,
@@ -109,6 +111,13 @@ def test_irrep_dimension_examples():
     assert irrep_dimension(Partition((2, 2, 2))) == 5
     with pytest.raises(ValueError):
         irrep_dimension(Partition())
+
+
+def test_hook_dimensions_check_the_remainder():
+    assert hook_dimensions([(4, 2), (2, 2, 2)], 6, hook_combine) == [9, 5]
+    # a hook product that does not divide n! signals a hook bug
+    with pytest.raises(ArithmeticError):
+        hook_dimensions([(2, 1)], 3, lambda mu, values: 4)
 
 
 def test_irrep_dimension_sum_of_squares():

@@ -1,7 +1,7 @@
 import pytest
 
-from pmspec import pm_spectrum
-from pmspec.exact import binomial, odd_double_factorial, pm_degree
+from pmspec import pm_spectrum, sym_spectrum
+from pmspec.exact import binomial, irrep_dimension, odd_double_factorial, pm_degree
 from pmspec.partitions import Partition, enumerate_partitions
 from pmspec.pm_spectrum import (
     eta,
@@ -132,13 +132,33 @@ def test_table_small():
 
 
 def test_table_trace_identities():
-    for n in range(1, 11):
+    # k = 0 checks the multiplicities, k = 1 and 2 the eigenvalues with them
+    for n in range(1, 25):
         t = pm_spectrum_table(n)
         assert t.multiplicity_total() == odd_double_factorial(n)
         assert sum(v * m for v, m in t.rows.values()) == 0
         assert sum(v * v * m for v, m in t.rows.values()) == odd_double_factorial(
             n
         ) * pm_degree(n)
+
+
+def test_table_rows_match_reference_paths():
+    # the table's own strip store and column-strip hooks against the
+    # lowering recurrence and the cell-by-cell hook product
+    for n in range(1, 21):
+        for lam, (value, mult) in pm_spectrum_table(n).rows.items():
+            assert value == eta_alt(lam), lam
+            assert mult == irrep_dimension(P([2 * p for p in lam])), lam
+
+
+def test_table_leaves_module_stores_alone():
+    # each table runs its recurrences in stores of its own
+    stores = (pm_spectrum._eta_strip, pm_spectrum._eta_alt, sym_spectrum._xi_first, sym_spectrum._xi_last)
+    for store in stores:
+        store.cache_clear()
+    pm_spectrum_table(12)
+    sym_spectrum.sym_spectrum_table(12)
+    assert [store.cache_info().currsize for store in stores] == [0, 0, 0, 0]
 
 
 def test_table_row_order_is_decreasing_lex():

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from pmspec.exact import derangement_count
+from pmspec.exact import derangement_count, irrep_dimension
 from pmspec.partitions import Partition, enumerate_partitions
 from pmspec.sym_spectrum import (
     sym_spectrum_table,
@@ -49,13 +49,23 @@ def test_table_small():
 
 
 def test_table_trace_identities():
-    for n in range(1, 8):
+    # k = 0 checks the multiplicities, k = 1 and 2 the eigenvalues with them
+    for n in range(1, 25):
         t = sym_spectrum_table(n)
         assert t.multiplicity_total() == math.factorial(n)
         assert sum(v * m for v, m in t.rows.values()) == 0
         assert sum(v * v * m for v, m in t.rows.values()) == math.factorial(
             n
         ) * derangement_count(n)
+
+
+def test_table_rows_match_reference_paths():
+    # the table's own first-part store and column-strip hooks against the
+    # last-part recurrence and the cell-by-cell hook product
+    for n in range(1, 21):
+        for mu, (value, mult) in sym_spectrum_table(n).rows.items():
+            assert value == xi_by_last_part(mu), mu
+            assert mult == irrep_dimension(mu) ** 2, mu
 
 
 def test_n4_trace_desk_check():
