@@ -7,8 +7,6 @@ quotient matrix has exactly the predicted eigenvalues and closed-walk
 counts.  That fixes the whole spectrum with multiplicities; trace
 identities are checked as well.  No step uses floating point."""
 
-import io
-
 from pmspec import oracle, pm_spectrum_table, sym_spectrum_table
 
 for n in (2, 3, 4, 5):
@@ -18,10 +16,3 @@ for n in (2, 3, 4, 5):
 for n in (2, 3, 4, 5, 6):
     report = oracle.certify(sym_spectrum_table(n), oracle.build_derangement_graph(n))
     print(report.to_text())
-
-# edge-list dump of the smallest nontrivial case: the triangle on the three
-# perfect matchings of K_4
-buf = io.StringIO()
-oracle.write_edge_list(oracle.build_pm_graph(2), buf)
-print("matching graph of K_4 as an edge list:")
-print(buf.getvalue())

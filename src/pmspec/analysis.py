@@ -4,7 +4,9 @@ conjecture scan.
 
 Each suite walks an exhaustive range of partitions, checks the claimed
 relation in exact integers, and returns a VerificationReport listing every
-failure with its witnesses.  Suites with a characterized equality case also
+failure with its witnesses.  A suite declares each relation once, with the
+names of its witness fields; the report renders the raw values of a failure
+only when it lists one.  Suites with a characterized equality case also
 record the equality witnesses and check the characterization in both
 directions.
 """
@@ -12,7 +14,6 @@ directions.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -20,6 +21,7 @@ from .exact import binomial, odd_double_factorial, pm_degree
 from .partitions import (
     Dominance,
     Partition,
+    TransferMove,
     dominance_compare,
     enumerate_partitions,
     has_first_part_three_rest_small,
@@ -36,6 +38,18 @@ from .sym_spectrum import (
 MAX_LISTED_FAILURES = 100
 
 
+def _render(value):
+    """A witness value as a report shows it: a partition in its text form, a
+    move as a list, a tuple of exact values as decimal strings."""
+    if isinstance(value, Partition):
+        return value.to_text()
+    if isinstance(value, TransferMove):
+        return list(value)
+    if isinstance(value, tuple):
+        return tuple(map(str, value))
+    return value
+
+
 @dataclass
 class VerificationReport:
     suite: str
@@ -44,21 +58,29 @@ class VerificationReport:
     failures: list = field(default_factory=list)  # capped at MAX_LISTED_FAILURES
     failure_count: int = 0
     equality_witnesses: list = field(default_factory=list)
-    elapsed_ms: float = 0.0
 
     @property
     def passed(self) -> bool:
         return self.failure_count == 0
 
-    def check(self, ok: bool, witness) -> bool:
-        """Count one check.  A failure is listed as ``witness()``, a dict, so
-        the witness is built only for the failures that are listed."""
-        self.checks_run += 1
-        if not ok:
-            self.failure_count += 1
-            if len(self.failures) < MAX_LISTED_FAILURES:
-                self.failures.append(witness())
-        return ok
+    def relation(self, name, *fields):
+        """The counting check for one relation: ``check(ok, *values)``.
+
+        A listed failure is the dict of the relation's name (unless None) and
+        each field with its rendered value; values are rendered only for the
+        failures that are listed.
+        """
+
+        def check(ok: bool, *values) -> None:
+            self.checks_run += 1
+            if not ok:
+                self.failure_count += 1
+                if len(self.failures) < MAX_LISTED_FAILURES:
+                    witness = {} if name is None else {"relation": name}
+                    witness.update(zip(fields, map(_render, values)))
+                    self.failures.append(witness)
+
+        return check
 
     def witness_equality(self, **witness) -> None:
         self.equality_witnesses.append(witness)
@@ -70,12 +92,11 @@ class VerificationReport:
             if len(self.failures) < MAX_LISTED_FAILURES:
                 self.failures.append(item)
         self.equality_witnesses.extend(other.equality_witnesses)
-        self.elapsed_ms += other.elapsed_ms
         lo = min(self.n_range[0], other.n_range[0])
         hi = max(self.n_range[1], other.n_range[1])
         self.n_range = (lo, hi)
 
-    def to_json(self, include_timing: bool = False) -> str:
+    def to_json(self) -> str:
         payload = {
             "suite": self.suite,
             "n_range": list(self.n_range),
@@ -84,8 +105,6 @@ class VerificationReport:
             "failure_count": self.failure_count,
             "equality_witnesses": self.equality_witnesses,
         }
-        if include_timing:
-            payload["elapsed_ms"] = round(self.elapsed_ms, 3)
         return json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n"
 
     def to_text(self) -> str:
@@ -102,11 +121,6 @@ class VerificationReport:
             lines.append(f"  equality witnesses: {len(self.equality_witnesses)}")
         lines.append(f"  verdict: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines) + "\n"
-
-
-def _timed(report: VerificationReport, start: float) -> VerificationReport:
-    report.elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return report
 
 
 def _abs_eta(lam: Partition) -> int:
@@ -157,6 +171,31 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _block_order(report, level: _Level, u: int, block: list, symbol: str, equality: str):
+    """Check |x(lo)| <= |x(hi)| for every dominated pair of one first-part block.
+
+    x is the eigenvalue named by ``symbol``, and the level's values are its
+    absolute values.  Equality must hold exactly when u = 3 and both
+    partitions have all later parts at most 2 (the relation ``equality``);
+    each equal pair is recorded as a witness.  Yields each pair (i, j), lo
+    first, after its checks, so a caller can add checks of its own in the
+    same per-pair order.
+    """
+    parts, values, star = level.parts, level.values, has_first_part_three_rest_small
+    order = report.relation(f"|{symbol}(lo)| <= |{symbol}(hi)|", "lo", "hi", "values")
+    equal = report.relation(equality, "lo", "hi", "values")
+    key, span = f"abs_{symbol}", _span(block)
+    for i in block:
+        lam, a = parts[i], values[i]
+        for j in _bits(level.above[i] & span):
+            lam2, b = parts[j], values[j]
+            order(a <= b, lam, lam2, (a, b))
+            if a == b:
+                report.witness_equality(lo=lam.to_text(), hi=lam2.to_text(), **{key: str(a)})
+            equal((a == b) == (u == 3 and star(lam) and star(lam2)), lam, lam2, (a, b))
+            yield i, j
+
+
 # ---------------------------------------------------------------------------
 # sign pattern
 # ---------------------------------------------------------------------------
@@ -166,18 +205,12 @@ def verify_sign_pattern(n: int) -> VerificationReport:
     """(-1)^(n - lambda_1) * eta > 0 for every partition of n >= 2."""
     if n < 2:
         raise ValueError("sign pattern holds from n = 2")
-    start = time.perf_counter()
     report = VerificationReport(suite="signs", n_range=(n, n))
+    sign = report.relation(None, "partition", "eta")
     for lam in enumerate_partitions(n):
         value = eta(lam).eta
-        report.check(
-            (-1) ** (n - lam[0]) * value > 0,
-            lambda: dict(
-                partition=lam.to_text(),
-                eta=str(value),
-            ),
-        )
-    return _timed(report, start)
+        sign((-1) ** (n - lam[0]) * value > 0, lam, str(value))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -195,49 +228,18 @@ def verify_abs_dominance(n: int) -> VerificationReport:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    start = time.perf_counter()
     report = VerificationReport(suite="thm6", n_range=(n, n))
+    chain = report.relation("stepwise |eta| monotone along chain", "lo", "hi")
     level = _Level(n, _abs_eta)
-    parts, values = level.parts, level.values
+    parts = level.parts
     index = {lam: i for i, lam in enumerate(parts)}
     for u, block in level.blocks.items():
-        span, chain_memo = _span(block), {}
-        for i in block:
-            lam, a = parts[i], values[i]
-            for j in _bits(level.above[i] & span):
-                lam2, b = parts[j], values[j]
-                report.check(
-                    a <= b,
-                    lambda: dict(
-                        relation="|eta(lo)| <= |eta(hi)|",
-                        lo=lam.to_text(),
-                        hi=lam2.to_text(),
-                        values=(str(a), str(b)),
-                    ),
-                )
-                in_star = has_first_part_three_rest_small(
-                    lam
-                ) and has_first_part_three_rest_small(lam2)
-                if a == b:
-                    report.witness_equality(lo=lam.to_text(), hi=lam2.to_text(), abs_eta=str(a))
-                report.check(
-                    (a == b) == (u == 3 and in_star),
-                    lambda: dict(
-                        relation="equality iff first part 3 with small tail",
-                        lo=lam.to_text(),
-                        hi=lam2.to_text(),
-                        values=(str(a), str(b)),
-                    ),
-                )
-                report.check(
-                    _chain_monotone(level, index, chain_memo, i, j),
-                    lambda: dict(
-                        relation="stepwise |eta| monotone along chain",
-                        lo=lam.to_text(),
-                        hi=lam2.to_text(),
-                    ),
-                )
-    return _timed(report, start)
+        memo: dict = {}
+        for i, j in _block_order(
+            report, level, u, block, "eta", "equality iff first part 3 with small tail"
+        ):
+            chain(_chain_monotone(level, index, memo, i, j), parts[i], parts[j])
+    return report
 
 
 def _chain_monotone(level: _Level, index: dict, memo: dict, start: int, target: int) -> bool:
@@ -279,34 +281,18 @@ def verify_transfer_monotone(n: int) -> VerificationReport:
     first-part-3 small-tail family when the raised part is 1."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    start = time.perf_counter()
     report = VerificationReport(suite="prop2", n_range=(n, n))
+    grows = report.relation("f(transfer) >= f", "partition", "move", "values")
+    equal = report.relation("transfer equality characterization", "partition", "move", "values")
     for mu in enumerate_partitions(n):
         for move in valid_transfers(mu):
-            moved = mu.transfer(move)
-            lhs, rhs = f_value(moved), f_value(mu)
-            report.check(
-                lhs >= rhs,
-                lambda: dict(
-                    relation="f(transfer) >= f",
-                    partition=mu.to_text(),
-                    move=list(move),
-                    values=(str(lhs), str(rhs)),
-                ),
-            )
+            lhs, rhs = f_value(mu.transfer(move)), f_value(mu)
+            grows(lhs >= rhs, mu, move, (lhs, rhs))
             expected_equal = has_first_part_three_rest_small(mu) and mu[move.i - 1] == 1
             if lhs == rhs:
                 report.witness_equality(partition=mu.to_text(), move=list(move))
-            report.check(
-                (lhs == rhs) == expected_equal,
-                lambda: dict(
-                    relation="transfer equality characterization",
-                    partition=mu.to_text(),
-                    move=list(move),
-                    values=(str(lhs), str(rhs)),
-                ),
-            )
-    return _timed(report, start)
+            equal((lhs == rhs) == expected_equal, mu, move, (lhs, rhs))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +304,14 @@ def _raisable_indices(mu: Partition) -> list[int]:
     return [i for i in range(2, len(mu) + 1) if mu[i - 2] > mu[i - 1]]
 
 
-def raising_identity_fails_at_first_index(m_max: int = 10) -> bool:
+def raising_identity_fails_at_first_index() -> bool:
     """The three-term raising identity breaks down at index 1.
 
     For single-part partitions it would force d_{m+1} - d_m = (2m+1) d_m -
     2m d_{m-1}, which contradicts the degree recurrence; returns True iff a
-    counterexample exists with m <= m_max (it does, already at m = 2).
+    counterexample exists with m <= 10 (it does, already at m = 2).
     """
-    for m in range(1, m_max + 1):
+    for m in range(1, 11):
         lhs = pm_degree(m + 1) - pm_degree(m)
         rhs = (2 * m + 1) * pm_degree(m) - 2 * m * pm_degree(m - 1)
         if lhs != rhs:
@@ -350,10 +336,21 @@ def verify_step_identities(n: int) -> VerificationReport:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    start = time.perf_counter()
     report = VerificationReport(suite="lemmas", n_range=(n, n))
+    weighted = report.relation("weighted-sum identity", "partition", "values")
+    raising = report.relation("raising identity", "partition", "index", "values")
+    bounded = report.relation("raising lower bound", "partition", "index", "values")
+    shifted = report.relation("raised-vs-plain subtraction bound", "partition", "index", "values")
+    shifted_equal = report.relation(
+        "subtraction-bound equality characterization", "partition", "index", "values"
+    )
+    last_transfer = report.relation(
+        "last-index transfer recurrence", "partition", "index", "values"
+    )
+    special = report.relation("special-family transfer equality", "partition", "move")
+    fails_at_one = report.relation("raising identity must fail at index 1")
     for mu in enumerate_partitions(n):
-        s = len(mu)
+        s, f_mu = len(mu), f_value(mu)
         if s >= 2:
             # weighted-sum identity with shifted double factorials
             head = mu.remove_last_part()
@@ -362,110 +359,45 @@ def verify_step_identities(n: int) -> VerificationReport:
                 binomial(last, k) * odd_double_factorial(k + 1) * f_value(head.subtract_all(k))
                 for k in range(1, last + 1)
             )
-            rhs = (
-                (2 * last + 1) * f_value(mu)
-                - 2 * last * f_value(mu.lower_part(s))
-                - f_value(head)
-            )
-            report.check(
-                lhs == rhs,
-                lambda: dict(
-                    relation="weighted-sum identity",
-                    partition=mu.to_text(),
-                    values=(str(lhs), str(rhs)),
-                ),
-            )
+            rhs = (2 * last + 1) * f_mu - 2 * last * f_value(mu.lower_part(s)) - f_value(head)
+            weighted(lhs == rhs, mu, (lhs, rhs))
 
+        lo_plain = f_value(mu.subtract_all(1))
         for i in _raisable_indices(mu):
             raised = mu.raise_part(i)
-            diff = f_value(raised) - f_value(mu)
+            diff = f_value(raised) - f_mu
+            lo_raised = f_value(raised.subtract_all(1))
             coef = 2 * mu[i - 1] + s - i
             # three-term raising identity (the i = s case is its simplest form)
-            rhs = (coef + 1) * f_value(raised.subtract_all(1)) - coef * f_value(
-                mu.subtract_all(1)
-            )
-            report.check(
-                diff == rhs,
-                lambda: dict(
-                    relation="raising identity",
-                    partition=mu.to_text(),
-                    index=i,
-                    values=(str(diff), str(rhs)),
-                ),
-            )
+            rhs = (coef + 1) * lo_raised - coef * lo_plain
+            raising(diff == rhs, mu, i, (diff, rhs))
             if n >= 3:
-                bound = f_value(raised.subtract_all(1))
-                report.check(
-                    diff >= bound > 0,
-                    lambda: dict(
-                        relation="raising lower bound",
-                        partition=mu.to_text(),
-                        index=i,
-                        values=(str(diff), str(bound)),
-                    ),
-                )
-                lo_raised = f_value(raised.subtract_all(1))
-                lo_plain = f_value(mu.subtract_all(1))
-                report.check(
-                    lo_raised >= lo_plain,
-                    lambda: dict(
-                        relation="raised-vs-plain subtraction bound",
-                        partition=mu.to_text(),
-                        index=i,
-                        values=(str(lo_raised), str(lo_plain)),
-                    ),
-                )
-                expected_equal = (
-                    has_first_part_three_rest_small(mu) and mu[i - 1] == 1
-                )
-                report.check(
-                    (lo_raised == lo_plain) == expected_equal,
-                    lambda: dict(
-                        relation="subtraction-bound equality characterization",
-                        partition=mu.to_text(),
-                        index=i,
-                        values=(str(lo_raised), str(lo_plain)),
-                    ),
+                bounded(diff >= lo_raised > 0, mu, i, (diff, lo_raised))
+                shifted(lo_raised >= lo_plain, mu, i, (lo_raised, lo_plain))
+                expected_equal = has_first_part_three_rest_small(mu) and mu[i - 1] == 1
+                shifted_equal(
+                    (lo_raised == lo_plain) == expected_equal, mu, i, (lo_raised, lo_plain)
                 )
 
             # transfer recurrence with the last index lowered
             if i <= s - 1:
                 moved = mu.transfer((i, s))
-                lhs = f_value(moved) - f_value(mu)
+                lhs = f_value(moved) - f_mu
                 rhs = (
-                    (2 * mu[i - 1] - 2 * mu[-1] + s - i + 2)
-                    * f_value(raised.subtract_all(1))
-                    - (2 * mu[i - 1] + s - i) * f_value(mu.subtract_all(1))
+                    (2 * mu[i - 1] - 2 * mu[-1] + s - i + 2) * lo_raised
+                    - (2 * mu[i - 1] + s - i) * lo_plain
                     + 2 * (mu[-1] - 1) * f_value(moved.subtract_all(1))
                 )
-                report.check(
-                    lhs == rhs,
-                    lambda: dict(
-                        relation="last-index transfer recurrence",
-                        partition=mu.to_text(),
-                        index=i,
-                        values=(str(lhs), str(rhs)),
-                    ),
-                )
+                last_transfer(lhs == rhs, mu, i, (lhs, rhs))
 
         # f is constant under transfers of a 1-part inside the special family
         if has_first_part_three_rest_small(mu):
             for move in valid_transfers(mu):
                 if mu[move.i - 1] == 1:
-                    report.check(
-                        f_value(mu.transfer(move)) == f_value(mu),
-                        lambda: dict(
-                            relation="special-family transfer equality",
-                            partition=mu.to_text(),
-                            move=list(move),
-                        ),
-                    )
+                    special(f_value(mu.transfer(move)) == f_mu, mu, move)
 
-    report.check(
-        raising_identity_fails_at_first_index(),
-        lambda: dict(relation="raising identity must fail at index 1"),
-    )
-    return _timed(report, start)
+    fails_at_one(raising_identity_fails_at_first_index())
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +405,7 @@ def verify_step_identities(n: int) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def verify_product_identities(size_budget: int = 40) -> VerificationReport:
+def verify_product_identities(size_budget: int) -> VerificationReport:
     """Identities on near-rectangular families, for all shapes within budget.
 
     With u, q >= 1 and every involved partition of size <= size_budget:
@@ -485,8 +417,11 @@ def verify_product_identities(size_budget: int = 40) -> VerificationReport:
     """
     if size_budget < 3:
         raise ValueError("size budget too small")
-    start = time.perf_counter()
     report = VerificationReport(suite="identities", n_range=(2, size_budget))
+    one_box = report.relation("one-box-over-rectangle identity", "u", "q", "values")
+    proportional = report.relation("rectangle-with-tail proportionality", "u", "q", "values")
+    exceeds = report.relation("tail shape exceeds raised shape for long rectangles", "u", "q")
+    step = report.relation("rectangle-step identity", "u", "q", "values")
     u = 1
     while (u + 1) <= size_budget:
         q = 1
@@ -498,54 +433,21 @@ def verify_product_identities(size_budget: int = 40) -> VerificationReport:
                     f_value(Partition([u] + [u - 1] * (q - 1)))
                     + f_value(Partition([u - 1] * q))
                 )
-                report.check(
-                    lhs == rhs,
-                    lambda: dict(
-                        relation="one-box-over-rectangle identity",
-                        u=u,
-                        q=q,
-                        values=(str(lhs), str(rhs)),
-                    ),
-                )
+                one_box(lhs == rhs, u, q, (lhs, rhs))
                 # derived proportionality between the two dominated shapes
-                tail_shape = Partition([u] * q + [1])
-                derived_lhs = q * lhs
-                derived_rhs = 2 * u * f_value(tail_shape)
-                report.check(
-                    derived_lhs == derived_rhs,
-                    lambda: dict(
-                        relation="rectangle-with-tail proportionality",
-                        u=u,
-                        q=q,
-                        values=(str(derived_lhs), str(derived_rhs)),
-                    ),
-                )
+                tail_f = f_value(Partition([u] * q + [1]))
+                proportional(q * lhs == 2 * u * tail_f, u, q, (q * lhs, 2 * u * tail_f))
                 if q > 2 * u:
-                    report.check(
-                        f_value(tail_shape) > lhs,
-                        lambda: dict(
-                            relation="tail shape exceeds raised shape for long rectangles",
-                            u=u,
-                            q=q,
-                        ),
-                    )
+                    exceeds(tail_f > lhs, u, q)
             if q * (u + 2) + 1 <= size_budget:
                 lhs = f_value(Partition([u + 2] * q + [1]))
                 rhs = (2 * u + q + 1) * f_value(Partition([u + 1] * q + [1])) + 2 * u * f_value(
                     Partition([u] * q + [1])
                 )
-                report.check(
-                    lhs == rhs,
-                    lambda: dict(
-                        relation="rectangle-step identity",
-                        u=u,
-                        q=q,
-                        values=(str(lhs), str(rhs)),
-                    ),
-                )
+                step(lhs == rhs, u, q, (lhs, rhs))
             q += 1
         u += 1
-    return _timed(report, start)
+    return report
 
 
 def first_part_three_family(n: int) -> list[Partition]:
@@ -568,44 +470,25 @@ def find_cross_block_counterexamples(n: int) -> VerificationReport:
     """
     if n < 10:
         raise ValueError("counterexamples require n >= 10")
-    start = time.perf_counter()
     report = VerificationReport(suite="crossblock", n_range=(n, n))
+    closed = report.relation("staircase closed form", "a", "b", "values")
+    dominated = report.relation("staircase dominated by special partition", "a", "partition")
+    larger = report.relation("dominated shape has strictly larger f", "a", "partition", "values")
     constant = 2 * n + 2
     for a in range(4, n // 2 + 1):
         b = n - 2 * a
         staircase = Partition([2] * a + [1] * b)
-        staircase_f = f_value(staircase)
-        report.check(
-            staircase_f == f_closed_form_2a1b(a, b),
-            lambda: dict(
-                relation="staircase closed form",
-                a=a,
-                b=b,
-                values=(str(staircase_f), str(f_closed_form_2a1b(a, b))),
-            ),
-        )
+        staircase_f, closed_f = f_value(staircase), f_closed_form_2a1b(a, b)
+        closed(staircase_f == closed_f, a, b, (staircase_f, closed_f))
         for mu in first_part_three_family(n):
             ones = sum(1 for p in mu if p == 1)
             if ones > n - 2 * a - 1:
                 continue
-            report.check(
-                dominance_compare(staircase, mu) is Dominance.LESS,
-                lambda: dict(
-                    relation="staircase dominated by special partition",
-                    a=a,
-                    partition=mu.to_text(),
-                ),
+            dominated(dominance_compare(staircase, mu) is Dominance.LESS, a, mu)
+            larger(
+                f_value(mu) == constant and constant < staircase_f, a, mu, (constant, staircase_f)
             )
-            report.check(
-                f_value(mu) == constant and constant < staircase_f,
-                lambda: dict(
-                    relation="dominated shape has strictly larger f",
-                    a=a,
-                    partition=mu.to_text(),
-                    values=(str(constant), str(staircase_f)),
-                ),
-            )
-    return _timed(report, start)
+    return report
 
 
 def scan_cross_gap_conjecture(n_max: int, progress=None) -> VerificationReport:
@@ -614,12 +497,13 @@ def scan_cross_gap_conjecture(n_max: int, progress=None) -> VerificationReport:
     For every n <= n_max, lam with first part u >= 2 dominated by mu with
     first part v >= u + 2, record any pair violating |eta(lam)| < |eta(mu)|.
     An empty list is evidence, not proof; a non-empty list is a finding and
-    is rendered prominently by the callers.
+    is rendered prominently by the callers.  ``progress(n, checks_run)``, if
+    given, is called after each n.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    start = time.perf_counter()
     report = VerificationReport(suite="conjecture2", n_range=(2, n_max))
+    grows = report.relation("strict |eta| growth across blocks", "lo", "hi", "values")
     for n in range(2, n_max + 1):
         level = _Level(n, _abs_eta)
         parts, values = level.parts, level.values
@@ -634,18 +518,10 @@ def scan_cross_gap_conjecture(n_max: int, progress=None) -> VerificationReport:
                     a = values[i]
                     for j in _bits(level.above[i] & span):
                         b = values[j]
-                        report.check(
-                            a < b,
-                            lambda: dict(
-                                relation="strict |eta| growth across blocks",
-                                lo=parts[i].to_text(),
-                                hi=parts[j].to_text(),
-                                values=(str(a), str(b)),
-                            ),
-                        )
+                        grows(a < b, parts[i], parts[j], (a, b))
         if progress is not None:
             progress(n, report.checks_run)
-    return _timed(report, start)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -664,110 +540,62 @@ def verify_xi_comparison(n: int) -> VerificationReport:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    start = time.perf_counter()
     report = VerificationReport(suite="kuwong-xi", n_range=(n, n))
+    agree = report.relation("xi recurrence agreement", "partition", "values")
+    extremes = report.relation("lexicographic extremes bound |xi|", "partition", "values")
+    variant = report.relation("mis-transcribed variant disagrees at (1,1)")
     level = _Level(n, lambda mu: abs(xi_by_first_part(mu)))
     parts, values = level.parts, level.values
     for mu in parts:
-        report.check(
-            xi_by_first_part(mu) == xi_by_last_part(mu),
-            lambda: dict(
-                relation="xi recurrence agreement",
-                partition=mu.to_text(),
-                values=(str(xi_by_first_part(mu)), str(xi_by_last_part(mu))),
-            ),
-        )
+        by_first, by_last = xi_by_first_part(mu), xi_by_last_part(mu)
+        agree(by_first == by_last, mu, (by_first, by_last))
     if n == 2:
-        report.check(
+        variant(
             xi_by_last_part_printed_variant(Partition((1, 1))) == -2
-            and xi_by_first_part(Partition((1, 1))) == -1,
-            lambda: dict(relation="mis-transcribed variant disagrees at (1,1)"),
+            and xi_by_first_part(Partition((1, 1))) == -1
         )
 
     for u, block in level.blocks.items():
-        span = _span(block)
-        for i in block:
-            lam, a = parts[i], values[i]
-            for j in _bits(level.above[i] & span):
-                lam2, b = parts[j], values[j]
-                report.check(
-                    a <= b,
-                    lambda: dict(
-                        relation="|xi(lo)| <= |xi(hi)|",
-                        lo=lam.to_text(),
-                        hi=lam2.to_text(),
-                        values=(str(a), str(b)),
-                    ),
-                )
-                in_star = has_first_part_three_rest_small(
-                    lam
-                ) and has_first_part_three_rest_small(lam2)
-                if a == b:
-                    report.witness_equality(lo=lam.to_text(), hi=lam2.to_text(), abs_xi=str(a))
-                report.check(
-                    (a == b) == (u == 3 and in_star),
-                    lambda: dict(
-                        relation="xi equality characterization",
-                        lo=lam.to_text(),
-                        hi=lam2.to_text(),
-                        values=(str(a), str(b)),
-                    ),
-                )
+        for _ in _block_order(report, level, u, block, "xi", "xi equality characterization"):
+            pass
         # lexicographic extremes bound the whole block: it runs in decreasing
         # lexicographic order, from block[0] down to (u, 1^(n-u))
         low, high = values[block[-1]], values[block[0]]
         for i in block:
-            report.check(
-                low <= values[i] <= high,
-                lambda: dict(
-                    relation="lexicographic extremes bound |xi|",
-                    partition=parts[i].to_text(),
-                    values=(str(low), str(values[i]), str(high)),
-                ),
-            )
-    return _timed(report, start)
+            extremes(low <= values[i] <= high, parts[i], (low, values[i], high))
+    return report
 
 
 # ---------------------------------------------------------------------------
 # dual recurrence paths (matching family)
 # ---------------------------------------------------------------------------
 
+# up to this n the lowering-comparison recurrence is also evaluated at every
+# admissible index, not only the last one
+_ALL_INDICES_MAX_N = 12
 
-def verify_dual_recurrences(n_max: int, all_indices_up_to: int = 12) -> VerificationReport:
+
+def verify_dual_recurrences(n_max: int) -> VerificationReport:
     """The two independent eta recurrence paths agree on every partition.
 
-    Up to ``all_indices_up_to`` the lowering-comparison recurrence is also
+    Up to ``_ALL_INDICES_MAX_N`` the lowering-comparison recurrence is also
     evaluated at every admissible index, not only the last one.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    start = time.perf_counter()
     report = VerificationReport(suite="dualpath", n_range=(1, n_max))
+    agree = report.relation("dual-path agreement", "partition", "values")
+    any_index = report.relation("lowering recurrence index-independent", "partition", "index")
     for n in range(1, n_max + 1):
         for lam in enumerate_partitions(n):
             a, b = eta(lam).eta, eta_alt(lam)
-            report.check(
-                a == b,
-                lambda: dict(
-                    relation="dual-path agreement",
-                    partition=lam.to_text(),
-                    values=(str(a), str(b)),
-                ),
-            )
-            if n <= all_indices_up_to and len(lam) >= 2:
+            agree(a == b, lam, (a, b))
+            if n <= _ALL_INDICES_MAX_N:
                 s = len(lam)
                 for i in range(2, s + 1):
-                    if i < s and lam[i - 1] <= lam[i]:
-                        continue
-                    report.check(
-                        eta_alt_at(lam, i) == a,
-                        lambda: dict(
-                            relation="lowering recurrence index-independent",
-                            partition=lam.to_text(),
-                            index=i,
-                        ),
-                    )
-    return _timed(report, start)
+                    if i == s or lam[i - 1] > lam[i]:
+                        any_index(eta_alt_at(lam, i) == a, lam, i)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -775,31 +603,34 @@ def verify_dual_recurrences(n_max: int, all_indices_up_to: int = 12) -> Verifica
 # ---------------------------------------------------------------------------
 
 
-def run_suite(name: str, n_max: int, progress=None) -> VerificationReport:
-    """Run a named suite aggregated over its natural range up to n_max."""
-    per_n = {
+def run_suite(name: str, n_max: int) -> VerificationReport:
+    """Run a named suite aggregated over its natural range up to n_max.
+
+    A suite with a smallest n runs once per n from there and is merged; the
+    others take n_max as the top of a range of their own.
+    """
+    suites = {
         "signs": (verify_sign_pattern, 2),
         "thm6": (verify_abs_dominance, 2),
         "prop2": (verify_transfer_monotone, 2),
         "lemmas": (verify_step_identities, 2),
+        "identities": (verify_product_identities, None),
         "crossblock": (find_cross_block_counterexamples, 10),
         "kuwong-xi": (verify_xi_comparison, 2),
+        "dualpath": (verify_dual_recurrences, None),
+        "conjecture2": (scan_cross_gap_conjecture, None),
     }
-    if name in per_n:
-        func, n_min = per_n[name]
-        if n_max < n_min:
-            raise ValueError(f"suite {name} needs n_max >= {n_min}")
-        merged = func(n_min)
-        for n in range(n_min + 1, n_max + 1):
-            merged.merge(func(n))
-        return merged
-    if name == "identities":
-        return verify_product_identities(size_budget=n_max)
-    if name == "dualpath":
-        return verify_dual_recurrences(n_max)
-    if name == "conjecture2":
-        return scan_cross_gap_conjecture(n_max, progress=progress)
-    raise ValueError(f"unknown suite {name!r}")
+    if name not in suites:
+        raise ValueError(f"unknown suite {name!r}")
+    func, n_min = suites[name]
+    if n_min is None:
+        return func(n_max)
+    if n_max < n_min:
+        raise ValueError(f"suite {name} needs n_max >= {n_min}")
+    merged = func(n_min)
+    for n in range(n_min + 1, n_max + 1):
+        merged.merge(func(n))
+    return merged
 
 
 SUITE_NAMES = (

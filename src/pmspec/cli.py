@@ -11,7 +11,7 @@ Subcommands map one-to-one onto library operations:
 
 Exit codes: 0 success/pass, 1 verification failure, 2 usage error.  All
 numbers print in plain decimal; identical invocations produce byte-identical
-json/csv output (timing is therefore excluded from json reports).
+json/csv output.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--format", choices=("json", "text"), default="text")
 
     p_scan = sub.add_parser("scan", help="exploratory conjecture scan (always exit 0)")
-    p_scan.add_argument("--target", choices=("conjecture2",), default="conjecture2")
     p_scan.add_argument("--n-max", type=int, required=True)
     p_scan.add_argument("--progress", action="store_true")
 

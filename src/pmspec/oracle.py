@@ -415,12 +415,3 @@ def certify(table: SpectrumTable, graph: Graph) -> OracleReport:
         trace_checks=trace_checks,
     )
 
-
-def write_edge_list(graph: Graph, stream) -> int:
-    """Dump edges as '<u> <v>' lines, 0-based indices; returns edge count."""
-    count = 0
-    rows, cols = np.nonzero(np.triu(graph.adjacency, k=1))
-    for u, v in zip(rows.tolist(), cols.tolist()):
-        stream.write(f"{u} {v}\n")
-        count += 1
-    return count

@@ -97,32 +97,37 @@ def f_value(lam: Partition) -> int:
     return eta(lam).f
 
 
-def _lowering_children(lam: Partition) -> tuple:
+def _lowering_children(lam: Partition, i: int) -> tuple:
+    # i is admissible: 2 <= i <= s, and i = s or part i exceeds part i+1
     if len(lam) < 2:
         return ()
-    if lam[-1] == 1:
+    if lam[i - 1] == 1:  # forces i = s
         return (lam.remove_last_part(), lam.subtract_all(1))
-    lowered = lam.lower_part(len(lam))
+    lowered = lam.lower_part(i)
     return (lowered, lam.subtract_all(1), lowered.subtract_all(1))
 
 
-def _lowering_combine(lam: Partition, values: list) -> int:
+def _lowering_combine(lam: Partition, i: int, values: list) -> int:
     if not lam:
         return 1
     if len(lam) == 1:
         return pm_degree(lam[0])
     s = len(lam)
-    if lam[-1] == 1:
+    if lam[i - 1] == 1:
         # f(lam) - f(lam minus last part) = f(lam - 1 everywhere)
         head, shifted = values
         return -head + (-1) ** (s - 1) * shifted
     lowered, shifted, lowered_shifted = values
     sign = (-1) ** (s + 1)
-    c = 2 * lam[-1] - 1
+    c = 2 * lam[i - 1] + s - i - 1
     return -lowered + sign * c * shifted + sign * (c - 1) * lowered_shifted
 
 
-_eta_alt = memo.Recurrence(_lowering_children, _lowering_combine)
+# the recurrence lowers the last part
+_eta_alt = memo.Recurrence(
+    lambda lam: _lowering_children(lam, len(lam)),
+    lambda lam, values: _lowering_combine(lam, len(lam), values),
+)
 
 
 def eta_alt(lam: Partition) -> int:
@@ -150,18 +155,7 @@ def eta_alt_at(lam: Partition, i: int) -> int:
         raise ValueError(f"index {i} inadmissible for {lam!r}")
     if i < s and lam[i - 1] <= lam[i]:
         raise ValueError(f"index {i} inadmissible for {lam!r}: no descent at {i}")
-    if lam[i - 1] == 1:  # forces i = s
-        return -eta_alt(lam.remove_last_part()) + (-1) ** (s - 1) * eta_alt(
-            lam.subtract_all(1)
-        )
-    lowered = lam.lower_part(i)
-    sign = (-1) ** (s + 1)
-    c = 2 * lam[i - 1] + s - i - 1
-    return (
-        -eta_alt(lowered)
-        + sign * c * eta_alt(lam.subtract_all(1))
-        + sign * (c - 1) * eta_alt(lowered.subtract_all(1))
-    )
+    return _lowering_combine(lam, i, [eta_alt(kid) for kid in _lowering_children(lam, i)])
 
 
 def f_closed_form_2a1b(a: int, b: int) -> int:

@@ -47,9 +47,9 @@ class SpectrumTable:
         body = [header, "-" * len(header)]
         width = max(len(p.to_text()) for p in self.rows)
         for part, (val, mult) in self.rows.items():
-            sign_ok = (-1) ** (self.n - part[0]) * val > 0 if val else val == 0
+            sign_ok = val == 0 or (-1) ** (self.n - part[0]) * val > 0
             body.append(
                 f"{part.to_text():<{width}}  eigenvalue={val}  multiplicity={mult}"
-                f"  sign={'ok' if sign_ok else 'zero' if val == 0 else 'UNEXPECTED'}"
+                f"  sign={'ok' if sign_ok else 'UNEXPECTED'}"
             )
         return "\n".join(body) + "\n"

@@ -158,8 +158,9 @@ def test_report_serialization_deterministic():
 
 def test_report_failure_capping():
     report = analysis.VerificationReport(suite="x", n_range=(1, 1))
+    check = report.relation("x", "k")
     for k in range(250):
-        report.check(False, lambda: {"k": k})
+        check(False, k)
     assert report.failure_count == 250
     assert len(report.failures) == analysis.MAX_LISTED_FAILURES
     assert "more failures" in report.to_text()
@@ -189,6 +190,9 @@ def _literal_chain_monotone(value, lam, target):
 
 def _reference_thm6(n):
     report = analysis.VerificationReport(suite="thm6", n_range=(n, n))
+    order = report.relation("|eta(lo)| <= |eta(hi)|", "lo", "hi", "values")
+    equal = report.relation("equality iff first part 3 with small tail", "lo", "hi", "values")
+    chain = report.relation("stepwise |eta| monotone along chain", "lo", "hi")
     abs_eta = lambda lam: abs(analysis.eta(lam).eta)  # noqa: E731
     star = analysis.has_first_part_three_rest_small
     for u, block in _blocks(n).items():
@@ -197,30 +201,17 @@ def _reference_thm6(n):
                 if lam == lam2 or dominance_compare(lam, lam2) is not Dominance.LESS:
                     continue
                 a, b = abs_eta(lam), abs_eta(lam2)
-                pair = dict(lo=lam.to_text(), hi=lam2.to_text())
-                report.check(
-                    a <= b,
-                    lambda: dict(relation="|eta(lo)| <= |eta(hi)|", **pair, values=(str(a), str(b))),
-                )
+                order(a <= b, lam, lam2, (a, b))
                 if a == b:
-                    report.witness_equality(**pair, abs_eta=str(a))
-                report.check(
-                    (a == b) == (u == 3 and star(lam) and star(lam2)),
-                    lambda: dict(
-                        relation="equality iff first part 3 with small tail",
-                        **pair,
-                        values=(str(a), str(b)),
-                    ),
-                )
-                report.check(
-                    _literal_chain_monotone(abs_eta, lam, lam2),
-                    lambda: dict(relation="stepwise |eta| monotone along chain", **pair),
-                )
+                    report.witness_equality(lo=lam.to_text(), hi=lam2.to_text(), abs_eta=str(a))
+                equal((a == b) == (u == 3 and star(lam) and star(lam2)), lam, lam2, (a, b))
+                chain(_literal_chain_monotone(abs_eta, lam, lam2), lam, lam2)
     return report
 
 
 def _reference_scan(n_max):
     report = analysis.VerificationReport(suite="conjecture2", n_range=(2, n_max))
+    grows = report.relation("strict |eta| growth across blocks", "lo", "hi", "values")
     abs_eta = lambda lam: abs(analysis.eta(lam).eta)  # noqa: E731
     for n in range(2, n_max + 1):
         blocks = _blocks(n)
@@ -233,15 +224,7 @@ def _reference_scan(n_max):
                         if dominance_compare(lam, mu) is not Dominance.LESS:
                             continue
                         a, b = abs_eta(lam), abs_eta(mu)
-                        report.check(
-                            a < b,
-                            lambda: dict(
-                                relation="strict |eta| growth across blocks",
-                                lo=lam.to_text(),
-                                hi=mu.to_text(),
-                                values=(str(a), str(b)),
-                            ),
-                        )
+                        grows(a < b, lam, mu, (a, b))
     return report
 
 

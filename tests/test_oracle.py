@@ -1,4 +1,3 @@
-import io
 
 import numpy as np
 import pytest
@@ -112,13 +111,6 @@ def test_injected_fault_is_detected():
     assert checks["sum_val"] is False
     assert dict(report.quotient_checks)["charpoly"] is False
     assert not report.passed
-
-
-def test_edge_list_dump():
-    buf = io.StringIO()
-    count = oracle.write_edge_list(oracle.build_pm_graph(2), buf)
-    assert count == 3
-    assert buf.getvalue() == "0 1\n0 2\n1 2\n"
 
 
 def test_report_rendering():
