@@ -84,12 +84,7 @@ def _cmd_table(args) -> int:
     if args.n < 1:
         return _usage_error("--n must be at least 1")
     table = pm_spectrum_table(args.n) if args.family == "pm" else sym_spectrum_table(args.n)
-    if args.format == "csv":
-        sys.stdout.write(table.to_csv())
-    elif args.format == "json":
-        sys.stdout.write(table.to_json())
-    else:
-        sys.stdout.write(table.to_text())
+    table.write(sys.stdout, args.format)
     return 0
 
 

@@ -3,13 +3,17 @@ the predicted integer tables against them in exact integers.
 
 Vertices are encoded as incidence vectors (matchings over the edges of
 K_{2n}, permutations over position/value cells), so adjacency reduces to a
-single Gram-matrix product: two vertices are adjacent iff their incidence
-vectors are orthogonal.
+Gram-matrix product: two vertices are adjacent iff their incidence vectors
+are orthogonal.  The graph keeps only the V x edges incidence; rows of the
+V x V adjacency A are computed on demand, a block of about 2**21 vertex
+pairs at a time, and no V x V array is ever held.  The build streams every
+row once to check every degree; the certificate streams every row once more
+and reads each vertex pair there.
 
-Certification never diagonalises the V x V adjacency A.  Every vertex is
-labelled by its cell relative to the base vertex x0 = vertex 0: the coset
-type of m ∪ x0 for a matching m, the cycle type of x0^-1 σ for a permutation
-σ.  The certificate checks, on the real graph, that
+Certification never diagonalises A.  Every vertex is labelled by its cell
+relative to the base vertex x0 = vertex 0: the coset type of m ∪ x0 for a
+matching m, the cycle type of x0^-1 σ for a permutation σ.  The certificate
+checks, on the real graph, that
 
 - the cells form an equitable partition with x0 alone in its cell, so
   A P = P B for the cell indicator P and a p(n) x p(n) integer quotient B;
@@ -19,10 +23,13 @@ type of m ∪ x0 for a matching m, the cycle type of x0^-1 σ for a permutation
   q = prod over the distinct predicted theta of (x - theta), and
   sum m_theta theta^k = V (B^k)[c0, c0] for every k < #distinct theta.
 
-The first two give q(A) e_x0 = P q(B) e_c0 = 0, hence q(A) = 0 by
-transitivity, and tr(A^k) = V (A^k)[x0, x0] = V (B^k)[c0, c0].  So every
-eigenvalue of A is a predicted one, and the walk moments fix each
-multiplicity (a Vandermonde system), with no float step anywhere.
+The first two are checked on every vertex pair, in the streamed pass: each
+block of rows A[X] adds its counts A[X] P, and for each generator g the
+entries A[g(x), g(y)] for x in X and every y must equal A[x, y].  Together
+they give q(A) e_x0 = P q(B) e_c0 = 0, hence q(A) = 0 by transitivity, and
+tr(A^k) = V (A^k)[x0, x0] = V (B^k)[c0, c0].  So every eigenvalue of A is a
+predicted one, and the walk moments fix each multiplicity (a Vandermonde
+system), with no float step anywhere.
 """
 
 from __future__ import annotations
@@ -43,22 +50,54 @@ def physical_memory_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+# vertex pairs per row block: whatever the graph's size, one block's Gram
+# product and the rows made from it stay near 20 MB
+_BLOCK_PAIRS = 2**21
+
+# bytes per vertex pair that a block holds at its peak, with room to spare:
+# the uint8 rows, then either the float32 copy the count product reads or a
+# moved block's float32 Gram product, its rows and their comparison
+_BLOCK_BYTES_PER_PAIR = 12
+
+# bytes per vertex beside its float32 incidence row: the label tuples, the
+# cell labels, the label index, the images under the two moves and the
+# per-vertex arrays (cells, count rows, moves).  Measured once per family as
+# the growth of the oracle command's peak RSS, with one row block streamed,
+# from sym n=7 to n=8 (571 bytes) and from pm n=6 to n=7 (1,065 bytes), and
+# rounded up, since labels grow with n
+_BYTES_PER_VERTEX = {"pm": 1200, "sym": 640}
+
+
+def _block_rows(vertex_count: int) -> int:
+    return max(1, _BLOCK_PAIRS // vertex_count)
+
+
+def _blocks(vertex_count: int):
+    """Consecutive vertex index ranges of at most about _BLOCK_PAIRS vertex
+    pairs each (one row at least), covering every vertex once."""
+    step = _block_rows(vertex_count)
+    for start in range(0, vertex_count, step):
+        yield np.arange(start, min(start + step, vertex_count))
+
+
 def _admit(family: str, n: int) -> None:
     """Refuse n < 1, and any graph whose build and certificate would not fit
     in physical memory."""
     if n < 1:
         raise ValueError(f"oracle {family} needs n >= 1, got n={n}")
-    # the build's peak: the float32 Gram product (4 bytes per vertex pair),
-    # its bool mask and the uint8 adjacency (1 byte each) are alive at once;
-    # certification later holds at most the adjacency and two copies of it.
-    # The vertex count (2n-1)!! or n! grows factor by factor, and the check
-    # stops at the first factor that overflows memory, so a huge n costs
-    # no more than a small one.
+    # memory grows with the vertex count, not with its square: every vertex
+    # costs its incidence row and its per-vertex bytes, and one row block is
+    # alive at a time.  The vertex count (2n-1)!! or n! grows factor by
+    # factor, and the check stops at the first factor that overflows memory,
+    # so a huge n costs no more than a small one.
+    width = n * (2 * n - 1) if family == "pm" else n * n
+    per_vertex = _BYTES_PER_VERTEX[family] + 4 * width
     memory = physical_memory_bytes()
     vertices = 1
     for k in range(1, n + 1):
         vertices *= 2 * k - 1 if family == "pm" else k
-        needed = 6 * vertices * vertices
+        block_pairs = min(vertices, _block_rows(vertices)) * vertices
+        needed = per_vertex * vertices + _BLOCK_BYTES_PER_PAIR * block_pairs
         if needed > memory:
             raise ValueError(
                 f"oracle {family} n={n}: the graph has at least {vertices} vertices, "
@@ -72,12 +111,19 @@ class Graph:
     family: str  # "pm" or "sym"
     n: int
     labels: list  # vertex descriptions in enumeration order
-    adjacency: np.ndarray  # uint8, symmetric, zero diagonal
-    degree: int  # observed common degree
+    incidence: np.ndarray  # float32 0/1, one row per vertex: its edges or its position/value cells
+    degree: int  # common degree, checked on every row by the build
 
     @property
     def vertex_count(self) -> int:
-        return self.adjacency.shape[0]
+        return len(self.labels)
+
+    def rows(self, index: np.ndarray, columns: np.ndarray | None = None) -> np.ndarray:
+        """Adjacency rows A[index] as uint8, their columns in the order of
+        `columns` (all vertices in order when None): two vertices are
+        adjacent iff their incidence rows share no 1."""
+        right = self.incidence if columns is None else self.incidence[columns]
+        return (self.incidence[index] @ right.T == 0).view(np.uint8)
 
 
 @dataclass
@@ -150,18 +196,14 @@ def enumerate_perfect_matchings(n: int) -> list[tuple]:
     return rec(tuple(range(1, 2 * n + 1)))
 
 
-def _gram_adjacency(incidence: np.ndarray) -> np.ndarray:
-    shared = incidence @ incidence.T
-    return (shared == 0).astype(np.uint8)
-
-
-def _observed_degree(adjacency: np.ndarray, expected: int, what: str) -> int:
-    degrees = adjacency.sum(axis=1, dtype=np.int64)
-    if not (degrees == expected).all():
-        raise RuntimeError(
-            f"{what}: observed degrees {sorted(set(degrees.tolist()))} != {expected}"
-        )
-    return expected
+def _check_degree(graph: Graph, what: str) -> Graph:
+    """Stream every row of the graph; each must have `graph.degree` ones."""
+    observed = set()
+    for block in _blocks(graph.vertex_count):
+        observed.update(np.unique(graph.rows(block).sum(axis=1, dtype=np.int64)).tolist())
+    if observed - {graph.degree}:
+        raise RuntimeError(f"{what}: observed degrees {sorted(observed)} != {graph.degree}")
+    return graph
 
 
 def build_pm_graph(n: int) -> Graph:
@@ -174,9 +216,8 @@ def build_pm_graph(n: int) -> Graph:
     for v, matching in enumerate(matchings):
         for pair in matching:
             incidence[v, edge_index[pair]] = 1.0
-    adjacency = _gram_adjacency(incidence)
-    degree = _observed_degree(adjacency, pm_degree(n), f"matching graph n={n}")
-    return Graph(family="pm", n=n, labels=matchings, adjacency=adjacency, degree=degree)
+    graph = Graph(family="pm", n=n, labels=matchings, incidence=incidence, degree=pm_degree(n))
+    return _check_degree(graph, f"matching graph n={n}")
 
 
 def build_derangement_graph(n: int) -> Graph:
@@ -187,15 +228,18 @@ def build_derangement_graph(n: int) -> Graph:
     for v, perm in enumerate(perms):
         for pos, val in enumerate(perm):
             incidence[v, pos * n + val] = 1.0
-    adjacency = _gram_adjacency(incidence)
-    degree = _observed_degree(adjacency, derangement_count(n), f"derangement graph n={n}")
-    return Graph(family="sym", n=n, labels=perms, adjacency=adjacency, degree=degree)
+    graph = Graph(family="sym", n=n, labels=perms, incidence=incidence, degree=derangement_count(n))
+    return _check_degree(graph, f"derangement graph n={n}")
 
 
-def numeric_spectrum(graph_or_matrix) -> np.ndarray:
-    """All adjacency eigenvalues, ascending, by dense symmetric decomposition."""
-    matrix = getattr(graph_or_matrix, "adjacency", graph_or_matrix)
-    return np.linalg.eigvalsh(np.asarray(matrix, dtype=np.float64))
+def numeric_spectrum(graph: Graph) -> np.ndarray:
+    """All adjacency eigenvalues, ascending, by dense symmetric decomposition.
+
+    A small-n cross-check only: it holds the whole V x V matrix, which
+    nothing else in this module does.
+    """
+    adjacency = graph.rows(np.arange(graph.vertex_count))
+    return np.linalg.eigvalsh(adjacency.astype(np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -284,21 +328,6 @@ def _cell_labels(graph: Graph) -> list[tuple]:
     ]
 
 
-def _quotient(adjacency: np.ndarray, cell_of: np.ndarray, cell_count: int):
-    """The quotient matrix B, whose row c counts the edges from each cell
-    into the first vertex of cell c, and whether every vertex's counts equal
-    the row of its cell.
-
-    Counting edges into a vertex reads whole rows, which is fast; it checks
-    A^T P = P B, and the certificate's argument holds for A^T as for A.
-    """
-    counts = np.stack(
-        [adjacency[cell_of == c].sum(axis=0, dtype=np.int64) for c in range(cell_count)], axis=1
-    )
-    quotient = counts[np.unique(cell_of, return_index=True)[1]]
-    return quotient.tolist(), bool((counts == quotient[cell_of]).all())
-
-
 def _vertex_permutations(graph: Graph) -> list[np.ndarray]:
     """How a transposition and a full cycle of the points move the vertices:
     left multiplication on the values 0..n-1 of a permutation, relabelling
@@ -319,11 +348,23 @@ def _vertex_permutations(graph: Graph) -> list[np.ndarray]:
     ]
 
 
-def _is_automorphism(adjacency: np.ndarray, move: np.ndarray) -> bool:
-    """Whether `move` permutes the vertices and preserves the adjacency."""
-    return np.array_equal(np.sort(move), np.arange(len(move))) and np.array_equal(
-        adjacency.take(move, 0).take(move, 1), adjacency
-    )
+def _stream(graph: Graph, cell_of: np.ndarray, cell_count: int, moves: list[np.ndarray]):
+    """One pass over the row blocks: every vertex's edge counts into each
+    cell, and whether each move permutes the vertices and preserves every
+    adjacency row, hence every vertex pair."""
+    vertex_count = graph.vertex_count
+    # a count is at most V, and float32 holds every integer up to 2**24
+    dtype = np.float32 if vertex_count <= 2**24 else np.float64
+    onehot = np.zeros((vertex_count, cell_count), dtype=dtype)
+    onehot[np.arange(vertex_count), cell_of] = 1
+    counts = np.empty((vertex_count, cell_count), dtype=dtype)
+    preserved = [np.array_equal(np.sort(move), np.arange(vertex_count)) for move in moves]
+    for block in _blocks(vertex_count):
+        rows = graph.rows(block)
+        counts[block] = rows.astype(dtype) @ onehot
+        for k, move in enumerate(moves):
+            preserved[k] = preserved[k] and np.array_equal(graph.rows(move[block], move), rows)
+    return counts.astype(np.int64), all(preserved)
 
 
 def _orbit_size(moves: list[np.ndarray], vertex_count: int) -> int:
@@ -354,14 +395,18 @@ def certify(table: SpectrumTable, graph: Graph) -> OracleReport:
     for val, mult in table.rows.values():
         predicted[val] = predicted.get(val, 0) + mult
 
-    adjacency = graph.adjacency
     vertex_count = graph.vertex_count
     cell_labels = _cell_labels(graph)
     cells = {cell: c for c, cell in enumerate(sorted(set(cell_labels), reverse=True))}
     cell_of = np.array([cells[cell] for cell in cell_labels])
-    quotient, equitable = _quotient(adjacency, cell_of, len(cells))
-    base = int(cell_of[0])
     moves = _vertex_permutations(graph)
+    counts, automorphisms = _stream(graph, cell_of, len(cells), moves)
+    # B is the count row of each cell's first vertex; the partition is
+    # equitable iff every vertex's count row is its cell's row of B
+    quotient = counts[np.unique(cell_of, return_index=True)[1]]
+    equitable = bool((counts == quotient[cell_of]).all())
+    quotient = quotient.tolist()
+    base = int(cell_of[0])
 
     annihilator = [[int(i == j) for j in range(len(cells))] for i in range(len(cells))]
     for theta in predicted:
@@ -378,7 +423,7 @@ def certify(table: SpectrumTable, graph: Graph) -> OracleReport:
     quotient_checks = [
         ("equitable", equitable),
         ("base_alone", cell_labels.count(cell_labels[0]) == 1),
-        ("automorphisms", all(_is_automorphism(adjacency, move) for move in moves)),
+        ("automorphisms", automorphisms),
         ("orbit", _orbit_size(moves, vertex_count) == vertex_count),
         ("charpoly", charpoly(quotient) == _poly_from_roots(table.eigenvalues())),
         ("annihilator", not any(any(row) for row in annihilator)),

@@ -3,12 +3,15 @@ graph family at one size, with deterministic csv/json/text rendering."""
 
 from __future__ import annotations
 
+import io
+import itertools
 import json
 from dataclasses import dataclass
 
 from .partitions import Partition
 
 CSV_HEADER = "partition,eigenvalue,multiplicity"
+_CHUNK_ROWS = 4096  # rows rendered per write
 
 
 @dataclass(frozen=True)
@@ -25,31 +28,49 @@ class SpectrumTable:
     def multiplicity_total(self) -> int:
         return sum(mult for _, mult in self.rows.values())
 
+    def write(self, stream, fmt: str) -> None:
+        """Write the table as csv, json or text to `stream`, a chunk of rows
+        at a time, so that no rendering of the whole table is ever held."""
+        if fmt == "csv":
+            head, tail = CSV_HEADER + "\n", ""
+            lines = (f"{part.to_text()},{val},{mult}\n" for part, (val, mult) in self.rows.items())
+        elif fmt == "json":
+            head, tail = f'{{"family":{json.dumps(self.family)},"n":{self.n},"rows":[', "]}\n"
+            lines = (
+                f'{"," if i else ""}{{"partition":{json.dumps(part.to_text())},'
+                f'"eigenvalue":{val},"multiplicity":{mult}}}'
+                for i, (part, (val, mult)) in enumerate(self.rows.items())
+            )
+        elif fmt == "text":
+            title = f"{self.family} spectrum, n={self.n}"
+            head, tail = f"{title}\n{'-' * len(title)}\n", ""
+            width = max(len(p.to_text()) for p in self.rows)
+
+            def line(part, val, mult):
+                sign_ok = val == 0 or (-1) ** (self.n - part[0]) * val > 0
+                return (
+                    f"{part.to_text():<{width}}  eigenvalue={val}  multiplicity={mult}"
+                    f"  sign={'ok' if sign_ok else 'UNEXPECTED'}\n"
+                )
+
+            lines = (line(part, val, mult) for part, (val, mult) in self.rows.items())
+        else:
+            raise ValueError(f"unknown table format {fmt!r}")
+        stream.write(head)
+        while chunk := "".join(itertools.islice(lines, _CHUNK_ROWS)):
+            stream.write(chunk)
+        stream.write(tail)
+
+    def _rendered(self, fmt: str) -> str:
+        out = io.StringIO()
+        self.write(out, fmt)
+        return out.getvalue()
+
     def to_csv(self) -> str:
-        lines = [CSV_HEADER]
-        for part, (val, mult) in self.rows.items():
-            lines.append(f"{part.to_text()},{val},{mult}")
-        return "\n".join(lines) + "\n"
+        return self._rendered("csv")
 
     def to_json(self) -> str:
-        payload = {
-            "family": self.family,
-            "n": self.n,
-            "rows": [
-                {"partition": part.to_text(), "eigenvalue": val, "multiplicity": mult}
-                for part, (val, mult) in self.rows.items()
-            ],
-        }
-        return json.dumps(payload, separators=(",", ":")) + "\n"
+        return self._rendered("json")
 
     def to_text(self) -> str:
-        header = f"{self.family} spectrum, n={self.n}"
-        body = [header, "-" * len(header)]
-        width = max(len(p.to_text()) for p in self.rows)
-        for part, (val, mult) in self.rows.items():
-            sign_ok = val == 0 or (-1) ** (self.n - part[0]) * val > 0
-            body.append(
-                f"{part.to_text():<{width}}  eigenvalue={val}  multiplicity={mult}"
-                f"  sign={'ok' if sign_ok else 'UNEXPECTED'}"
-            )
-        return "\n".join(body) + "\n"
+        return self._rendered("text")

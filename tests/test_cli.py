@@ -130,9 +130,9 @@ def test_oracle_exits_1_on_a_wrong_table(capsys, monkeypatch):
 def test_oracle_cap_refusal(capsys, monkeypatch):
     code, _, err = run(capsys, "oracle", "--family", "pm", "--n", "0")
     assert code == 2 and "n >= 1" in err
-    # pm n=9 has 34,459,425 vertices: about 7 PB at 6 bytes per vertex pair
+    # pm n=10 has 654,729,075 vertices: about 1.3 TB at over 1 kB per vertex
     monkeypatch.setattr(oracle, "physical_memory_bytes", lambda: 64 * 2**30)
-    code, _, err = run(capsys, "oracle", "--family", "pm", "--n", "9")
+    code, _, err = run(capsys, "oracle", "--family", "pm", "--n", "10")
     assert code == 2 and "physical memory" in err
 
 
@@ -177,13 +177,14 @@ def test_xi_deep_partition(capsys):
 
 
 def test_oracle_refuses_what_memory_cannot_hold(capsys, monkeypatch):
-    # sym n=5 peaks at 6 bytes per vertex pair, 6 * 120 * 120 = 86,400 bytes
+    # sym n=5 needs 740 bytes for each of its 120 vertices, and its one row
+    # block 12 bytes for each of 14,400 vertex pairs: 261,600 bytes
     monkeypatch.setattr(oracle, "physical_memory_bytes", lambda: 80_000)
     code, _, err = run(capsys, "oracle", "--family", "sym", "--n", "5")
     assert code == 2 and "physical memory" in err
-    # pm n=7 would need about 110 GB
+    # pm n=10 would need about 1.3 TB
     monkeypatch.setattr(oracle, "physical_memory_bytes", lambda: 64 * 2**30)
-    code, _, err = run(capsys, "oracle", "--family", "pm", "--n", "7")
+    code, _, err = run(capsys, "oracle", "--family", "pm", "--n", "10")
     assert code == 2 and "physical memory" in err
 
 

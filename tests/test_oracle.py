@@ -1,4 +1,10 @@
 
+import os
+import subprocess
+import sys
+from dataclasses import dataclass, field, replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -27,7 +33,8 @@ def test_enumeration_is_canonical_and_unique():
 
 
 def test_cap_enforced(monkeypatch):
-    # the only limits are n >= 1 and physical memory, 6 bytes per vertex pair
+    # the only limits are n >= 1 and physical memory, a fixed number of bytes
+    # per vertex plus one row block
     for n in (0, -1):
         with pytest.raises(ValueError):
             oracle.enumerate_perfect_matchings(n)
@@ -35,22 +42,31 @@ def test_cap_enforced(monkeypatch):
             oracle.build_derangement_graph(n)
     monkeypatch.setattr(oracle, "physical_memory_bytes", lambda: 64 * 2**30)
     with pytest.raises(ValueError):
-        oracle.enumerate_perfect_matchings(9)
+        oracle.enumerate_perfect_matchings(10)  # 654,729,075 vertices, about 1.3 TB
     with pytest.raises(ValueError):
-        oracle.build_derangement_graph(9)
+        oracle.build_derangement_graph(12)  # 479,001,600 vertices, about 590 GB
     with pytest.raises(ValueError, match="physical memory"):
         oracle.build_derangement_graph(10**6)  # refused without computing 10**6!
     oracle._admit("pm", 6)  # n alone refuses nothing that fits
     oracle._admit("sym", 8)
+    oracle._admit("pm", 9)  # 34,459,425 vertices, about 63 GB
+    oracle._admit("sym", 11)
     monkeypatch.setattr(oracle, "physical_memory_bytes", lambda: 1000)
     with pytest.raises(ValueError):
-        oracle.build_pm_graph(3)  # 15 vertices, 1,350 bytes
+        oracle.build_pm_graph(3)  # 15 vertices of over 1 kB each
+
+
+@pytest.mark.parametrize("vertex_count", [1, 3, 1449, 5040, 40320])
+def test_blocks_cover_every_vertex_once(vertex_count):
+    blocks = list(oracle._blocks(vertex_count))
+    assert np.array_equal(np.concatenate(blocks), np.arange(vertex_count))
+    assert all(len(b) * vertex_count <= max(2**21, vertex_count) for b in blocks)
 
 
 def test_pm_graph_small():
     g = oracle.build_pm_graph(2)
     assert g.vertex_count == 3 and g.degree == 2  # triangle
-    assert (g.adjacency == np.ones((3, 3)) - np.eye(3)).all()
+    assert (g.rows(np.arange(3)) == np.ones((3, 3)) - np.eye(3)).all()
     g = oracle.build_pm_graph(3)
     assert g.vertex_count == 15 and g.degree == 8
     g = oracle.build_pm_graph(1)
@@ -162,15 +178,40 @@ def test_moved_multiplicity_is_caught_by_walk_moments(family, n):
     assert not report.spectrum_match and not report.passed
 
 
+@dataclass
+class EditedGraph(oracle.Graph):
+    """The graph with some adjacency entries overwritten wherever its rows
+    are read: `edits` maps a vertex pair (u, v) to 0 or 1."""
+
+    edits: dict = field(default_factory=dict)
+
+    def rows(self, index, columns=None):
+        out = super().rows(index, columns)
+        columns = np.arange(self.vertex_count) if columns is None else columns
+        for (u, v), bit in self.edits.items():
+            out[np.ix_(index == u, columns == v)] = bit
+        return out
+
+
+def _edited(graph, *edits):
+    """The graph with each (u, v, bit) edit applied to both orders of the pair."""
+    pairs = {}
+    for u, v, bit in edits:
+        pairs[u, v] = pairs[v, u] = bit
+    return EditedGraph(graph.family, graph.n, graph.labels, graph.incidence, graph.degree, pairs)
+
+
+def _first_neighbour(graph, u):
+    return int(graph.rows(np.array([u]))[0].argmax())
+
+
 @pytest.mark.parametrize("family, n", [("pm", 3), ("pm", 4), ("sym", 4), ("sym", 5)])
 def test_removed_edge_fails_the_partition_or_the_symmetry(family, n):
     graph = oracle.build_pm_graph(n) if family == "pm" else oracle.build_derangement_graph(n)
     table = pm_spectrum_table(n) if family == "pm" else sym_spectrum_table(n)
     u = graph.vertex_count // 2
-    for edge in [(0, int(graph.adjacency[0].argmax())), (u, int(graph.adjacency[u].argmax()))]:
-        adjacency = graph.adjacency.copy()
-        adjacency[edge] = adjacency[edge[::-1]] = 0
-        broken = oracle.Graph(graph.family, n, graph.labels, adjacency, graph.degree)
+    for edge in [(0, _first_neighbour(graph, 0)), (u, _first_neighbour(graph, u))]:
+        broken = _edited(graph, (*edge, 0))
         report = oracle.certify(table, broken)
         checks = dict(report.quotient_checks)
         assert not (checks["equitable"] and checks["automorphisms"]), edge
@@ -182,7 +223,7 @@ def test_equitable_edge_switch_is_caught_by_the_automorphism_check():
     # another keeps every vertex's count per cell, so B and all its checks
     # still pass; only the symmetry the argument relies on is broken
     graph = oracle.build_pm_graph(4)
-    adjacency = graph.adjacency.copy()
+    adjacency = graph.rows(np.arange(graph.vertex_count))
     cells = oracle._cell_labels(graph)
     a, b, c, d = next(
         (a, b, c, d)
@@ -192,9 +233,7 @@ def test_equitable_edge_switch_is_caught_by_the_automorphism_check():
         for d in np.nonzero(adjacency[c])[0]
         if d not in (a, b) and cells[d] == cells[b] and not adjacency[a, d]
     )
-    for u, v, bit in [(a, b, 0), (c, d, 0), (a, d, 1), (c, b, 1)]:
-        adjacency[u, v] = adjacency[v, u] = bit
-    broken = oracle.Graph(graph.family, graph.n, graph.labels, adjacency, graph.degree)
+    broken = _edited(graph, (a, b, 0), (c, d, 0), (a, d, 1), (c, b, 1))
     report = oracle.certify(pm_spectrum_table(4), broken)
     checks = dict(report.quotient_checks)
     assert checks.pop("automorphisms") is False
@@ -204,7 +243,7 @@ def test_equitable_edge_switch_is_caught_by_the_automorphism_check():
 def test_base_vertex_sharing_its_cell_is_caught():
     graph = oracle.build_pm_graph(3)
     labels = [graph.labels[0]] + graph.labels[:1] + graph.labels[2:]  # vertex 1 relabelled as x0
-    broken = oracle.Graph(graph.family, graph.n, labels, graph.adjacency, graph.degree)
+    broken = replace(graph, labels=labels)
     report = oracle.certify(pm_spectrum_table(3), broken)
     assert dict(report.quotient_checks)["base_alone"] is False and not report.passed
 
@@ -221,3 +260,51 @@ def test_dense_spectrum_equals_table(family, n):
     assert sorted(round(x) for x in spectrum) == predicted
     assert np.allclose(spectrum, predicted, atol=1e-8 * max(1, graph.degree))
 
+
+def test_edited_graph_reads_its_edits_in_every_order():
+    graph = oracle.build_pm_graph(3)
+    v = _first_neighbour(graph, 0)
+    broken = _edited(graph, (0, v, 0), (1, 2, 1))
+    every = np.arange(graph.vertex_count)
+    expected = graph.rows(every).copy()
+    expected[0, v] = expected[v, 0] = 0
+    expected[1, 2] = expected[2, 1] = 1
+    assert (broken.rows(every) == expected).all()
+    move = np.random.default_rng(1).permutation(graph.vertex_count)
+    assert (broken.rows(move[:7], move) == expected[move[:7]][:, move]).all()
+
+
+def test_oracle_peak_memory():
+    # the child's peak RSS, read by a small intermediate process: on Linux the
+    # peak of a process started from a large one includes the large one's
+    # resident set, which the test process would add
+    runner = (
+        "import os, sys\n"
+        "pid = os.posix_spawn(sys.executable, [sys.executable, '-m', 'pmspec.cli', *sys.argv[1:]],"
+        " dict(os.environ), file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])\n"
+        "_, status, usage = os.wait4(pid, 0)\n"
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    argv = ["oracle", "--family", "pm", "--n", "6", "--format", "json"]
+    result = subprocess.run(
+        [sys.executable, "-c", runner, *argv], env=env, capture_output=True, text=True, timeout=300
+    )
+    status, peak_kb = map(int, result.stdout.split())
+    assert status == 0
+    assert peak_kb * 1024 <= 150e6  # the dense build peaked at 657 MB
+
+
+def test_faults_in_late_blocks_are_caught(monkeypatch):
+    # one row per block, and an edge removed between two late vertices: only
+    # late blocks see it, in the build's degree pass and in the certificate's
+    graph = oracle.build_pm_graph(4)
+    monkeypatch.setattr(oracle, "_BLOCK_PAIRS", graph.vertex_count)
+    u = graph.vertex_count - 1
+    v = int(np.nonzero(graph.rows(np.array([u]))[0])[0][-1])
+    broken = _edited(graph, (u, v, 0))
+    with pytest.raises(RuntimeError, match="observed degrees"):
+        oracle._check_degree(broken, "edited graph")
+    checks = dict(oracle.certify(pm_spectrum_table(4), broken).quotient_checks)
+    assert checks["equitable"] is False and checks["automorphisms"] is False

@@ -1,0 +1,70 @@
+"""The streamed table renderer writes the same bytes as whole-string rendering."""
+
+import io
+import json
+
+import pytest
+
+from pmspec.pm_spectrum import pm_spectrum_table
+from pmspec.sym_spectrum import sym_spectrum_table
+from pmspec.tables import CSV_HEADER
+
+
+def _reference(table, fmt):
+    """Render the whole table as one string, the way it was built before
+    rendering was streamed."""
+    rows = table.rows.items()
+    if fmt == "csv":
+        return "\n".join([CSV_HEADER] + [f"{p.to_text()},{v},{m}" for p, (v, m) in rows]) + "\n"
+    if fmt == "json":
+        payload = {
+            "family": table.family,
+            "n": table.n,
+            "rows": [
+                {"partition": p.to_text(), "eigenvalue": v, "multiplicity": m} for p, (v, m) in rows
+            ],
+        }
+        return json.dumps(payload, separators=(",", ":")) + "\n"
+    header = f"{table.family} spectrum, n={table.n}"
+    width = max(len(p.to_text()) for p in table.rows)
+    body = [header, "-" * len(header)]
+    for p, (v, m) in rows:
+        sign_ok = v == 0 or (-1) ** (table.n - p[0]) * v > 0
+        body.append(
+            f"{p.to_text():<{width}}  eigenvalue={v}  multiplicity={m}"
+            f"  sign={'ok' if sign_ok else 'UNEXPECTED'}"
+        )
+    return "\n".join(body) + "\n"
+
+
+@pytest.mark.parametrize("family", ["pm", "sym"])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 24])
+def test_streamed_bytes_equal_whole_rendering(family, n):
+    table = pm_spectrum_table(n) if family == "pm" else sym_spectrum_table(n)
+    for fmt in ("csv", "json", "text"):
+        stream = io.StringIO()
+        table.write(stream, fmt)
+        expected = _reference(table, fmt)
+        assert stream.getvalue() == expected
+        assert getattr(table, f"to_{fmt}")() == expected
+
+
+def test_write_is_chunked():
+    table = sym_spectrum_table(30)  # 5,604 rows: more than one chunk, far fewer than one write each
+
+    class Counting(io.StringIO):
+        writes = 0
+
+        def write(self, text):
+            Counting.writes += 1
+            return super().write(text)
+
+    stream = Counting()
+    table.write(stream, "csv")
+    assert 2 < Counting.writes < len(table.rows)
+    assert stream.getvalue() == _reference(table, "csv")
+
+
+def test_unknown_format_is_refused():
+    with pytest.raises(ValueError):
+        pm_spectrum_table(3).write(io.StringIO(), "xml")
