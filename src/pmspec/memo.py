@@ -12,9 +12,13 @@ Every recurrence gets its own store: two recurrences computing the same
 quantity never share values, which keeps their agreement a real
 cross-check.  A store lives as long as its ``Recurrence``.  The module-level
 instances behind single queries such as ``eta`` keep theirs until
-``cache_clear``; the spectrum tables create their own instances from the
-same ``children`` and ``combine`` functions, so a table's stores are freed
-once it is built, and building it leaves the module stores as they were.
+``cache_clear``.  The spectrum tables create no ``Recurrence``: they sweep
+the same recurrences forward over every partition of size at most n
+(:mod:`pmspec.lattice`), so a table is a second engine the single queries
+are checked against, and building one leaves the module stores as they
+were.  A single query reaches only the partitions its argument needs,
+which the lattice cannot follow: ``eta`` on 5,000 ones would need every
+partition of size at most 5,000.
 
 Stores compare nodes by value, so children may be plain tuples, as the
 strip and first-part recurrences build them, without ``Partition``'s checks.

@@ -60,7 +60,7 @@ class Partition(tuple):
 
     def to_text(self) -> str:
         """Render as '+'-joined parts; the empty partition renders as '0'."""
-        return "+".join(str(p) for p in self) if self else "0"
+        return "+".join(map(str, self)) if self else "0"
 
     @classmethod
     def from_text(cls, text: str) -> "Partition":

@@ -15,11 +15,13 @@ is nonnegative and vanishes only at the single-box partition (1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import mul
 
 from . import memo
-from .exact import binomial, doubled_hook_combine, hook_dimensions, odd_double_factorial, pm_degree
+from .exact import _hook_quotient, binomial, odd_double_factorial, pm_degree
+from .lattice import HookProducts, PartitionLattice, row_entries
 from .partitions import Partition, enumerate_partitions
 from .tables import SpectrumTable
 
@@ -92,7 +94,7 @@ def f_value(lam: Partition) -> int:
     f(lam) = f(head) + sum_k C(last, k) (2k-1)!! f(head - k on every part),
     where head drops the last part.  Every value comes from the strip
     recurrence's module store, as for :func:`eta`; :func:`pm_spectrum_table`
-    runs the same recurrence in a store of its own.
+    runs the same recurrence on the partition lattice instead.
     """
     return eta(lam).f
 
@@ -165,20 +167,53 @@ def f_closed_form_2a1b(a: int, b: int) -> int:
     return a * a + b * (a - 1) + 1
 
 
+def _eta_sweep(n: int) -> tuple:
+    """eta at every partition of size <= n, and H(2 nu) at those a row's
+    chain nu, nu - 1, ... reaches, by lattice id.
+
+    One forward sweep of the strip recurrence: the children of
+    lam = (m,) + t are its head and head - j for j <= last, all of fewer
+    parts, so a block's values come from one slice of the values per child.
+    Returns the lattice, the eta values and the doubled hook products.
+    """
+    lattice = PartitionLattice(n)
+    base, minus1 = lattice.base, lattice.minus1
+    hooks = HookProducts(lattice, doubled=True)
+    values = [1]
+    for r, blocks in lattice.levels():
+        for _, _, lo, hi, head, last in blocks:
+            if head is None:
+                values.extend(map(pm_degree, range(lo, hi + 1)))
+                continue
+            kids = []
+            for j in range(last + 1):
+                # head - j of (m,) + t is base[head] + m - j, where head
+                # starts as t without its last part and steps by minus1
+                start = base[head] + lo - j
+                kids.append(values[start : start + hi - lo + 1])
+                head = minus1[head]
+            row = _strip_row(last, r & 1)
+            values += [sum(map(mul, row, kid_values)) for kid_values in zip(*kids)]
+        hooks.extend(r, blocks)
+    return lattice, values, hooks.values
+
+
 def pm_spectrum_table(n: int) -> SpectrumTable:
     """Full eigenvalue table of the matching derangement graph on K_{2n}.
 
     The multiplicity of the row indexed by lam is the hook-length dimension
     of the doubled partition 2*lam; multiplicities total (2n-1)!!.  The
-    strip recurrence and then the doubled-shape hook recurrence each run in
-    a store of the table's own, freed before the next one fills: building a
-    table leaves the module stores as they were.
+    strip recurrence and the doubled-shape hook recurrence run in one
+    sweep over the partitions of size <= n (:func:`_eta_sweep`), which
+    leaves the module stores as they were.  Every row passes the sign
+    check and every dimension the remainder check.
     """
     if n < 1:
         raise ValueError("n must be positive")
+    values, hooks = row_entries(*_eta_sweep(n))
     lams = enumerate_partitions(n)
-    values = list(map(memo.Recurrence(_strip_children, _strip_combine), lams))
     for lam, value in zip(lams, values):
         _normalized(lam, value)
-    dims = hook_dimensions(lams, 2 * n, doubled_hook_combine)
+    order = math.factorial(2 * n)
+    dims = [_hook_quotient(order, h) for h in hooks]
     return SpectrumTable(family="pm", n=n, rows=dict(zip(lams, zip(values, dims))))

@@ -11,10 +11,12 @@ kept as a diagnostic because it already disagrees at (1,1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import memo
-from .exact import derangement_count, hook_combine, hook_dimensions
+from .exact import _hook_quotient, derangement_count
+from .lattice import HookProducts, PartitionLattice, row_entries
 from .partitions import Partition, enumerate_partitions
 from .tables import SpectrumTable
 
@@ -100,17 +102,52 @@ def xi(mu: Partition) -> XiValue:
     return XiValue(partition=mu, xi=xi_by_first_part(mu))
 
 
+def _xi_sweep(n: int) -> tuple:
+    """xi and H(nu) by lattice id, at the partitions nu the table needs.
+
+    One forward sweep of the first-part recurrence: the children of
+    mu = (m,) + t are mu - 1 and t - 1.  Only the rows and the partitions
+    with |nu| + len(nu) <= n are evaluated, the others hold None.  Returns
+    the lattice, the xi values and the hook products.
+    """
+    lattice = PartitionLattice(n)
+    base, minus1 = lattice.base, lattice.minus1
+    hooks = HookProducts(lattice, doubled=False)
+    values = [1]
+    for r, blocks in lattice.levels():
+        sign = 1 if r & 1 else -1  # (-1)^(r-1)
+        for tail, _, lo, hi, head, _ in blocks:
+            if head is None:
+                values.extend(map(derangement_count, range(lo, hi + 1)))
+                continue
+            shifted = base[minus1[tail]] - 1  # mu - 1 is shifted + m
+            tail_value = values[minus1[tail]]
+            # (-1)^(r-1) (m + r - 1) xi(mu - 1) + (-1)^(m + r - 1) xi(t - 1) at
+            # m <= hi - r, then None up to the row, m = hi
+            xis = [
+                sign * (m + r - 1) * values[shifted + m] + (tail_value if (m + r) & 1 else -tail_value)
+                for m in (*range(lo, hi - r + 1), hi)
+            ]
+            row = xis.pop()
+            values += xis
+            values += [None] * min(hi - lo, r - 1)
+            values.append(row)
+        hooks.extend(r, blocks)
+    return lattice, values, hooks.values
+
+
 def sym_spectrum_table(n: int) -> SpectrumTable:
     """Eigenvalue table of the derangement graph on S_n.
 
     The row indexed by mu has multiplicity dim(mu)^2; multiplicities total
     n!.  Like :func:`pmspec.pm_spectrum.pm_spectrum_table`, the table runs
-    the first-part recurrence and then the hook recurrence in stores of its
-    own.
+    the first-part recurrence and the hook recurrence in one sweep over the
+    partition lattice (:func:`_xi_sweep`).
     """
     if n < 1:
         raise ValueError("n must be positive")
-    mus = enumerate_partitions(n)
-    values = list(map(memo.Recurrence(_first_part_children, _first_part_combine), mus))
-    dims = hook_dimensions(mus, n, hook_combine)
-    return SpectrumTable(family="sym", n=n, rows={mu: (v, d * d) for mu, v, d in zip(mus, values, dims)})
+    values, hooks = row_entries(*_xi_sweep(n))
+    order = math.factorial(n)
+    dims = [_hook_quotient(order, h) for h in hooks]
+    rows = {mu: (v, d * d) for mu, v, d in zip(enumerate_partitions(n), values, dims)}
+    return SpectrumTable(family="sym", n=n, rows=rows)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -69,6 +70,23 @@ def test_table_csv(capsys):
 def test_table_csv_golden_digest(capsys, family, digest):
     # sha256 of the n = 30 csv, recorded before the table engine was rebuilt
     code, out, _ = run(capsys, "table", "--n", "30", "--family", family, "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "family, fmt, digest",
+    [
+        ("pm", "json", "f361641e3f04e9021bb2deb5a3a9a9ffcd6d0bdbb9ee143c1a041ebdd8ff1c9f"),
+        ("pm", "text", "b4792ec5a7e59810ecbe388d1a485ce1bad59bf8b0b8e140e016c88e1ca98094"),
+        ("sym", "json", "84c48d30acb080773808c41e1b49060961f1828d186f231417f5d0c5ad6066dc"),
+        ("sym", "text", "5b3b4d029119b845e9ace963360ba13d05564835238f71979c3489b5a4f51c38"),
+    ],
+    ids=["pm-json", "pm-text", "sym-json", "sym-text"],
+)
+def test_table_json_and_text_golden_digest(capsys, family, fmt, digest):
+    # sha256 of the n = 30 json and text, recorded before the partition-lattice sweep
+    code, out, _ = run(capsys, "table", "--n", "30", "--family", family, "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -168,6 +186,24 @@ def test_eta_prints_integers_past_the_decimal_limit(capsys):
     code, out, _ = run(capsys, "eta", "--partition", "1600")
     assert code == 0
     assert f"eta: {pm_degree(1600)}\n" in out
+
+
+@pytest.mark.parametrize("command", ["eta", "xi"])
+def test_single_part_queries_run_in_bounded_memory(command):
+    # d_20000 and D_20000 are rolled, not stored with every smaller term;
+    # the 300 MB address-space limit applies to the child alone
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run(
+        [sys.executable, "-m", "pmspec.cli", command, "--partition", "20000"],
+        env=env, capture_output=True, text=True, preexec_fn=cap, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    assert f"{command}: " in done.stdout
 
 
 def test_xi_deep_partition(capsys):

@@ -2,19 +2,31 @@ import math
 
 import pytest
 
+from pmspec import exact
 from pmspec.exact import (
+    _hook_quotient,
     binomial,
     conjugate,
     derangement_count,
-    hook_combine,
-    hook_dimensions,
     irrep_dimension,
     odd_double_factorial,
     pm_degree,
     pm_degree_inclusion_exclusion,
-    pm_degree_truncated_sum,
 )
+from pmspec.lattice import HookProducts, PartitionLattice
 from pmspec.partitions import Partition, enumerate_partitions
+
+
+def pm_degree_truncated_sum(n: int) -> int:
+    """The inclusion-exclusion sum for d_n truncated at i = n-1.
+
+    Diagnostic only: this differs from the true degree by exactly (-1)^n.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    return sum(
+        (-1) ** i * binomial(n, i) * odd_double_factorial(n - i) for i in range(n)
+    )
 
 
 def test_odd_double_factorial_values():
@@ -79,6 +91,20 @@ def test_truncated_sum_differs_by_alternating_unit():
         assert pm_degree_truncated_sum(n) != pm_degree(n)
 
 
+def test_sequences_roll_past_the_stored_index():
+    # past the stored index each term is rolled from the last two kept,
+    # and the stores stay at their fixed length
+    n = exact._STORED + 6
+    assert pm_degree(n) == pm_degree_inclusion_exclusion(n)
+    assert derangement_count(n) == sum(
+        (-1) ** k * (math.factorial(n) // math.factorial(k)) for k in range(n + 1)
+    )
+    assert odd_double_factorial(n) == math.factorial(2 * n) // (2**n * math.factorial(n))
+    assert pm_degree(n + 1) == 2 * n * (pm_degree(n) + pm_degree(n - 1))
+    for store in (exact._pm_deg, exact._derange, exact._odd_df):
+        assert len(store) == exact._STORED + 1
+
+
 def test_derangement_count():
     assert derangement_count(1) == 0
     assert derangement_count(3) == 2
@@ -114,10 +140,17 @@ def test_irrep_dimension_examples():
 
 
 def test_hook_dimensions_check_the_remainder():
-    assert hook_dimensions([(4, 2), (2, 2, 2)], 6, hook_combine) == [9, 5]
-    # a hook product that does not divide n! signals a hook bug
+    # the tables divide n! by the lattice's hook products in _hook_quotient
+    lattice = PartitionLattice(6)
+    hooks = HookProducts(lattice, doubled=False)
+    for r, blocks in lattice.levels():
+        hooks.extend(r, blocks)
+    ids = dict(zip(enumerate_partitions(6), lattice.rows()))
+    products = [hooks.values[ids[mu]] for mu in ((4, 2), (2, 2, 2))]
+    assert [_hook_quotient(math.factorial(6), h) for h in products] == [9, 5]
+    # a hook product that does not divide n! signals a hook bug: 4 for (2, 1)
     with pytest.raises(ArithmeticError):
-        hook_dimensions([(2, 1)], 3, lambda mu, values: 4)
+        _hook_quotient(math.factorial(3), 4)
 
 
 def test_irrep_dimension_sum_of_squares():

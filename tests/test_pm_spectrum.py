@@ -143,16 +143,42 @@ def test_table_trace_identities():
 
 
 def test_table_rows_match_reference_paths():
-    # the table's own strip store and column-strip hooks against the
-    # lowering recurrence and the cell-by-cell hook product
+    # the table's lattice sweep of the strip and doubled hook recurrences
+    # against the lowering recurrence and the cell-by-cell hook product
     for n in range(1, 21):
         for lam, (value, mult) in pm_spectrum_table(n).rows.items():
             assert value == eta_alt(lam), lam
             assert mult == irrep_dimension(P([2 * p for p in lam])), lam
 
 
+def test_table_rows_match_the_single_query_store():
+    # the lattice sweep and the memoized single query are separate engines
+    for n in range(1, 25):
+        for lam, (value, _) in pm_spectrum_table(n).rows.items():
+            assert value == eta(lam).eta, lam
+
+
+def test_table_checks_every_sign_and_every_dimension(monkeypatch):
+    signs, quotients = [], []
+
+    def normalized(lam, value):
+        signs.append((lam, value))
+        return normalized_check(lam, value)
+
+    def hook_quotient(order, product):
+        quotients.append(product)
+        return quotient_check(order, product)
+
+    normalized_check, quotient_check = pm_spectrum._normalized, pm_spectrum._hook_quotient
+    monkeypatch.setattr(pm_spectrum, "_normalized", normalized)
+    monkeypatch.setattr(pm_spectrum, "_hook_quotient", hook_quotient)
+    rows = pm_spectrum_table(9).rows
+    assert signs == [(lam, value) for lam, (value, _) in rows.items()]
+    assert len(quotients) == len(rows)
+
+
 def test_table_leaves_module_stores_alone():
-    # each table runs its recurrences in stores of its own
+    # each table runs its recurrences on a lattice of its own
     stores = (pm_spectrum._eta_strip, pm_spectrum._eta_alt, sym_spectrum._xi_first, sym_spectrum._xi_last)
     for store in stores:
         store.cache_clear()

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from pmspec import sym_spectrum
 from pmspec.exact import derangement_count, irrep_dimension
 from pmspec.partitions import Partition, enumerate_partitions
 from pmspec.sym_spectrum import (
@@ -60,12 +61,32 @@ def test_table_trace_identities():
 
 
 def test_table_rows_match_reference_paths():
-    # the table's own first-part store and column-strip hooks against the
-    # last-part recurrence and the cell-by-cell hook product
+    # the table's lattice sweep of the first-part and hook recurrences
+    # against the last-part recurrence and the cell-by-cell hook product
     for n in range(1, 21):
         for mu, (value, mult) in sym_spectrum_table(n).rows.items():
             assert value == xi_by_last_part(mu), mu
             assert mult == irrep_dimension(mu) ** 2, mu
+
+
+def test_table_rows_match_the_single_query_store():
+    # the lattice sweep and the memoized single query are separate engines
+    for n in range(1, 25):
+        for mu, (value, _) in sym_spectrum_table(n).rows.items():
+            assert value == xi_by_first_part(mu), mu
+
+
+def test_table_checks_every_dimension(monkeypatch):
+    quotients = []
+
+    def hook_quotient(order, product):
+        quotients.append(product)
+        return quotient_check(order, product)
+
+    quotient_check = sym_spectrum._hook_quotient
+    monkeypatch.setattr(sym_spectrum, "_hook_quotient", hook_quotient)
+    rows = sym_spectrum_table(9).rows
+    assert len(quotients) == len(rows)
 
 
 def test_n4_trace_desk_check():
