@@ -13,8 +13,6 @@ directions.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .exact import binomial, odd_double_factorial, pm_degree
@@ -50,14 +48,25 @@ def _render(value):
     return value
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    n_range: tuple
-    checks_run: int = 0
-    failures: list = field(default_factory=list)  # capped at MAX_LISTED_FAILURES
-    failure_count: int = 0
-    equality_witnesses: list = field(default_factory=list)
+    """The checks one suite ran over a range of n, its failures (the first
+    MAX_LISTED_FAILURES listed) and its equality witnesses."""
+
+    def __init__(
+        self,
+        suite: str,
+        n_range: tuple,
+        checks_run: int = 0,
+        failures: list | None = None,
+        failure_count: int = 0,
+        equality_witnesses: list | None = None,
+    ) -> None:
+        self.suite = suite
+        self.n_range = n_range
+        self.checks_run = checks_run
+        self.failures = [] if failures is None else failures
+        self.failure_count = failure_count
+        self.equality_witnesses = [] if equality_witnesses is None else equality_witnesses
 
     @property
     def passed(self) -> bool:
@@ -97,6 +106,8 @@ class VerificationReport:
         self.n_range = (lo, hi)
 
     def to_json(self) -> str:
+        import json  # loaded only when json is written
+
         payload = {
             "suite": self.suite,
             "n_range": list(self.n_range),

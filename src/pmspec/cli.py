@@ -20,6 +20,7 @@ import argparse
 import sys
 
 from . import analysis
+from .exact import admit_query
 from .partitions import Partition
 from .pm_spectrum import eta, pm_spectrum_table
 from .sym_spectrum import sym_spectrum_table, xi
@@ -62,6 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_eta(args) -> int:
     lam = Partition.from_text(args.partition)
+    admit_query("pm", lam.size)
     value = eta(lam)
     n, first = lam.size, (lam[0] if lam else 0)
     sign_ok = "ok" if (not lam or lam == (1,) or (-1) ** (n - first) * value.eta > 0) else "UNEXPECTED"
@@ -74,6 +76,7 @@ def _cmd_eta(args) -> int:
 
 def _cmd_xi(args) -> int:
     mu = Partition.from_text(args.partition)
+    admit_query("sym", mu.size)
     value = xi(mu)
     print(f"partition: {mu.to_text()}")
     print(f"xi: {value.xi}")

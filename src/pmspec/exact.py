@@ -6,43 +6,94 @@ are authoritative recurrences, stored up to a fixed index and rolled past
 it.  :func:`irrep_dimension` computes a hook product cell by cell, the
 reference for the first-column hook recurrences the spectrum tables run on
 the partition lattice (:class:`pmspec.lattice.HookProducts`).
+:func:`admit_query` refuses a single query whose values could not fit in
+physical memory.
 """
 
 from __future__ import annotations
 
 import math
+import os
 
 from .partitions import Partition
 
-# Terms up to this index are kept, index = argument; past it a term is
-# rolled forward from the last two kept and nothing more is stored, since
-# kept terms add up quadratically (d_20000 alone has about 83,000 digits).
-# A table of size n reads terms up to n, and a single query up to its
-# largest part, so tables and parts below it never pass it.
+# Terms up to this index are kept, index = argument, since kept terms add up
+# quadratically (d_20000 alone has about 83,000 digits).  A table of size n
+# reads terms up to n, and a single query up to its largest part, so tables
+# and parts below it never pass it.  Past it a term is rolled forward from
+# the nearest checkpoint below: a roll keeps the pair (term m, term m-1) at
+# every checkpoint m it passes, the multiples of 2^(b-5) for m of bit
+# length b, sixteen per doubling of the index.  A roll then takes fewer than
+# m/16 steps, and the pairs kept for a sequence rolled to m hold at most
+# about 64 times the bits of term m (39 times at m = 20,000).
 _STORED = 1024
-_odd_df = [1, 1]       # (2k-1)!!, with (-1)!! = 1
-_pm_deg = [1, 0]       # degree of the matching derangement graph on 2n points
-_derange = [1, 0]      # derangement numbers
+_odd_df, _odd_df_marks = [1, 1], {}       # (2k-1)!!, with (-1)!! = 1
+_pm_deg, _pm_deg_marks = [1, 0], {}       # degree of the matching derangement graph on 2n points
+_derange, _derange_marks = [1, 0], {}     # derangement numbers
 
 
-def _term(store: list, k: int, step) -> int:
-    """Term k of the sequence whose first terms ``store`` holds, where
+def _checkpoint_below(m: int) -> int:
+    """The checkpoint at or below index m >= _STORED (_STORED is one)."""
+    return m - m % (1 << (m.bit_length() - 5))
+
+
+def _term(store: list, marks: dict, k: int, step) -> int:
+    """Term k of the sequence whose first terms ``store`` holds and whose
+    checkpoint pairs ``marks`` holds, by index from _STORED on, where
     ``step(m, term m-1, term m-2)`` is term m."""
     while len(store) <= min(k, _STORED):
         store.append(step(len(store), store[-1], store[-2]))
     if k < len(store):
         return store[k]
-    prev, prev2 = store[-1], store[-2]
-    for m in range(len(store), k + 1):
+    if not marks:
+        marks[_STORED] = (store[-1], store[-2])
+    m = _checkpoint_below(k)
+    if m not in marks:
+        # every checkpoint up to the highest index rolled so far is kept, so
+        # one missing lies past them all
+        m = next(reversed(marks))
+    prev, prev2 = marks[m]
+    for m in range(m + 1, k + 1):
         prev, prev2 = step(m, prev, prev2), prev
+        if _checkpoint_below(m) == m:
+            marks[m] = (prev, prev2)
     return prev
+
+
+def physical_memory_bytes() -> int:
+    """Physical memory of this machine, as the operating system reports it."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def admit_query(family: str, n: int) -> None:
+    """Refuse a single query of size n whose values could not fit in memory.
+
+    Every value the recurrences of a partition of n hold is at most d_n
+    (family "pm") or D_n ("sym") in absolute value.  Their bits come from
+    lgamma: d_n is about (2n-1)!!/sqrt(e) and D_n about n!/e.  Past
+    n = 2^1000 the estimate is taken at 2^1000, where it already exceeds any
+    memory.
+    """
+    x = float(min(n, 1 << 1000))
+    if family == "pm":
+        log_bound = math.lgamma(2 * x + 1) - math.lgamma(x + 1) - x * math.log(2) - 0.5
+    else:
+        log_bound = math.lgamma(x + 1) - 1
+    needed = log_bound / math.log(2) / 8
+    memory = physical_memory_bytes()
+    if needed > memory:
+        bound = "d_n" if family == "pm" else "D_n"
+        raise ValueError(
+            f"a partition of size n={n} has values up to {bound}, about "
+            f"{needed / 1e6:.3g} MB each, more than the {memory / 1e6:.0f} MB of physical memory"
+        )
 
 
 def odd_double_factorial(k: int) -> int:
     """(2k-1)!! = 1*3*...*(2k-1); the empty product 1 for k = 0."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return _term(_odd_df, k, lambda m, prev, _: prev * (2 * m - 1))
+    return _term(_odd_df, _odd_df_marks, k, lambda m, prev, _: prev * (2 * m - 1))
 
 
 def binomial(n: int, k: int) -> int:
@@ -59,7 +110,7 @@ def pm_degree(n: int) -> int:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _term(_pm_deg, n, lambda m, prev, prev2: 2 * (m - 1) * (prev + prev2))
+    return _term(_pm_deg, _pm_deg_marks, n, lambda m, prev, prev2: 2 * (m - 1) * (prev + prev2))
 
 
 def pm_degree_inclusion_exclusion(n: int) -> int:
@@ -80,7 +131,7 @@ def derangement_count(n: int) -> int:
     """Number of fixed-point-free permutations of [n]; D_0 = 1, D_1 = 0."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _term(_derange, n, lambda m, prev, prev2: (m - 1) * (prev + prev2))
+    return _term(_derange, _derange_marks, n, lambda m, prev, prev2: (m - 1) * (prev + prev2))
 
 
 def conjugate(mu: Partition) -> Partition:

@@ -36,18 +36,12 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exact import derangement_count, odd_double_factorial, pm_degree
+from .exact import derangement_count, odd_double_factorial, physical_memory_bytes, pm_degree
 from .tables import SpectrumTable
-
-
-def physical_memory_bytes() -> int:
-    """Physical memory of this machine, as the operating system reports it."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 # vertex pairs per row block: whatever the graph's size, one block's Gram

@@ -64,14 +64,18 @@ class Partition(tuple):
 
     @classmethod
     def from_text(cls, text: str) -> "Partition":
-        """Parse the '+'-joined format; '0' denotes the empty partition."""
+        """Parse the '+'-joined format; '0' denotes the empty partition.
+
+        Each part is a run of ASCII digits, with optional whitespace around
+        it; ``int`` alone would also take '1_0' or non-ASCII digits.
+        """
         text = text.strip()
         if text == "0":
             return cls()
-        try:
-            parts = [int(tok) for tok in text.split("+")]
-        except ValueError as exc:
-            raise ValueError(f"cannot parse partition {text!r}") from exc
+        tokens = [tok.strip() for tok in text.split("+")]
+        if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+            raise ValueError(f"cannot parse partition {text!r}")
+        parts = [int(tok) for tok in tokens]
         if any(p <= 0 for p in parts):
             raise ValueError(f"cannot parse partition {text!r}")
         return cls(parts)

@@ -16,8 +16,8 @@ is nonnegative and vanishes only at the single-box partition (1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from . import memo
 from .exact import _hook_quotient, binomial, odd_double_factorial, pm_degree
@@ -26,8 +26,7 @@ from .partitions import Partition, enumerate_partitions
 from .tables import SpectrumTable
 
 
-@dataclass(frozen=True)
-class EtaValue:
+class EtaValue(NamedTuple):
     partition: Partition
     eta: int
     f: int

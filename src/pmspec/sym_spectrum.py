@@ -12,7 +12,7 @@ kept as a diagnostic because it already disagrees at (1,1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import memo
 from .exact import _hook_quotient, derangement_count
@@ -21,8 +21,7 @@ from .partitions import Partition, enumerate_partitions
 from .tables import SpectrumTable
 
 
-@dataclass(frozen=True)
-class XiValue:
+class XiValue(NamedTuple):
     partition: Partition
     xi: int
 

@@ -5,8 +5,7 @@ from __future__ import annotations
 
 import io
 import itertools
-import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .partitions import Partition
 
@@ -14,8 +13,7 @@ CSV_HEADER = "partition,eigenvalue,multiplicity"
 _CHUNK_ROWS = 4096  # rows rendered per write
 
 
-@dataclass(frozen=True)
-class SpectrumTable:
+class SpectrumTable(NamedTuple):
     """Rows keyed by the partitions of n, in decreasing lexicographic order."""
 
     family: str  # "pm" or "sym"
@@ -35,6 +33,8 @@ class SpectrumTable:
             head, tail = CSV_HEADER + "\n", ""
             lines = (f"{part.to_text()},{val},{mult}\n" for part, (val, mult) in self.rows.items())
         elif fmt == "json":
+            import json  # loaded only when json is written
+
             head, tail = f'{{"family":{json.dumps(self.family)},"n":{self.n},"rows":[', "]}\n"
             lines = (
                 f'{"," if i else ""}{{"partition":{json.dumps(part.to_text())},'

@@ -36,8 +36,10 @@ def test_eta_empty_partition(capsys):
 
 
 def test_eta_parse_error(capsys):
-    code, _, err = run(capsys, "eta", "--partition", "2+3")
-    assert code == 2 and "error" in err
+    # int() alone would read '1_0' as 10 and an Arabic-Indic digit as 3
+    for command, text in (("eta", "2+3"), ("eta", "1_0"), ("xi", "\u0663")):
+        code, out, err = run(capsys, command, "--partition", text)
+        assert code == 2 and "error" in err and out == ""
 
 
 def test_xi_command(capsys):
@@ -166,11 +168,35 @@ def test_scan_progress_goes_to_stderr(capsys):
 
 
 def test_import_leaves_numpy_out():
-    # only the oracle command needs numpy; every other command starts without it
-    code = "import sys, pmspec.cli; sys.exit('numpy' in sys.modules)"
+    # only the oracle command needs numpy, and json loads only where json is
+    # written; dataclasses, which pulls in inspect, ast and dis, loads for
+    # none of these.  Each command runs in a fresh interpreter, and the
+    # modules it adds to a bare one's go to stderr
+    probe = (
+        "import sys; bare = set(sys.modules); import pmspec.cli; "
+        "code = pmspec.cli.main(sys.argv[1:]); "
+        "sys.stderr.write(' '.join(sorted(set(sys.modules) - bare))); sys.exit(code)"
+    )
+    commands = [
+        (["eta", "--partition", "3+2+1"], False),
+        (["xi", "--partition", "2+1"], False),
+        (["table", "--n", "4", "--format", "csv"], False),
+        (["verify", "--suite", "thm6", "--n-max", "6", "--format", "text"], False),
+        (["scan", "--n-max", "6"], False),
+        (["table", "--n", "4", "--format", "json"], True),
+        (["verify", "--suite", "thm6", "--n-max", "6", "--format", "json"], True),
+    ]
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    for argv, writes_json in commands:
+        done = subprocess.run(
+            [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, (argv, done.stderr)
+        added = set(done.stderr.split())
+        assert "pmspec.cli" in added
+        assert not added & {"dataclasses", "inspect", "numpy"}, (argv, added)
+        assert ("json" in added) == writes_json, (argv, added)
 
 
 def test_eta_deep_partitions(capsys):
@@ -204,6 +230,21 @@ def test_single_part_queries_run_in_bounded_memory(command):
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stderr
     assert f"{command}: " in done.stdout
+
+
+@pytest.mark.parametrize("command, bound", [("eta", "d_n"), ("xi", "D_n")])
+def test_queries_too_large_for_memory_are_refused(command, bound):
+    # d_n and D_n at n = 10^20 have over 10^21 digits: refused before any
+    # term is rolled, where the roll itself would never end
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run(
+        [sys.executable, "-m", "pmspec.cli", command, "--partition", "99999999999999999999"],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr and done.stdout == ""
+    assert bound in done.stderr and "MB" in done.stderr and "physical memory" in done.stderr
 
 
 def test_xi_deep_partition(capsys):

@@ -105,6 +105,50 @@ def test_sequences_roll_past_the_stored_index():
         assert len(store) == exact._STORED + 1
 
 
+def test_checkpoints_match_the_plain_recurrence(monkeypatch):
+    # past the stored index a roll starts at the nearest kept checkpoint
+    # below: at the store, at a checkpoint below a term asked for earlier,
+    # or at the last one kept.  The terms on both sides of several
+    # checkpoints, two of them where the spacing doubles, equal the
+    # recurrences run straight through
+    top = 4 * exact._STORED + 2
+    d, big_d, odd = [1, 0], [1, 0], [1, 1]
+    for m in range(2, top + 1):
+        d.append(2 * (m - 1) * (d[-1] + d[-2]))
+        big_d.append((m - 1) * (big_d[-1] + big_d[-2]))
+        odd.append(odd[-1] * (2 * m - 1))
+    sequences = [
+        ("_pm_deg_marks", pm_degree, d),
+        ("_derange_marks", derangement_count, big_d),
+        ("_odd_df_marks", odd_double_factorial, odd),
+    ]
+    indices = [2049, 1025, 1088, 1087, 1089, 2047, 2048, 2176, 2175, 2177, 1151, 1152, 4097, 4096, 3000]
+    for marks_name, term, plain in sequences:
+        monkeypatch.setattr(exact, marks_name, {})
+        for k in indices:
+            assert term(k) == plain[k], (term.__name__, k)
+        marks = getattr(exact, marks_name)
+        expected = [m for m in range(exact._STORED, top) if exact._checkpoint_below(m) == m]
+        # sixteen per doubling, from the stored index on: spacing 64 from
+        # 1024, 128 from 2048 and 256 from 4096
+        assert list(marks) == expected
+        assert len(expected) == 16 + 16 + 1
+        assert all(marks[m] == (plain[m], plain[m - 1]) for m in expected)
+    # each roll starts at the highest kept pair at or below its index
+    store, marks, steps = [1, 0], {}, []
+
+    def step(m, prev, prev2):
+        steps.append(m)
+        return 2 * (m - 1) * (prev + prev2)
+
+    exact._term(store, marks, exact._STORED, step)
+    for k in indices:
+        start = max([exact._STORED, *(m for m in marks if m <= k)])
+        steps.clear()
+        assert exact._term(store, marks, k, step) == d[k]
+        assert steps == list(range(start + 1, k + 1)), k
+
+
 def test_derangement_count():
     assert derangement_count(1) == 0
     assert derangement_count(3) == 2
