@@ -13,9 +13,10 @@ directions.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from itertools import accumulate
 
-from .exact import binomial, odd_double_factorial, pm_degree
+from .exact import binomial, odd_double_factorial, physical_memory_bytes, pm_degree
 from .partitions import (
     Dominance,
     Partition,
@@ -23,7 +24,7 @@ from .partitions import (
     dominance_compare,
     enumerate_partitions,
     has_first_part_three_rest_small,
-    next_transfer,
+    partition_counts,
     valid_transfers,
 )
 from .pm_spectrum import eta, eta_alt, eta_alt_at, f_closed_form_2a1b, f_value
@@ -91,6 +92,11 @@ class VerificationReport:
 
         return check
 
+    def check_count(self, passed: int) -> None:
+        """Count ``passed`` checks that held, without a call each.  A check
+        that fails still goes through its relation's check, which lists it."""
+        self.checks_run += passed
+
     def witness_equality(self, **witness) -> None:
         self.equality_witnesses.append(witness)
 
@@ -146,8 +152,9 @@ class _Level:
     run.  ``values[i]`` is ``value(parts[i])``.  Bit j of ``above[i]`` is set iff
     parts[i] is strictly dominated by parts[j]: lam is dominated by mu iff
     every prefix sum of lam is at most mu's.  Each set is the intersection,
-    over the prefix positions k, of the partitions whose k-th prefix sum
-    reaches lam's.
+    over lam's prefix positions k, of the partitions whose k-th prefix sum
+    reaches lam's; at lam's last position that says mu has no more parts.
+    Lexicographic order extends dominance, so every such j is below i.
     """
 
     def __init__(self, n: int, value) -> None:
@@ -156,17 +163,81 @@ class _Level:
         self.blocks: dict = {}
         for i, lam in enumerate(self.parts):
             self.blocks.setdefault(lam[0], []).append(i)
-        rows = [list(accumulate(lam)) + [n] * (n - len(lam)) for lam in self.parts]
-        everyone = (1 << len(rows)) - 1
-        self.above = [everyone ^ (1 << i) for i in range(len(rows))]
-        for k in range(n - 1):  # the last prefix sum is n for every partition
-            reaching = [0] * (n + 2)  # reaching[s]: partitions with k-th sum >= s
-            for j, row in enumerate(rows):
-                reaching[row[k]] |= 1 << j
-            for s in range(n, -1, -1):
-                reaching[s] |= reaching[s + 1]
-            for i, row in enumerate(rows):
-                self.above[i] &= reaching[row[k]]
+        sums = [list(accumulate(lam)) for lam in self.parts]
+        # reaching[k][s]: the partitions whose k-th prefix sum is at least s.
+        # Each is read off the column of k-th sums (n past a partition's last
+        # part), one byte per partition, translated to '1' or '0' with the
+        # lowest index last, as one base-2 int.  The k-th sum is at least k + 1,
+        # so every partition reaches each s <= k + 1
+        tables = [b"0" * s + b"1" * (256 - s) for s in range(n + 1)]
+        columns = zip(*(row + [n] * (n - 1 - len(row)) for row in sums))
+        everyone = (1 << len(sums)) - 1
+        reaching = [
+            [everyone] * (k + 2) + [int(column.translate(t), 2) for t in tables[k + 2 :]]
+            for k, column in enumerate(bytes(col)[::-1] for col in columns)
+        ]
+        self.above = []
+        for i, row in enumerate(sums):
+            mask = (1 << i) - 1
+            for k, s in enumerate(row[: n - 1]):  # every last prefix sum is n
+                mask &= reaching[k][s]
+            self.above.append(mask)
+
+    def rows(self, block: list) -> list:
+        """For each member of a block, the members of the block above it, as
+        a bitset of indices local to the block (bit k is block[k])."""
+        start, full = block[0], (1 << len(block)) - 1
+        return [self.above[i] >> start & full for i in block]
+
+
+# A level's dominance bitsets hold up to p^2/2 bits for its p partitions, at
+# 4 bytes per 30-bit digit of a Python int.  Besides them, the per-block
+# masks, the partitions and the stored eta or xi values took 321 to 449
+# bytes per partition of size at most n: the peak-RSS growth of scan, thm6
+# and kuwong-xi to n = 32, 36 and 39, less the bitsets
+_BYTES_PER_BIT = 4 / 30
+_BYTES_PER_PARTITION = 500
+
+
+def admit_levels(n_max: int) -> None:
+    """Refuse a pair suite whose levels up to n_max could not fit in
+    physical memory.
+
+    p(n) comes from the pentagonal number recurrence, which stops at the
+    first n whose level alone overflows memory, so a huge n_max costs no
+    more than a small one.
+    """
+    memory = physical_memory_bytes()
+    stored = 0
+    for n, count in enumerate(partition_counts()):
+        stored += count
+        needed = _BYTES_PER_BIT * count * count / 2 + _BYTES_PER_PARTITION * stored
+        if needed > memory:
+            raise ValueError(
+                f"pair suites to n={n_max} need about {needed / 1e6:.0f} MB at n={n} "
+                f"({count} partitions), more than the {memory / 1e6:.0f} MB of physical memory"
+            )
+        if n >= n_max:
+            return
+
+
+def _ranked(values: list) -> tuple:
+    """A block's members by value, for counting a row's passes in one popcount.
+
+    Returns ``(keys, reaching)``: the distinct values in ascending order, and
+    bitsets where bit k of ``reaching[t]`` is set iff member k's value is at
+    least keys[t]; the last entry is empty.  So ``reaching[bisect_left(keys,
+    x)]`` holds the members whose value is at least x, and ``bisect_right``
+    gives those above x.  Built from the members sorted by value, with
+    suffix ORs.
+    """
+    keys, masks = [], []
+    for k in sorted(range(len(values)), key=values.__getitem__):
+        if not keys or values[k] != keys[-1]:
+            keys.append(values[k])
+            masks.append(0)
+        masks[-1] |= 1 << k
+    return keys, list(accumulate(reversed(masks), int.__or__, initial=0))[::-1]
 
 
 def _span(block: list) -> int:
@@ -182,29 +253,55 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _block_order(report, level: _Level, u: int, block: list, symbol: str, equality: str):
+def _block_order(report, level: _Level, block: list, symbol: str, equality: str, chain=None):
     """Check |x(lo)| <= |x(hi)| for every dominated pair of one first-part block.
 
     x is the eigenvalue named by ``symbol``, and the level's values are its
-    absolute values.  Equality must hold exactly when u = 3 and both
-    partitions have all later parts at most 2 (the relation ``equality``);
-    each equal pair is recorded as a witness.  Yields each pair (i, j), lo
-    first, after its checks, so a caller can add checks of its own in the
-    same per-pair order.
+    absolute values.  Equality must hold exactly when both partitions have
+    first part 3 and all later parts at most 2 (the relation ``equality``);
+    each equal pair is recorded as a witness.  ``chain``, if given, is a
+    third relation with the block's :func:`_monotone_chains`.
+
+    Each row, the pairs (i, j) of one lo, is counted with bitsets: the checks
+    that hold are counted in bulk, and each failing check goes through its
+    relation in the order a loop over the pairs would list it, by j and then
+    by relation.
     """
-    parts, values, star = level.parts, level.values, has_first_part_three_rest_small
+    parts, values = level.parts, level.values
     order = report.relation(f"|{symbol}(lo)| <= |{symbol}(hi)|", "lo", "hi", "values")
     equal = report.relation(equality, "lo", "hi", "values")
-    key, span = f"abs_{symbol}", _span(block)
-    for i in block:
-        lam, a = parts[i], values[i]
-        for j in _bits(level.above[i] & span):
-            lam2, b = parts[j], values[j]
-            order(a <= b, lam, lam2, (a, b))
-            if a == b:
-                report.witness_equality(lo=lam.to_text(), hi=lam2.to_text(), **{key: str(a)})
-            equal((a == b) == (u == 3 and star(lam) and star(lam2)), lam, lam2, (a, b))
-            yield i, j
+    along, monotone = chain or (None, None)
+    per_pair = 2 if chain is None else 3
+    key, start = f"abs_{symbol}", block[0]
+    keys, reaching = _ranked(values[start : start + len(block)])
+    star = sum(
+        1 << k for k, i in enumerate(block) if has_first_part_three_rest_small(parts[i])
+    )
+    for k, row in enumerate(level.rows(block)):
+        if not row:
+            continue
+        lam, a = parts[start + k], values[start + k]
+        reach = reaching[bisect_left(keys, a)]
+        low = row & ~reach
+        same = row & reach & ~reaching[bisect_right(keys, a)]
+        unequal = same ^ (row & star if star >> k & 1 else 0)
+        broken = 0 if chain is None else row & ~monotone[k]
+        failing = low | unequal | broken
+        report.check_count(
+            per_pair * row.bit_count()
+            - low.bit_count() - unequal.bit_count() - broken.bit_count()
+        )
+        for j in _bits(same):
+            hi = parts[start + j].to_text()
+            report.witness_equality(lo=lam.to_text(), hi=hi, **{key: str(a)})
+        for j in _bits(failing):
+            hi, b = parts[start + j], values[start + j]
+            if low >> j & 1:
+                order(False, lam, hi, (a, b))
+            if unequal >> j & 1:
+                equal(False, lam, hi, (a, b))
+            if broken >> j & 1:
+                along(False, lam, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -242,44 +339,45 @@ def verify_abs_dominance(n: int) -> VerificationReport:
     report = VerificationReport(suite="thm6", n_range=(n, n))
     chain = report.relation("stepwise |eta| monotone along chain", "lo", "hi")
     level = _Level(n, _abs_eta)
-    parts = level.parts
-    index = {lam: i for i, lam in enumerate(parts)}
-    for u, block in level.blocks.items():
-        memo: dict = {}
-        for i, j in _block_order(
-            report, level, u, block, "eta", "equality iff first part 3 with small tail"
-        ):
-            chain(_chain_monotone(level, index, memo, i, j), parts[i], parts[j])
+    equality = "equality iff first part 3 with small tail"
+    for block in level.blocks.values():
+        monotone = _monotone_chains(level, block)
+        _block_order(report, level, block, "eta", equality, (chain, monotone))
     return report
 
 
-def _chain_monotone(level: _Level, index: dict, memo: dict, start: int, target: int) -> bool:
-    """Whether the level's value never decreases along the dominance chain
-    from parts[start] to parts[target] (one first part, start below target).
+def _monotone_chains(level: _Level, block: list) -> list:
+    """For each member k of a block, the bitset of the members j above it
+    (local indices, as in ``level.rows``) for which the level's value never
+    decreases along the dominance chain from k to j.
 
-    The chain is deterministic: every node on it continues along the rest of
-    the same chain, which is its own chain to target.  So ``memo``, keyed by
-    node * len(parts) + target, records each node's outcome once for all the
-    chains that pass through it.  ``index`` maps each partition to its index.
+    The chain from lam toward a target takes the first of
+    ``valid_transfers(lam)`` whose result is the target or is still
+    dominated by it (:func:`next_transfer`), and goes on along that
+    successor's own chain.  So lam's row splits among its successors, each
+    taking the targets that no earlier successor took, and the chains to
+    them are monotone iff the step to the successor is and the successor's
+    chains are.  Successors come earlier in lexicographic order, so each is
+    settled before the members below it.
     """
-    parts, values = level.parts, level.values
-    path = []
-    node, ok = start, True
-    while node != target:
-        key = node * len(parts) + target
-        if key in memo:
-            ok = memo[key]
-            break
-        path.append(key)
-        cur = parts[node]
-        nxt = index[cur.transfer(next_transfer(cur, parts[target]))]
-        if values[nxt] < values[node]:
-            ok = False
-            break
-        node = nxt
-    for key in path:
-        memo[key] = ok
-    return ok
+    parts, values, start = level.parts, level.values, block[0]
+    index = {parts[i]: k for k, i in enumerate(block)}
+    rows = level.rows(block)
+    monotone, reach = [], []  # reach[k]: monotone[k] and k itself
+    for k, row in enumerate(rows):
+        lam, ok = parts[start + k], 0
+        for move in valid_transfers(lam) if row else ():
+            r = index[lam.transfer(move)]
+            served = row & (rows[r] | 1 << r)
+            if served:
+                row ^= served
+                if values[start + r] >= values[start + k]:
+                    ok |= served & reach[r]
+                if not row:
+                    break
+        monotone.append(ok)
+        reach.append(ok | 1 << k)
+    return monotone
 
 
 # ---------------------------------------------------------------------------
@@ -513,26 +611,41 @@ def scan_cross_gap_conjecture(n_max: int, progress=None) -> VerificationReport:
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
+    admit_levels(n_max)
     report = VerificationReport(suite="conjecture2", n_range=(2, n_max))
-    grows = report.relation("strict |eta| growth across blocks", "lo", "hi", "values")
     for n in range(2, n_max + 1):
-        level = _Level(n, _abs_eta)
-        parts, values = level.parts, level.values
-        for u, low_block in level.blocks.items():
-            if u < 2:
-                continue
-            for v, high_block in level.blocks.items():
-                if v < u + 2:
-                    continue
-                span = _span(high_block)
-                for i in low_block:
-                    a = values[i]
-                    for j in _bits(level.above[i] & span):
-                        b = values[j]
-                        grows(a < b, parts[i], parts[j], (a, b))
+        _scan_level(report, n)
         if progress is not None:
             progress(n, report.checks_run)
     return report
+
+
+def _scan_level(report, n: int) -> None:
+    """The scan's checks at one n: one popcount for each lam and block v,
+    and a listed failure for each violating pair.  The level is freed on
+    return, before the next one is built."""
+    grows = report.relation("strict |eta| growth across blocks", "lo", "hi", "values")
+    level = _Level(n, _abs_eta)
+    parts, values, above = level.parts, level.values, level.above
+    ranked = {v: _ranked(values[b[0] : b[-1] + 1]) for v, b in level.blocks.items()}
+    passed = 0
+    for u, low_block in level.blocks.items():
+        if u < 2:
+            continue
+        for v, high_block in level.blocks.items():
+            if v < u + 2:
+                continue
+            start, span = high_block[0], _span(high_block)
+            keys, reaching = ranked[v]
+            for i in low_block:
+                a = values[i]
+                row = (above[i] & span) >> start
+                held = row & reaching[bisect_right(keys, a)]
+                passed += held.bit_count()
+                if held != row:
+                    for j in _bits(row ^ held):
+                        grows(False, parts[i], parts[start + j], (a, values[start + j]))
+    report.check_count(passed)
 
 
 # ---------------------------------------------------------------------------
@@ -566,11 +679,11 @@ def verify_xi_comparison(n: int) -> VerificationReport:
             and xi_by_first_part(Partition((1, 1))) == -1
         )
 
-    for u, block in level.blocks.items():
-        for _ in _block_order(report, level, u, block, "xi", "xi equality characterization"):
-            pass
+    for block in level.blocks.values():
+        _block_order(report, level, block, "xi", "xi equality characterization")
         # lexicographic extremes bound the whole block: it runs in decreasing
-        # lexicographic order, from block[0] down to (u, 1^(n-u))
+        # lexicographic order, from block[0] down to (u, 1^(n-u)) for its
+        # first part u
         low, high = values[block[-1]], values[block[0]]
         for i in block:
             extremes(low <= values[i] <= high, parts[i], (low, values[i], high))
@@ -634,6 +747,8 @@ def run_suite(name: str, n_max: int) -> VerificationReport:
     if name not in suites:
         raise ValueError(f"unknown suite {name!r}")
     func, n_min = suites[name]
+    if name in ("thm6", "kuwong-xi"):
+        admit_levels(n_max)
     if n_min is None:
         return func(n_max)
     if n_max < n_min:

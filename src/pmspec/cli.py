@@ -21,7 +21,7 @@ import sys
 
 from . import analysis
 from .exact import admit_query
-from .partitions import Partition
+from .partitions import Partition, parse_digits
 from .pm_spectrum import eta, pm_spectrum_table
 from .sym_spectrum import sym_spectrum_table, xi
 
@@ -40,22 +40,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p_xi.add_argument("--partition", required=True)
 
     p_table = sub.add_parser("table", help="full spectrum table for one n")
-    p_table.add_argument("--n", type=int, required=True)
+    p_table.add_argument("--n", type=parse_digits, required=True)
     p_table.add_argument("--family", choices=("pm", "sym"), default="pm")
     p_table.add_argument("--format", choices=("json", "csv", "text"), default="text")
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", required=True, choices=analysis.SUITE_NAMES)
-    p_verify.add_argument("--n-max", type=int, required=True)
+    p_verify.add_argument("--n-max", type=parse_digits, required=True)
     p_verify.add_argument("--format", choices=("json", "text"), default="text")
 
     p_oracle = sub.add_parser("oracle", help="certify a table against the real graph")
     p_oracle.add_argument("--family", choices=("pm", "sym"), default="pm")
-    p_oracle.add_argument("--n", type=int, required=True)
+    p_oracle.add_argument("--n", type=parse_digits, required=True)
     p_oracle.add_argument("--format", choices=("json", "text"), default="text")
 
     p_scan = sub.add_parser("scan", help="exploratory conjecture scan (always exit 0)")
-    p_scan.add_argument("--n-max", type=int, required=True)
+    p_scan.add_argument("--n-max", type=parse_digits, required=True)
     p_scan.add_argument("--progress", action="store_true")
 
     return parser

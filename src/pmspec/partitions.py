@@ -10,7 +10,7 @@ interface are 1-based, matching the usual mu_1 >= mu_2 >= ... notation.
 from __future__ import annotations
 
 import enum
-from itertools import accumulate
+from itertools import accumulate, count
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -66,16 +66,15 @@ class Partition(tuple):
     def from_text(cls, text: str) -> "Partition":
         """Parse the '+'-joined format; '0' denotes the empty partition.
 
-        Each part is a run of ASCII digits, with optional whitespace around
-        it; ``int`` alone would also take '1_0' or non-ASCII digits.
+        Each part is read by :func:`parse_digits`.
         """
         text = text.strip()
         if text == "0":
             return cls()
-        tokens = [tok.strip() for tok in text.split("+")]
-        if not all(tok.isascii() and tok.isdigit() for tok in tokens):
-            raise ValueError(f"cannot parse partition {text!r}")
-        parts = [int(tok) for tok in tokens]
+        try:
+            parts = [parse_digits(tok) for tok in text.split("+")]
+        except ValueError:
+            raise ValueError(f"cannot parse partition {text!r}") from None
         if any(p <= 0 for p in parts):
             raise ValueError(f"cannot parse partition {text!r}")
         return cls(parts)
@@ -131,6 +130,16 @@ class Partition(tuple):
         return self.raise_part(i).lower_part(j)
 
 
+def parse_digits(text: str) -> int:
+    """The integer that a run of ASCII digits spells, with optional
+    whitespace around it; ``int`` alone would also take '1_0', a sign or
+    non-ASCII digits."""
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a run of ASCII digits: {text!r}")
+    return int(digits)
+
+
 class TransferMove(NamedTuple):
     """A single box transfer: raise at index i, lower at index j, 2 <= i < j."""
 
@@ -150,6 +159,24 @@ def enumerate_partitions(n: int) -> list[Partition]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     return [Partition._trusted(parts) for parts in _descending(n)]
+
+
+def partition_counts() -> Iterator[int]:
+    """p(0), p(1), p(2), ...: how many partitions each n has, without listing
+    them, by Euler's pentagonal number recurrence
+    p(n) = sum over k >= 1 of (-1)^(k+1) (p(n - k(3k-1)/2) + p(n - k(3k+1)/2))."""
+    counts = [1]
+    yield 1
+    for n in count(1):
+        total, k = 0, 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            total += sign * counts[n - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= n:
+                total += sign * counts[n - k * (3 * k + 1) // 2]
+            k += 1
+        counts.append(total)
+        yield total
 
 
 def _descending(n: int) -> Iterator[tuple[int, ...]]:

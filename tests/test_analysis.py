@@ -12,6 +12,7 @@ from pmspec.partitions import (
     enumerate_partitions,
 )
 from pmspec.pm_spectrum import eta, f_value
+from pmspec.sym_spectrum import xi_by_first_part, xi_by_last_part, xi_by_last_part_printed_variant
 
 P = Partition
 
@@ -209,6 +210,41 @@ def _reference_thm6(n):
     return report
 
 
+def _reference_xi(n):
+    report = analysis.VerificationReport(suite="kuwong-xi", n_range=(n, n))
+    agree = report.relation("xi recurrence agreement", "partition", "values")
+    extremes = report.relation("lexicographic extremes bound |xi|", "partition", "values")
+    variant = report.relation("mis-transcribed variant disagrees at (1,1)")
+    order = report.relation("|xi(lo)| <= |xi(hi)|", "lo", "hi", "values")
+    equal = report.relation("xi equality characterization", "lo", "hi", "values")
+    abs_xi = lambda lam: abs(analysis.xi_by_first_part(lam))  # noqa: E731
+    star = analysis.has_first_part_three_rest_small
+    for mu in enumerate_partitions(n):
+        a, b = analysis.xi_by_first_part(mu), xi_by_last_part(mu)
+        agree(a == b, mu, (a, b))
+    if n == 2:
+        one_one = P((1, 1))
+        variant(
+            xi_by_last_part_printed_variant(one_one) == -2
+            and analysis.xi_by_first_part(one_one) == -1
+        )
+    for u, block in _blocks(n).items():
+        for lam in block:
+            for lam2 in block:
+                if lam == lam2 or dominance_compare(lam, lam2) is not Dominance.LESS:
+                    continue
+                a, b = abs_xi(lam), abs_xi(lam2)
+                order(a <= b, lam, lam2, (a, b))
+                if a == b:
+                    report.witness_equality(lo=lam.to_text(), hi=lam2.to_text(), abs_xi=str(a))
+                equal((a == b) == (u == 3 and star(lam) and star(lam2)), lam, lam2, (a, b))
+        # the block runs from its lexicographically largest member down
+        low, high = abs_xi(block[-1]), abs_xi(block[0])
+        for lam in block:
+            extremes(low <= abs_xi(lam) <= high, lam, (low, abs_xi(lam), high))
+    return report
+
+
 def _reference_scan(n_max):
     report = analysis.VerificationReport(suite="conjecture2", n_range=(2, n_max))
     grows = report.relation("strict |eta| growth across blocks", "lo", "hi", "values")
@@ -248,19 +284,21 @@ def _scrambled(lam):
 
 
 @pytest.mark.parametrize("value", [analysis._abs_eta, _scrambled], ids=["abs_eta", "scrambled"])
-def test_memoized_chain_matches_literal_walk(value):
+def test_monotone_chains_match_literal_walk(value):
+    # each pair is settled once, whatever order the pairs are asked in
     failed = 0
-    for n in range(2, 13):
+    for n in range(2, 15):
         level = analysis._Level(n, value)
-        index = {lam: i for i, lam in enumerate(level.parts)}
         for block in level.blocks.values():
-            pairs = [(i, j) for i in block for j in block if level.above[i] >> j & 1]
-            # the suite's order, then the reverse order with a fresh memo
-            for order in (pairs, pairs[::-1]):
-                memo = {}
-                for i, j in order:
-                    expected = _literal_chain_monotone(value, level.parts[i], level.parts[j])
-                    assert analysis._chain_monotone(level, index, memo, i, j) == expected
+            monotone = analysis._monotone_chains(level, block)
+            for k, row in enumerate(level.rows(block)):
+                assert monotone[k] & ~row == 0
+                for j in range(len(block)):
+                    if not row >> j & 1:
+                        continue
+                    lam, target = level.parts[block[k]], level.parts[block[j]]
+                    expected = _literal_chain_monotone(value, lam, target)
+                    assert bool(monotone[k] >> j & 1) == expected, (lam, target)
                     failed += not expected
     assert failed > 1000 if value is _scrambled else failed == 0
 
@@ -268,19 +306,27 @@ def test_memoized_chain_matches_literal_walk(value):
 FAULTY = {P((4, 2, 2, 1, 1)): 0, P((3, 3, 1, 1, 1, 1)): 3, P((5, 3, 2, 2)): 50}
 
 
+def _faulty(value, lam, factors=FAULTY):
+    # the zero factor leaves the value 1, so |value| breaks in both directions
+    return value * factors[lam] or 1 if lam in factors else value
+
+
 def _faulty_eta(lam):
-    value = eta(lam).eta
-    if lam in FAULTY:
-        value = value * FAULTY[lam] or 1  # the zero factor leaves |eta| = 1
-    return SimpleNamespace(eta=value)
+    return SimpleNamespace(eta=_faulty(eta(lam).eta, lam))
+
+
+def _merged(reference, n_min, n_max):
+    report = reference(n_min)
+    for n in range(n_min + 1, n_max + 1):
+        report.merge(reference(n))
+    return report
 
 
 def test_pair_suites_match_literal_loops_under_injected_fault(monkeypatch):
     monkeypatch.setattr(analysis, "eta", _faulty_eta)
+    monkeypatch.setattr(analysis, "xi_by_first_part", lambda lam: _faulty(xi_by_first_part(lam), lam))
     thm6 = analysis.run_suite("thm6", 14)
-    reference = _reference_thm6(2)
-    for n in range(3, 15):
-        reference.merge(_reference_thm6(n))
+    reference = _merged(_reference_thm6, 2, 14)
     assert thm6.to_json() == reference.to_json()
     assert thm6.to_text() == reference.to_text()
     assert thm6.failure_count > 0
@@ -290,3 +336,29 @@ def test_pair_suites_match_literal_loops_under_injected_fault(monkeypatch):
     scan = analysis.run_suite("conjecture2", 14)
     assert scan.to_json() == _reference_scan(14).to_json()
     assert scan.failure_count > 0
+
+    xi = analysis.run_suite("kuwong-xi", 14)
+    reference = _merged(_reference_xi, 2, 14)
+    assert xi.to_json() == reference.to_json()
+    assert xi.to_text() == reference.to_text()
+    assert "|xi(lo)| <= |xi(hi)|" in {item["relation"] for item in xi.failures}
+
+
+def test_one_broken_row_mid_block_is_listed_among_bulk_rows(monkeypatch):
+    # |value| of (4,3,2,2,1) grows a thousandfold: in its block of 15 members
+    # it is below 6 and above 7, so only its own row of the order relation
+    # fails, while every other row of the block is counted in bulk
+    broken = P((4, 3, 2, 2, 1))
+    factors = {broken: 1000}
+    monkeypatch.setattr(analysis, "eta", lambda lam: SimpleNamespace(eta=_faulty(eta(lam).eta, lam, factors)))
+    monkeypatch.setattr(
+        analysis, "xi_by_first_part", lambda lam: _faulty(xi_by_first_part(lam), lam, factors)
+    )
+    for suite, reference in (("thm6", _reference_thm6), ("kuwong-xi", _reference_xi)):
+        report = analysis.run_suite(suite, 12)
+        expected = _merged(reference, 2, 12)
+        assert report.to_json() == expected.to_json()
+        assert report.to_text() == expected.to_text()
+        order = [item for item in report.failures if item["relation"].startswith("|")]
+        assert len(order) == 6 and {item["lo"] for item in order} == {"4+3+2+2+1"}
+        assert report.checks_run > report.failure_count > len(order)

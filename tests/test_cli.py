@@ -5,6 +5,7 @@ import resource
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,86 @@ def test_table_json_and_text_golden_digest(capsys, family, fmt, digest):
     code, out, _ = run(capsys, "table", "--n", "30", "--family", family, "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("verify", "--suite", "thm6", "--n-max", "24", "--format", "json"),
+            "4628af8dc1e3ddeef7f4699dc230b5d761d0d1aa41720a3faf73e75795c36040",
+        ),
+        (
+            ("verify", "--suite", "kuwong-xi", "--n-max", "24", "--format", "json"),
+            "28e3be1202552de9d40867ffdb6818f02cd3f13a2e6b487fe5e69e4352e312bb",
+        ),
+        (("scan", "--n-max", "26"), "dc6c8e29bc5fadff374c1bc85b2e98b9d2df0056450db25b334509ff6774ea93"),
+    ],
+    ids=["thm6", "kuwong-xi", "scan"],
+)
+def test_pair_suite_golden_digest(capsys, argv, digest):
+    # sha256 of the output, recorded while every pair was still checked by a
+    # call of its own
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_scan_to_36(capsys):
+    # n = 36 is the first n where some |eta| with first part u is above the
+    # smallest |eta| with first part u + 2, so the first n where the scan's
+    # dominance restriction does any work; the count was recorded with one
+    # check call per pair
+    code, out, _ = run(capsys, "scan", "--n-max", "36")
+    assert code == 0
+    assert out == "0 violations in 291290751 dominated pairs (n <= 36)\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "--n", "\u0663", "--format", "csv"),
+        ("scan", "--n-max", "1_0"),
+        ("verify", "--suite", "thm6", "--n-max", "1_0"),
+        ("oracle", "--n", "\u0663"),
+    ],
+    ids=["table", "scan", "verify", "oracle"],
+)
+def test_integer_options_take_ascii_digits_only(capsys, argv):
+    # int() alone reads '1_0' as 10 and the Arabic-Indic digit three as 3
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == "" and "invalid" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("scan", "--n-max", "50"), ("verify", "--suite", "thm6", "--n-max", "50")],
+    ids=["scan", "verify"],
+)
+def test_pair_suites_refuse_what_memory_cannot_hold(capsys, monkeypatch, argv):
+    # at n = 50 the dominance bitsets alone hold p(50)^2 / 2 = 2.1e10 bits
+    monkeypatch.setattr(analysis, "physical_memory_bytes", lambda: 2**30)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "physical memory" in err and "MB" in err and "Traceback" not in err
+
+
+def test_pair_suites_refuse_huge_n_max_at_once():
+    # the estimate stops at the first n that overflows memory, long before
+    # n = 10^9, so the refusal takes no longer than any other
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run(
+        [sys.executable, "-m", "pmspec.cli", "scan", "--n-max", "1000000000"],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert "physical memory" in done.stderr and "Traceback" not in done.stderr
 
 
 def test_table_rejects_bad_n(capsys):

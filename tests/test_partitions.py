@@ -9,6 +9,8 @@ from pmspec.partitions import (
     dominance_compare,
     enumerate_partitions,
     has_first_part_three_rest_small,
+    parse_digits,
+    partition_counts,
     valid_transfers,
 )
 
@@ -120,6 +122,19 @@ def test_enumerate_partitions_lex_and_count():
         parts = enumerate_partitions(n)
         assert len(parts) == expected[n]
         assert all(a > b for a, b in zip(parts, parts[1:]))  # strict decreasing lex
+    assert list(zip(range(41), partition_counts())) == list(enumerate(expected))
+
+
+def test_partition_counts_far_out():
+    counts = partition_counts()
+    assert [next(counts) for _ in range(101)][100] == 190569292
+
+
+def test_parse_digits():
+    assert parse_digits("12") == 12 and parse_digits(" 0 ") == 0
+    for text in ("1_0", "-1", "+1", "\u0663", "", "1.0", "0x1"):
+        with pytest.raises(ValueError):
+            parse_digits(text)
 
 
 def test_dominance_compare():
