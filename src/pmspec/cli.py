@@ -20,7 +20,7 @@ import argparse
 import sys
 
 from . import analysis
-from .exact import admit_query
+from .exact import admit_query, admit_table
 from .partitions import Partition, parse_digits
 from .pm_spectrum import eta, pm_spectrum_table
 from .sym_spectrum import sym_spectrum_table, xi
@@ -86,6 +86,7 @@ def _cmd_xi(args) -> int:
 def _cmd_table(args) -> int:
     if args.n < 1:
         return _usage_error("--n must be at least 1")
+    admit_table(args.family, args.n)
     table = pm_spectrum_table(args.n) if args.family == "pm" else sym_spectrum_table(args.n)
     table.write(sys.stdout, args.format)
     return 0

@@ -5,9 +5,9 @@ Everything here is arbitrary-precision integer arithmetic; the sequences
 are authoritative recurrences, stored up to a fixed index and rolled past
 it.  :func:`irrep_dimension` computes a hook product cell by cell, the
 reference for the first-column hook recurrences the spectrum tables run on
-the partition lattice (:class:`pmspec.lattice.HookProducts`).
-:func:`admit_query` refuses a single query whose values could not fit in
-physical memory.
+the partition lattice (:class:`pmspec.lattice.PartitionLattice`).
+:func:`admit_query` refuses a single query, and :func:`admit_table` a table,
+whose values could not fit in physical memory.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 
-from .partitions import Partition
+from .partitions import Partition, partition_counts
 
 # Terms up to this index are kept, index = argument, since kept terms add up
 # quadratically (d_20000 alone has about 83,000 digits).  A table of size n
@@ -87,6 +87,34 @@ def admit_query(family: str, n: int) -> None:
             f"a partition of size n={n} has values up to {bound}, about "
             f"{needed / 1e6:.3g} MB each, more than the {memory / 1e6:.0f} MB of physical memory"
         )
+
+
+# bytes per lattice node, a partition of size at most n, of a table of size
+# n: the growth of the table command's peak RSS from n = 45 to n = 50, 129
+# (pm) and 98 (sym), rounded up, since values grow with n
+_TABLE_BYTES_PER_NODE = {"pm": 160, "sym": 120}
+
+
+def admit_table(family: str, n: int) -> None:
+    """Refuse a table of size n whose sweep could not fit in physical memory.
+
+    The sweep holds its values for every partition of size at most n.  p(k)
+    comes from the pentagonal number recurrence, which stops at the first k
+    whose partitions of size at most k overflow memory, so a huge n costs
+    no more than a small one.
+    """
+    memory, per_node = physical_memory_bytes(), _TABLE_BYTES_PER_NODE[family]
+    nodes = 0
+    for k, count in enumerate(partition_counts()):
+        nodes += count
+        needed = per_node * nodes
+        if needed > memory:
+            raise ValueError(
+                f"table {family} n={n}: the {nodes} partitions of size at most {k} need "
+                f"about {needed / 1e6:.0f} MB, more than the {memory / 1e6:.0f} MB of physical memory"
+            )
+        if k >= n:
+            return
 
 
 def odd_double_factorial(k: int) -> int:

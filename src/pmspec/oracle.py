@@ -194,7 +194,7 @@ def _check_degree(graph: Graph, what: str) -> Graph:
     """Stream every row of the graph; each must have `graph.degree` ones."""
     observed = set()
     for block in _blocks(graph.vertex_count):
-        observed.update(np.unique(graph.rows(block).sum(axis=1, dtype=np.int64)).tolist())
+        observed.update(graph.rows(block).sum(axis=1, dtype=np.int64).tolist())
     if observed - {graph.degree}:
         raise RuntimeError(f"{what}: observed degrees {sorted(observed)} != {graph.degree}")
     return graph
@@ -368,9 +368,11 @@ def _orbit_size(moves: list[np.ndarray], vertex_count: int) -> int:
     frontier = np.array([0])
     while frontier.size:
         images = np.concatenate([move[frontier] for move in moves])
-        images = images[images >= 0]
-        frontier = np.unique(images[~reached[images]])
-        reached[frontier] = True
+        fresh = np.zeros(vertex_count, dtype=bool)
+        fresh[images[images >= 0]] = True
+        fresh &= ~reached
+        reached |= fresh
+        frontier = np.flatnonzero(fresh)
     return int(reached.sum())
 
 

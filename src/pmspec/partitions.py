@@ -155,10 +155,31 @@ class Dominance(enum.Enum):
 
 
 def enumerate_partitions(n: int) -> list[Partition]:
-    """All partitions of n in decreasing lexicographic order, (n) first."""
+    """All partitions of n in decreasing lexicographic order, (n) first, by
+    algorithm ZS1 (Zoghbi and Stojmenovic 1998): ``parts[:m]`` is the current
+    partition, followed by 1s, and h indexes its last part above 1."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return [Partition._trusted(parts) for parts in _descending(n)]
+    parts = [n] + [1] * (n - 1)
+    m, h = min(n, 1), 0
+    found = [Partition._trusted(parts[:m])]
+    while parts[0] > 1:
+        if parts[h] == 2:
+            parts[h], h, m = 1, h - 1, m + 1
+        else:
+            # lower part h by one, and regroup the freed box and the
+            # trailing 1s greedily into parts no larger than it
+            part, rest = parts[h] - 1, m - h
+            parts[h] = part
+            while rest >= part:
+                h += 1
+                parts[h], rest = part, rest - part
+            m = h + 2 if rest else h + 1
+            if rest > 1:
+                h += 1
+                parts[h] = rest
+        found.append(Partition._trusted(parts[:m]))
+    return found
 
 
 def partition_counts() -> Iterator[int]:
@@ -177,29 +198,6 @@ def partition_counts() -> Iterator[int]:
             k += 1
         counts.append(total)
         yield total
-
-
-def _descending(n: int) -> Iterator[tuple[int, ...]]:
-    # Each step lowers the last part above 1 by one, then regroups the freed
-    # box and the trailing 1s greedily into parts no larger than the lowered one.
-    if n == 0:
-        yield ()
-        return
-    parts = [n]
-    while True:
-        yield tuple(parts)
-        ones = 0
-        while parts and parts[-1] == 1:
-            parts.pop()
-            ones += 1
-        if not parts:
-            return
-        part = parts.pop() - 1
-        parts.append(part)
-        count, rest = divmod(ones + 1, part)
-        parts += [part] * count
-        if rest:
-            parts.append(rest)
 
 
 def dominance_compare(mu: Partition, nu: Partition) -> Dominance:

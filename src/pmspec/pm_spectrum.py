@@ -16,12 +16,12 @@ is nonnegative and vanishes only at the single-box partition (1).
 from __future__ import annotations
 
 import math
-from operator import mul
+from operator import add, mul
 from typing import NamedTuple
 
 from . import memo
 from .exact import _hook_quotient, binomial, odd_double_factorial, pm_degree
-from .lattice import HookProducts, PartitionLattice, row_entries
+from .lattice import PartitionLattice, row_entries
 from .partitions import Partition, enumerate_partitions
 from .tables import SpectrumTable
 
@@ -172,29 +172,29 @@ def _eta_sweep(n: int) -> tuple:
 
     One forward sweep of the strip recurrence: the children of
     lam = (m,) + t are its head and head - j for j <= last, all of fewer
-    parts, so a block's values come from one slice of the values per child.
-    Returns the lattice, the eta values and the doubled hook products.
+    parts, so a block's values are its coefficient row dotted with one
+    slice of the values per child, added up a slice at a time.  Returns
+    the lattice, the eta values and the doubled hook products.
     """
-    lattice = PartitionLattice(n)
+    lattice = PartitionLattice(n, doubled=True)
     base, minus1 = lattice.base, lattice.minus1
-    hooks = HookProducts(lattice, doubled=True)
     values = [1]
     for r, blocks in lattice.levels():
-        for _, _, lo, hi, head, last in blocks:
+        for _, _, lo, hi, head, last, _ in blocks:
             if head is None:
                 values.extend(map(pm_degree, range(lo, hi + 1)))
                 continue
-            kids = []
-            for j in range(last + 1):
-                # head - j of (m,) + t is base[head] + m - j, where head
-                # starts as t without its last part and steps by minus1
-                start = base[head] + lo - j
-                kids.append(values[start : start + hi - lo + 1])
-                head = minus1[head]
+            # head - j of (m,) + t is base[head] + m - j, where head starts
+            # as t without its last part and steps by minus1
             row = _strip_row(last, r & 1)
-            values += [sum(map(mul, row, kid_values)) for kid_values in zip(*kids)]
-        hooks.extend(r, blocks)
-    return lattice, values, hooks.values
+            start = base[head] + lo
+            acc = list(map(row[0].__mul__, values[start : start + hi - lo + 1]))
+            for j in range(1, last + 1):
+                head = minus1[head]
+                start = base[head] + lo - j
+                acc = list(map(add, acc, map(row[j].__mul__, values[start : start + hi - lo + 1])))
+            values += acc
+    return lattice, values, lattice.hooks
 
 
 def pm_spectrum_table(n: int) -> SpectrumTable:

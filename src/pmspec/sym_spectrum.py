@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from . import memo
 from .exact import _hook_quotient, derangement_count
-from .lattice import HookProducts, PartitionLattice, row_entries
+from .lattice import PartitionLattice, row_entries
 from .partitions import Partition, enumerate_partitions
 from .tables import SpectrumTable
 
@@ -109,30 +109,29 @@ def _xi_sweep(n: int) -> tuple:
     with |nu| + len(nu) <= n are evaluated, the others hold None.  Returns
     the lattice, the xi values and the hook products.
     """
-    lattice = PartitionLattice(n)
+    lattice = PartitionLattice(n, doubled=False)
     base, minus1 = lattice.base, lattice.minus1
-    hooks = HookProducts(lattice, doubled=False)
-    values = [1]
+    values = [None] * len(base)
+    values[0] = 1
     for r, blocks in lattice.levels():
         sign = 1 if r & 1 else -1  # (-1)^(r-1)
-        for tail, _, lo, hi, head, _ in blocks:
+        for tail, offset, lo, hi, head, _, _ in blocks:
             if head is None:
-                values.extend(map(derangement_count, range(lo, hi + 1)))
+                values[lo : hi + 1] = map(derangement_count, range(lo, hi + 1))
                 continue
             shifted = base[minus1[tail]] - 1  # mu - 1 is shifted + m
             tail_value = values[minus1[tail]]
             # (-1)^(r-1) (m + r - 1) xi(mu - 1) + (-1)^(m + r - 1) xi(t - 1) at
-            # m <= hi - r, then None up to the row, m = hi
-            xis = [
-                sign * (m + r - 1) * values[shifted + m] + (tail_value if (m + r) & 1 else -tail_value)
-                for m in (*range(lo, hi - r + 1), hi)
-            ]
-            row = xis.pop()
-            values += xis
-            values += [None] * min(hi - lo, r - 1)
-            values.append(row)
-        hooks.extend(r, blocks)
-    return lattice, values, hooks.values
+            # m <= hi - r and at the row, m = hi
+            top = hi - r
+            if lo <= top:
+                values[offset + lo : offset + top + 1] = [
+                    sign * (m + r - 1) * values[shifted + m] + (tail_value if (m + r) & 1 else -tail_value)
+                    for m in range(lo, top + 1)
+                ]
+            row = sign * (hi + r - 1) * values[shifted + hi]
+            values[offset + hi] = row + tail_value if (hi + r) & 1 else row - tail_value
+    return lattice, values, lattice.hooks
 
 
 def sym_spectrum_table(n: int) -> SpectrumTable:

@@ -28,28 +28,35 @@ class SpectrumTable(NamedTuple):
 
     def write(self, stream, fmt: str) -> None:
         """Write the table as csv, json or text to `stream`, a chunk of rows
-        at a time, so that no rendering of the whole table is ever held."""
+        at a time, so that no rendering of the whole table is ever held.
+        Partitions render as :meth:`Partition.to_text` does, from the texts
+        of 0..n; json needs no escapes in them."""
+        digits = [str(k) for k in range(self.n + 1)]
+
+        def text(part):
+            return "+".join(map(digits.__getitem__, part)) or "0"
+
         if fmt == "csv":
             head, tail = CSV_HEADER + "\n", ""
-            lines = (f"{part.to_text()},{val},{mult}\n" for part, (val, mult) in self.rows.items())
+            lines = (f"{text(part)},{val},{mult}\n" for part, (val, mult) in self.rows.items())
         elif fmt == "json":
             import json  # loaded only when json is written
 
             head, tail = f'{{"family":{json.dumps(self.family)},"n":{self.n},"rows":[', "]}\n"
             lines = (
-                f'{"," if i else ""}{{"partition":{json.dumps(part.to_text())},'
+                f'{"," if i else ""}{{"partition":"{text(part)}",'
                 f'"eigenvalue":{val},"multiplicity":{mult}}}'
                 for i, (part, (val, mult)) in enumerate(self.rows.items())
             )
         elif fmt == "text":
             title = f"{self.family} spectrum, n={self.n}"
             head, tail = f"{title}\n{'-' * len(title)}\n", ""
-            width = max(len(p.to_text()) for p in self.rows)
+            width = max(len(text(p)) for p in self.rows)
 
             def line(part, val, mult):
                 sign_ok = val == 0 or (-1) ** (self.n - part[0]) * val > 0
                 return (
-                    f"{part.to_text():<{width}}  eigenvalue={val}  multiplicity={mult}"
+                    f"{text(part):<{width}}  eigenvalue={val}  multiplicity={mult}"
                     f"  sign={'ok' if sign_ok else 'UNEXPECTED'}\n"
                 )
 

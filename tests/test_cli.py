@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from pmspec import analysis, cli, oracle
+from pmspec import analysis, cli, exact, oracle
 from pmspec.cli import main
 from pmspec.exact import pm_degree
 from pmspec.partitions import Partition
@@ -95,6 +95,24 @@ def test_table_json_and_text_golden_digest(capsys, family, fmt, digest):
 
 
 @pytest.mark.parametrize(
+    "family, n, fmt, digest",
+    [
+        ("pm", 36, "csv", "cd0c0b24ca5f932b2f11b13adacf7c40b525cb3b0652e47c6315f1481b1749e4"),
+        ("pm", 36, "json", "25eda21d0106d3b8f46e72d1681f9fb649a5c5d909130f3660e6902b66214680"),
+        ("sym", 38, "csv", "1c0cc0a1ffa062b6c4bd195383517cb6f950c79802e6d719a70aa7bfd46100e1"),
+        ("sym", 38, "json", "f9ee0e286abdb0a89afe74612398eb157167b8b37da534b1cb142e3abe62b4f4"),
+    ],
+    ids=["pm-csv", "pm-json", "sym-csv", "sym-json"],
+)
+def test_table_benchmark_sizes_golden_digest(capsys, family, n, fmt, digest):
+    # sha256 of the tables the benchmark writes, recorded before the hook
+    # products moved into the lattice walk and rows were rendered part by part
+    code, out, _ = run(capsys, "table", "--n", str(n), "--family", family, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "argv, digest",
     [
         (
@@ -172,6 +190,19 @@ def test_pair_suites_refuse_huge_n_max_at_once():
     )
     assert done.returncode == 2 and done.stdout == ""
     assert "physical memory" in done.stderr and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("family", ["pm", "sym"])
+def test_table_refuses_what_memory_cannot_hold(capsys, monkeypatch, family):
+    # with 1 GiB the partitions of size at most 61 (pm) or 62 (sym) overflow,
+    # and the estimate stops there, long before n = 100,000
+    monkeypatch.setattr(exact, "physical_memory_bytes", lambda: 2**30)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "table", "--n", "100000", "--family", family)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "physical memory" in err and "MB" in err and "Traceback" not in err
+    exact.admit_table(family, 40)  # 215,308 partitions of size at most 40 fit
 
 
 def test_table_rejects_bad_n(capsys):
@@ -278,6 +309,23 @@ def test_import_leaves_numpy_out():
         assert "pmspec.cli" in added
         assert not added & {"dataclasses", "inspect", "numpy"}, (argv, added)
         assert ("json" in added) == writes_json, (argv, added)
+
+
+def test_oracle_leaves_numpy_ma_out():
+    # numpy.unique without optional outputs imports numpy.ma, some 17 ms of
+    # start-up that the oracle has no use for
+    probe = (
+        "import sys, pmspec.cli; code = pmspec.cli.main(sys.argv[1:]); "
+        "sys.exit(3 if 'numpy.ma' in sys.modules else code)"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    for family in ("pm", "sym"):
+        done = subprocess.run(
+            [sys.executable, "-c", probe, "oracle", "--n", "3", "--family", family],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, (family, done.returncode, done.stderr)
 
 
 def test_eta_deep_partitions(capsys):

@@ -13,7 +13,7 @@ from pmspec.exact import (
     pm_degree,
     pm_degree_inclusion_exclusion,
 )
-from pmspec.lattice import HookProducts, PartitionLattice
+from pmspec.lattice import PartitionLattice
 from pmspec.partitions import Partition, enumerate_partitions
 
 
@@ -185,12 +185,11 @@ def test_irrep_dimension_examples():
 
 def test_hook_dimensions_check_the_remainder():
     # the tables divide n! by the lattice's hook products in _hook_quotient
-    lattice = PartitionLattice(6)
-    hooks = HookProducts(lattice, doubled=False)
-    for r, blocks in lattice.levels():
-        hooks.extend(r, blocks)
+    lattice = PartitionLattice(6, doubled=False)
+    for _ in lattice.levels():
+        pass
     ids = dict(zip(enumerate_partitions(6), lattice.rows()))
-    products = [hooks.values[ids[mu]] for mu in ((4, 2), (2, 2, 2))]
+    products = [lattice.hooks[ids[mu]] for mu in ((4, 2), (2, 2, 2))]
     assert [_hook_quotient(math.factorial(6), h) for h in products] == [9, 5]
     # a hook product that does not divide n! signals a hook bug: 4 for (2, 1)
     with pytest.raises(ArithmeticError):

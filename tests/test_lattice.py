@@ -21,7 +21,7 @@ def index(lattice, lam):
 
 
 def swept(n):
-    lattice = PartitionLattice(n)
+    lattice = PartitionLattice(n, doubled=False)
     blocks = list(chain.from_iterable(level for _, level in lattice.levels()))
     return lattice, blocks
 
@@ -30,7 +30,7 @@ def swept(n):
 def test_every_partition_gets_one_id_and_the_walk_finds_it(n):
     lattice, blocks = swept(n)
     # the blocks' ids, in the order they come, are 1, 2, ... with no gap
-    ids = [offset + m for _, offset, lo, hi, _, _ in blocks for m in range(lo, hi + 1)]
+    ids = [offset + m for _, offset, lo, hi, _, _, _ in blocks for m in range(lo, hi + 1)]
     assert ids == list(range(1, len(ids) + 1))
     partitions = list(chain.from_iterable(enumerate_partitions(k) for k in range(n + 1)))
     assert len(ids) + 1 == len(partitions) == len(lattice.base) == len(lattice.minus1)
@@ -38,7 +38,7 @@ def test_every_partition_gets_one_id_and_the_walk_finds_it(n):
     assert sorted(walked) == list(range(len(partitions)))
     assert lattice.rows() == [index(lattice, lam) for lam in enumerate_partitions(n)]
     # each block's partitions are (m,) + t for its tail t
-    for tail, offset, lo, hi, _, _ in blocks:
+    for tail, offset, lo, hi, _, _, _ in blocks:
         t = walked[tail]
         assert lo == (t[0] if t else 1) and hi == n - sum(t)
         assert [walked[offset + m] for m in range(lo, hi + 1)] == [(m,) + t for m in range(lo, hi + 1)]
@@ -49,7 +49,7 @@ def test_children_are_found_by_index_and_come_first(n):
     lattice, blocks = swept(n)
     base, minus1 = lattice.base, lattice.minus1
     walked = {index(lattice, lam): lam for k in range(n + 1) for lam in enumerate_partitions(k)}
-    for tail, offset, lo, hi, head, last in blocks:
+    for tail, offset, lo, hi, head, last, _ in blocks:
         t = walked[tail]
         assert minus1[tail] == index(lattice, minus(t, 1))
         if t:

@@ -122,6 +122,10 @@ def test_enumerate_partitions_lex_and_count():
         parts = enumerate_partitions(n)
         assert len(parts) == expected[n]
         assert all(a > b for a, b in zip(parts, parts[1:]))  # strict decreasing lex
+        for lam in parts:
+            assert type(lam) is Partition
+            assert all(p > 0 for p in lam) and sum(lam) == n
+            assert all(a >= b for a, b in zip(lam, lam[1:]))
     assert list(zip(range(41), partition_counts())) == list(enumerate(expected))
 
 
