@@ -16,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 
-from .exact import binomial, odd_double_factorial, physical_memory_bytes, pm_degree
+from .exact import admit_table, binomial, odd_double_factorial, physical_memory_bytes, pm_degree
 from .partitions import (
     Dominance,
     Partition,
@@ -27,12 +27,8 @@ from .partitions import (
     partition_counts,
     valid_transfers,
 )
-from .pm_spectrum import eta, eta_alt, eta_alt_at, f_closed_form_2a1b, f_value
-from .sym_spectrum import (
-    xi_by_first_part,
-    xi_by_last_part,
-    xi_by_last_part_printed_variant,
-)
+from .pm_spectrum import _eta_sweep, _normalized, eta_alt, eta_alt_at, f_closed_form_2a1b, f_value
+from .sym_spectrum import _xi_sweep, xi_by_last_part, xi_by_last_part_printed_variant
 
 MAX_LISTED_FAILURES = 100
 
@@ -140,16 +136,37 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _abs_eta(lam: Partition) -> int:
-    return abs(eta(lam).eta)
+class _Sweep:
+    """A family's eigenvalues by partition, read off one lattice sweep of
+    size n: at every partition of size at most n for pm (:func:`_eta_sweep`),
+    and for sym (:func:`_xi_sweep`) at the partitions of n and what their
+    first-part recurrence reaches.  Each partition's id is found by walking
+    the lattice's ``base``.  A sweep that could not fit in physical memory
+    is refused before it starts."""
+
+    def __init__(self, family: str, n: int) -> None:
+        admit_table(family, n)
+        lattice, self._values, _ = (_eta_sweep if family == "pm" else _xi_sweep)(n)
+        self._index = lattice.index
+
+    def eta(self, lam: Partition) -> int:
+        return self._values[self._index(lam)]
+
+    def f(self, lam: Partition) -> int:
+        """(-1)^(n - lam_1) eta, checked nonnegative and zero only at (1)."""
+        return _normalized(lam, self._values[self._index(lam)])
+
+    def xi(self, mu: Partition) -> int:
+        return self._values[self._index(mu)]
 
 
 class _Level:
     """The partitions of n with what the pair suites need of each, computed once.
 
-    ``parts`` come in decreasing lexicographic order, so each first part owns
-    a run of consecutive indices, and ``blocks`` maps each first part to its
-    run.  ``values[i]`` is ``value(parts[i])``.  Bit j of ``above[i]`` is set iff
+    ``parts`` are the partitions of n in decreasing lexicographic order, so
+    each first part owns a run of consecutive indices, and ``blocks`` maps
+    each first part to its run.  ``values[i]`` belongs to ``parts[i]``.  Bit j
+    of ``above[i]`` is set iff
     parts[i] is strictly dominated by parts[j]: lam is dominated by mu iff
     every prefix sum of lam is at most mu's.  Each set is the intersection,
     over lam's prefix positions k, of the partitions whose k-th prefix sum
@@ -157,9 +174,9 @@ class _Level:
     Lexicographic order extends dominance, so every such j is below i.
     """
 
-    def __init__(self, n: int, value) -> None:
-        self.parts = enumerate_partitions(n)
-        self.values = [value(lam) for lam in self.parts]
+    def __init__(self, parts: list, values: list) -> None:
+        n = parts[0][0]  # the first partition is (n,)
+        self.parts, self.values = parts, values
         self.blocks: dict = {}
         for i, lam in enumerate(self.parts):
             self.blocks.setdefault(lam[0], []).append(i)
@@ -309,14 +326,18 @@ def _block_order(report, level: _Level, block: list, symbol: str, equality: str,
 # ---------------------------------------------------------------------------
 
 
-def verify_sign_pattern(n: int) -> VerificationReport:
-    """(-1)^(n - lambda_1) * eta > 0 for every partition of n >= 2."""
+def verify_sign_pattern(n: int, sweep: _Sweep | None = None) -> VerificationReport:
+    """(-1)^(n - lambda_1) * eta > 0 for every partition of n >= 2.
+
+    Values are read off ``sweep``, a pm sweep of size at least n, or off a
+    sweep of size n; so are those of the other per-n pm suites."""
     if n < 2:
         raise ValueError("sign pattern holds from n = 2")
+    sweep = _Sweep("pm", n) if sweep is None else sweep
     report = VerificationReport(suite="signs", n_range=(n, n))
     sign = report.relation(None, "partition", "eta")
     for lam in enumerate_partitions(n):
-        value = eta(lam).eta
+        value = sweep.eta(lam)
         sign((-1) ** (n - lam[0]) * value > 0, lam, str(value))
     return report
 
@@ -326,7 +347,7 @@ def verify_sign_pattern(n: int) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def verify_abs_dominance(n: int) -> VerificationReport:
+def verify_abs_dominance(n: int, sweep: _Sweep | None = None) -> VerificationReport:
     """|eta| is monotone under dominance among partitions sharing a first part.
 
     Equality is characterized: it occurs exactly for comparable pairs with
@@ -336,9 +357,11 @@ def verify_abs_dominance(n: int) -> VerificationReport:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
+    sweep = _Sweep("pm", n) if sweep is None else sweep
     report = VerificationReport(suite="thm6", n_range=(n, n))
     chain = report.relation("stepwise |eta| monotone along chain", "lo", "hi")
-    level = _Level(n, _abs_eta)
+    parts = enumerate_partitions(n)
+    level = _Level(parts, [abs(sweep.eta(lam)) for lam in parts])
     equality = "equality iff first part 3 with small tail"
     for block in level.blocks.values():
         monotone = _monotone_chains(level, block)
@@ -385,17 +408,18 @@ def _monotone_chains(level: _Level, block: list) -> list:
 # ---------------------------------------------------------------------------
 
 
-def verify_transfer_monotone(n: int) -> VerificationReport:
+def verify_transfer_monotone(n: int, sweep: _Sweep | None = None) -> VerificationReport:
     """f never decreases under a transfer move; equality exactly on the
     first-part-3 small-tail family when the raised part is 1."""
     if n < 2:
         raise ValueError("n must be at least 2")
+    f = (_Sweep("pm", n) if sweep is None else sweep).f
     report = VerificationReport(suite="prop2", n_range=(n, n))
     grows = report.relation("f(transfer) >= f", "partition", "move", "values")
     equal = report.relation("transfer equality characterization", "partition", "move", "values")
     for mu in enumerate_partitions(n):
         for move in valid_transfers(mu):
-            lhs, rhs = f_value(mu.transfer(move)), f_value(mu)
+            lhs, rhs = f(mu.transfer(move)), f(mu)
             grows(lhs >= rhs, mu, move, (lhs, rhs))
             expected_equal = has_first_part_three_rest_small(mu) and mu[move.i - 1] == 1
             if lhs == rhs:
@@ -428,7 +452,7 @@ def raising_identity_fails_at_first_index() -> bool:
     return False
 
 
-def verify_step_identities(n: int) -> VerificationReport:
+def verify_step_identities(n: int, sweep: _Sweep | None = None) -> VerificationReport:
     """Exact identities relating f across one-box and uniform-subtraction moves.
 
     Covered, over every admissible partition of n:
@@ -442,9 +466,12 @@ def verify_step_identities(n: int) -> VerificationReport:
     * the lower bound f(raise) - f >= f(raise - 1 everywhere) > 0 (n >= 3)
       and the comparison f(raise - 1 everywhere) >= f(mu - 1 everywhere)
       with its equality characterization.
+
+    Raising a part adds a box, so ``sweep`` must reach size n + 1.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
+    f = (_Sweep("pm", n + 1) if sweep is None else sweep).f
     report = VerificationReport(suite="lemmas", n_range=(n, n))
     weighted = report.relation("weighted-sum identity", "partition", "values")
     raising = report.relation("raising identity", "partition", "index", "values")
@@ -459,23 +486,23 @@ def verify_step_identities(n: int) -> VerificationReport:
     special = report.relation("special-family transfer equality", "partition", "move")
     fails_at_one = report.relation("raising identity must fail at index 1")
     for mu in enumerate_partitions(n):
-        s, f_mu = len(mu), f_value(mu)
+        s, f_mu = len(mu), f(mu)
         if s >= 2:
             # weighted-sum identity with shifted double factorials
             head = mu.remove_last_part()
             last = mu[-1]
             lhs = sum(
-                binomial(last, k) * odd_double_factorial(k + 1) * f_value(head.subtract_all(k))
+                binomial(last, k) * odd_double_factorial(k + 1) * f(head.subtract_all(k))
                 for k in range(1, last + 1)
             )
-            rhs = (2 * last + 1) * f_mu - 2 * last * f_value(mu.lower_part(s)) - f_value(head)
+            rhs = (2 * last + 1) * f_mu - 2 * last * f(mu.lower_part(s)) - f(head)
             weighted(lhs == rhs, mu, (lhs, rhs))
 
-        lo_plain = f_value(mu.subtract_all(1))
+        lo_plain = f(mu.subtract_all(1))
         for i in _raisable_indices(mu):
             raised = mu.raise_part(i)
-            diff = f_value(raised) - f_mu
-            lo_raised = f_value(raised.subtract_all(1))
+            diff = f(raised) - f_mu
+            lo_raised = f(raised.subtract_all(1))
             coef = 2 * mu[i - 1] + s - i
             # three-term raising identity (the i = s case is its simplest form)
             rhs = (coef + 1) * lo_raised - coef * lo_plain
@@ -491,11 +518,11 @@ def verify_step_identities(n: int) -> VerificationReport:
             # transfer recurrence with the last index lowered
             if i <= s - 1:
                 moved = mu.transfer((i, s))
-                lhs = f_value(moved) - f_mu
+                lhs = f(moved) - f_mu
                 rhs = (
                     (2 * mu[i - 1] - 2 * mu[-1] + s - i + 2) * lo_raised
                     - (2 * mu[i - 1] + s - i) * lo_plain
-                    + 2 * (mu[-1] - 1) * f_value(moved.subtract_all(1))
+                    + 2 * (mu[-1] - 1) * f(moved.subtract_all(1))
                 )
                 last_transfer(lhs == rhs, mu, i, (lhs, rhs))
 
@@ -503,7 +530,7 @@ def verify_step_identities(n: int) -> VerificationReport:
         if has_first_part_three_rest_small(mu):
             for move in valid_transfers(mu):
                 if mu[move.i - 1] == 1:
-                    special(f_value(mu.transfer(move)) == f_mu, mu, move)
+                    special(f(mu.transfer(move)) == f_mu, mu, move)
 
     fails_at_one(raising_identity_fails_at_first_index())
     return report
@@ -612,21 +639,23 @@ def scan_cross_gap_conjecture(n_max: int, progress=None) -> VerificationReport:
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     admit_levels(n_max)
+    sweep = _Sweep("pm", n_max)
     report = VerificationReport(suite="conjecture2", n_range=(2, n_max))
     for n in range(2, n_max + 1):
-        _scan_level(report, n)
+        _scan_level(report, n, sweep)
         if progress is not None:
             progress(n, report.checks_run)
     return report
 
 
-def _scan_level(report, n: int) -> None:
+def _scan_level(report, n: int, sweep: _Sweep) -> None:
     """The scan's checks at one n: one popcount for each lam and block v,
     and a listed failure for each violating pair.  The level is freed on
     return, before the next one is built."""
     grows = report.relation("strict |eta| growth across blocks", "lo", "hi", "values")
-    level = _Level(n, _abs_eta)
-    parts, values, above = level.parts, level.values, level.above
+    parts = enumerate_partitions(n)
+    level = _Level(parts, [abs(sweep.eta(lam)) for lam in parts])
+    values, above = level.values, level.above
     ranked = {v: _ranked(values[b[0] : b[-1] + 1]) for v, b in level.blocks.items()}
     passed = 0
     for u, low_block in level.blocks.items():
@@ -668,15 +697,19 @@ def verify_xi_comparison(n: int) -> VerificationReport:
     agree = report.relation("xi recurrence agreement", "partition", "values")
     extremes = report.relation("lexicographic extremes bound |xi|", "partition", "values")
     variant = report.relation("mis-transcribed variant disagrees at (1,1)")
-    level = _Level(n, lambda mu: abs(xi_by_first_part(mu)))
-    parts, values = level.parts, level.values
-    for mu in parts:
-        by_first, by_last = xi_by_first_part(mu), xi_by_last_part(mu)
+    # a sym sweep holds only what the partitions of its own size reach
+    sweep = _Sweep("sym", n)
+    parts = enumerate_partitions(n)
+    signed = [sweep.xi(mu) for mu in parts]
+    level = _Level(parts, list(map(abs, signed)))
+    values = level.values
+    for mu, by_first in zip(parts, signed):
+        by_last = xi_by_last_part(mu)
         agree(by_first == by_last, mu, (by_first, by_last))
     if n == 2:
         variant(
             xi_by_last_part_printed_variant(Partition((1, 1))) == -2
-            and xi_by_first_part(Partition((1, 1))) == -1
+            and sweep.xi(Partition((1, 1))) == -1
         )
 
     for block in level.blocks.values():
@@ -700,19 +733,21 @@ _ALL_INDICES_MAX_N = 12
 
 
 def verify_dual_recurrences(n_max: int) -> VerificationReport:
-    """The two independent eta recurrence paths agree on every partition.
+    """The two independent eta recurrence paths agree on every partition:
+    the strip recurrence, read off one lattice sweep, and the lowering one.
 
     Up to ``_ALL_INDICES_MAX_N`` the lowering-comparison recurrence is also
     evaluated at every admissible index, not only the last one.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
+    sweep = _Sweep("pm", n_max)
     report = VerificationReport(suite="dualpath", n_range=(1, n_max))
     agree = report.relation("dual-path agreement", "partition", "values")
     any_index = report.relation("lowering recurrence index-independent", "partition", "index")
     for n in range(1, n_max + 1):
         for lam in enumerate_partitions(n):
-            a, b = eta(lam).eta, eta_alt(lam)
+            a, b = sweep.eta(lam), eta_alt(lam)
             agree(a == b, lam, (a, b))
             if n <= _ALL_INDICES_MAX_N:
                 s = len(lam)
@@ -731,31 +766,35 @@ def run_suite(name: str, n_max: int) -> VerificationReport:
     """Run a named suite aggregated over its natural range up to n_max.
 
     A suite with a smallest n runs once per n from there and is merged; the
-    others take n_max as the top of a range of their own.
+    others take n_max as the top of a range of their own.  The per-n pm
+    suites share one sweep, which holds every size up to its own: n_max, or
+    n_max + 1 where a suite raises a part.
     """
     suites = {
-        "signs": (verify_sign_pattern, 2),
-        "thm6": (verify_abs_dominance, 2),
-        "prop2": (verify_transfer_monotone, 2),
-        "lemmas": (verify_step_identities, 2),
-        "identities": (verify_product_identities, None),
-        "crossblock": (find_cross_block_counterexamples, 10),
-        "kuwong-xi": (verify_xi_comparison, 2),
-        "dualpath": (verify_dual_recurrences, None),
-        "conjecture2": (scan_cross_gap_conjecture, None),
+        # name: (suite, smallest n, how far past n_max its shared pm sweep reaches)
+        "signs": (verify_sign_pattern, 2, 0),
+        "thm6": (verify_abs_dominance, 2, 0),
+        "prop2": (verify_transfer_monotone, 2, 0),
+        "lemmas": (verify_step_identities, 2, 1),
+        "identities": (verify_product_identities, None, None),
+        "crossblock": (find_cross_block_counterexamples, 10, None),
+        "kuwong-xi": (verify_xi_comparison, 2, None),
+        "dualpath": (verify_dual_recurrences, None, None),
+        "conjecture2": (scan_cross_gap_conjecture, None, None),
     }
     if name not in suites:
         raise ValueError(f"unknown suite {name!r}")
-    func, n_min = suites[name]
+    func, n_min, past = suites[name]
     if name in ("thm6", "kuwong-xi"):
         admit_levels(n_max)
     if n_min is None:
         return func(n_max)
     if n_max < n_min:
         raise ValueError(f"suite {name} needs n_max >= {n_min}")
-    merged = func(n_min)
+    shared = () if past is None else (_Sweep("pm", n_max + past),)
+    merged = func(n_min, *shared)
     for n in range(n_min + 1, n_max + 1):
-        merged.merge(func(n))
+        merged.merge(func(n, *shared))
     return merged
 
 

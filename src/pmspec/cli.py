@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_eta(args) -> int:
     lam = Partition.from_text(args.partition)
-    admit_query("pm", lam.size)
+    admit_query("pm", lam)
     value = eta(lam)
     n, first = lam.size, (lam[0] if lam else 0)
     sign_ok = "ok" if (not lam or lam == (1,) or (-1) ** (n - first) * value.eta > 0) else "UNEXPECTED"
@@ -76,7 +76,7 @@ def _cmd_eta(args) -> int:
 
 def _cmd_xi(args) -> int:
     mu = Partition.from_text(args.partition)
-    admit_query("sym", mu.size)
+    admit_query("sym", mu)
     value = xi(mu)
     print(f"partition: {mu.to_text()}")
     print(f"xi: {value.xi}")

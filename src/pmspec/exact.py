@@ -7,13 +7,14 @@ it.  :func:`irrep_dimension` computes a hook product cell by cell, the
 reference for the first-column hook recurrences the spectrum tables run on
 the partition lattice (:class:`pmspec.lattice.PartitionLattice`).
 :func:`admit_query` refuses a single query, and :func:`admit_table` a table,
-whose values could not fit in physical memory.
+whose evaluation could not fit in physical memory.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from itertools import count
 
 from .partitions import Partition, partition_counts
 
@@ -65,27 +66,78 @@ def physical_memory_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def admit_query(family: str, n: int) -> None:
-    """Refuse a single query of size n whose values could not fit in memory.
-
-    Every value the recurrences of a partition of n hold is at most d_n
-    (family "pm") or D_n ("sym") in absolute value.  Their bits come from
-    lgamma: d_n is about (2n-1)!!/sqrt(e) and D_n about n!/e.  Past
-    n = 2^1000 the estimate is taken at 2^1000, where it already exceeds any
-    memory.
-    """
+def _log_bound(family: str, n: int) -> float:
+    """ln d_n (family "pm") or ln D_n ("sym"), from lgamma: d_n is about
+    (2n-1)!!/sqrt(e) and D_n about n!/e.  Past n = 2^1000 it is taken at
+    2^1000, where it already exceeds any memory."""
     x = float(min(n, 1 << 1000))
     if family == "pm":
-        log_bound = math.lgamma(2 * x + 1) - math.lgamma(x + 1) - x * math.log(2) - 0.5
-    else:
-        log_bound = math.lgamma(x + 1) - 1
-    needed = log_bound / math.log(2) / 8
-    memory = physical_memory_bytes()
-    if needed > memory:
-        bound = "d_n" if family == "pm" else "D_n"
+        return math.lgamma(2 * x + 1) - math.lgamma(x + 1) - x * math.log(2) - 0.5
+    return math.lgamma(x + 1) - 1
+
+
+def _held_bytes(bits: float, ints: float) -> float:
+    """Bytes of ``ints`` ints of ``bits`` bits in all, held in a list: 4
+    bytes per 30-bit digit, and 32 per int for its header and list slot."""
+    return bits / 7.5 + 32 * ints
+
+
+def _strip_row_bits(x: float) -> float:
+    """sum over last < x of the bits of the strip recurrence's coefficient
+    row, C(last, j) (2j-1)!! for j <= last, to within 0.1% from last = 50 on:
+    a row has about last^2 (ln(2 last) - 1/2) / (2 ln 2) bits, integrated."""
+    return (x**3 / 3 * math.log(2 * x) - 5 * x**3 / 18) / (2 * math.log(2))
+
+
+def _strip_rows_bytes(lam: tuple) -> float:
+    """Bytes of the coefficient rows an eta query caches: (last, parity) =
+    (lam_i - j, i mod 2) for each part lam_i after the first and each
+    j <= min(lam_(i+1), lam_i - 1), with lam_(r+1) = 0."""
+    spans = sorted(
+        {(i & 1, part - min(reach, part - 1), part) for i, part, reach in zip(count(2), lam[1:], lam[2:] + (0,))}
+    )
+    total, seen, done = 0.0, None, 0  # done: the last counted so far at parity seen
+    for parity, lo, hi in spans:
+        if parity != seen:
+            seen, done = parity, 0
+        lo = max(lo, done + 1)
+        if lo <= hi:
+            bits = _strip_row_bits(hi + 0.5) - _strip_row_bits(lo - 0.5)
+            total += _held_bytes(bits, (hi - lo + 1) * (hi + lo + 2) / 2)
+            done = hi
+    return total
+
+
+def admit_query(family: str, lam: tuple) -> None:
+    """Refuse a single query whose evaluation could not fit in memory.
+
+    Every value the recurrences of a partition of n hold is at most d_n
+    (family "pm") or D_n ("sym") in absolute value, and a query holds at
+    its peak two rows of at most lam_2 + 1 values (see
+    :func:`pmspec.pm_spectrum._eta_prefixes` and
+    :func:`pmspec.sym_spectrum._xi_suffixes`), the checkpoint pairs of d or
+    D it rolls to lam_1 (at most 64 times the bits of term lam_1), and, for
+    eta, the coefficient rows it caches.  One value that alone exceeds
+    physical memory is refused first, and so is the sum.
+    """
+    n, memory = sum(lam), physical_memory_bytes()
+    bound = "d_n" if family == "pm" else "D_n"
+    bits = _log_bound(family, n) / math.log(2)
+    if bits / 8 > memory:
         raise ValueError(
             f"a partition of size n={n} has values up to {bound}, about "
-            f"{needed / 1e6:.3g} MB each, more than the {memory / 1e6:.0f} MB of physical memory"
+            f"{bits / 8e6:.3g} MB each, more than the {memory / 1e6:.0f} MB of physical memory"
+        )
+    first, second = (tuple(lam) + (0, 0))[:2]
+    needed = _held_bytes(2 * (second + 1) * bits, 2 * (second + 1))
+    if first > _STORED:
+        needed += _held_bytes(64 * _log_bound(family, first) / math.log(2), 64)
+    if family == "pm":
+        needed += _strip_rows_bytes(lam)
+    if needed > memory:
+        raise ValueError(
+            f"the {family} query on this partition of size n={n} holds about {needed / 1e6:.0f} MB "
+            f"at its peak, more than the {memory / 1e6:.0f} MB of physical memory"
         )
 
 
@@ -110,7 +162,7 @@ def admit_table(family: str, n: int) -> None:
         needed = per_node * nodes
         if needed > memory:
             raise ValueError(
-                f"table {family} n={n}: the {nodes} partitions of size at most {k} need "
+                f"a {family} sweep to n={n}: the {nodes} partitions of size at most {k} need "
                 f"about {needed / 1e6:.0f} MB, more than the {memory / 1e6:.0f} MB of physical memory"
             )
         if k >= n:

@@ -1,5 +1,5 @@
-"""The partitions of size at most n as an integer lattice, for the spectrum
-tables' forward sweeps.
+"""The partitions of size at most n as an integer lattice, for the forward
+sweeps of the spectrum tables and the verification suites.
 
 A partition lam = (m,) + t, with first part m and tail t, gets the id
 ``base[t] + m``; the empty partition is 0 and (m,) is m.  Ids are assigned
@@ -16,7 +16,9 @@ or hashed:
   last part, and ``head - j = base[minus1^j(head(t))] + m - j``.
 
 Only ``base``, ``minus1``, the hook products and the values a sweep
-computes live longer than one level.
+computes live longer than one level.  A partition's id can also be walked
+from ``base`` (:meth:`PartitionLattice.index`), which is how the suites
+read a sweep.
 
 The rows of a table, the partitions of n, and every nu - 1 they lead to
 are the partitions nu with |nu| = n or |nu| + len(nu) <= n; in a block of
@@ -114,6 +116,14 @@ class PartitionLattice:
                         next_id += hi - 2 * m + 1
             blocks = level
             r += 1
+
+    def index(self, lam: tuple) -> int:
+        """The id of a partition of size at most n, walked from the empty
+        partition: (m,) + t is base[t] + m."""
+        node, base = 0, self.base
+        for part in reversed(lam):
+            node = base[node] + part
+        return node
 
     def rows(self) -> list:
         """The ids of the partitions of n in decreasing lexicographic order,

@@ -10,18 +10,14 @@ list, so children are built once per node.
 
 Every recurrence gets its own store: two recurrences computing the same
 quantity never share values, which keeps their agreement a real
-cross-check.  A store lives as long as its ``Recurrence``.  The module-level
-instances behind single queries such as ``eta`` keep theirs until
-``cache_clear``.  The spectrum tables create no ``Recurrence``: they sweep
-the same recurrences forward over every partition of size at most n
-(:mod:`pmspec.lattice`), so a table is a second engine the single queries
-are checked against, and building one leaves the module stores as they
-were.  A single query reaches only the partitions its argument needs,
-which the lattice cannot follow: ``eta`` on 5,000 ones would need every
-partition of size at most 5,000.
-
-Stores compare nodes by value, so children may be plain tuples, as the
-strip and first-part recurrences build them, without ``Partition``'s checks.
+cross-check.  A store lives as long as its ``Recurrence``.  The only
+instances are the module-level stores of the cross-check recurrences,
+``eta_alt`` and ``xi_by_last_part``, which keep theirs until
+``cache_clear``.  The single queries ``eta`` and ``xi_by_first_part`` use
+no store: each evaluates on a table indexed by its argument's own prefixes
+or suffixes, which lives for one call.  The spectrum tables, and most
+verification suites, read their values off forward sweeps of the same
+recurrences over every partition of size at most n (:mod:`pmspec.lattice`).
 """
 
 from __future__ import annotations

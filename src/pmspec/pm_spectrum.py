@@ -7,8 +7,10 @@ Two fully independent recurrence paths are provided:
 * ``eta_alt`` compares a partition against the one obtained by lowering its
   last part, recursing only through that comparison.
 
-Each path memoizes in its own store (:mod:`pmspec.memo`), so agreement
-between them is a genuine cross-check of the code, not a cache readback.
+``eta`` evaluates on a table of its argument's prefixes that lives for one
+call; ``eta_alt`` memoizes in a store of its own (:mod:`pmspec.memo`).  No
+value passes between them, so their agreement is a genuine cross-check of
+the code, not a cache readback.
 ``f_value`` is the sign-normalized quantity (-1)^(n - lambda_1) * eta, which
 is nonnegative and vanishes only at the single-box partition (1).
 """
@@ -16,11 +18,11 @@ is nonnegative and vanishes only at the single-box partition (1).
 from __future__ import annotations
 
 import math
-from operator import add, mul
+from operator import add, mul, neg, sub
 from typing import NamedTuple
 
 from . import memo
-from .exact import _hook_quotient, binomial, odd_double_factorial, pm_degree
+from .exact import _hook_quotient, pm_degree
 from .lattice import PartitionLattice, row_entries
 from .partitions import Partition, enumerate_partitions
 from .tables import SpectrumTable
@@ -32,42 +34,28 @@ class EtaValue(NamedTuple):
     f: int
 
 
-def _strip_children(lam: tuple) -> list:
-    # plain tuples: every child is a partition by construction, since head's
-    # last part is at least lam's, and j never exceeds it
-    if len(lam) < 2:
-        return []
-    head = lam[:-1]
-    return [head] + [tuple([p - j for p in head if p > j]) for j in range(1, lam[-1] + 1)]
+class _StripRows(dict):
+    """Coefficient rows of the strip recurrence by (last, r mod 2), each
+    computed on first use.  One lives for one query or one sweep:
 
+    (-1)^last eta(lam) = eta(head) + sum_j (-1)^(j r) C(last, j) (2j-1)!! eta(head - j),
 
-# (-1)^last * eta = eta(head) + sum_j (-1)^(j r) C(last,j) (2j-1)!! eta(head - j):
-# eta is the children's values dotted with one coefficient row per
-# (last, r mod 2), with the factor (-1)^last folded into the row
-_strip_rows: dict = {}
+    so eta is the children's values dotted with the row
+    [(-1)^(last + j r) C(last, j) (2j-1)!! for j in 0..last]."""
 
-
-def _strip_row(last: int, parity: int) -> list:
-    """[(-1)^(last + j r) C(last, j) (2j-1)!! for j in 0..last], r of the given parity."""
-    key = (last, parity)
-    row = _strip_rows.get(key)
-    if row is None:
-        row = _strip_rows[key] = [
-            (-1) ** (last + j * parity) * binomial(last, j) * odd_double_factorial(j)
-            for j in range(last + 1)
-        ]
-    return row
-
-
-def _strip_combine(lam: tuple, values: list) -> int:
-    if not lam:
-        return 1
-    if len(lam) == 1:
-        return pm_degree(lam[0])
-    return sum(map(mul, _strip_row(lam[-1], len(lam) & 1), values))
-
-
-_eta_strip = memo.Recurrence(_strip_children, _strip_combine)
+    def __missing__(self, key: tuple) -> list:
+        last, parity = key
+        # C(last, j+1) (2j+1)!! = C(last, j) (2j-1)!! (last - j)(2j + 1)/(j + 1)
+        row, c = [], 1
+        for j in range(last + 1):
+            row.append(c)
+            c = c * (last - j) * (2 * j + 1) // (j + 1)
+        if parity:
+            row[(last + 1) & 1 :: 2] = map(neg, row[(last + 1) & 1 :: 2])
+        elif last & 1:
+            row = list(map(neg, row))
+        self[key] = row
+        return row
 
 
 def _normalized(lam: tuple, value: int) -> int:
@@ -82,8 +70,34 @@ def _normalized(lam: tuple, value: int) -> int:
 def eta(lam: Partition) -> EtaValue:
     """Eigenvalue indexed by lam, with its sign-normalized companion."""
     lam = Partition(lam)
-    value = _eta_strip(lam)
+    value = _eta_prefixes(lam)
     return EtaValue(partition=lam, eta=value, f=_normalized(lam, value))
+
+
+def _eta_prefixes(lam: tuple) -> int:
+    """eta by the strip recurrence, on a table indexed by lam's own prefixes.
+
+    Every node the recurrence reaches from lam = (lam_1, ..., lam_r) is
+    prefix_i - j, its first i parts each minus j with zeros dropped: the
+    head of prefix_i - j is prefix_(i-1) - j, and its children are
+    prefix_(i-1) - j - j' for j' <= lam_i - j.  Row i holds prefix_i - j
+    for j <= lam_(i+1), the most row i + 1 reads (lam_(r+1) = 0), and is
+    built from row i - 1 alone; at j = lam_i the last part vanishes and the
+    node is row i - 1's.  So two rows are alive at a time and no tuple is
+    built or hashed.
+    """
+    if len(lam) < 2:
+        return pm_degree(lam[0]) if lam else 1
+    rows = _StripRows()
+    row = [pm_degree(lam[0] - j) for j in range(lam[1] + 1)]
+    for i in range(2, len(lam) + 1):
+        part, parity = lam[i - 1], i & 1
+        reach = lam[i] if i < len(lam) else 0
+        row = [
+            row[j] if j == part else sum(map(mul, rows[part - j, parity], row[j : part + 1]))
+            for j in range(reach + 1)
+        ]
+    return row[0]
 
 
 def f_value(lam: Partition) -> int:
@@ -92,8 +106,9 @@ def f_value(lam: Partition) -> int:
     f(()) = 1, f((n)) = d_n, and for r >= 2 parts
     f(lam) = f(head) + sum_k C(last, k) (2k-1)!! f(head - k on every part),
     where head drops the last part.  Every value comes from the strip
-    recurrence's module store, as for :func:`eta`; :func:`pm_spectrum_table`
-    runs the same recurrence on the partition lattice instead.
+    recurrence on lam's prefixes, as for :func:`eta`;
+    :func:`pm_spectrum_table` runs the same recurrence on the partition
+    lattice instead.
     """
     return eta(lam).f
 
@@ -173,11 +188,14 @@ def _eta_sweep(n: int) -> tuple:
     One forward sweep of the strip recurrence: the children of
     lam = (m,) + t are its head and head - j for j <= last, all of fewer
     parts, so a block's values are its coefficient row dotted with one
-    slice of the values per child, added up a slice at a time.  Returns
-    the lattice, the eta values and the doubled hook products.
+    slice of the values per child, added up a slice at a time.  Most
+    coefficients are 1 or -1 (every j = 0, and j = 1 at last = 1); those
+    slices are copied, negated, added or subtracted with no product.
+    Returns the lattice, the eta values and the doubled hook products.
     """
     lattice = PartitionLattice(n, doubled=True)
     base, minus1 = lattice.base, lattice.minus1
+    rows = _StripRows()
     values = [1]
     for r, blocks in lattice.levels():
         for _, _, lo, hi, head, last, _ in blocks:
@@ -186,13 +204,21 @@ def _eta_sweep(n: int) -> tuple:
                 continue
             # head - j of (m,) + t is base[head] + m - j, where head starts
             # as t without its last part and steps by minus1
-            row = _strip_row(last, r & 1)
+            row, count = rows[last, r & 1], hi - lo + 1
             start = base[head] + lo
-            acc = list(map(row[0].__mul__, values[start : start + hi - lo + 1]))
+            acc = values[start : start + count]
+            if row[0] < 0:
+                acc = list(map(neg, acc))
             for j in range(1, last + 1):
                 head = minus1[head]
                 start = base[head] + lo - j
-                acc = list(map(add, acc, map(row[j].__mul__, values[start : start + hi - lo + 1])))
+                kids, c = values[start : start + count], row[j]
+                if c == 1:
+                    acc = list(map(add, acc, kids))
+                elif c == -1:
+                    acc = list(map(sub, acc, kids))
+                else:
+                    acc = list(map(add, acc, map(c.__mul__, kids)))
             values += acc
     return lattice, values, lattice.hooks
 

@@ -1,12 +1,14 @@
 """Eigenvalues of the permutation derangement graph on S_n, the baseline
 family the matching-graph results parallel.
 
-Two published recurrences are implemented with separate stores and must agree:
+Two published recurrences are implemented and must agree:
 ``xi_by_first_part`` carries the coefficient (mu_1 + r - 1) and recurses on
-the first-column strip, ``xi_by_last_part`` carries the coefficient mu_r and
-recurses by dropping the last part.  A common transcription of the second one
-subtracts 1 from every part of the dropped-tail term as well; that variant is
-kept as a diagnostic because it already disagrees at (1,1).
+the first-column strip, on a table of its argument's suffixes that lives
+for one call; ``xi_by_last_part`` carries the coefficient mu_r, recurses by
+dropping the last part, and memoizes in a store of its own.  A common
+transcription of the second one subtracts 1 from every part of the
+dropped-tail term as well; that variant is kept as a diagnostic because it
+already disagrees at (1,1).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 from typing import NamedTuple
 
 from . import memo
-from .exact import _hook_quotient, derangement_count
+from .exact import _hook_quotient, conjugate, derangement_count
 from .lattice import PartitionLattice, row_entries
 from .partitions import Partition, enumerate_partitions
 from .tables import SpectrumTable
@@ -24,23 +26,6 @@ from .tables import SpectrumTable
 class XiValue(NamedTuple):
     partition: Partition
     xi: int
-
-
-def _first_part_children(mu: tuple) -> tuple:
-    # plain tuples: mu - 1 everywhere, and mu's tail after its first part - 1
-    if len(mu) < 2:
-        return ()
-    return (tuple([p - 1 for p in mu if p > 1]), tuple([p - 1 for p in mu[1:] if p > 1]))
-
-
-def _first_part_combine(mu: tuple, values: list) -> int:
-    if not mu:
-        return 1
-    if len(mu) == 1:
-        return derangement_count(mu[0])
-    r = len(mu)
-    shifted, tail = values
-    return (-1) ** (r - 1) * (mu[0] + r - 1) * shifted + (-1) ** (mu[0] + r - 1) * tail
 
 
 def _last_part_children(mu: Partition) -> tuple:
@@ -59,16 +44,51 @@ def _last_part_combine(mu: Partition, values: list) -> int:
     return (-1) ** (r - 1) * mu[-1] * shifted + (-1) ** mu[-1] * head
 
 
-_xi_first = memo.Recurrence(_first_part_children, _first_part_combine)
 _xi_last = memo.Recurrence(_last_part_children, _last_part_combine)
 
 
 def xi_by_first_part(mu: Partition) -> int:
     """xi by the recurrence with coefficient (mu_1 + r - 1).
 
-    Bases: xi(()) = 1 and xi((n)) = D_n, the derangement number.
+    xi(mu) = (-1)^(r-1) (mu_1 + r - 1) xi(mu - 1 everywhere) + (-1)^(mu_1 +
+    r - 1) xi(mu's tail after its first part, - 1 everywhere), with bases
+    xi(()) = 1 and xi((n)) = D_n, the derangement number.
     """
-    return _xi_first(Partition(mu))
+    return _xi_suffixes(Partition(mu))
+
+
+def _xi_suffixes(mu: tuple) -> int:
+    """xi by the first-part recurrence, on a table indexed by mu's own suffixes.
+
+    Every node the recurrence reaches from mu = (mu_1, ..., mu_r) is
+    suffix_i - j, the parts from mu_i on each minus j with zeros dropped:
+    its children are suffix_i - (j + 1) and suffix_(i+1) - (j + 1).  Below
+    j = mu_i it has first part mu_i - j and conj[j] - i + 1 parts, where
+    conj[j] counts the parts of mu above j; at j = mu_i it is empty.  Row i
+    holds i - 1 <= j <= mu_i, and row 1 only j <= mu_2, past which suffix_1
+    - j has one part.  Row i is built from row i + 1 alone, so two rows are
+    alive at a time, and there are at most |mu| + r nodes.
+    """
+    if not mu:
+        return 1
+    conj = conjugate(mu)
+    below = None  # row i + 1: suffix_(i+1) - j at index j - i
+    for i in range(len(mu), 0, -1):
+        part = mu[i - 1]
+        top = part if i > 1 else (mu[1] if len(mu) > 1 else 0)
+        if top < i - 1:
+            continue  # reached from no node
+        row = [1] * (top - i + 2)  # suffix_i - j at index j - (i - 1)
+        for j in range(min(top, part - 1), i - 2, -1):
+            r, m = conj[j] - i + 1, part - j
+            if r == 1:
+                row[j - i + 1] = derangement_count(m)
+            else:
+                shifted, tail = row[j - i + 2], below[j - i + 1]
+                value = (m + r - 1) * shifted if r & 1 else -(m + r - 1) * shifted
+                row[j - i + 1] = value + tail if (m + r) & 1 else value - tail
+        below = row
+    return below[0]
 
 
 def xi_by_last_part(mu: Partition) -> int:

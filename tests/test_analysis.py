@@ -1,5 +1,4 @@
 import json
-from types import SimpleNamespace
 
 import pytest
 
@@ -189,12 +188,16 @@ def _literal_chain_monotone(value, lam, target):
     return cur == target
 
 
-def _reference_thm6(n):
+# The literal loops read the single queries, eta and xi_by_first_part, so the
+# suites' values, read off lattice sweeps, are checked against a second engine.
+
+
+def _reference_thm6(n, eta_of):
     report = analysis.VerificationReport(suite="thm6", n_range=(n, n))
     order = report.relation("|eta(lo)| <= |eta(hi)|", "lo", "hi", "values")
     equal = report.relation("equality iff first part 3 with small tail", "lo", "hi", "values")
     chain = report.relation("stepwise |eta| monotone along chain", "lo", "hi")
-    abs_eta = lambda lam: abs(analysis.eta(lam).eta)  # noqa: E731
+    abs_eta = lambda lam: abs(eta_of(lam))  # noqa: E731
     star = analysis.has_first_part_three_rest_small
     for u, block in _blocks(n).items():
         for lam in block:
@@ -210,23 +213,23 @@ def _reference_thm6(n):
     return report
 
 
-def _reference_xi(n):
+def _reference_xi(n, xi_of):
     report = analysis.VerificationReport(suite="kuwong-xi", n_range=(n, n))
     agree = report.relation("xi recurrence agreement", "partition", "values")
     extremes = report.relation("lexicographic extremes bound |xi|", "partition", "values")
     variant = report.relation("mis-transcribed variant disagrees at (1,1)")
     order = report.relation("|xi(lo)| <= |xi(hi)|", "lo", "hi", "values")
     equal = report.relation("xi equality characterization", "lo", "hi", "values")
-    abs_xi = lambda lam: abs(analysis.xi_by_first_part(lam))  # noqa: E731
+    abs_xi = lambda lam: abs(xi_of(lam))  # noqa: E731
     star = analysis.has_first_part_three_rest_small
     for mu in enumerate_partitions(n):
-        a, b = analysis.xi_by_first_part(mu), xi_by_last_part(mu)
+        a, b = xi_of(mu), xi_by_last_part(mu)
         agree(a == b, mu, (a, b))
     if n == 2:
         one_one = P((1, 1))
         variant(
             xi_by_last_part_printed_variant(one_one) == -2
-            and analysis.xi_by_first_part(one_one) == -1
+            and xi_of(one_one) == -1
         )
     for u, block in _blocks(n).items():
         for lam in block:
@@ -245,10 +248,10 @@ def _reference_xi(n):
     return report
 
 
-def _reference_scan(n_max):
+def _reference_scan(n_max, eta_of):
     report = analysis.VerificationReport(suite="conjecture2", n_range=(2, n_max))
     grows = report.relation("strict |eta| growth across blocks", "lo", "hi", "values")
-    abs_eta = lambda lam: abs(analysis.eta(lam).eta)  # noqa: E731
+    abs_eta = lambda lam: abs(eta_of(lam))  # noqa: E731
     for n in range(2, n_max + 1):
         blocks = _blocks(n)
         for u, low_block in blocks.items():
@@ -266,7 +269,8 @@ def _reference_scan(n_max):
 
 def test_level_dominance_matches_dominance_compare():
     for n in range(1, 13):
-        level = analysis._Level(n, len)
+        parts = enumerate_partitions(n)
+        level = analysis._Level(parts, [len(lam) for lam in parts])
         assert level.parts == enumerate_partitions(n)
         assert level.values == [len(lam) for lam in level.parts]
         assert level.blocks == {
@@ -283,12 +287,17 @@ def _scrambled(lam):
     return sum((k + 3) * p * p for k, p in enumerate(lam)) * 7919 % 23
 
 
-@pytest.mark.parametrize("value", [analysis._abs_eta, _scrambled], ids=["abs_eta", "scrambled"])
+def _abs_eta(lam):
+    return abs(eta(lam).eta)
+
+
+@pytest.mark.parametrize("value", [_abs_eta, _scrambled], ids=["abs_eta", "scrambled"])
 def test_monotone_chains_match_literal_walk(value):
     # each pair is settled once, whatever order the pairs are asked in
     failed = 0
     for n in range(2, 15):
-        level = analysis._Level(n, value)
+        parts = enumerate_partitions(n)
+        level = analysis._Level(parts, list(map(value, parts)))
         for block in level.blocks.values():
             monotone = analysis._monotone_chains(level, block)
             for k, row in enumerate(level.rows(block)):
@@ -311,22 +320,29 @@ def _faulty(value, lam, factors=FAULTY):
     return value * factors[lam] or 1 if lam in factors else value
 
 
-def _faulty_eta(lam):
-    return SimpleNamespace(eta=_faulty(eta(lam).eta, lam))
+def _install_fault(monkeypatch, factors):
+    """Fault the values the suites read off their sweeps; return the single
+    queries under the same fault, for the literal loops."""
+    read_eta, read_xi = analysis._Sweep.eta, analysis._Sweep.xi
+    monkeypatch.setattr(analysis._Sweep, "eta", lambda self, lam: _faulty(read_eta(self, lam), lam, factors))
+    monkeypatch.setattr(analysis._Sweep, "xi", lambda self, mu: _faulty(read_xi(self, mu), mu, factors))
+    return (
+        lambda lam: _faulty(eta(lam).eta, lam, factors),
+        lambda mu: _faulty(xi_by_first_part(mu), mu, factors),
+    )
 
 
-def _merged(reference, n_min, n_max):
-    report = reference(n_min)
+def _merged(reference, n_min, n_max, value):
+    report = reference(n_min, value)
     for n in range(n_min + 1, n_max + 1):
-        report.merge(reference(n))
+        report.merge(reference(n, value))
     return report
 
 
 def test_pair_suites_match_literal_loops_under_injected_fault(monkeypatch):
-    monkeypatch.setattr(analysis, "eta", _faulty_eta)
-    monkeypatch.setattr(analysis, "xi_by_first_part", lambda lam: _faulty(xi_by_first_part(lam), lam))
+    eta_of, xi_of = _install_fault(monkeypatch, FAULTY)
     thm6 = analysis.run_suite("thm6", 14)
-    reference = _merged(_reference_thm6, 2, 14)
+    reference = _merged(_reference_thm6, 2, 14, eta_of)
     assert thm6.to_json() == reference.to_json()
     assert thm6.to_text() == reference.to_text()
     assert thm6.failure_count > 0
@@ -334,11 +350,11 @@ def test_pair_suites_match_literal_loops_under_injected_fault(monkeypatch):
     assert "stepwise |eta| monotone along chain" in relations
 
     scan = analysis.run_suite("conjecture2", 14)
-    assert scan.to_json() == _reference_scan(14).to_json()
+    assert scan.to_json() == _reference_scan(14, eta_of).to_json()
     assert scan.failure_count > 0
 
     xi = analysis.run_suite("kuwong-xi", 14)
-    reference = _merged(_reference_xi, 2, 14)
+    reference = _merged(_reference_xi, 2, 14, xi_of)
     assert xi.to_json() == reference.to_json()
     assert xi.to_text() == reference.to_text()
     assert "|xi(lo)| <= |xi(hi)|" in {item["relation"] for item in xi.failures}
@@ -349,14 +365,10 @@ def test_one_broken_row_mid_block_is_listed_among_bulk_rows(monkeypatch):
     # it is below 6 and above 7, so only its own row of the order relation
     # fails, while every other row of the block is counted in bulk
     broken = P((4, 3, 2, 2, 1))
-    factors = {broken: 1000}
-    monkeypatch.setattr(analysis, "eta", lambda lam: SimpleNamespace(eta=_faulty(eta(lam).eta, lam, factors)))
-    monkeypatch.setattr(
-        analysis, "xi_by_first_part", lambda lam: _faulty(xi_by_first_part(lam), lam, factors)
-    )
-    for suite, reference in (("thm6", _reference_thm6), ("kuwong-xi", _reference_xi)):
+    eta_of, xi_of = _install_fault(monkeypatch, {broken: 1000})
+    for suite, reference, value in (("thm6", _reference_thm6, eta_of), ("kuwong-xi", _reference_xi, xi_of)):
         report = analysis.run_suite(suite, 12)
-        expected = _merged(reference, 2, 12)
+        expected = _merged(reference, 2, 12, value)
         assert report.to_json() == expected.to_json()
         assert report.to_text() == expected.to_text()
         order = [item for item in report.failures if item["relation"].startswith("|")]

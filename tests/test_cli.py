@@ -376,6 +376,39 @@ def test_queries_too_large_for_memory_are_refused(command, bound):
     assert bound in done.stderr and "MB" in done.stderr and "physical memory" in done.stderr
 
 
+@pytest.mark.parametrize(
+    "partition, memory",
+    [("1200+1200+1200", 200e6), ("100000000", 8 * 2**30)],
+    ids=["coefficient-rows", "checkpoints"],
+)
+def test_queries_refused_by_what_they_hold_at_their_peak(capsys, monkeypatch, partition, memory):
+    # 1200+1200+1200 would cache about 420 MB of coefficient rows, and 10^8
+    # keep 64 checkpoint pairs of values of about 330 MB each, where one
+    # value alone would fit
+    monkeypatch.setattr(exact, "physical_memory_bytes", lambda: memory)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eta", "--partition", partition)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "at its peak" in err and "physical memory" in err and "Traceback" not in err
+
+
+def test_query_admitted_below_its_peak(capsys, monkeypatch):
+    # 600+600+600 holds about 50 MB
+    monkeypatch.setattr(exact, "physical_memory_bytes", lambda: 200e6)
+    code, out, _ = run(capsys, "eta", "--partition", "600+600+600")
+    assert code == 0 and "sign-pattern: ok" in out
+
+
+def test_deep_query_peaks_where_the_import_does(peak_rss):
+    # the prefix table of 2^300 1^250 holds two rows of at most three values
+    status, baseline = peak_rss("-c", "import pmspec.cli")
+    assert status == 0
+    status, peak = peak_rss("-m", "pmspec.cli", "eta", "--partition", "+".join(["2"] * 300 + ["1"] * 250))
+    assert status == 0
+    assert peak - baseline <= 1 << 20
+
+
 def test_xi_deep_partition(capsys):
     code, out, _ = run(capsys, "xi", "--partition", "600+600")
     assert code == 0

@@ -1,20 +1,19 @@
 """Pin every suite's report, byte for byte, clean and under an injected fault.
 
 Each case hashes ``to_json() + to_text()`` of ``run_suite(name, n_max)``.  The
-fault perturbs the values the suites read (eta, f, xi and the second eta
-path) at a handful of partitions, so that 24 of the 29 relations list
-failures: the digests then pin the witness rendering of every relation, the
-failure order and the cap, not only the clean verdicts.
+fault perturbs the values the suites read (eta, f and xi off a lattice sweep,
+the single query f and the second eta path) at a handful of partitions, so
+that 24 of the 29 relations list failures: the digests then pin the witness
+rendering of every relation, the failure order and the cap, not only the
+clean verdicts.
 """
 
 import hashlib
-from types import SimpleNamespace
 
 import pytest
 
 from pmspec import analysis
-from pmspec.pm_spectrum import eta, eta_alt, f_value
-from pmspec.sym_spectrum import xi_by_first_part
+from pmspec.pm_spectrum import eta_alt, f_value
 
 # suite: (n_max, clean (digest, checks_run, failure_count), faulty (...))
 GOLDEN = {
@@ -87,9 +86,10 @@ def _scale(lam, value):
 
 
 def _install_fault(monkeypatch):
-    monkeypatch.setattr(analysis, "eta", lambda lam: SimpleNamespace(eta=_scale(lam, eta(lam).eta)))
+    for name in ("eta", "f", "xi"):
+        read = getattr(analysis._Sweep, name)
+        monkeypatch.setattr(analysis._Sweep, name, lambda self, lam, read=read: _scale(lam, read(self, lam)))
     monkeypatch.setattr(analysis, "f_value", lambda lam: _scale(lam, f_value(lam)))
-    monkeypatch.setattr(analysis, "xi_by_first_part", lambda lam: _scale(lam, xi_by_first_part(lam)))
     monkeypatch.setattr(analysis, "eta_alt", lambda lam: eta_alt(lam) + (lam in SHIFTED))
 
 

@@ -1,9 +1,5 @@
 
-import os
-import subprocess
-import sys
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,26 +270,10 @@ def test_edited_graph_reads_its_edits_in_every_order():
     assert (broken.rows(move[:7], move) == expected[move[:7]][:, move]).all()
 
 
-def test_oracle_peak_memory():
-    # the child's peak RSS, read by a small intermediate process: on Linux the
-    # peak of a process started from a large one includes the large one's
-    # resident set, which the test process would add
-    runner = (
-        "import os, sys\n"
-        "pid = os.posix_spawn(sys.executable, [sys.executable, '-m', 'pmspec.cli', *sys.argv[1:]],"
-        " dict(os.environ), file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])\n"
-        "_, status, usage = os.wait4(pid, 0)\n"
-        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
-    )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    argv = ["oracle", "--family", "pm", "--n", "6", "--format", "json"]
-    result = subprocess.run(
-        [sys.executable, "-c", runner, *argv], env=env, capture_output=True, text=True, timeout=300
-    )
-    status, peak_kb = map(int, result.stdout.split())
+def test_oracle_peak_memory(peak_rss):
+    status, peak = peak_rss("-m", "pmspec.cli", "oracle", "--family", "pm", "--n", "6", "--format", "json")
     assert status == 0
-    assert peak_kb * 1024 <= 150e6  # the dense build peaked at 657 MB
+    assert peak <= 150e6  # the dense build peaked at 657 MB
 
 
 def test_faults_in_late_blocks_are_caught(monkeypatch):

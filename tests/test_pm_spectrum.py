@@ -1,9 +1,17 @@
+import functools
+import tracemalloc
+from bisect import bisect_right
+from itertools import accumulate
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmspec import pm_spectrum, sym_spectrum
 from pmspec.exact import binomial, irrep_dimension, odd_double_factorial, pm_degree
 from pmspec.partitions import Partition, enumerate_partitions
 from pmspec.pm_spectrum import (
+    _eta_sweep,
     eta,
     eta_alt,
     eta_alt_at,
@@ -11,8 +19,12 @@ from pmspec.pm_spectrum import (
     f_value,
     pm_spectrum_table,
 )
+from pmspec.sym_spectrum import xi
 
 P = Partition
+
+# partitions of at most 40 parts, each at most 12
+SHAPES = st.lists(st.integers(1, 12), max_size=40).map(lambda parts: P(sorted(parts, reverse=True)))
 
 
 def test_f_desk_values():
@@ -152,7 +164,8 @@ def test_table_rows_match_reference_paths():
 
 
 def test_table_rows_match_the_single_query_store():
-    # the lattice sweep and the memoized single query are separate engines
+    # the lattice sweep and the single query on each row's prefixes are
+    # separate engines
     for n in range(1, 25):
         for lam, (value, _) in pm_spectrum_table(n).rows.items():
             assert value == eta(lam).eta, lam
@@ -178,13 +191,14 @@ def test_table_checks_every_sign_and_every_dimension(monkeypatch):
 
 
 def test_table_leaves_module_stores_alone():
-    # each table runs its recurrences on a lattice of its own
-    stores = (pm_spectrum._eta_strip, pm_spectrum._eta_alt, sym_spectrum._xi_first, sym_spectrum._xi_last)
+    # each table runs its recurrences on a lattice of its own; the stores
+    # left are those of the cross-check recurrences
+    stores = (pm_spectrum._eta_alt, sym_spectrum._xi_last)
     for store in stores:
         store.cache_clear()
     pm_spectrum_table(12)
     sym_spectrum.sym_spectrum_table(12)
-    assert [store.cache_info().currsize for store in stores] == [0, 0, 0, 0]
+    assert [store.cache_info().currsize for store in stores] == [0, 0]
 
 
 def test_table_row_order_is_decreasing_lex():
@@ -210,11 +224,77 @@ def test_eta_on_deep_partitions():
 
 
 def test_recurrence_stores_are_separate():
+    # eta neither reads nor fills the store of the lowering recurrence
     lam = P((4, 3, 1))
+    pm_spectrum._eta_alt.cache_clear()
+    value = eta(lam).eta
+    assert pm_spectrum._eta_alt.cache_info().currsize == 0
+    assert value == eta_alt(lam)
+    assert pm_spectrum._eta_alt.cache_info().currsize > 0
+    pm_spectrum._eta_alt.cache_clear()
+    assert eta(lam).eta == value
+
+
+def test_single_queries_retain_no_memory():
+    # no store outlives a call: a deep shape keeps nothing once answered
+    eta(P((1, 1))), xi(P((3, 3)))  # the sequences' first terms, kept for good
+    tracemalloc.start()
+    try:
+        assert eta(P((1,) * 5000)).eta == -4999
+        xi(P((3,) * 2000))
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 20
+
+
+def test_deep_shapes_against_the_lowering_recurrence():
+    lam = P((60, 41, 7, 7, 1))
     assert eta(lam).eta == eta_alt(lam)
-    alt_size = pm_spectrum._eta_alt.cache_info().currsize
-    assert alt_size > 0
-    pm_spectrum._eta_strip.cache_clear()
-    assert pm_spectrum._eta_strip.cache_info().currsize == 0
-    assert pm_spectrum._eta_alt.cache_info().currsize == alt_size
+
+
+def test_two_long_parts_evaluate_one_coefficient_row(monkeypatch):
+    # the reach bound: (5000, 5000) reads prefix_1 - j for j <= 5000 and one
+    # coefficient row, 5,001 terms, where every prefix_2 - j would be 12.5M.
+    # The lowering recurrence would store 12.5M partitions here, so the
+    # value is checked modulo a prime against the two-part strip sum
+    # eta(a, b) = (-1)^b sum_j C(b, j) (2j-1)!! d_(a-j), with the degrees
+    # taken modulo that prime too, which keeps the products small
+    prime, a, b = (1 << 61) - 1, 5000, 5000
+    degrees = [1, 0]  # d_k mod prime
+    for k in range(2, a + 1):
+        degrees.append(2 * (k - 1) * (degrees[-1] + degrees[-2]) % prime)
+    requested = []
+    missing = pm_spectrum._StripRows.__missing__
+    monkeypatch.setattr(
+        pm_spectrum._StripRows, "__missing__", lambda rows, key: requested.append(key) or missing(rows, key)
+    )
+    monkeypatch.setattr(pm_spectrum, "pm_degree", degrees.__getitem__)
+    value = pm_spectrum._eta_prefixes(P((a, b)))
+    assert requested == [(b, 0)]
+    total, c = 0, 1  # c = C(b, j) (2j-1)!! mod prime
+    for j in range(b + 1):
+        total = (total + c * degrees[a - j]) % prime
+        c = c * (b - j) * (2 * j + 1) * pow(j + 1, -1, prime) % prime
+    assert value % prime == (-total if b & 1 else total) % prime
+
+
+@settings(max_examples=60, deadline=None)
+@given(SHAPES)
+def test_single_query_matches_the_lowering_recurrence(lam):
     assert eta(lam).eta == eta_alt(lam)
+
+
+@functools.cache
+def _swept(n):
+    lattice, values, _ = _eta_sweep(n)
+    return lattice, values
+
+
+@settings(max_examples=60, deadline=None)
+@given(SHAPES.map(lambda lam: P(lam[: bisect_right(list(accumulate(lam)), 30)])))
+def test_single_query_matches_the_sweep(lam):
+    # the prefix table against the lattice sweep, which holds every
+    # partition of size at most 30
+    lattice, values = _swept(30)
+    assert eta(lam).eta == values[lattice.index(lam)]

@@ -1,11 +1,17 @@
+import functools
 import math
+from bisect import bisect_right
+from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmspec import sym_spectrum
 from pmspec.exact import derangement_count, irrep_dimension
 from pmspec.partitions import Partition, enumerate_partitions
 from pmspec.sym_spectrum import (
+    _xi_sweep,
     sym_spectrum_table,
     xi,
     xi_by_first_part,
@@ -14,6 +20,9 @@ from pmspec.sym_spectrum import (
 )
 
 P = Partition
+
+# partitions of at most 40 parts, each at most 12
+SHAPES = st.lists(st.integers(1, 12), max_size=40).map(lambda parts: P(sorted(parts, reverse=True)))
 
 
 def test_desk_values():
@@ -70,7 +79,8 @@ def test_table_rows_match_reference_paths():
 
 
 def test_table_rows_match_the_single_query_store():
-    # the lattice sweep and the memoized single query are separate engines
+    # the lattice sweep and the single query on each row's suffixes are
+    # separate engines
     for n in range(1, 25):
         for mu, (value, _) in sym_spectrum_table(n).rows.items():
             assert value == xi_by_first_part(mu), mu
@@ -99,3 +109,37 @@ def test_n4_trace_desk_check():
         "2+1+1": (1, 9),
         "1+1+1+1": (-3, 1),
     }
+
+
+def test_deep_shapes_against_the_last_part_recurrence():
+    for mu in [(60, 41, 7, 7, 1), (5, 5, 3), (600, 600), (7,) + (1,) * 30, (3,) * 200]:
+        assert xi_by_first_part(P(mu)) == xi_by_last_part(P(mu)), mu
+
+
+def test_single_part_evaluates_one_node(monkeypatch):
+    # suffix_1 - j past j = mu_2 has one part, so (m,) needs D_m alone
+    asked = []
+    monkeypatch.setattr(sym_spectrum, "derangement_count", lambda k: asked.append(k) or derangement_count(k))
+    assert xi_by_first_part(P((40,))) == derangement_count(40)
+    assert asked == [40]
+
+
+@settings(max_examples=60, deadline=None)
+@given(SHAPES)
+def test_single_query_matches_the_last_part_recurrence(mu):
+    assert xi_by_first_part(mu) == xi_by_last_part(mu)
+
+
+@functools.cache
+def _swept(n):
+    lattice, values, _ = _xi_sweep(n)
+    return lattice, values
+
+
+@settings(max_examples=60, deadline=None)
+@given(SHAPES.map(lambda mu: P(mu[: bisect_right(list(accumulate(mu)), 30)])))
+def test_single_query_matches_the_sweep(mu):
+    # the suffix table against the lattice sweep of mu's size, which holds
+    # the partitions of that size
+    lattice, values = _swept(mu.size)
+    assert xi(mu).xi == values[lattice.index(mu)]
