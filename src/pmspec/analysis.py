@@ -149,15 +149,13 @@ class _Sweep:
         lattice, self._values, _ = (_eta_sweep if family == "pm" else _xi_sweep)(n)
         self._index = lattice.index
 
-    def eta(self, lam: Partition) -> int:
+    def value(self, lam: Partition) -> int:
+        """eta(lam) on a pm sweep, xi(lam) on a sym sweep."""
         return self._values[self._index(lam)]
 
     def f(self, lam: Partition) -> int:
         """(-1)^(n - lam_1) eta, checked nonnegative and zero only at (1)."""
         return _normalized(lam, self._values[self._index(lam)])
-
-    def xi(self, mu: Partition) -> int:
-        return self._values[self._index(mu)]
 
 
 class _Level:
@@ -337,7 +335,7 @@ def verify_sign_pattern(n: int, sweep: _Sweep | None = None) -> VerificationRepo
     report = VerificationReport(suite="signs", n_range=(n, n))
     sign = report.relation(None, "partition", "eta")
     for lam in enumerate_partitions(n):
-        value = sweep.eta(lam)
+        value = sweep.value(lam)
         sign((-1) ** (n - lam[0]) * value > 0, lam, str(value))
     return report
 
@@ -361,7 +359,7 @@ def verify_abs_dominance(n: int, sweep: _Sweep | None = None) -> VerificationRep
     report = VerificationReport(suite="thm6", n_range=(n, n))
     chain = report.relation("stepwise |eta| monotone along chain", "lo", "hi")
     parts = enumerate_partitions(n)
-    level = _Level(parts, [abs(sweep.eta(lam)) for lam in parts])
+    level = _Level(parts, [abs(sweep.value(lam)) for lam in parts])
     equality = "equality iff first part 3 with small tail"
     for block in level.blocks.values():
         monotone = _monotone_chains(level, block)
@@ -558,28 +556,31 @@ def verify_product_identities(size_budget: int) -> VerificationReport:
     proportional = report.relation("rectangle-with-tail proportionality", "u", "q", "values")
     exceeds = report.relation("tail shape exceeds raised shape for long rectangles", "u", "q")
     step = report.relation("rectangle-step identity", "u", "q", "values")
+    known: dict = {}
+
+    def f(parts: list) -> int:
+        # each shape once per call: most recur at a later u or q
+        key = tuple(parts)
+        if key not in known:
+            known[key] = f_value(Partition(key))
+        return known[key]
+
     u = 1
     while (u + 1) <= size_budget:
         q = 1
         while q * u + 1 <= size_budget:
-            lhs_shape = Partition([u + 1] + [u] * (q - 1))
-            if lhs_shape.size <= size_budget:
-                lhs = f_value(lhs_shape)
-                rhs = 2 * u * (
-                    f_value(Partition([u] + [u - 1] * (q - 1)))
-                    + f_value(Partition([u - 1] * q))
-                )
-                one_box(lhs == rhs, u, q, (lhs, rhs))
-                # derived proportionality between the two dominated shapes
-                tail_f = f_value(Partition([u] * q + [1]))
-                proportional(q * lhs == 2 * u * tail_f, u, q, (q * lhs, 2 * u * tail_f))
-                if q > 2 * u:
-                    exceeds(tail_f > lhs, u, q)
+            # (u+1, u^(q-1)) has size q u + 1, within budget
+            lhs = f([u + 1] + [u] * (q - 1))
+            rhs = 2 * u * (f([u] + [u - 1] * (q - 1)) + f([u - 1] * q))
+            one_box(lhs == rhs, u, q, (lhs, rhs))
+            # derived proportionality between the two dominated shapes
+            tail_f = f([u] * q + [1])
+            proportional(q * lhs == 2 * u * tail_f, u, q, (q * lhs, 2 * u * tail_f))
+            if q > 2 * u:
+                exceeds(tail_f > lhs, u, q)
             if q * (u + 2) + 1 <= size_budget:
-                lhs = f_value(Partition([u + 2] * q + [1]))
-                rhs = (2 * u + q + 1) * f_value(Partition([u + 1] * q + [1])) + 2 * u * f_value(
-                    Partition([u] * q + [1])
-                )
+                lhs = f([u + 2] * q + [1])
+                rhs = (2 * u + q + 1) * f([u + 1] * q + [1]) + 2 * u * tail_f
                 step(lhs == rhs, u, q, (lhs, rhs))
             q += 1
         u += 1
@@ -611,19 +612,23 @@ def find_cross_block_counterexamples(n: int) -> VerificationReport:
     dominated = report.relation("staircase dominated by special partition", "a", "partition")
     larger = report.relation("dominated shape has strictly larger f", "a", "partition", "values")
     constant = 2 * n + 2
+    # f of each member some a checks, once for all of them: a = 4 admits
+    # the most 1-parts, n - 9
+    family = [
+        (mu, f_value(mu), ones)
+        for mu in first_part_three_family(n)
+        if (ones := mu.count(1)) <= n - 9
+    ]
     for a in range(4, n // 2 + 1):
         b = n - 2 * a
         staircase = Partition([2] * a + [1] * b)
         staircase_f, closed_f = f_value(staircase), f_closed_form_2a1b(a, b)
         closed(staircase_f == closed_f, a, b, (staircase_f, closed_f))
-        for mu in first_part_three_family(n):
-            ones = sum(1 for p in mu if p == 1)
+        for mu, mu_f, ones in family:
             if ones > n - 2 * a - 1:
                 continue
             dominated(dominance_compare(staircase, mu) is Dominance.LESS, a, mu)
-            larger(
-                f_value(mu) == constant and constant < staircase_f, a, mu, (constant, staircase_f)
-            )
+            larger(mu_f == constant and constant < staircase_f, a, mu, (constant, staircase_f))
     return report
 
 
@@ -654,7 +659,7 @@ def _scan_level(report, n: int, sweep: _Sweep) -> None:
     return, before the next one is built."""
     grows = report.relation("strict |eta| growth across blocks", "lo", "hi", "values")
     parts = enumerate_partitions(n)
-    level = _Level(parts, [abs(sweep.eta(lam)) for lam in parts])
+    level = _Level(parts, [abs(sweep.value(lam)) for lam in parts])
     values, above = level.values, level.above
     ranked = {v: _ranked(values[b[0] : b[-1] + 1]) for v, b in level.blocks.items()}
     passed = 0
@@ -700,7 +705,7 @@ def verify_xi_comparison(n: int) -> VerificationReport:
     # a sym sweep holds only what the partitions of its own size reach
     sweep = _Sweep("sym", n)
     parts = enumerate_partitions(n)
-    signed = [sweep.xi(mu) for mu in parts]
+    signed = [sweep.value(mu) for mu in parts]
     level = _Level(parts, list(map(abs, signed)))
     values = level.values
     for mu, by_first in zip(parts, signed):
@@ -709,7 +714,7 @@ def verify_xi_comparison(n: int) -> VerificationReport:
     if n == 2:
         variant(
             xi_by_last_part_printed_variant(Partition((1, 1))) == -2
-            and sweep.xi(Partition((1, 1))) == -1
+            and sweep.value(Partition((1, 1))) == -1
         )
 
     for block in level.blocks.values():
@@ -747,7 +752,7 @@ def verify_dual_recurrences(n_max: int) -> VerificationReport:
     any_index = report.relation("lowering recurrence index-independent", "partition", "index")
     for n in range(1, n_max + 1):
         for lam in enumerate_partitions(n):
-            a, b = sweep.eta(lam), eta_alt(lam)
+            a, b = sweep.value(lam), eta_alt(lam)
             agree(a == b, lam, (a, b))
             if n <= _ALL_INDICES_MAX_N:
                 s = len(lam)

@@ -67,11 +67,13 @@ def _xi_suffixes(mu: tuple) -> int:
     conj[j] counts the parts of mu above j; at j = mu_i it is empty.  Row i
     holds i - 1 <= j <= mu_i, and row 1 only j <= mu_2, past which suffix_1
     - j has one part.  Row i is built from row i + 1 alone, so two rows are
-    alive at a time, and there are at most |mu| + r nodes.
+    alive at a time, and there are at most |mu| + r nodes.  No j past mu_2
+    is read, so conj is taken of mu with its parts capped at mu_2 + 1.
     """
     if not mu:
         return 1
-    conj = conjugate(mu)
+    cap = (mu[1] if len(mu) > 1 else 0) + 1
+    conj = conjugate(tuple(min(part, cap) for part in mu))
     below = None  # row i + 1: suffix_(i+1) - j at index j - i
     for i in range(len(mu), 0, -1):
         part = mu[i - 1]

@@ -323,9 +323,8 @@ def _faulty(value, lam, factors=FAULTY):
 def _install_fault(monkeypatch, factors):
     """Fault the values the suites read off their sweeps; return the single
     queries under the same fault, for the literal loops."""
-    read_eta, read_xi = analysis._Sweep.eta, analysis._Sweep.xi
-    monkeypatch.setattr(analysis._Sweep, "eta", lambda self, lam: _faulty(read_eta(self, lam), lam, factors))
-    monkeypatch.setattr(analysis._Sweep, "xi", lambda self, mu: _faulty(read_xi(self, mu), mu, factors))
+    read = analysis._Sweep.value
+    monkeypatch.setattr(analysis._Sweep, "value", lambda self, lam: _faulty(read(self, lam), lam, factors))
     return (
         lambda lam: _faulty(eta(lam).eta, lam, factors),
         lambda mu: _faulty(xi_by_first_part(mu), mu, factors),

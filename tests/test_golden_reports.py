@@ -86,7 +86,7 @@ def _scale(lam, value):
 
 
 def _install_fault(monkeypatch):
-    for name in ("eta", "f", "xi"):
+    for name in ("value", "f"):
         read = getattr(analysis._Sweep, name)
         monkeypatch.setattr(analysis._Sweep, name, lambda self, lam, read=read: _scale(lam, read(self, lam)))
     monkeypatch.setattr(analysis, "f_value", lambda lam: _scale(lam, f_value(lam)))

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 from bisect import bisect_right
 from itertools import accumulate
 
@@ -122,6 +123,17 @@ def test_single_part_evaluates_one_node(monkeypatch):
     monkeypatch.setattr(sym_spectrum, "derangement_count", lambda k: asked.append(k) or derangement_count(k))
     assert xi_by_first_part(P((40,))) == derangement_count(40)
     assert asked == [40]
+    # nor does it build anything of length m: a list or tuple of 10^6 entries
+    # would take 8 MB
+    monkeypatch.setattr(sym_spectrum, "derangement_count", lambda k: k)
+    mu = P((10**6,))
+    tracemalloc.start()
+    try:
+        assert xi_by_first_part(mu) == 10**6
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 @settings(max_examples=60, deadline=None)
