@@ -116,9 +116,11 @@ def admit_query(family: str, lam: tuple) -> None:
     its peak two rows of at most lam_2 + 1 values (see
     :func:`pmspec.pm_spectrum._eta_prefixes` and
     :func:`pmspec.sym_spectrum._xi_suffixes`), the checkpoint pairs of d or
-    D it rolls to lam_1 (at most 64 times the bits of term lam_1), and, for
-    eta, the coefficient rows it caches.  One value that alone exceeds
-    physical memory is refused first, and so is the sum.
+    D it rolls to at most lam_1 (at most 64 times the bits of term lam_1),
+    and, for eta, the coefficient rows it caches.  eta rolls its sequence
+    only to lam_1 - lam_2 + 1 and the rest of row 1 in the row itself, so
+    for eta this is an upper bound.  One value that alone exceeds physical
+    memory is refused first, and so is the sum.
     """
     n, memory = sum(lam), physical_memory_bytes()
     bound = "d_n" if family == "pm" else "D_n"

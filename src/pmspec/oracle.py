@@ -5,10 +5,10 @@ Vertices are encoded as incidence vectors (matchings over the edges of
 K_{2n}, permutations over position/value cells), so adjacency reduces to a
 Gram-matrix product: two vertices are adjacent iff their incidence vectors
 are orthogonal.  The graph keeps only the V x edges incidence; rows of the
-V x V adjacency A are computed on demand, a block of about 2**21 vertex
-pairs at a time, and no V x V array is ever held.  The build streams every
-row once to check every degree; the certificate streams every row once more
-and reads each vertex pair there.
+V x V adjacency A are computed on demand, a block of at most 64 rows and
+about 2**21 vertex pairs at a time, and no V x V array is ever held.  The
+build streams every row once to check every degree; the certificate streams
+every row once more and reads each vertex pair there.
 
 Certification never diagonalises A.  Every vertex is labelled by its cell
 relative to the base vertex x0 = vertex 0: the coset type of m ∪ x0 for a
@@ -44,8 +44,11 @@ from .exact import derangement_count, odd_double_factorial, physical_memory_byte
 from .tables import SpectrumTable
 
 
-# vertex pairs per row block: whatever the graph's size, one block's Gram
-# product and the rows made from it stay near 20 MB
+# rows and vertex pairs per row block: one block's float32 Gram product and
+# the uint8 rows made from it take 5 bytes per pair, 1.6 MB at sym n=7 (5,040
+# vertices) and about 10 MB at most, while 64 rows per Gram product still
+# amortise reading the whole incidence (128 rows measured no faster)
+_BLOCK_ROWS = 64
 _BLOCK_PAIRS = 2**21
 
 # bytes per vertex pair that a block holds at its peak, with room to spare:
@@ -54,21 +57,23 @@ _BLOCK_PAIRS = 2**21
 _BLOCK_BYTES_PER_PAIR = 12
 
 # bytes per vertex beside its float32 incidence row: the label tuples, the
-# cell labels, the label index, the images under the two moves and the
-# per-vertex arrays (cells, count rows, moves).  Measured once per family as
-# the growth of the oracle command's peak RSS, with one row block streamed,
-# from sym n=7 to n=8 (571 bytes) and from pm n=6 to n=7 (1,065 bytes), and
-# rounded up, since labels grow with n
-_BYTES_PER_VERTEX = {"pm": 1200, "sym": 640}
+# int8 point rows and the arrays computed from them, and the per-vertex
+# arrays (cells, count rows, moves).  Measured as the growth of the oracle
+# command's peak RSS, with one row block of 2**21 vertex pairs streamed at
+# either size: 849 bytes from pm n=6 to n=7, and 401 from sym n=7 to n=8 but
+# 666 from n=8 to n=9, whose count rows have 30 cells, not 22.  Rounded up
+# from the largest, since labels and cells grow with n
+_BYTES_PER_VERTEX = {"pm": 960, "sym": 700}
 
 
 def _block_rows(vertex_count: int) -> int:
-    return max(1, _BLOCK_PAIRS // vertex_count)
+    return max(1, min(_BLOCK_ROWS, _BLOCK_PAIRS // vertex_count))
 
 
 def _blocks(vertex_count: int):
-    """Consecutive vertex index ranges of at most about _BLOCK_PAIRS vertex
-    pairs each (one row at least), covering every vertex once."""
+    """Consecutive vertex index ranges of at most _BLOCK_ROWS rows and about
+    _BLOCK_PAIRS vertex pairs each (one row at least), covering every vertex
+    once."""
     step = _block_rows(vertex_count)
     for start in range(0, vertex_count, step):
         yield np.arange(start, min(start + step, vertex_count))
@@ -80,10 +85,11 @@ def _admit(family: str, n: int) -> None:
     if n < 1:
         raise ValueError(f"oracle {family} needs n >= 1, got n={n}")
     # memory grows with the vertex count, not with its square: every vertex
-    # costs its incidence row and its per-vertex bytes, and one row block is
-    # alive at a time.  The vertex count (2n-1)!! or n! grows factor by
-    # factor, and the check stops at the first factor that overflows memory,
-    # so a huge n costs no more than a small one.
+    # costs its incidence row (4 bytes per entry, read in place by every Gram
+    # product) and its per-vertex bytes, and one row block is alive at a
+    # time.  The vertex count (2n-1)!! or n! grows factor by factor, and the
+    # check stops at the first factor that overflows memory, so a huge n
+    # costs no more than a small one.
     width = n * (2 * n - 1) if family == "pm" else n * n
     per_vertex = _BYTES_PER_VERTEX[family] + 4 * width
     memory = physical_memory_bytes()
@@ -112,12 +118,12 @@ class Graph:
     def vertex_count(self) -> int:
         return len(self.labels)
 
-    def rows(self, index: np.ndarray, columns: np.ndarray | None = None) -> np.ndarray:
-        """Adjacency rows A[index] as uint8, their columns in the order of
-        `columns` (all vertices in order when None): two vertices are
-        adjacent iff their incidence rows share no 1."""
-        right = self.incidence if columns is None else self.incidence[columns]
-        return (self.incidence[index] @ right.T == 0).view(np.uint8)
+    def rows(self, index: np.ndarray) -> np.ndarray:
+        """Adjacency rows A[index] as uint8: two vertices are adjacent iff
+        their incidence rows share no 1.  They are computed as the columns
+        A[:, index] of the symmetric Gram product, which runs faster this
+        way round, and so lie in memory column by column."""
+        return (self.incidence @ self.incidence[index].T == 0).view(np.uint8).T
 
 
 @dataclass
@@ -194,22 +200,41 @@ def _check_degree(graph: Graph, what: str) -> Graph:
     """Stream every row of the graph; each must have `graph.degree` ones."""
     observed = set()
     for block in _blocks(graph.vertex_count):
-        observed.update(graph.rows(block).sum(axis=1, dtype=np.int64).tolist())
+        # a degree is below V, far below 2**31 for any graph that fits in memory
+        observed.update(graph.rows(block).sum(axis=1, dtype=np.int32).tolist())
     if observed - {graph.degree}:
         raise RuntimeError(f"{what}: observed degrees {sorted(observed)} != {graph.degree}")
     return graph
 
 
+def _points(family: str, labels: list) -> np.ndarray:
+    """The vertex labels as one int8 row each: a permutation's values
+    (V x n), or a matching's partner of each point, the points numbered from
+    0 (V x 2n).  int8 holds the points of every graph that fits in memory."""
+    flat = itertools.chain.from_iterable(labels)
+    if family == "pm":
+        flat = itertools.chain.from_iterable(flat)
+    array = np.fromiter(flat, dtype=np.int8).reshape(len(labels), -1)
+    if family == "sym":
+        return array
+    partner = np.empty_like(array)
+    rows = np.arange(len(labels))[:, None]
+    partner[rows, array[:, 0::2] - 1] = array[:, 1::2] - 1
+    partner[rows, array[:, 1::2] - 1] = array[:, 0::2] - 1
+    return partner
+
+
 def build_pm_graph(n: int) -> Graph:
     """Graph on the perfect matchings of K_{2n}, adjacent iff edge-disjoint."""
     matchings = enumerate_perfect_matchings(n)  # refuses what would not fit
-    edge_index = {
-        pair: k for k, pair in enumerate(itertools.combinations(range(1, 2 * n + 1), 2))
-    }
-    incidence = np.zeros((len(matchings), len(edge_index)), dtype=np.float32)
-    for v, matching in enumerate(matchings):
-        for pair in matching:
-            incidence[v, edge_index[pair]] = 1.0
+    # edge {a, b} of K_{2n} is column edge[a, b] = edge[b, a], in the order
+    # of itertools.combinations; each matching sets its edges from both ends
+    edge = np.zeros((2 * n, 2 * n), dtype=np.intp)
+    upper = np.triu_indices(2 * n, 1)
+    edge[upper] = edge.T[upper] = np.arange(len(upper[0]))
+    incidence = np.zeros((len(matchings), len(upper[0])), dtype=np.float32)
+    partner = _points("pm", matchings)
+    incidence[np.arange(len(matchings))[:, None], edge[np.arange(2 * n), partner]] = 1.0
     graph = Graph(family="pm", n=n, labels=matchings, incidence=incidence, degree=pm_degree(n))
     return _check_degree(graph, f"matching graph n={n}")
 
@@ -219,9 +244,7 @@ def build_derangement_graph(n: int) -> Graph:
     _admit("sym", n)
     perms = list(itertools.permutations(range(n)))
     incidence = np.zeros((len(perms), n * n), dtype=np.float32)
-    for v, perm in enumerate(perms):
-        for pos, val in enumerate(perm):
-            incidence[v, pos * n + val] = 1.0
+    incidence[np.arange(len(perms))[:, None], n * np.arange(n) + _points("sym", perms)] = 1.0
     graph = Graph(family="sym", n=n, labels=perms, incidence=incidence, degree=derangement_count(n))
     return _check_degree(graph, f"derangement graph n={n}")
 
@@ -283,63 +306,66 @@ def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _cycle_type(step: dict) -> tuple:
-    """Cycle lengths of the permutation `step` (point -> point), descending."""
-    seen = set()
-    lengths = []
-    for start in step:
-        length, point = 0, start
-        while point not in seen:
-            seen.add(point)
-            point = step[point]
-            length += 1
-        if length:
-            lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
+def _cells(family: str, points: np.ndarray) -> np.ndarray:
+    """Each vertex's cell relative to x0 = vertex 0, as ids 0, 1, ...: the
+    cycle type of x0^-1 σ for a permutation σ, the coset type of m ∪ x0 for
+    a matching m.  A component of m ∪ x0 on 2k points splits into two
+    k-cycles of x0∘m, so the coset type halves the cycle counts of x0∘m."""
+    x0 = points[0]
+    if family == "sym":
+        inverse = np.empty_like(x0)
+        inverse[x0] = np.arange(len(x0))
+        step, per_part = inverse[points], 1
+    else:
+        step, per_part = x0[points], 2
+    # each point's cycle length: the least k with step^k fixing it
+    length = np.zeros_like(step)
+    image, identity = step, np.arange(step.shape[1])
+    for k in range(1, step.shape[1] + 1):
+        length[(image == identity) & (length == 0)] = k
+        image = np.take_along_axis(step, image, axis=1)
+    # the type as one integer: its number of parts k is a digit of radix n // k + 1
+    n = step.shape[1] // per_part
+    key = np.zeros(len(points), dtype=np.int64)
+    for k in range(1, n + 1):
+        key = key * (n // k + 1) + (length == k).sum(axis=1) // (k * per_part)
+    return np.unique(key, return_inverse=True)[1]
 
 
-def _partner(matching) -> dict:
-    out = {}
-    for a, b in matching:
-        out[a], out[b] = b, a
-    return out
-
-
-def _cell_labels(graph: Graph) -> list[tuple]:
-    """Each vertex's cell relative to x0 = vertex 0, computed from the labels."""
-    x0 = graph.labels[0]
-    if graph.family == "pm":
-        # a component of m ∪ x0 on 2k points splits into two k-cycles of
-        # x0∘m, so every other sorted cycle length is the coset type
-        x0_partner = _partner(x0)
-        return [
-            _cycle_type({p: x0_partner[q] for p, q in _partner(m).items()})[::2]
-            for m in graph.labels
-        ]
-    x0_inverse = {value: pos for pos, value in enumerate(x0)}
-    return [
-        _cycle_type({pos: x0_inverse[v] for pos, v in enumerate(perm)}) for perm in graph.labels
-    ]
-
-
-def _vertex_permutations(graph: Graph) -> list[np.ndarray]:
+def _vertex_permutations(family: str, points: np.ndarray) -> list[np.ndarray]:
     """How a transposition and a full cycle of the points move the vertices:
     left multiplication on the values 0..n-1 of a permutation, relabelling
-    of the points 1..2n of a matching.  The two generate the symmetric group.
-    A vertex whose image is not on the vertex list maps to -1."""
-    points = list(range(graph.n)) if graph.family == "sym" else list(range(1, 2 * graph.n + 1))
-    swap = dict(zip(points, points[1::-1] + points[2:]))
-    shift = dict(zip(points, points[1:] + points[:1]))
-    index = {label: v for v, label in enumerate(graph.labels)}
+    of the points of a matching.  The two generate the symmetric group.
+    A vertex whose image is not on the vertex list maps to -1, and one whose
+    image labels several vertices maps to the last of them."""
+    width = points.shape[1]
 
-    def act(g, label):
-        if graph.family == "sym":
-            return tuple(g[v] for v in label)
-        return tuple(sorted(tuple(sorted((g[a], g[b]))) for a, b in label))
+    def keys(rows):
+        # a permutation by its values, a matching by the partner of each
+        # point that precedes its partner: n digits of base n or 2n, which
+        # fit int64 up to sym n=15 and pm n=13, far past any graph that fits
+        # in memory
+        if family == "pm":
+            rows = rows[rows > np.arange(width)].reshape(len(rows), -1)
+        return rows @ width ** np.arange(rows.shape[1] - 1, -1, -1)
 
-    return [
-        np.array([index.get(act(g, label), -1) for label in graph.labels]) for g in (swap, shift)
-    ]
+    own = keys(points)
+    order = np.argsort(own, kind="stable")  # equal labels by ascending index
+    ordered = own[order]
+    identity = np.arange(width)
+    swap = np.concatenate([identity[1::-1], identity[2:]])
+    shift = np.roll(identity, -1)
+    moves = []
+    for g in (swap, shift):
+        if family == "sym":
+            image = g[points]
+        else:
+            image = np.empty_like(points)
+            image[:, g] = g[points]
+        wanted = keys(image)
+        at = np.searchsorted(ordered, wanted, side="right") - 1
+        moves.append(np.where(ordered[at] == wanted, order[at], -1))
+    return moves
 
 
 def _stream(graph: Graph, cell_of: np.ndarray, cell_count: int, moves: list[np.ndarray]):
@@ -357,7 +383,11 @@ def _stream(graph: Graph, cell_of: np.ndarray, cell_count: int, moves: list[np.n
         rows = graph.rows(block)
         counts[block] = rows.astype(dtype) @ onehot
         for k, move in enumerate(moves):
-            preserved[k] = preserved[k] and np.array_equal(graph.rows(move[block], move), rows)
+            if preserved[k]:
+                # the rows lie column by column, so each of their columns is
+                # gathered as one run of bytes, a row of their transpose
+                moved = np.take(graph.rows(move[block]).T, move, axis=0).T
+                preserved[k] = np.array_equal(moved, rows)
     return counts.astype(np.int64), all(preserved)
 
 
@@ -392,11 +422,11 @@ def certify(table: SpectrumTable, graph: Graph) -> OracleReport:
         predicted[val] = predicted.get(val, 0) + mult
 
     vertex_count = graph.vertex_count
-    cell_labels = _cell_labels(graph)
-    cells = {cell: c for c, cell in enumerate(sorted(set(cell_labels), reverse=True))}
-    cell_of = np.array([cells[cell] for cell in cell_labels])
-    moves = _vertex_permutations(graph)
-    counts, automorphisms = _stream(graph, cell_of, len(cells), moves)
+    points = _points(graph.family, graph.labels)
+    cell_of = _cells(graph.family, points)
+    cell_count = int(cell_of.max()) + 1
+    moves = _vertex_permutations(graph.family, points)
+    counts, automorphisms = _stream(graph, cell_of, cell_count, moves)
     # B is the count row of each cell's first vertex; the partition is
     # equitable iff every vertex's count row is its cell's row of B
     quotient = counts[np.unique(cell_of, return_index=True)[1]]
@@ -404,21 +434,21 @@ def certify(table: SpectrumTable, graph: Graph) -> OracleReport:
     quotient = quotient.tolist()
     base = int(cell_of[0])
 
-    annihilator = [[int(i == j) for j in range(len(cells))] for i in range(len(cells))]
+    annihilator = [[int(i == j) for j in range(cell_count)] for i in range(cell_count)]
     for theta in predicted:
         shifted = [
             [b - theta * (i == j) for j, b in enumerate(row)] for i, row in enumerate(quotient)
         ]
         annihilator = _matmul(annihilator, shifted)
     closed_walks = []
-    walk = [int(c == base) for c in range(len(cells))]  # row c0 of B^k
+    walk = [int(c == base) for c in range(cell_count)]  # row c0 of B^k
     for _ in range(len(predicted)):
         closed_walks.append(walk[base])
-        walk = [sum(w * row[j] for w, row in zip(walk, quotient)) for j in range(len(cells))]
+        walk = [sum(w * row[j] for w, row in zip(walk, quotient)) for j in range(cell_count)]
 
     quotient_checks = [
         ("equitable", equitable),
-        ("base_alone", cell_labels.count(cell_labels[0]) == 1),
+        ("base_alone", int((cell_of == base).sum()) == 1),
         ("automorphisms", automorphisms),
         ("orbit", _orbit_size(moves, vertex_count) == vertex_count),
         ("charpoly", charpoly(quotient) == _poly_from_roots(table.eigenvalues())),
@@ -451,7 +481,7 @@ def certify(table: SpectrumTable, graph: Graph) -> OracleReport:
         n=graph.n,
         vertex_count=vertex_count,
         degree_observed=graph.degree,
-        quotient_size=len(cells),
+        quotient_size=cell_count,
         quotient_checks=quotient_checks,
         trace_checks=trace_checks,
     )

@@ -416,12 +416,12 @@ def test_xi_deep_partition(capsys):
 
 
 def test_oracle_refuses_what_memory_cannot_hold(capsys, monkeypatch):
-    # sym n=5 needs 740 bytes for each of its 120 vertices, and its one row
-    # block 12 bytes for each of 14,400 vertex pairs: 261,600 bytes
+    # sym n=5 needs 800 bytes for each of its 120 vertices, and its row
+    # block of 64 rows 12 bytes for each of 7,680 vertex pairs: 188,160 bytes
     monkeypatch.setattr(oracle, "physical_memory_bytes", lambda: 80_000)
     code, _, err = run(capsys, "oracle", "--family", "sym", "--n", "5")
     assert code == 2 and "physical memory" in err
-    # pm n=10 would need about 1.3 TB
+    # pm n=10 would need about 1.1 TB
     monkeypatch.setattr(oracle, "physical_memory_bytes", lambda: 64 * 2**30)
     code, _, err = run(capsys, "oracle", "--family", "pm", "--n", "10")
     assert code == 2 and "physical memory" in err

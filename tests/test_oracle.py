@@ -38,14 +38,14 @@ def test_cap_enforced(monkeypatch):
             oracle.build_derangement_graph(n)
     monkeypatch.setattr(oracle, "physical_memory_bytes", lambda: 64 * 2**30)
     with pytest.raises(ValueError):
-        oracle.enumerate_perfect_matchings(10)  # 654,729,075 vertices, about 1.3 TB
+        oracle.enumerate_perfect_matchings(10)  # 654,729,075 vertices, about 1.1 TB
     with pytest.raises(ValueError):
-        oracle.build_derangement_graph(12)  # 479,001,600 vertices, about 590 GB
+        oracle.build_derangement_graph(12)  # 479,001,600 vertices, about 620 GB
     with pytest.raises(ValueError, match="physical memory"):
         oracle.build_derangement_graph(10**6)  # refused without computing 10**6!
     oracle._admit("pm", 6)  # n alone refuses nothing that fits
     oracle._admit("sym", 8)
-    oracle._admit("pm", 9)  # 34,459,425 vertices, about 63 GB
+    oracle._admit("pm", 9)  # 34,459,425 vertices, about 55 GB
     oracle._admit("sym", 11)
     monkeypatch.setattr(oracle, "physical_memory_bytes", lambda: 1000)
     with pytest.raises(ValueError):
@@ -56,7 +56,8 @@ def test_cap_enforced(monkeypatch):
 def test_blocks_cover_every_vertex_once(vertex_count):
     blocks = list(oracle._blocks(vertex_count))
     assert np.array_equal(np.concatenate(blocks), np.arange(vertex_count))
-    assert all(len(b) * vertex_count <= max(2**21, vertex_count) for b in blocks)
+    assert all(len(b) <= oracle._BLOCK_ROWS for b in blocks)
+    assert all(len(b) * vertex_count <= max(oracle._BLOCK_PAIRS, vertex_count) for b in blocks)
 
 
 def test_pm_graph_small():
@@ -181,11 +182,10 @@ class EditedGraph(oracle.Graph):
 
     edits: dict = field(default_factory=dict)
 
-    def rows(self, index, columns=None):
-        out = super().rows(index, columns)
-        columns = np.arange(self.vertex_count) if columns is None else columns
+    def rows(self, index):
+        out = super().rows(index)
         for (u, v), bit in self.edits.items():
-            out[np.ix_(index == u, columns == v)] = bit
+            out[index == u, v] = bit
         return out
 
 
@@ -220,7 +220,7 @@ def test_equitable_edge_switch_is_caught_by_the_automorphism_check():
     # still pass; only the symmetry the argument relies on is broken
     graph = oracle.build_pm_graph(4)
     adjacency = graph.rows(np.arange(graph.vertex_count))
-    cells = oracle._cell_labels(graph)
+    cells = oracle._cells("pm", oracle._points("pm", graph.labels))
     a, b, c, d = next(
         (a, b, c, d)
         for a, b in zip(*np.nonzero(adjacency))
@@ -267,7 +267,18 @@ def test_edited_graph_reads_its_edits_in_every_order():
     expected[1, 2] = expected[2, 1] = 1
     assert (broken.rows(every) == expected).all()
     move = np.random.default_rng(1).permutation(graph.vertex_count)
-    assert (broken.rows(move[:7], move) == expected[move[:7]][:, move]).all()
+    assert (broken.rows(move[:7]) == expected[move[:7]]).all()
+
+
+def test_oracle_sym7_peak_memory_over_numpy(peak_rss):
+    # row blocks of at most 64 rows, each compared with its images without
+    # a copy of the incidence: sym n=7 (5,040 vertices) adds little beyond
+    # numpy itself
+    status, numpy_peak = peak_rss("-c", "import numpy")
+    assert status == 0
+    status, peak = peak_rss("-m", "pmspec.cli", "oracle", "--family", "sym", "--n", "7", "--format", "json")
+    assert status == 0
+    assert peak - numpy_peak <= 15 * 2**20
 
 
 def test_oracle_peak_memory(peak_rss):
@@ -288,3 +299,89 @@ def test_faults_in_late_blocks_are_caught(monkeypatch):
         oracle._check_degree(broken, "edited graph")
     checks = dict(oracle.certify(pm_spectrum_table(4), broken).quotient_checks)
     assert checks["equitable"] is False and checks["automorphisms"] is False
+
+
+# the tuple code the array code in oracle replaced, kept as its reference
+
+
+def _cycle_type(step: dict) -> tuple:
+    """Cycle lengths of the permutation `step` (point -> point), descending."""
+    seen = set()
+    lengths = []
+    for start in step:
+        length, point = 0, start
+        while point not in seen:
+            seen.add(point)
+            point = step[point]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def _partner(matching) -> dict:
+    out = {}
+    for a, b in matching:
+        out[a], out[b] = b, a
+    return out
+
+
+def _reference_cells(graph) -> list[tuple]:
+    x0 = graph.labels[0]
+    if graph.family == "pm":
+        x0_partner = _partner(x0)
+        return [
+            _cycle_type({p: x0_partner[q] for p, q in _partner(m).items()})[::2]
+            for m in graph.labels
+        ]
+    x0_inverse = {value: pos for pos, value in enumerate(x0)}
+    return [
+        _cycle_type({pos: x0_inverse[v] for pos, v in enumerate(perm)}) for perm in graph.labels
+    ]
+
+
+def _reference_moves(graph) -> list[np.ndarray]:
+    points = list(range(graph.n)) if graph.family == "sym" else list(range(1, 2 * graph.n + 1))
+    swap = dict(zip(points, points[1::-1] + points[2:]))
+    shift = dict(zip(points, points[1:] + points[:1]))
+    index = {label: v for v, label in enumerate(graph.labels)}
+
+    def act(g, label):
+        if graph.family == "sym":
+            return tuple(g[v] for v in label)
+        return tuple(sorted(tuple(sorted((g[a], g[b]))) for a, b in label))
+
+    return [
+        np.array([index.get(act(g, label), -1) for label in graph.labels]) for g in (swap, shift)
+    ]
+
+
+def _assert_matches_reference(graph):
+    points = oracle._points(graph.family, graph.labels)
+    cells, expected = oracle._cells(graph.family, points).tolist(), _reference_cells(graph)
+    # the same partition: cell ids and cell labels in bijection
+    assert len(set(zip(cells, expected))) == len(set(cells)) == len(set(expected))
+    moves = oracle._vertex_permutations(graph.family, points)
+    for move, reference in zip(moves, _reference_moves(graph), strict=True):
+        assert np.array_equal(move, reference)
+    return moves
+
+
+@pytest.mark.parametrize(
+    "family, n", [("pm", k) for k in range(1, 6)] + [("sym", k) for k in range(1, 7)]
+)
+def test_cells_and_moves_match_the_tuple_reference(family, n):
+    graph = oracle.build_pm_graph(n) if family == "pm" else oracle.build_derangement_graph(n)
+    _assert_matches_reference(graph)
+
+
+@pytest.mark.parametrize("family, n", [("pm", 3), ("sym", 4)])
+def test_cells_and_moves_on_edited_labels_match_the_tuple_reference(family, n):
+    graph = oracle.build_pm_graph(n) if family == "pm" else oracle.build_derangement_graph(n)
+    # vertex 2 relabelled as vertex 1: images of that label go to the last
+    # vertex carrying it, and the old label of vertex 2 is nobody's
+    duplicated = replace(graph, labels=graph.labels[:2] + graph.labels[1:2] + graph.labels[3:])
+    assert any((move == -1).any() for move in _assert_matches_reference(duplicated))
+    # the last vertex dropped: whatever moved onto it maps to -1
+    missing = replace(graph, labels=graph.labels[:-1])
+    assert any((move == -1).any() for move in _assert_matches_reference(missing))

@@ -258,8 +258,9 @@ def test_two_long_parts_evaluate_one_coefficient_row(monkeypatch):
     # coefficient row, 5,001 terms, where every prefix_2 - j would be 12.5M.
     # The lowering recurrence would store 12.5M partitions here, so the
     # value is checked modulo a prime against the two-part strip sum
-    # eta(a, b) = (-1)^b sum_j C(b, j) (2j-1)!! d_(a-j), with the degrees
-    # taken modulo that prime too, which keeps the products small
+    # eta(a, b) = (-1)^b sum_j C(b, j) (2j-1)!! d_(a-j), with the
+    # coefficient row taken modulo that prime too, which keeps the products
+    # small (row 1, the degrees, rolls up in the row itself)
     prime, a, b = (1 << 61) - 1, 5000, 5000
     degrees = [1, 0]  # d_k mod prime
     for k in range(2, a + 1):
@@ -267,9 +268,10 @@ def test_two_long_parts_evaluate_one_coefficient_row(monkeypatch):
     requested = []
     missing = pm_spectrum._StripRows.__missing__
     monkeypatch.setattr(
-        pm_spectrum._StripRows, "__missing__", lambda rows, key: requested.append(key) or missing(rows, key)
+        pm_spectrum._StripRows,
+        "__missing__",
+        lambda rows, key: requested.append(key) or [c % prime for c in missing(rows, key)],
     )
-    monkeypatch.setattr(pm_spectrum, "pm_degree", degrees.__getitem__)
     value = pm_spectrum._eta_prefixes(P((a, b)))
     assert requested == [(b, 0)]
     total, c = 0, 1  # c = C(b, j) (2j-1)!! mod prime
@@ -277,6 +279,15 @@ def test_two_long_parts_evaluate_one_coefficient_row(monkeypatch):
         total = (total + c * degrees[a - j]) % prime
         c = c * (b - j) * (2 * j + 1) * pow(j + 1, -1, prime) % prime
     assert value % prime == (-total if b & 1 else total) % prime
+
+
+@pytest.mark.parametrize("lam", [(1, 1), (3, 1), (6, 6), (9, 4, 2), (12, 5, 5, 1)])
+def test_first_row_takes_two_degrees(monkeypatch, lam):
+    # row 1, d_(lam_1 - j) for j <= lam_2, rolls up from two degrees
+    expected, calls = eta_alt(P(lam)), []
+    monkeypatch.setattr(pm_spectrum, "pm_degree", lambda k: calls.append(k) or pm_degree(k))
+    assert pm_spectrum._eta_prefixes(P(lam)) == expected
+    assert calls == [lam[0] - lam[1], lam[0] - lam[1] + 1]
 
 
 @settings(max_examples=60, deadline=None)
