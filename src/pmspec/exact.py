@@ -144,9 +144,10 @@ def admit_query(family: str, lam: tuple) -> None:
 
 
 # bytes per lattice node, a partition of size at most n, of a table of size
-# n: the growth of the table command's peak RSS from n = 45 to n = 50, 129
-# (pm) and 98 (sym), rounded up, since values grow with n
-_TABLE_BYTES_PER_NODE = {"pm": 160, "sym": 120}
+# n: the growth of the table command's peak RSS from n = 45 to n = 50, 106
+# (pm) and 64 (sym), plus the growth of one value's digits to the largest n
+# admitted in a few GB (about 22 bytes), rounded up
+_TABLE_BYTES_PER_NODE = {"pm": 140, "sym": 90}
 
 
 def admit_table(family: str, n: int) -> None:

@@ -16,7 +16,9 @@ or hashed:
   last part, and ``head - j = base[minus1^j(head(t))] + m - j``.
 
 Only ``base``, ``minus1``, the hook products and the values a sweep
-computes live longer than one level.  A partition's id can also be walked
+computes live longer than one level.  ``base`` and ``minus1`` are flat
+integer arrays, with 0 where no id is set (and at the empty partition,
+whose base and t - 1 are both 0).  A partition's id can also be walked
 from ``base`` (:meth:`PartitionLattice.index`), which is how the suites
 read a sweep.
 
@@ -32,14 +34,15 @@ from __future__ import annotations
 
 from itertools import accumulate, islice
 from operator import mul
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .partitions import partition_counts
 
 
 class PartitionLattice:
     """Ids for the partitions of size at most n, assigned by :meth:`levels`,
-    and their hook products.
+    and their hook products.  ``base`` and ``minus1`` are ``array("q")`` of
+    one entry per id, 0 where unset; ``hooks`` is a list, None where unset.
 
     H(nu) = F(nu) H(nu - 1) with H(()) = 1, where F(nu) is the product of
     the hooks in nu's first column: removing that column changes no other
@@ -50,15 +53,18 @@ class PartitionLattice:
     """
 
     def __init__(self, n: int, doubled: bool) -> None:
+        # imported here: loading array at start-up raised the peak of every
+        # single query, which builds no lattice, by about 0.13 MB
+        from array import array
+
         self.n = n
         self.doubled = doubled
         # By id, for the partitions t that some (m,) + t of size <= n
-        # extends, and None elsewhere: (m,) + t has id base[t] + m, and
+        # extends, and 0 elsewhere: (m,) + t has id base[t] + m, and
         # minus1[t] is the id of t - 1.  The empty partition is 0.
         nodes = sum(islice(partition_counts(), n + 1))
-        self.base: list = [None] * nodes
-        self.minus1: list = [None] * nodes
-        self.base[0] = self.minus1[0] = 0
+        self.base = array("q", [0]) * nodes
+        self.minus1 = array("q", [0]) * nodes
         # H by id where a row's chain nu, nu - 1, nu - 2, ... can reach, and
         # None elsewhere; complete once :meth:`levels` is exhausted
         self.hooks: list = [None] * nodes
@@ -92,9 +98,8 @@ class PartitionLattice:
                 if head is None:
                     # (m,) - 1 is (m - 1,), the partition just before
                     hooks[1 : n + 1] = accumulate(weights[1:], mul)
-                    minus1[1 : half + 1] = range(half)
                     for m in range(1, half + 1):
-                        base[m] = next_id - m
+                        base[m], minus1[m] = next_id - m, m - 1
                         level.append((m, next_id - m, m, n - m, 0, m, weights[m]))
                         next_id += n - 2 * m + 1
                 else:
@@ -107,10 +112,8 @@ class PartitionLattice:
                         hooks[offset + lo : offset + top + 1] = map(mul, factors, below)
                     hooks[offset + hi] = f * weights[hi] * hooks[shifted + hi]
                     # (m,) + t extends to (m', m) + t iff |t| + 2m <= n, i.e. m <= hi // 2
-                    if lo <= half:
-                        minus1[offset + lo : offset + half + 1] = range(shifted + lo, shifted + half + 1)
                     for m in range(lo, half + 1):
-                        base[offset + m] = next_id - m
+                        base[offset + m], minus1[offset + m] = next_id - m, shifted + m
                         column = f * weights[m]
                         level.append((offset + m, next_id - m, m, hi - m, base[head] + m, last, column))
                         next_id += hi - 2 * m + 1
@@ -125,7 +128,7 @@ class PartitionLattice:
             node = base[node] + part
         return node
 
-    def rows(self) -> list:
+    def rows(self) -> Sequence[int]:
         """The ids of the partitions of n in decreasing lexicographic order,
         the order of :func:`pmspec.partitions.enumerate_partitions`; valid
         once :meth:`levels` is exhausted.
@@ -134,20 +137,25 @@ class PartitionLattice:
         a tail: t_1 <= n - |t|.  The tails of size s are built in increasing
         lexicographic order from smaller ones, (f,) + u for f = 1, 2, ...
         with u a tail of size s - f and u_1 <= f, which is a prefix of
-        that size's list.
+        that size's list.  The tails and the result are ``array("q")``.
         """
+        from array import array
+
         n, base = self.n, self.base
-        tails = [[0]]  # tails[s]: ids of the tails t of size s, increasing
+        tails = [array("q", [0])]  # tails[s]: ids of the tails t of size s, increasing
         at_most = [[1]]  # at_most[s][f]: how many of those have t_1 <= f
         for s in range(1, n):
-            ids, counts = [], [0]
+            ids, counts = array("q"), [0]
             for f in range(1, min(s, n - s) + 1):
                 u = s - f
-                ids += [base[i] + f for i in tails[u][: at_most[u][min(f, u)]]]
+                ids.extend(map(f.__add__, map(base.__getitem__, tails[u][: at_most[u][min(f, u)]])))
                 counts.append(len(ids))
             tails.append(ids)
             at_most.append(counts)
-        return [base[t] + n - s for s in range(n) for t in reversed(tails[s])]
+        ids = array("q")
+        for s in range(n):
+            ids.extend(map((n - s).__add__, map(base.__getitem__, reversed(tails[s]))))
+        return ids
 
 
 def row_entries(lattice: PartitionLattice, *by_id: list) -> list:

@@ -418,7 +418,7 @@ def certify(table: SpectrumTable, graph: Graph) -> OracleReport:
     # distinct partitions can share an eigenvalue (e.g. the permutation family
     # at n = 4); merge such rows for the multiplicity checks
     predicted: dict = {}
-    for val, mult in table.rows.values():
+    for val, mult in zip(table.values, table.multiplicities):
         predicted[val] = predicted.get(val, 0) + mult
 
     vertex_count = graph.vertex_count

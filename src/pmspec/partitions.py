@@ -154,15 +154,16 @@ class Dominance(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
-def enumerate_partitions(n: int) -> list[Partition]:
-    """All partitions of n in decreasing lexicographic order, (n) first, by
-    algorithm ZS1 (Zoghbi and Stojmenovic 1998): ``parts[:m]`` is the current
-    partition, followed by 1s, and h indexes its last part above 1."""
+def iter_partitions(n: int) -> Iterator[list]:
+    """The parts of every partition of n, each as a new list, in decreasing
+    lexicographic order, (n) first, by algorithm ZS1 (Zoghbi and Stojmenovic
+    1998): ``parts[:m]`` is the current partition, followed by 1s, and h
+    indexes its last part above 1."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     parts = [n] + [1] * (n - 1)
     m, h = min(n, 1), 0
-    found = [Partition._trusted(parts[:m])]
+    yield parts[:m]
     while parts[0] > 1:
         if parts[h] == 2:
             parts[h], h, m = 1, h - 1, m + 1
@@ -178,8 +179,13 @@ def enumerate_partitions(n: int) -> list[Partition]:
             if rest > 1:
                 h += 1
                 parts[h] = rest
-        found.append(Partition._trusted(parts[:m]))
-    return found
+        yield parts[:m]
+
+
+def enumerate_partitions(n: int) -> list[Partition]:
+    """All partitions of n in decreasing lexicographic order, (n) first: the
+    walk of :func:`iter_partitions`."""
+    return list(map(Partition._trusted, iter_partitions(n)))
 
 
 def partition_counts() -> Iterator[int]:

@@ -24,7 +24,7 @@ from typing import NamedTuple
 from . import memo
 from .exact import _hook_quotient, pm_degree
 from .lattice import PartitionLattice, row_entries
-from .partitions import Partition, enumerate_partitions
+from .partitions import Partition, iter_partitions
 from .tables import SpectrumTable
 
 
@@ -241,9 +241,8 @@ def pm_spectrum_table(n: int) -> SpectrumTable:
     if n < 1:
         raise ValueError("n must be positive")
     values, hooks = row_entries(*_eta_sweep(n))
-    lams = enumerate_partitions(n)
-    for lam, value in zip(lams, values):
-        _normalized(lam, value)
+    for parts, value in zip(iter_partitions(n), values):
+        _normalized(tuple(parts), value)
     order = math.factorial(2 * n)
     dims = [_hook_quotient(order, h) for h in hooks]
-    return SpectrumTable(family="pm", n=n, rows=dict(zip(lams, zip(values, dims))))
+    return SpectrumTable(family="pm", n=n, values=values, multiplicities=dims)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 from . import memo
 from .exact import _hook_quotient, conjugate, derangement_count
 from .lattice import PartitionLattice, row_entries
-from .partitions import Partition, enumerate_partitions
+from .partitions import Partition
 from .tables import SpectrumTable
 
 
@@ -168,6 +168,5 @@ def sym_spectrum_table(n: int) -> SpectrumTable:
         raise ValueError("n must be positive")
     values, hooks = row_entries(*_xi_sweep(n))
     order = math.factorial(n)
-    dims = [_hook_quotient(order, h) for h in hooks]
-    rows = {mu: (v, d * d) for mu, v, d in zip(enumerate_partitions(n), values, dims)}
-    return SpectrumTable(family="sym", n=n, rows=rows)
+    squares = [_hook_quotient(order, h) ** 2 for h in hooks]
+    return SpectrumTable(family="sym", n=n, values=values, multiplicities=squares)

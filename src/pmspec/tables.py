@@ -1,5 +1,8 @@
-"""Spectrum tables: partition-indexed (eigenvalue, multiplicity) maps for one
-graph family at one size, with deterministic csv/json/text rendering."""
+"""Spectrum tables: the (eigenvalue, multiplicity) of every partition of n
+for one graph family at one size, with deterministic csv/json/text
+rendering.  A table holds two lists in row order and no per-row object;
+the partitions are walked again (:func:`pmspec.partitions.iter_partitions`)
+whenever they are written or looked up."""
 
 from __future__ import annotations
 
@@ -7,24 +10,41 @@ import io
 import itertools
 from typing import NamedTuple
 
-from .partitions import Partition
+from .partitions import enumerate_partitions, iter_partitions
 
 CSV_HEADER = "partition,eigenvalue,multiplicity"
 _CHUNK_ROWS = 4096  # rows rendered per write
 
 
 class SpectrumTable(NamedTuple):
-    """Rows keyed by the partitions of n, in decreasing lexicographic order."""
+    """One row per partition of n.  Row i belongs to the i-th partition of
+    :func:`pmspec.partitions.enumerate_partitions`, in decreasing
+    lexicographic order, (n) first."""
 
     family: str  # "pm" or "sym"
     n: int
-    rows: dict  # Partition -> (eigenvalue: int, multiplicity: int)
+    values: list  # the eigenvalue of each row, an int
+    multiplicities: list  # the multiplicity of each row, an int
+
+    @classmethod
+    def from_rows(cls, family: str, n: int, rows: dict) -> "SpectrumTable":
+        """The table whose :attr:`rows` is ``rows``; its keys must be the
+        partitions of n in row order."""
+        if list(rows) != enumerate_partitions(n):
+            raise ValueError(f"the keys of rows are not the partitions of {n} in decreasing lexicographic order")
+        return cls(family, n, [val for val, _ in rows.values()], [mult for _, mult in rows.values()])
+
+    @property
+    def rows(self) -> dict:
+        """Partition -> (eigenvalue, multiplicity), in row order, built anew
+        on each read."""
+        return dict(zip(enumerate_partitions(self.n), zip(self.values, self.multiplicities)))
 
     def eigenvalues(self) -> list[int]:
-        return [val for val, _ in self.rows.values()]
+        return list(self.values)
 
     def multiplicity_total(self) -> int:
-        return sum(mult for _, mult in self.rows.values())
+        return sum(self.multiplicities)
 
     def write(self, stream, fmt: str) -> None:
         """Write the table as csv, json or text to `stream`, a chunk of rows
@@ -36,9 +56,10 @@ class SpectrumTable(NamedTuple):
         def text(part):
             return "+".join(map(digits.__getitem__, part)) or "0"
 
+        rows = zip(iter_partitions(self.n), self.values, self.multiplicities)
         if fmt == "csv":
             head, tail = CSV_HEADER + "\n", ""
-            lines = (f"{text(part)},{val},{mult}\n" for part, (val, mult) in self.rows.items())
+            lines = (f"{text(part)},{val},{mult}\n" for part, val, mult in rows)
         elif fmt == "json":
             import json  # loaded only when json is written
 
@@ -46,12 +67,12 @@ class SpectrumTable(NamedTuple):
             lines = (
                 f'{"," if i else ""}{{"partition":"{text(part)}",'
                 f'"eigenvalue":{val},"multiplicity":{mult}}}'
-                for i, (part, (val, mult)) in enumerate(self.rows.items())
+                for i, (part, val, mult) in enumerate(rows)
             )
         elif fmt == "text":
             title = f"{self.family} spectrum, n={self.n}"
             head, tail = f"{title}\n{'-' * len(title)}\n", ""
-            width = max(len(text(p)) for p in self.rows)
+            width = max(map(len, map(text, iter_partitions(self.n))))
 
             def line(part, val, mult):
                 sign_ok = val == 0 or (-1) ** (self.n - part[0]) * val > 0
@@ -60,7 +81,7 @@ class SpectrumTable(NamedTuple):
                     f"  sign={'ok' if sign_ok else 'UNEXPECTED'}\n"
                 )
 
-            lines = (line(part, val, mult) for part, (val, mult) in self.rows.items())
+            lines = itertools.starmap(line, rows)
         else:
             raise ValueError(f"unknown table format {fmt!r}")
         stream.write(head)

@@ -253,7 +253,7 @@ def test_oracle_exits_1_on_a_wrong_table(capsys, monkeypatch):
     rows = dict(table.rows)
     (lam, (a, ma)), (mu, (b, mb)) = list(rows.items())[:2]
     rows[lam], rows[mu] = (a, ma - 1), (b, mb + 1)  # a multiplicity moved between rows
-    monkeypatch.setattr(cli, "pm_spectrum_table", lambda n: SpectrumTable("pm", n, rows))
+    monkeypatch.setattr(cli, "pm_spectrum_table", lambda n: SpectrumTable.from_rows("pm", n, rows))
     code, out, _ = run(capsys, "oracle", "--family", "pm", "--n", "4")
     assert code == 1
     assert "quotient walk_moments: FAIL" in out and "verdict: FAIL" in out

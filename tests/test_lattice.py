@@ -27,7 +27,7 @@ def test_every_partition_gets_one_id_and_the_walk_finds_it(n):
     assert len(ids) + 1 == len(partitions) == len(lattice.base) == len(lattice.minus1)
     walked = {lattice.index(lam): lam for lam in partitions}
     assert sorted(walked) == list(range(len(partitions)))
-    assert lattice.rows() == [lattice.index(lam) for lam in enumerate_partitions(n)]
+    assert lattice.rows().tolist() == [lattice.index(lam) for lam in enumerate_partitions(n)]
     # each block's partitions are (m,) + t for its tail t
     for tail, offset, lo, hi, _, _, _ in blocks:
         t = walked[tail]

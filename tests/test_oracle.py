@@ -117,7 +117,7 @@ def test_injected_fault_is_detected():
     table = pm_spectrum_table(3)
     rows = dict(table.rows)
     rows[Partition((2, 1))] = (-1, 9)  # perturbed eigenvalue
-    broken = SpectrumTable(family="pm", n=3, rows=rows)
+    broken = SpectrumTable.from_rows("pm", 3, rows)
     report = oracle.certify(broken, oracle.build_pm_graph(3))
     assert not report.spectrum_match
     checks = dict(report.trace_checks)
@@ -160,7 +160,7 @@ def _with_moved_multiplicity(table):
     (lam, (a, ma)), (mu, (b, mb)) = list(rows.items())[:2]
     assert a != b and ma >= 1
     rows[lam], rows[mu] = (a, ma - 1), (b, mb + 1)
-    return SpectrumTable(family=table.family, n=table.n, rows=rows)
+    return SpectrumTable.from_rows(table.family, table.n, rows)
 
 
 @pytest.mark.parametrize("family, n", [("pm", 4), ("sym", 5)])

@@ -190,6 +190,23 @@ def test_table_checks_every_sign_and_every_dimension(monkeypatch):
     assert len(quotients) == len(rows)
 
 
+@pytest.mark.parametrize("row", [0, -1])
+def test_table_rejects_a_zero_row_other_than_one_box(row, monkeypatch):
+    # the rows' parts reach _normalized from the streamed partition walk;
+    # f = 0 is allowed at (1) alone, so a zero at (4) or (1, 1, 1, 1) fails
+    row_entries = pm_spectrum.row_entries
+
+    def zeroed(*args):
+        values, hooks = row_entries(*args)
+        values[row] = 0
+        return values, hooks
+
+    monkeypatch.setattr(pm_spectrum, "row_entries", zeroed)
+    with pytest.raises(AssertionError, match="sign normalization violated"):
+        pm_spectrum_table(4)
+    assert pm_spectrum_table(1).rows == {P((1,)): (0, 1)}
+
+
 def test_table_leaves_module_stores_alone():
     # each table runs its recurrences on a lattice of its own; the stores
     # left are those of the cross-check recurrences

@@ -5,9 +5,10 @@ import json
 
 import pytest
 
+from pmspec.partitions import Partition
 from pmspec.pm_spectrum import pm_spectrum_table
 from pmspec.sym_spectrum import sym_spectrum_table
-from pmspec.tables import CSV_HEADER
+from pmspec.tables import CSV_HEADER, SpectrumTable
 
 
 def _reference(table, fmt):
@@ -63,6 +64,54 @@ def test_write_is_chunked():
     table.write(stream, "csv")
     assert 2 < Counting.writes < len(table.rows)
     assert stream.getvalue() == _reference(table, "csv")
+
+
+@pytest.mark.parametrize("family", ["pm", "sym"])
+def test_write_never_builds_the_rows(family, monkeypatch):
+    table = pm_spectrum_table(12) if family == "pm" else sym_spectrum_table(12)
+    expected = {fmt: _reference(table, fmt) for fmt in ("csv", "json", "text")}
+
+    def refused(self):
+        raise AssertionError("rows read while writing")
+
+    monkeypatch.setattr(SpectrumTable, "rows", property(refused))
+    for fmt, text in expected.items():
+        stream = io.StringIO()
+        table.write(stream, fmt)
+        assert stream.getvalue() == text
+
+
+@pytest.mark.parametrize("family", ["pm", "sym"])
+def test_from_rows_round_trips(family):
+    table = pm_spectrum_table(9) if family == "pm" else sym_spectrum_table(9)
+    assert SpectrumTable.from_rows(table.family, table.n, table.rows) == table
+    assert table.eigenvalues() == [val for val, _ in table.rows.values()]
+    assert table.multiplicity_total() == sum(mult for _, mult in table.rows.values())
+
+
+def test_from_rows_refuses_keys_out_of_row_order():
+    rows = pm_spectrum_table(5).rows
+    items = list(rows.items())
+    swapped = dict([items[1], items[0]] + items[2:])
+    missing = dict(items[:-1])
+    extra = dict(items + [(Partition((1,)), (0, 1))])
+    for broken in (swapped, missing, extra):
+        with pytest.raises(ValueError):
+            SpectrumTable.from_rows("pm", 5, broken)
+    with pytest.raises(ValueError):
+        SpectrumTable.from_rows("pm", 6, rows)
+
+
+@pytest.mark.parametrize("family, n, fmt", [("sym", 38, "json"), ("pm", 36, "csv")])
+def test_table_peaks_near_the_import(peak_rss, family, n, fmt):
+    # the sweep's values and hook products are about 9 MB of it: the rows
+    # are two lists, with no per-row object, and the lattice's ids are int
+    # arrays
+    status, baseline = peak_rss("-c", "import pmspec.cli")
+    assert status == 0
+    status, peak = peak_rss("-m", "pmspec.cli", "table", "--family", family, "--n", str(n), "--format", fmt)
+    assert status == 0
+    assert peak - baseline <= 12 * 2**20
 
 
 def test_unknown_format_is_refused():
