@@ -105,7 +105,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from . import oracle  # numpy is needed by this command alone
+    from . import oracle  # this command alone builds graphs
 
     try:
         if args.family == "pm":

@@ -1,14 +1,15 @@
 """Brute-force ground truth: build the actual derangement graphs and certify
 the predicted integer tables against them in exact integers.
 
-Vertices are encoded as incidence vectors (matchings over the edges of
-K_{2n}, permutations over position/value cells), so adjacency reduces to a
-Gram-matrix product: two vertices are adjacent iff their incidence vectors
-are orthogonal.  The graph keeps only the V x edges incidence; rows of the
-V x V adjacency A are computed on demand, a block of at most 64 rows and
-about 2**21 vertex pairs at a time, and no V x V array is ever held.  The
-build streams every row once to check every degree; the certificate streams
-every row once more and reads each vertex pair there.
+Every vertex holds n columns, its support: the edges of K_{2n} of a
+matching, the cells n*position + value of a permutation.  Two vertices are
+adjacent iff their supports are disjoint.  A layout gives each vertex a bit
+position, and each column a holder set: one Python int whose bit at a
+vertex's position is set iff that vertex holds the column.  A vertex's
+non-neighbours are the OR of its n holder sets, so one adjacency row costs
+n ORs on V-bit ints, and no V x V array is ever held.  The build reads every
+row once to check every degree; the certificate reads each row once more,
+and once through each generator's moved layout.
 
 Certification never diagonalises A.  Every vertex is labelled by its cell
 relative to the base vertex x0 = vertex 0: the coset type of m ∪ x0 for a
@@ -23,60 +24,45 @@ checks, on the real graph, that
   q = prod over the distinct predicted theta of (x - theta), and
   sum m_theta theta^k = V (B^k)[c0, c0] for every k < #distinct theta.
 
-The first two are checked on every vertex pair, in the streamed pass: each
-block of rows A[X] adds its counts A[X] P, and for each generator g the
-entries A[g(x), g(y)] for x in X and every y must equal A[x, y].  Together
-they give q(A) e_x0 = P q(B) e_c0 = 0, hence q(A) = 0 by transitivity, and
-tr(A^k) = V (A^k)[x0, x0] = V (B^k)[c0, c0].  So every eigenvalue of A is a
-predicted one, and the walk moments fix each multiplicity (a Vandermonde
-system), with no float step anywhere.
+The first two are checked on every vertex pair, in one streamed pass over a
+layout that numbers the vertices cell by cell, each cell padded to whole
+bytes, so that a row's count into a cell is the popcount of one byte slice
+of it.  B is read off the first vertex of each cell, and every vertex's
+counts must equal its cell's row of B.  For each generator g, the row of
+g(x) read through holder sets laid out by g (vertex g(y) at the bit of y)
+must equal the row of x: that is A[g(x), g(y)] = A[x, y] for every y.
+Together they give q(A) e_x0 = P q(B) e_c0 = 0, hence q(A) = 0 by
+transitivity, and tr(A^k) = V (A^k)[x0, x0] = V (B^k)[c0, c0].  So every
+eigenvalue of A is a predicted one, and the walk moments fix each
+multiplicity (a Vandermonde system), with no float step anywhere.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass, field
-
-import numpy as np
+from functools import reduce
+from operator import add, or_
+from typing import NamedTuple, Sequence
 
 from .exact import derangement_count, odd_double_factorial, physical_memory_bytes, pm_degree
 from .tables import SpectrumTable
 
 
-# rows and vertex pairs per row block: one block's float32 Gram product and
-# the uint8 rows made from it take 5 bytes per pair, 1.6 MB at sym n=7 (5,040
-# vertices) and about 10 MB at most, while 64 rows per Gram product still
-# amortise reading the whole incidence (128 rows measured no faster)
-_BLOCK_ROWS = 64
-_BLOCK_PAIRS = 2**21
+# bytes per vertex beside the holder sets: its label, support and cell id,
+# its two move entries and its bit in each layout, and the label -> vertex
+# dict the moves are found with.  Measured as the growth of the oracle
+# command's peak RSS less the growth of the holder sets: 326 bytes from
+# pm n=6 to n=7, 374 from sym n=7 to n=8 and 382 from n=8 to n=9.  Rounded
+# up, since labels and supports grow with n
+_BYTES_PER_VERTEX = {"pm": 400, "sym": 450}
 
-# bytes per vertex pair that a block holds at its peak, with room to spare:
-# the uint8 rows, then either the float32 copy the count product reads or a
-# moved block's float32 Gram product, its rows and their comparison
-_BLOCK_BYTES_PER_PAIR = 12
-
-# bytes per vertex beside its float32 incidence row: the label tuples, the
-# int8 point rows and the arrays computed from them, and the per-vertex
-# arrays (cells, count rows, moves).  Measured as the growth of the oracle
-# command's peak RSS, with one row block of 2**21 vertex pairs streamed at
-# either size: 849 bytes from pm n=6 to n=7, and 401 from sym n=7 to n=8 but
-# 666 from n=8 to n=9, whose count rows have 30 cells, not 22.  Rounded up
-# from the largest, since labels and cells grow with n
-_BYTES_PER_VERTEX = {"pm": 960, "sym": 700}
+# layouts the certificate holds at once: the cells' and one per generator
+_LAYOUTS = 3
 
 
-def _block_rows(vertex_count: int) -> int:
-    return max(1, min(_BLOCK_ROWS, _BLOCK_PAIRS // vertex_count))
-
-
-def _blocks(vertex_count: int):
-    """Consecutive vertex index ranges of at most _BLOCK_ROWS rows and about
-    _BLOCK_PAIRS vertex pairs each (one row at least), covering every vertex
-    once."""
-    step = _block_rows(vertex_count)
-    for start in range(0, vertex_count, step):
-        yield np.arange(start, min(start + step, vertex_count))
+def _width(family: str, n: int) -> int:
+    """The number of columns: edges of K_{2n}, or position/value cells."""
+    return n * (2 * n - 1) if family == "pm" else n * n
 
 
 def _admit(family: str, n: int) -> None:
@@ -84,20 +70,17 @@ def _admit(family: str, n: int) -> None:
     in physical memory."""
     if n < 1:
         raise ValueError(f"oracle {family} needs n >= 1, got n={n}")
-    # memory grows with the vertex count, not with its square: every vertex
-    # costs its incidence row (4 bytes per entry, read in place by every Gram
-    # product) and its per-vertex bytes, and one row block is alive at a
-    # time.  The vertex count (2n-1)!! or n! grows factor by factor, and the
+    # memory grows with the vertex count V, not with its square: every
+    # vertex costs its per-vertex bytes, and each column one bit per vertex
+    # in each layout.  V = (2n-1)!! or n! grows factor by factor, and the
     # check stops at the first factor that overflows memory, so a huge n
     # costs no more than a small one.
-    width = n * (2 * n - 1) if family == "pm" else n * n
-    per_vertex = _BYTES_PER_VERTEX[family] + 4 * width
+    width = _width(family, n)
     memory = physical_memory_bytes()
     vertices = 1
     for k in range(1, n + 1):
         vertices *= 2 * k - 1 if family == "pm" else k
-        block_pairs = min(vertices, _block_rows(vertices)) * vertices
-        needed = per_vertex * vertices + _BLOCK_BYTES_PER_PAIR * block_pairs
+        needed = _BYTES_PER_VERTEX[family] * vertices + _LAYOUTS * width * ((vertices + 7) // 8)
         if needed > memory:
             raise ValueError(
                 f"oracle {family} n={n}: the graph has at least {vertices} vertices, "
@@ -106,35 +89,55 @@ def _admit(family: str, n: int) -> None:
             )
 
 
-@dataclass
+class Layout(NamedTuple):
+    position: Sequence[int]  # vertex -> its bit
+    holders: list  # column -> int with the bits of the vertices that hold it
+
+
 class Graph:
-    family: str  # "pm" or "sym"
-    n: int
-    labels: list  # vertex descriptions in enumeration order
-    incidence: np.ndarray  # float32 0/1, one row per vertex: its edges or its position/value cells
-    degree: int  # common degree, checked on every row by the build
+    """A derangement graph: its vertices' labels and supports, and the common
+    degree that the build checked on every row."""
+
+    def __init__(self, family: str, n: int, labels: list, support: list, degree: int):
+        self.family = family  # "pm" or "sym"
+        self.n = n
+        self.labels = labels  # vertex descriptions in enumeration order
+        self.support = support  # per vertex, the tuple of the n columns it holds
+        self.degree = degree
 
     @property
     def vertex_count(self) -> int:
         return len(self.labels)
 
-    def rows(self, index: np.ndarray) -> np.ndarray:
-        """Adjacency rows A[index] as uint8: two vertices are adjacent iff
-        their incidence rows share no 1.  They are computed as the columns
-        A[:, index] of the symmetric Gram product, which runs faster this
-        way round, and so lie in memory column by column."""
-        return (self.incidence @ self.incidence[index].T == 0).view(np.uint8).T
+    def non_neighbours(self, x: int, layout: Layout) -> int:
+        """The complement of adjacency row A[x] in `layout`: the bit of vertex
+        y is set iff x and y hold a column in common (so x's own bit is set).
+        No padding bit is ever set."""
+        holders = layout.holders
+        return reduce(or_, map(holders.__getitem__, self.support[x]))
 
 
-@dataclass
-class OracleReport:
+def _layout(graph: Graph, position: Sequence[int]) -> Layout:
+    """Every column's holder set, with vertex y at bit position[y]."""
+    size = max(position) // 8 + 1
+    holders = [bytearray(size) for _ in range(_width(graph.family, graph.n))]
+    for p, columns in zip(position, graph.support):
+        byte, bit = p >> 3, 1 << (p & 7)
+        for c in columns:
+            holders[c][byte] |= bit
+    for c, plane in enumerate(holders):
+        holders[c] = int.from_bytes(plane, "little")
+    return Layout(position, holders)
+
+
+class OracleReport(NamedTuple):
     family: str
     n: int
     vertex_count: int
     degree_observed: int
     quotient_size: int
     quotient_checks: list  # (name, passed), the equitable-quotient certificate
-    trace_checks: list = field(default_factory=list)  # (name, passed)
+    trace_checks: list  # (name, passed)
 
     @property
     def spectrum_match(self) -> bool:
@@ -145,6 +148,8 @@ class OracleReport:
         return self.spectrum_match and all(ok for _, ok in self.trace_checks)
 
     def to_json(self) -> str:
+        import json
+
         payload = {
             "family": self.family,
             "n": self.n,
@@ -181,6 +186,8 @@ def enumerate_perfect_matchings(n: int) -> list[tuple]:
     any n whose matching graph would not fit in physical memory.
     """
     _admit("pm", n)
+    # one tuple per edge, shared by every matching that contains it
+    pairs = {pair: pair for pair in itertools.combinations(range(1, 2 * n + 1), 2)}
 
     def rec(verts: tuple) -> list[tuple]:
         if not verts:
@@ -188,54 +195,30 @@ def enumerate_perfect_matchings(n: int) -> list[tuple]:
         a = verts[0]
         out = []
         for idx in range(1, len(verts)):
-            b = verts[idx]
+            pair = (pairs[a, verts[idx]],)
             rest = verts[1:idx] + verts[idx + 1 :]
-            out.extend(((a, b),) + m for m in rec(rest))
+            out.extend(pair + m for m in rec(rest))
         return out
 
     return rec(tuple(range(1, 2 * n + 1)))
 
 
 def _check_degree(graph: Graph, what: str) -> Graph:
-    """Stream every row of the graph; each must have `graph.degree` ones."""
-    observed = set()
-    for block in _blocks(graph.vertex_count):
-        # a degree is below V, far below 2**31 for any graph that fits in memory
-        observed.update(graph.rows(block).sum(axis=1, dtype=np.int32).tolist())
+    """Read every row of the graph; each must have `graph.degree` ones."""
+    every = range(graph.vertex_count)
+    layout = _layout(graph, every)
+    observed = {len(every) - graph.non_neighbours(x, layout).bit_count() for x in every}
     if observed - {graph.degree}:
         raise RuntimeError(f"{what}: observed degrees {sorted(observed)} != {graph.degree}")
     return graph
 
 
-def _points(family: str, labels: list) -> np.ndarray:
-    """The vertex labels as one int8 row each: a permutation's values
-    (V x n), or a matching's partner of each point, the points numbered from
-    0 (V x 2n).  int8 holds the points of every graph that fits in memory."""
-    flat = itertools.chain.from_iterable(labels)
-    if family == "pm":
-        flat = itertools.chain.from_iterable(flat)
-    array = np.fromiter(flat, dtype=np.int8).reshape(len(labels), -1)
-    if family == "sym":
-        return array
-    partner = np.empty_like(array)
-    rows = np.arange(len(labels))[:, None]
-    partner[rows, array[:, 0::2] - 1] = array[:, 1::2] - 1
-    partner[rows, array[:, 1::2] - 1] = array[:, 0::2] - 1
-    return partner
-
-
 def build_pm_graph(n: int) -> Graph:
     """Graph on the perfect matchings of K_{2n}, adjacent iff edge-disjoint."""
     matchings = enumerate_perfect_matchings(n)  # refuses what would not fit
-    # edge {a, b} of K_{2n} is column edge[a, b] = edge[b, a], in the order
-    # of itertools.combinations; each matching sets its edges from both ends
-    edge = np.zeros((2 * n, 2 * n), dtype=np.intp)
-    upper = np.triu_indices(2 * n, 1)
-    edge[upper] = edge.T[upper] = np.arange(len(upper[0]))
-    incidence = np.zeros((len(matchings), len(upper[0])), dtype=np.float32)
-    partner = _points("pm", matchings)
-    incidence[np.arange(len(matchings))[:, None], edge[np.arange(2 * n), partner]] = 1.0
-    graph = Graph(family="pm", n=n, labels=matchings, incidence=incidence, degree=pm_degree(n))
+    edge = {pair: c for c, pair in enumerate(itertools.combinations(range(1, 2 * n + 1), 2))}
+    support = [tuple(map(edge.__getitem__, m)) for m in matchings]
+    graph = Graph("pm", n, matchings, support, pm_degree(n))
     return _check_degree(graph, f"matching graph n={n}")
 
 
@@ -243,20 +226,24 @@ def build_derangement_graph(n: int) -> Graph:
     """Graph on all permutations of [n], adjacent iff they differ everywhere."""
     _admit("sym", n)
     perms = list(itertools.permutations(range(n)))
-    incidence = np.zeros((len(perms), n * n), dtype=np.float32)
-    incidence[np.arange(len(perms))[:, None], n * np.arange(n) + _points("sym", perms)] = 1.0
-    graph = Graph(family="sym", n=n, labels=perms, incidence=incidence, degree=derangement_count(n))
+    offsets = range(0, n * n, n)
+    support = [tuple(map(add, offsets, perm)) for perm in perms]
+    graph = Graph("sym", n, perms, support, derangement_count(n))
     return _check_degree(graph, f"derangement graph n={n}")
 
 
-def numeric_spectrum(graph: Graph) -> np.ndarray:
+def numeric_spectrum(graph: Graph):
     """All adjacency eigenvalues, ascending, by dense symmetric decomposition.
 
     A small-n cross-check only: it holds the whole V x V matrix, which
-    nothing else in this module does.
+    nothing else in this module does, and it alone needs numpy.
     """
-    adjacency = graph.rows(np.arange(graph.vertex_count))
-    return np.linalg.eigvalsh(adjacency.astype(np.float64))
+    import numpy as np
+
+    every = range(graph.vertex_count)
+    layout = _layout(graph, every)
+    shared = [[graph.non_neighbours(x, layout) >> y & 1 for y in every] for x in every]
+    return np.linalg.eigvalsh(1.0 - np.array(shared, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -306,104 +293,136 @@ def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _cells(family: str, points: np.ndarray) -> np.ndarray:
-    """Each vertex's cell relative to x0 = vertex 0, as ids 0, 1, ...: the
-    cycle type of x0^-1 σ for a permutation σ, the coset type of m ∪ x0 for
-    a matching m.  A component of m ∪ x0 on 2k points splits into two
-    k-cycles of x0∘m, so the coset type halves the cycle counts of x0∘m."""
-    x0 = points[0]
+def _partner(matching: tuple) -> list[int]:
+    """Each point's partner in the matching, the points numbered from 0."""
+    out = [0] * (2 * len(matching))
+    for a, b in matching:
+        out[a - 1], out[b - 1] = b - 1, a - 1
+    return out
+
+
+def _cycle_type(step: list[int]) -> tuple:
+    """Cycle lengths of the permutation `step` of 0..len-1, ascending."""
+    seen = [False] * len(step)
+    lengths = []
+    for start in range(len(step)):
+        length, point = 0, start
+        while not seen[point]:
+            seen[point] = True
+            point = step[point]
+            length += 1
+        if length:
+            lengths.append(length)
+    lengths.sort()
+    return tuple(lengths)
+
+
+def _cells(family: str, labels: list) -> list[int]:
+    """Each vertex's cell relative to x0 = vertex 0, as ids 0, 1, ... in order
+    of first appearance, so x0's cell is 0: the cycle type of x0^-1 σ for a
+    permutation σ, the coset type of m ∪ x0 for a matching m.  A component
+    of m ∪ x0 on 2k points is two k-cycles of x0∘m, so the cycle type of
+    x0∘m names the coset type."""
     if family == "sym":
-        inverse = np.empty_like(x0)
-        inverse[x0] = np.arange(len(x0))
-        step, per_part = inverse[points], 1
+        inverse = [0] * len(labels[0])
+        for position, value in enumerate(labels[0]):
+            inverse[value] = position
+        steps = ([inverse[value] for value in perm] for perm in labels)
     else:
-        step, per_part = x0[points], 2
-    # each point's cycle length: the least k with step^k fixing it
-    length = np.zeros_like(step)
-    image, identity = step, np.arange(step.shape[1])
-    for k in range(1, step.shape[1] + 1):
-        length[(image == identity) & (length == 0)] = k
-        image = np.take_along_axis(step, image, axis=1)
-    # the type as one integer: its number of parts k is a digit of radix n // k + 1
-    n = step.shape[1] // per_part
-    key = np.zeros(len(points), dtype=np.int64)
-    for k in range(1, n + 1):
-        key = key * (n // k + 1) + (length == k).sum(axis=1) // (k * per_part)
-    return np.unique(key, return_inverse=True)[1]
+        x0 = _partner(labels[0])
+        steps = ([x0[q] for q in _partner(m)] for m in labels)
+    ids: dict = {}
+    return [ids.setdefault(_cycle_type(step), len(ids)) for step in steps]
 
 
-def _vertex_permutations(family: str, points: np.ndarray) -> list[np.ndarray]:
+def _vertex_permutations(family: str, labels: list) -> list[list[int]]:
     """How a transposition and a full cycle of the points move the vertices:
     left multiplication on the values 0..n-1 of a permutation, relabelling
-    of the points of a matching.  The two generate the symmetric group.
-    A vertex whose image is not on the vertex list maps to -1, and one whose
-    image labels several vertices maps to the last of them."""
-    width = points.shape[1]
+    of the points 1..2n of a matching.  The two generate the symmetric
+    group.  A vertex whose image is not on the vertex list maps to -1, and
+    one whose image labels several vertices maps to the last of them."""
+    index = {label: v for v, label in enumerate(labels)}
+    if family == "sym":
+        points = list(range(len(labels[0])))
+    else:
+        points = list(range(1, 2 * len(labels[0]) + 1))
+    swap = dict(zip(points, points[1::-1] + points[2:]))
+    shift = dict(zip(points, points[1:] + points[:1]))
 
-    def keys(rows):
-        # a permutation by its values, a matching by the partner of each
-        # point that precedes its partner: n digits of base n or 2n, which
-        # fit int64 up to sym n=15 and pm n=13, far past any graph that fits
-        # in memory
-        if family == "pm":
-            rows = rows[rows > np.arange(width)].reshape(len(rows), -1)
-        return rows @ width ** np.arange(rows.shape[1] - 1, -1, -1)
-
-    own = keys(points)
-    order = np.argsort(own, kind="stable")  # equal labels by ascending index
-    ordered = own[order]
-    identity = np.arange(width)
-    swap = np.concatenate([identity[1::-1], identity[2:]])
-    shift = np.roll(identity, -1)
-    moves = []
-    for g in (swap, shift):
+    def image(g, label):
         if family == "sym":
-            image = g[points]
-        else:
-            image = np.empty_like(points)
-            image[:, g] = g[points]
-        wanted = keys(image)
-        at = np.searchsorted(ordered, wanted, side="right") - 1
-        moves.append(np.where(ordered[at] == wanted, order[at], -1))
-    return moves
+            return tuple(map(g.__getitem__, label))
+        return tuple(sorted((g[a], g[b]) if g[a] < g[b] else (g[b], g[a]) for a, b in label))
+
+    return [[index.get(image(g, label), -1) for label in labels] for g in (swap, shift)]
 
 
-def _stream(graph: Graph, cell_of: np.ndarray, cell_count: int, moves: list[np.ndarray]):
-    """One pass over the row blocks: every vertex's edge counts into each
-    cell, and whether each move permutes the vertices and preserves every
+def _cell_positions(cell_of: list[int], cell_count: int):
+    """Bit positions that number the vertices cell by cell in vertex order,
+    each cell from a whole byte on; and each cell's size and slice of bytes."""
+    sizes = [0] * cell_count
+    for c in cell_of:
+        sizes[c] += 1
+    starts = list(itertools.accumulate(((size + 7) // 8 for size in sizes), initial=0))
+    next_bit = [8 * start for start in starts]
+    position = []
+    for c in cell_of:
+        position.append(next_bit[c])
+        next_bit[c] += 1
+    return position, sizes, list(map(slice, starts, starts[1:]))
+
+
+def _counts(bits: int, slices: list) -> list[int]:
+    """The number of set bits in each slice of bytes."""
+    data = bits.to_bytes(slices[-1].stop, "little")
+    parts = map(int.from_bytes, map(data.__getitem__, slices), itertools.repeat("little"))
+    return list(map(int.bit_count, parts))
+
+
+def _stream(graph: Graph, cell_of: list[int], cell_count: int, moves: list[list[int]]):
+    """The quotient B, read off the first vertex of each cell, then one pass
+    over every vertex: whether its counts into the cells are its cell's row
+    of B, and whether each move permutes the vertices and preserves its
     adjacency row, hence every vertex pair."""
     vertex_count = graph.vertex_count
-    # a count is at most V, and float32 holds every integer up to 2**24
-    dtype = np.float32 if vertex_count <= 2**24 else np.float64
-    onehot = np.zeros((vertex_count, cell_count), dtype=dtype)
-    onehot[np.arange(vertex_count), cell_of] = 1
-    counts = np.empty((vertex_count, cell_count), dtype=dtype)
-    preserved = [np.array_equal(np.sort(move), np.arange(vertex_count)) for move in moves]
-    for block in _blocks(vertex_count):
-        rows = graph.rows(block)
-        counts[block] = rows.astype(dtype) @ onehot
-        for k, move in enumerate(moves):
-            if preserved[k]:
-                # the rows lie column by column, so each of their columns is
-                # gathered as one run of bytes, a row of their transpose
-                moved = np.take(graph.rows(move[block]).T, move, axis=0).T
-                preserved[k] = np.array_equal(moved, rows)
-    return counts.astype(np.int64), all(preserved)
+    position, sizes, slices = _cell_positions(cell_of, cell_count)
+    layout = _layout(graph, position)
+    # non-neighbours per cell; a vertex's edges into a cell are the rest of it
+    shared = [
+        _counts(graph.non_neighbours(cell_of.index(c), layout), slices) for c in range(cell_count)
+    ]
+    automorphisms = all(sorted(move) == list(range(vertex_count)) for move in moves)
+    moved = []
+    if automorphisms:
+        for move in moves:
+            # vertex move[y] at the bit of y
+            moved_position = [0] * vertex_count
+            for y, image in enumerate(move):
+                moved_position[image] = position[y]
+            moved.append((move, _layout(graph, moved_position)))
+    equitable = True
+    for x in range(vertex_count):
+        row = graph.non_neighbours(x, layout)
+        equitable = equitable and _counts(row, slices) == shared[cell_of[x]]
+        for move, moved_layout in moved:
+            automorphisms = automorphisms and graph.non_neighbours(move[x], moved_layout) == row
+    quotient = [[size - k for size, k in zip(sizes, counts)] for counts in shared]
+    return quotient, equitable, automorphisms
 
 
-def _orbit_size(moves: list[np.ndarray], vertex_count: int) -> int:
+def _orbit_size(moves: list[list[int]], vertex_count: int) -> int:
     """Size of the orbit of vertex 0 under the group the moves generate."""
-    reached = np.zeros(vertex_count, dtype=bool)
+    reached = [False] * vertex_count
     reached[0] = True
-    frontier = np.array([0])
-    while frontier.size:
-        images = np.concatenate([move[frontier] for move in moves])
-        fresh = np.zeros(vertex_count, dtype=bool)
-        fresh[images[images >= 0]] = True
-        fresh &= ~reached
-        reached |= fresh
-        frontier = np.flatnonzero(fresh)
-    return int(reached.sum())
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for move in moves:
+            y = move[x]
+            if y >= 0 and not reached[y]:
+                reached[y] = True
+                stack.append(y)
+    return sum(reached)
 
 
 def certify(table: SpectrumTable, graph: Graph) -> OracleReport:
@@ -422,17 +441,11 @@ def certify(table: SpectrumTable, graph: Graph) -> OracleReport:
         predicted[val] = predicted.get(val, 0) + mult
 
     vertex_count = graph.vertex_count
-    points = _points(graph.family, graph.labels)
-    cell_of = _cells(graph.family, points)
-    cell_count = int(cell_of.max()) + 1
-    moves = _vertex_permutations(graph.family, points)
-    counts, automorphisms = _stream(graph, cell_of, cell_count, moves)
-    # B is the count row of each cell's first vertex; the partition is
-    # equitable iff every vertex's count row is its cell's row of B
-    quotient = counts[np.unique(cell_of, return_index=True)[1]]
-    equitable = bool((counts == quotient[cell_of]).all())
-    quotient = quotient.tolist()
-    base = int(cell_of[0])
+    cell_of = _cells(graph.family, graph.labels)
+    cell_count = max(cell_of) + 1
+    moves = _vertex_permutations(graph.family, graph.labels)
+    quotient, equitable, automorphisms = _stream(graph, cell_of, cell_count, moves)
+    base = cell_of[0]
 
     annihilator = [[int(i == j) for j in range(cell_count)] for i in range(cell_count)]
     for theta in predicted:
@@ -448,7 +461,7 @@ def certify(table: SpectrumTable, graph: Graph) -> OracleReport:
 
     quotient_checks = [
         ("equitable", equitable),
-        ("base_alone", int((cell_of == base).sum()) == 1),
+        ("base_alone", cell_of.count(base) == 1),
         ("automorphisms", automorphisms),
         ("orbit", _orbit_size(moves, vertex_count) == vertex_count),
         ("charpoly", charpoly(quotient) == _poly_from_roots(table.eigenvalues())),
@@ -485,4 +498,3 @@ def certify(table: SpectrumTable, graph: Graph) -> OracleReport:
         quotient_checks=quotient_checks,
         trace_checks=trace_checks,
     )
-

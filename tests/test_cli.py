@@ -262,7 +262,7 @@ def test_oracle_exits_1_on_a_wrong_table(capsys, monkeypatch):
 def test_oracle_cap_refusal(capsys, monkeypatch):
     code, _, err = run(capsys, "oracle", "--family", "pm", "--n", "0")
     assert code == 2 and "n >= 1" in err
-    # pm n=10 has 654,729,075 vertices: about 1.3 TB at over 1 kB per vertex
+    # pm n=10 has 654,729,075 vertices: about 310 GB at 400 bytes per vertex
     monkeypatch.setattr(oracle, "physical_memory_bytes", lambda: 64 * 2**30)
     code, _, err = run(capsys, "oracle", "--family", "pm", "--n", "10")
     assert code == 2 and "physical memory" in err
@@ -280,10 +280,10 @@ def test_scan_progress_goes_to_stderr(capsys):
 
 
 def test_import_leaves_numpy_out():
-    # only the oracle command needs numpy, and json loads only where json is
-    # written; dataclasses, which pulls in inspect, ast and dis, loads for
-    # none of these.  Each command runs in a fresh interpreter, and the
-    # modules it adds to a bare one's go to stderr
+    # no command loads numpy, and json loads only where json is written;
+    # dataclasses, which pulls in inspect, ast and dis, loads for none of
+    # them.  Each command runs in a fresh interpreter, and the modules it
+    # adds to a bare one's go to stderr
     probe = (
         "import sys; bare = set(sys.modules); import pmspec.cli; "
         "code = pmspec.cli.main(sys.argv[1:]); "
@@ -297,6 +297,10 @@ def test_import_leaves_numpy_out():
         (["scan", "--n-max", "6"], False),
         (["table", "--n", "4", "--format", "json"], True),
         (["verify", "--suite", "thm6", "--n-max", "6", "--format", "json"], True),
+        (["oracle", "--family", "pm", "--n", "3", "--format", "text"], False),
+        (["oracle", "--family", "sym", "--n", "3", "--format", "text"], False),
+        (["oracle", "--family", "pm", "--n", "3", "--format", "json"], True),
+        (["oracle", "--family", "sym", "--n", "3", "--format", "json"], True),
     ]
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
@@ -312,8 +316,8 @@ def test_import_leaves_numpy_out():
 
 
 def test_oracle_leaves_numpy_ma_out():
-    # numpy.unique without optional outputs imports numpy.ma, some 17 ms of
-    # start-up that the oracle has no use for
+    # numpy.ma alone costs some 17 ms of start-up that the oracle has no use
+    # for; the oracle loads no numpy at all, so numpy.ma stays out as well
     probe = (
         "import sys, pmspec.cli; code = pmspec.cli.main(sys.argv[1:]); "
         "sys.exit(3 if 'numpy.ma' in sys.modules else code)"
@@ -416,12 +420,12 @@ def test_xi_deep_partition(capsys):
 
 
 def test_oracle_refuses_what_memory_cannot_hold(capsys, monkeypatch):
-    # sym n=5 needs 800 bytes for each of its 120 vertices, and its row
-    # block of 64 rows 12 bytes for each of 7,680 vertex pairs: 188,160 bytes
-    monkeypatch.setattr(oracle, "physical_memory_bytes", lambda: 80_000)
+    # sym n=5 needs 450 bytes for each of its 120 vertices, and 16 bytes for
+    # each of its 25 columns in each of 3 layouts: 55,200 bytes
+    monkeypatch.setattr(oracle, "physical_memory_bytes", lambda: 50_000)
     code, _, err = run(capsys, "oracle", "--family", "sym", "--n", "5")
     assert code == 2 and "physical memory" in err
-    # pm n=10 would need about 1.1 TB
+    # pm n=10 would need about 310 GB
     monkeypatch.setattr(oracle, "physical_memory_bytes", lambda: 64 * 2**30)
     code, _, err = run(capsys, "oracle", "--family", "pm", "--n", "10")
     assert code == 2 and "physical memory" in err

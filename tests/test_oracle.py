@@ -1,5 +1,5 @@
 
-from dataclasses import dataclass, field, replace
+import random
 
 import numpy as np
 import pytest
@@ -30,7 +30,7 @@ def test_enumeration_is_canonical_and_unique():
 
 def test_cap_enforced(monkeypatch):
     # the only limits are n >= 1 and physical memory, a fixed number of bytes
-    # per vertex plus one row block
+    # per vertex plus one bit per vertex and column in each layout
     for n in (0, -1):
         with pytest.raises(ValueError):
             oracle.enumerate_perfect_matchings(n)
@@ -38,32 +38,97 @@ def test_cap_enforced(monkeypatch):
             oracle.build_derangement_graph(n)
     monkeypatch.setattr(oracle, "physical_memory_bytes", lambda: 64 * 2**30)
     with pytest.raises(ValueError):
-        oracle.enumerate_perfect_matchings(10)  # 654,729,075 vertices, about 1.1 TB
+        oracle.enumerate_perfect_matchings(10)  # 654,729,075 vertices, about 310 GB
     with pytest.raises(ValueError):
-        oracle.build_derangement_graph(12)  # 479,001,600 vertices, about 620 GB
+        oracle.build_derangement_graph(12)  # 479,001,600 vertices, about 240 GB
     with pytest.raises(ValueError, match="physical memory"):
         oracle.build_derangement_graph(10**6)  # refused without computing 10**6!
     oracle._admit("pm", 6)  # n alone refuses nothing that fits
     oracle._admit("sym", 8)
-    oracle._admit("pm", 9)  # 34,459,425 vertices, about 55 GB
+    oracle._admit("pm", 9)  # 34,459,425 vertices, about 16 GB
     oracle._admit("sym", 11)
     monkeypatch.setattr(oracle, "physical_memory_bytes", lambda: 1000)
     with pytest.raises(ValueError):
-        oracle.build_pm_graph(3)  # 15 vertices of over 1 kB each
+        oracle.build_pm_graph(3)  # 15 vertices of 400 bytes each
+
+
+def _graph(family, n):
+    return oracle.build_pm_graph(n) if family == "pm" else oracle.build_derangement_graph(n)
+
+
+def _table(family, n):
+    return pm_spectrum_table(n) if family == "pm" else sym_spectrum_table(n)
+
+
+def _adjacency(graph):
+    """The whole adjacency matrix as lists of 0/1, read with vertex y at bit y."""
+    every = range(graph.vertex_count)
+    layout = oracle._layout(graph, every)
+    return [[1 - (graph.non_neighbours(x, layout) >> y & 1) for y in every] for x in every]
+
+
+def _neighbours(graph, u):
+    return [y for y, bit in enumerate(_adjacency(graph)[u]) if bit]
 
 
 @pytest.mark.parametrize("vertex_count", [1, 3, 1449, 5040, 40320])
 def test_blocks_cover_every_vertex_once(vertex_count):
-    blocks = list(oracle._blocks(vertex_count))
-    assert np.array_equal(np.concatenate(blocks), np.arange(vertex_count))
-    assert all(len(b) <= oracle._BLOCK_ROWS for b in blocks)
-    assert all(len(b) * vertex_count <= max(oracle._BLOCK_PAIRS, vertex_count) for b in blocks)
+    # each cell's block of whole bytes holds its own vertices, one bit each
+    # in vertex order, and padding after them; a count per block sees only
+    # the cell's vertices
+    rng = random.Random(vertex_count)
+    cell_count = min(vertex_count, 30)
+    cell_of = list(range(cell_count))
+    cell_of += [rng.randrange(cell_count) for _ in range(vertex_count - cell_count)]
+    position, sizes, slices = oracle._cell_positions(cell_of, cell_count)
+    assert sizes == [cell_of.count(c) for c in range(cell_count)]
+    assert [s.start for s in slices] == [0] + [s.stop for s in slices[:-1]]
+    for c, block in enumerate(slices):
+        assert [p for p, d in zip(position, cell_of) if d == c] == list(
+            range(8 * block.start, 8 * block.start + sizes[c])
+        )
+        assert block.stop == block.start + (sizes[c] + 7) // 8
+    chosen = [rng.random() < 0.5 for _ in range(vertex_count)]
+    bits = sum(1 << p for p, pick in zip(position, chosen) if pick)
+    expected = [sum(pick for pick, d in zip(chosen, cell_of) if d == c) for c in range(cell_count)]
+    assert oracle._counts(bits, slices) == expected
+
+
+def _literally_adjacent(family, a, b):
+    if family == "pm":
+        return not set(a) & set(b)  # the matchings share no edge
+    return all(p != q for p, q in zip(a, b))  # the permutations differ in every position
+
+
+@pytest.mark.parametrize(
+    "family, n", [("pm", k) for k in range(1, 5)] + [("sym", k) for k in range(1, 6)]
+)
+def test_rows_are_the_literal_predicate_in_every_layout(family, n):
+    # every vertex pair, against the labels alone, with vertex y at bit y and
+    # in the certificate's cell layout, whose cells are padded to whole bytes;
+    # pm n=3 (15 vertices), pm n=4 (105) and sym n=3 (6) pad the vertex
+    # layout too.  No padding bit enters a row, a degree or a count
+    graph = _graph(family, n)
+    cell_of = oracle._cells(family, graph.labels)
+    position, sizes, slices = oracle._cell_positions(cell_of, max(cell_of) + 1)
+    for layout in [oracle._layout(graph, range(graph.vertex_count)), oracle._layout(graph, position)]:
+        vertex_bits = sum(1 << p for p in layout.position)
+        for x, a in enumerate(graph.labels):
+            shared = graph.non_neighbours(x, layout)
+            assert shared & ~vertex_bits == 0
+            adjacent = [_literally_adjacent(family, a, b) for b in graph.labels]
+            assert [not shared >> p & 1 for p in layout.position] == adjacent
+            assert graph.vertex_count - shared.bit_count() == sum(adjacent) == graph.degree
+            if layout.position is position:
+                cells = range(len(sizes))
+                per_cell = [sum(not adj for adj, d in zip(adjacent, cell_of) if d == c) for c in cells]
+                assert oracle._counts(shared, slices) == per_cell
 
 
 def test_pm_graph_small():
     g = oracle.build_pm_graph(2)
     assert g.vertex_count == 3 and g.degree == 2  # triangle
-    assert (g.rows(np.arange(3)) == np.ones((3, 3)) - np.eye(3)).all()
+    assert _adjacency(g) == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
     g = oracle.build_pm_graph(3)
     assert g.vertex_count == 15 and g.degree == 8
     g = oracle.build_pm_graph(1)
@@ -175,17 +240,20 @@ def test_moved_multiplicity_is_caught_by_walk_moments(family, n):
     assert not report.spectrum_match and not report.passed
 
 
-@dataclass
 class EditedGraph(oracle.Graph):
     """The graph with some adjacency entries overwritten wherever its rows
-    are read: `edits` maps a vertex pair (u, v) to 0 or 1."""
+    are read, in any layout: `edits` maps a vertex pair (u, v) to 0 or 1."""
 
-    edits: dict = field(default_factory=dict)
+    def __init__(self, graph, edits):
+        super().__init__(graph.family, graph.n, graph.labels, graph.support, graph.degree)
+        self.edits = edits
 
-    def rows(self, index):
-        out = super().rows(index)
+    def non_neighbours(self, x, layout):
+        out = super().non_neighbours(x, layout)
         for (u, v), bit in self.edits.items():
-            out[index == u, v] = bit
+            if u == x:
+                mark = 1 << layout.position[v]
+                out = out & ~mark if bit else out | mark
         return out
 
 
@@ -194,19 +262,20 @@ def _edited(graph, *edits):
     pairs = {}
     for u, v, bit in edits:
         pairs[u, v] = pairs[v, u] = bit
-    return EditedGraph(graph.family, graph.n, graph.labels, graph.incidence, graph.degree, pairs)
+    return EditedGraph(graph, pairs)
 
 
-def _first_neighbour(graph, u):
-    return int(graph.rows(np.array([u]))[0].argmax())
+def _relabelled(graph, labels):
+    """The same adjacency under other vertex labels."""
+    return oracle.Graph(graph.family, graph.n, labels, graph.support, graph.degree)
 
 
 @pytest.mark.parametrize("family, n", [("pm", 3), ("pm", 4), ("sym", 4), ("sym", 5)])
 def test_removed_edge_fails_the_partition_or_the_symmetry(family, n):
-    graph = oracle.build_pm_graph(n) if family == "pm" else oracle.build_derangement_graph(n)
-    table = pm_spectrum_table(n) if family == "pm" else sym_spectrum_table(n)
+    graph = _graph(family, n)
+    table = _table(family, n)
     u = graph.vertex_count // 2
-    for edge in [(0, _first_neighbour(graph, 0)), (u, _first_neighbour(graph, u))]:
+    for edge in [(0, _neighbours(graph, 0)[0]), (u, _neighbours(graph, u)[0])]:
         broken = _edited(graph, (*edge, 0))
         report = oracle.certify(table, broken)
         checks = dict(report.quotient_checks)
@@ -219,15 +288,18 @@ def test_equitable_edge_switch_is_caught_by_the_automorphism_check():
     # another keeps every vertex's count per cell, so B and all its checks
     # still pass; only the symmetry the argument relies on is broken
     graph = oracle.build_pm_graph(4)
-    adjacency = graph.rows(np.arange(graph.vertex_count))
-    cells = oracle._cells("pm", oracle._points("pm", graph.labels))
+    adjacency = _adjacency(graph)
+    cells = oracle._cells("pm", graph.labels)
+    every = range(graph.vertex_count)
     a, b, c, d = next(
         (a, b, c, d)
-        for a, b in zip(*np.nonzero(adjacency))
-        for c in range(graph.vertex_count)
-        if c not in (a, b) and cells[c] == cells[a] and not adjacency[c, b]
-        for d in np.nonzero(adjacency[c])[0]
-        if d not in (a, b) and cells[d] == cells[b] and not adjacency[a, d]
+        for a in every
+        for b in every
+        if adjacency[a][b]
+        for c in every
+        if c not in (a, b) and cells[c] == cells[a] and not adjacency[c][b]
+        for d in every
+        if adjacency[c][d] and d not in (a, b) and cells[d] == cells[b] and not adjacency[a][d]
     )
     broken = _edited(graph, (a, b, 0), (c, d, 0), (a, d, 1), (c, b, 1))
     report = oracle.certify(pm_spectrum_table(4), broken)
@@ -239,7 +311,7 @@ def test_equitable_edge_switch_is_caught_by_the_automorphism_check():
 def test_base_vertex_sharing_its_cell_is_caught():
     graph = oracle.build_pm_graph(3)
     labels = [graph.labels[0]] + graph.labels[:1] + graph.labels[2:]  # vertex 1 relabelled as x0
-    broken = replace(graph, labels=labels)
+    broken = _relabelled(graph, labels)
     report = oracle.certify(pm_spectrum_table(3), broken)
     assert dict(report.quotient_checks)["base_alone"] is False and not report.passed
 
@@ -249,8 +321,8 @@ def test_base_vertex_sharing_its_cell_is_caught():
 )
 def test_dense_spectrum_equals_table(family, n):
     # the literal cross-check: diagonalise the whole adjacency matrix
-    graph = oracle.build_pm_graph(n) if family == "pm" else oracle.build_derangement_graph(n)
-    table = pm_spectrum_table(n) if family == "pm" else sym_spectrum_table(n)
+    graph = _graph(family, n)
+    table = _table(family, n)
     predicted = sorted(val for val, mult in table.rows.values() for _ in range(mult))
     spectrum = oracle.numeric_spectrum(graph)
     assert sorted(round(x) for x in spectrum) == predicted
@@ -259,41 +331,44 @@ def test_dense_spectrum_equals_table(family, n):
 
 def test_edited_graph_reads_its_edits_in_every_order():
     graph = oracle.build_pm_graph(3)
-    v = _first_neighbour(graph, 0)
+    v = _neighbours(graph, 0)[0]
     broken = _edited(graph, (0, v, 0), (1, 2, 1))
-    every = np.arange(graph.vertex_count)
-    expected = graph.rows(every).copy()
-    expected[0, v] = expected[v, 0] = 0
-    expected[1, 2] = expected[2, 1] = 1
-    assert (broken.rows(every) == expected).all()
-    move = np.random.default_rng(1).permutation(graph.vertex_count)
-    assert (broken.rows(move[:7]) == expected[move[:7]]).all()
+    expected = _adjacency(graph)
+    expected[0][v] = expected[v][0] = 0
+    expected[1][2] = expected[2][1] = 1
+    assert _adjacency(broken) == expected
+    # the vertices at shuffled bits, with padding between them
+    position = random.Random(1).sample(range(2 * graph.vertex_count), graph.vertex_count)
+    layout = oracle._layout(broken, position)
+    for x, row in enumerate(expected):
+        shared = broken.non_neighbours(x, layout)
+        assert [1 - (shared >> p & 1) for p in position] == row
 
 
-def test_oracle_sym7_peak_memory_over_numpy(peak_rss):
-    # row blocks of at most 64 rows, each compared with its images without
-    # a copy of the incidence: sym n=7 (5,040 vertices) adds little beyond
-    # numpy itself
-    status, numpy_peak = peak_rss("-c", "import numpy")
-    assert status == 0
+def test_oracle_sym7_peak_memory(peak_rss):
+    # no numpy and no V x V array: sym n=7 (5,040 vertices) peaked at about
+    # 17 MB on Python 3.11, the interpreter with pmspec imported and little
+    # more; numpy alone took the oracle to 36 MB
     status, peak = peak_rss("-m", "pmspec.cli", "oracle", "--family", "sym", "--n", "7", "--format", "json")
     assert status == 0
-    assert peak - numpy_peak <= 15 * 2**20
+    assert peak <= 25 * 2**20
 
 
 def test_oracle_peak_memory(peak_rss):
     status, peak = peak_rss("-m", "pmspec.cli", "oracle", "--family", "pm", "--n", "6", "--format", "json")
     assert status == 0
-    assert peak <= 150e6  # the dense build peaked at 657 MB
+    # about 19 MB on Python 3.11; the dense build peaked at 657 MB and the
+    # float32 row blocks at 45 MB
+    assert peak <= 30 * 2**20
 
 
-def test_faults_in_late_blocks_are_caught(monkeypatch):
-    # one row per block, and an edge removed between two late vertices: only
-    # late blocks see it, in the build's degree pass and in the certificate's
+def test_faults_in_late_blocks_are_caught():
+    # an edge removed between the last vertex and its last neighbour: only
+    # their rows see it, late in the build's degree pass and in the
+    # certificate's
     graph = oracle.build_pm_graph(4)
-    monkeypatch.setattr(oracle, "_BLOCK_PAIRS", graph.vertex_count)
     u = graph.vertex_count - 1
-    v = int(np.nonzero(graph.rows(np.array([u]))[0])[0][-1])
+    v = _neighbours(graph, u)[-1]
     broken = _edited(graph, (u, v, 0))
     with pytest.raises(RuntimeError, match="observed degrees"):
         oracle._check_degree(broken, "edited graph")
@@ -301,7 +376,7 @@ def test_faults_in_late_blocks_are_caught(monkeypatch):
     assert checks["equitable"] is False and checks["automorphisms"] is False
 
 
-# the tuple code the array code in oracle replaced, kept as its reference
+# tuple code independent of the oracle's, kept as its reference
 
 
 def _cycle_type(step: dict) -> tuple:
@@ -340,7 +415,7 @@ def _reference_cells(graph) -> list[tuple]:
     ]
 
 
-def _reference_moves(graph) -> list[np.ndarray]:
+def _reference_moves(graph) -> list[list[int]]:
     points = list(range(graph.n)) if graph.family == "sym" else list(range(1, 2 * graph.n + 1))
     swap = dict(zip(points, points[1::-1] + points[2:]))
     shift = dict(zip(points, points[1:] + points[:1]))
@@ -351,19 +426,15 @@ def _reference_moves(graph) -> list[np.ndarray]:
             return tuple(g[v] for v in label)
         return tuple(sorted(tuple(sorted((g[a], g[b]))) for a, b in label))
 
-    return [
-        np.array([index.get(act(g, label), -1) for label in graph.labels]) for g in (swap, shift)
-    ]
+    return [[index.get(act(g, label), -1) for label in graph.labels] for g in (swap, shift)]
 
 
 def _assert_matches_reference(graph):
-    points = oracle._points(graph.family, graph.labels)
-    cells, expected = oracle._cells(graph.family, points).tolist(), _reference_cells(graph)
+    cells, expected = oracle._cells(graph.family, graph.labels), _reference_cells(graph)
     # the same partition: cell ids and cell labels in bijection
     assert len(set(zip(cells, expected))) == len(set(cells)) == len(set(expected))
-    moves = oracle._vertex_permutations(graph.family, points)
-    for move, reference in zip(moves, _reference_moves(graph), strict=True):
-        assert np.array_equal(move, reference)
+    moves = oracle._vertex_permutations(graph.family, graph.labels)
+    assert moves == _reference_moves(graph)
     return moves
 
 
@@ -371,17 +442,16 @@ def _assert_matches_reference(graph):
     "family, n", [("pm", k) for k in range(1, 6)] + [("sym", k) for k in range(1, 7)]
 )
 def test_cells_and_moves_match_the_tuple_reference(family, n):
-    graph = oracle.build_pm_graph(n) if family == "pm" else oracle.build_derangement_graph(n)
-    _assert_matches_reference(graph)
+    _assert_matches_reference(_graph(family, n))
 
 
 @pytest.mark.parametrize("family, n", [("pm", 3), ("sym", 4)])
 def test_cells_and_moves_on_edited_labels_match_the_tuple_reference(family, n):
-    graph = oracle.build_pm_graph(n) if family == "pm" else oracle.build_derangement_graph(n)
+    graph = _graph(family, n)
     # vertex 2 relabelled as vertex 1: images of that label go to the last
     # vertex carrying it, and the old label of vertex 2 is nobody's
-    duplicated = replace(graph, labels=graph.labels[:2] + graph.labels[1:2] + graph.labels[3:])
-    assert any((move == -1).any() for move in _assert_matches_reference(duplicated))
+    duplicated = _relabelled(graph, graph.labels[:2] + graph.labels[1:2] + graph.labels[3:])
+    assert any(-1 in move for move in _assert_matches_reference(duplicated))
     # the last vertex dropped: whatever moved onto it maps to -1
-    missing = replace(graph, labels=graph.labels[:-1])
-    assert any((move == -1).any() for move in _assert_matches_reference(missing))
+    missing = _relabelled(graph, graph.labels[:-1])
+    assert any(-1 in move for move in _assert_matches_reference(missing))
