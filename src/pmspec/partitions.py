@@ -123,10 +123,7 @@ class Partition(tuple):
         i, j = move
         if not 2 <= i < j <= len(self):
             raise ValueError(f"transfer ({i},{j}) out of range for {self!r}")
-        if self[i - 2] <= self[i - 1]:
-            raise ValueError(f"transfer ({i},{j}) invalid on {self!r}: no descent at {i - 1}")
-        if j < len(self) and self[j - 1] <= self[j]:
-            raise ValueError(f"transfer ({i},{j}) invalid on {self!r}: no descent at {j}")
+        # raising part i leaves parts j and j + 1 alone, so each step checks its own descent
         return self.raise_part(i).lower_part(j)
 
 

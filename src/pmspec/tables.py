@@ -72,7 +72,7 @@ class SpectrumTable(NamedTuple):
         elif fmt == "text":
             title = f"{self.family} spectrum, n={self.n}"
             head, tail = f"{title}\n{'-' * len(title)}\n", ""
-            width = max(map(len, map(text, iter_partitions(self.n))))
+            width = max(1, 2 * self.n - 1)  # the text of (1^n); a part has no more digits than units
 
             def line(part, val, mult):
                 sign_ok = val == 0 or (-1) ** (self.n - part[0]) * val > 0

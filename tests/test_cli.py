@@ -210,6 +210,28 @@ def test_table_rejects_bad_n(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "scan --n-max 1",
+        "verify --suite crossblock --n-max 9",
+        "verify --suite signs --n-max 1",
+        "oracle --n 0",
+        "table --n 0",
+        "eta --partition 3+x",
+    ],
+)
+def test_usage_errors_print_one_line_and_exit_2(argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run(
+        [sys.executable, "-m", "pmspec.cli", *argv.split()], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("pmspec: error:"), done.stderr
+
+
 def test_verify_pass_and_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "dualpath", "--n-max", "8", "--format", "json")
     assert code == 0 and '"failure_count":0' in out
@@ -437,10 +459,37 @@ def _readme_cli_commands():
     return [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("pmspec ")]
 
 
+# sha256 of the stdout of each example in the README's CLI block
+README_STDOUT_SHA256 = {
+    "eta --partition 3+2+1":
+        "e57ee1c032c1d2d34e50d3c290c2b010534a8e2808d58d6db21c25ac8d1b4a90",
+    "xi --partition 2+2":
+        "edc18ff3ba89fb2cc7664667c2d304745ac63836d20fef683e5034a92e12af8c",
+    "table --n 4 --family pm --format csv":
+        "672b3d529b7be46e8177bb92e78d9f3b71a01cf4b4764445b308cea2c0236522",
+    "table --n 5 --family sym --format json":
+        "ff83aa6f5e92b4ceb59a87ea1be56ce3d05152ade3710990408fdb35da73ec77",
+    "verify --suite thm6 --n-max 8 --format text":
+        "605c75e43dbd160883e336275d046813010d47b1587cc8e17aa2c53d1c45287d",
+    "verify --suite dualpath --n-max 10 --format json":
+        "76479923ce7ac10dd2e6fe9826e5fe4be0d0ea674fe32dc26f524163e7b3a426",
+    "verify --suite conjecture2 --n-max 8 --format json":
+        "322e12b0b296e13ebbe0ea6b37c760597f0ba24c330526a4b7e69fb6f8ae6df8",
+    "oracle --n 4 --family pm":
+        "7c491f493bcde0abc4a1c0de30ffa98cb2b9181004cfc66bce59d9ca7a786aa9",
+    "oracle --n 5 --family sym --format json":
+        "5e7a1be79f495223d07a0a7e0382102629b6e94d69d7b70563b6e9eb374098f6",
+    "scan --n-max 8 --progress":
+        "153f6869311c25f78723a4914847e3821a14c4f0aa4011a22f3fcbe329adb16e",
+}
+
+
 def test_readme_cli_examples_run(capsys):
     commands = _readme_cli_commands()
     assert len(commands) >= 6
+    assert sorted(" ".join(argv[1:]) for argv in commands) == sorted(README_STDOUT_SHA256)
     for argv in commands:
         assert argv[0] == "pmspec"
-        code, _, err = run(capsys, *argv[1:])
+        code, out, err = run(capsys, *argv[1:])
         assert code == 0, (argv, err)
+        assert hashlib.sha256(out.encode()).hexdigest() == README_STDOUT_SHA256[" ".join(argv[1:])], argv

@@ -88,6 +88,21 @@ def test_transfer():
         Partition((2, 2, 1)).transfer(TransferMove(2, 3))
 
 
+def test_transfer_exhaustive():
+    # transfer succeeds exactly on its valid moves, and is a raise then a lower
+    for n in range(10):
+        for lam in enumerate_partitions(n):
+            s = len(lam)
+            for i in range(s + 2):
+                for j in range(s + 2):
+                    valid = 2 <= i < j <= s and lam[i - 2] > lam[i - 1] and (j == s or lam[j - 1] > lam[j])
+                    if valid:
+                        assert lam.transfer(TransferMove(i, j)) == lam.raise_part(i).lower_part(j)
+                    else:
+                        with pytest.raises(ValueError):
+                            lam.transfer(TransferMove(i, j))
+
+
 def test_raise_then_lower_is_identity():
     for n in range(2, 11):
         for mu in enumerate_partitions(n):
