@@ -88,17 +88,6 @@ class VerificationReport:
     def witness_equality(self, **witness) -> None:
         self.equality_witnesses.append(witness)
 
-    def merge(self, other: "VerificationReport") -> None:
-        self.checks_run += other.checks_run
-        self.failure_count += other.failure_count
-        for item in other.failures:
-            if len(self.failures) < MAX_LISTED_FAILURES:
-                self.failures.append(item)
-        self.equality_witnesses.extend(other.equality_witnesses)
-        lo = min(self.n_range[0], other.n_range[0])
-        hi = max(self.n_range[1], other.n_range[1])
-        self.n_range = (lo, hi)
-
     def to_json(self) -> str:
         import json  # loaded only when json is written
 
@@ -128,16 +117,24 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
+def _report(suite: str, n_min: int, n_max: int) -> VerificationReport:
+    """The empty report of a suite that checks each n from n_min to n_max."""
+    if n_max < n_min:
+        raise ValueError(f"suite {suite} needs n_max >= {n_min}")
+    return VerificationReport(suite, (n_min, n_max))
+
+
 class _Sweep:
     """A family's eigenvalues by partition, read off one lattice sweep of
     size n: at every partition of size at most n for pm (:func:`_eta_sweep`),
     and for sym (:func:`_xi_sweep`) at the partitions of n and what their
     first-part recurrence reaches.  Each partition's id is found by walking
-    the lattice's ``base``.  A sweep that could not fit in physical memory
-    is refused before it starts."""
+    the lattice's ``base``.  A sweep that could not fit in physical memory,
+    with ``held`` bytes per partition that its suite keeps besides it, is
+    refused before it starts."""
 
-    def __init__(self, family: str, n: int) -> None:
-        admit_table(family, n)
+    def __init__(self, family: str, n: int, held: int = 0) -> None:
+        admit_table(family, n, held)
         lattice, self._values, _ = (_eta_sweep if family == "pm" else _xi_sweep)(n)
         self._index = lattice.index
 
@@ -316,19 +313,16 @@ def _block_order(report, level: _Level, block: list, symbol: str, equality: str,
 # ---------------------------------------------------------------------------
 
 
-def verify_sign_pattern(n: int, sweep: _Sweep | None = None) -> VerificationReport:
-    """(-1)^(n - lambda_1) * eta > 0 for every partition of n >= 2.
-
-    Values are read off ``sweep``, a pm sweep of size at least n, or off a
-    sweep of size n; so are those of the other per-n pm suites."""
-    if n < 2:
-        raise ValueError("sign pattern holds from n = 2")
-    sweep = _Sweep("pm", n) if sweep is None else sweep
-    report = VerificationReport(suite="signs", n_range=(n, n))
+def verify_sign_pattern(n_max: int) -> VerificationReport:
+    """(-1)^(n - lambda_1) * eta > 0 for every partition of each n from 2 to
+    n_max, read off one pm sweep of size n_max."""
+    report = _report("signs", 2, n_max)
+    sweep = _Sweep("pm", n_max)
     sign = report.relation(None, "partition", "eta")
-    for lam in enumerate_partitions(n):
-        value = sweep.value(lam)
-        sign((-1) ** (n - lam[0]) * value > 0, lam, str(value))
+    for n in range(2, n_max + 1):
+        for lam in enumerate_partitions(n):
+            value = sweep.value(lam)
+            sign((-1) ** (n - lam[0]) * value > 0, lam, str(value))
     return report
 
 
@@ -337,18 +331,25 @@ def verify_sign_pattern(n: int, sweep: _Sweep | None = None) -> VerificationRepo
 # ---------------------------------------------------------------------------
 
 
-def verify_abs_dominance(n: int, sweep: _Sweep | None = None) -> VerificationReport:
-    """|eta| is monotone under dominance among partitions sharing a first part.
+def verify_abs_dominance(n_max: int) -> VerificationReport:
+    """|eta| is monotone under dominance among partitions sharing a first
+    part, for each n from 2 to n_max.
 
     Equality is characterized: it occurs exactly for comparable pairs with
     first part 3 and all later parts at most 2.  Additionally |eta| must be
     non-decreasing at every single step of a dominance chain, not merely
     end-to-end.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    sweep = _Sweep("pm", n) if sweep is None else sweep
-    report = VerificationReport(suite="thm6", n_range=(n, n))
+    report = _report("thm6", 2, n_max)
+    admit_levels(n_max)
+    sweep = _Sweep("pm", n_max)
+    for n in range(2, n_max + 1):
+        _abs_dominance_level(report, n, sweep)
+    return report
+
+
+def _abs_dominance_level(report, n: int, sweep: _Sweep) -> None:
+    """thm6's checks at one n, whose level is freed on return."""
     chain = report.relation("stepwise |eta| monotone along chain", "lo", "hi")
     parts = enumerate_partitions(n)
     level = _Level(parts, [abs(sweep.value(lam)) for lam in parts])
@@ -356,7 +357,6 @@ def verify_abs_dominance(n: int, sweep: _Sweep | None = None) -> VerificationRep
     for block in level.blocks.values():
         monotone = _monotone_chains(level, block)
         _block_order(report, level, block, "eta", equality, (chain, monotone))
-    return report
 
 
 def _monotone_chains(level: _Level, block: list) -> list:
@@ -398,23 +398,23 @@ def _monotone_chains(level: _Level, block: list) -> list:
 # ---------------------------------------------------------------------------
 
 
-def verify_transfer_monotone(n: int, sweep: _Sweep | None = None) -> VerificationReport:
-    """f never decreases under a transfer move; equality exactly on the
-    first-part-3 small-tail family when the raised part is 1."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    f = (_Sweep("pm", n) if sweep is None else sweep).f
-    report = VerificationReport(suite="prop2", n_range=(n, n))
+def verify_transfer_monotone(n_max: int) -> VerificationReport:
+    """f never decreases under a transfer move, at every partition of each n
+    from 2 to n_max; equality exactly on the first-part-3 small-tail family
+    when the raised part is 1."""
+    report = _report("prop2", 2, n_max)
+    f = _Sweep("pm", n_max).f
     grows = report.relation("f(transfer) >= f", "partition", "move", "values")
     equal = report.relation("transfer equality characterization", "partition", "move", "values")
-    for mu in enumerate_partitions(n):
-        for move in valid_transfers(mu):
-            lhs, rhs = f(mu.transfer(move)), f(mu)
-            grows(lhs >= rhs, mu, move, (lhs, rhs))
-            expected_equal = has_first_part_three_rest_small(mu) and mu[move.i - 1] == 1
-            if lhs == rhs:
-                report.witness_equality(partition=mu.to_text(), move=list(move))
-            equal((lhs == rhs) == expected_equal, mu, move, (lhs, rhs))
+    for n in range(2, n_max + 1):
+        for mu in enumerate_partitions(n):
+            for move in valid_transfers(mu):
+                lhs, rhs = f(mu.transfer(move)), f(mu)
+                grows(lhs >= rhs, mu, move, (lhs, rhs))
+                expected_equal = has_first_part_three_rest_small(mu) and mu[move.i - 1] == 1
+                if lhs == rhs:
+                    report.witness_equality(partition=mu.to_text(), move=list(move))
+                equal((lhs == rhs) == expected_equal, mu, move, (lhs, rhs))
     return report
 
 
@@ -442,10 +442,10 @@ def raising_identity_fails_at_first_index() -> bool:
     return False
 
 
-def verify_step_identities(n: int, sweep: _Sweep | None = None) -> VerificationReport:
+def verify_step_identities(n_max: int) -> VerificationReport:
     """Exact identities relating f across one-box and uniform-subtraction moves.
 
-    Covered, over every admissible partition of n:
+    Covered, over every admissible partition of each n from 2 to n_max:
 
     * the weighted-sum identity with (2k+1)!! coefficients;
     * the three-term raising identity at every admissible index i >= 2, plus
@@ -457,12 +457,11 @@ def verify_step_identities(n: int, sweep: _Sweep | None = None) -> VerificationR
       and the comparison f(raise - 1 everywhere) >= f(mu - 1 everywhere)
       with its equality characterization.
 
-    Raising a part adds a box, so ``sweep`` must reach size n + 1.
+    Raising a part adds a box, so the sweep reaches size n_max + 1.  The
+    breakdown at i = 1 is checked once per n.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    f = (_Sweep("pm", n + 1) if sweep is None else sweep).f
-    report = VerificationReport(suite="lemmas", n_range=(n, n))
+    report = _report("lemmas", 2, n_max)
+    f = _Sweep("pm", n_max + 1).f
     weighted = report.relation("weighted-sum identity", "partition", "values")
     raising = report.relation("raising identity", "partition", "index", "values")
     bounded = report.relation("raising lower bound", "partition", "index", "values")
@@ -475,54 +474,55 @@ def verify_step_identities(n: int, sweep: _Sweep | None = None) -> VerificationR
     )
     special = report.relation("special-family transfer equality", "partition", "move")
     fails_at_one = report.relation("raising identity must fail at index 1")
-    for mu in enumerate_partitions(n):
-        s, f_mu = len(mu), f(mu)
-        if s >= 2:
-            # weighted-sum identity with shifted double factorials
-            head = mu.remove_last_part()
-            last = mu[-1]
-            lhs = sum(
-                binomial(last, k) * odd_double_factorial(k + 1) * f(head.subtract_all(k))
-                for k in range(1, last + 1)
-            )
-            rhs = (2 * last + 1) * f_mu - 2 * last * f(mu.lower_part(s)) - f(head)
-            weighted(lhs == rhs, mu, (lhs, rhs))
-
-        lo_plain = f(mu.subtract_all(1))
-        for i in _raisable_indices(mu):
-            raised = mu.raise_part(i)
-            diff = f(raised) - f_mu
-            lo_raised = f(raised.subtract_all(1))
-            coef = 2 * mu[i - 1] + s - i
-            # three-term raising identity (the i = s case is its simplest form)
-            rhs = (coef + 1) * lo_raised - coef * lo_plain
-            raising(diff == rhs, mu, i, (diff, rhs))
-            if n >= 3:
-                bounded(diff >= lo_raised > 0, mu, i, (diff, lo_raised))
-                shifted(lo_raised >= lo_plain, mu, i, (lo_raised, lo_plain))
-                expected_equal = has_first_part_three_rest_small(mu) and mu[i - 1] == 1
-                shifted_equal(
-                    (lo_raised == lo_plain) == expected_equal, mu, i, (lo_raised, lo_plain)
+    for n in range(2, n_max + 1):
+        for mu in enumerate_partitions(n):
+            s, f_mu = len(mu), f(mu)
+            if s >= 2:
+                # weighted-sum identity with shifted double factorials
+                head = mu.remove_last_part()
+                last = mu[-1]
+                lhs = sum(
+                    binomial(last, k) * odd_double_factorial(k + 1) * f(head.subtract_all(k))
+                    for k in range(1, last + 1)
                 )
+                rhs = (2 * last + 1) * f_mu - 2 * last * f(mu.lower_part(s)) - f(head)
+                weighted(lhs == rhs, mu, (lhs, rhs))
 
-            # transfer recurrence with the last index lowered
-            if i <= s - 1:
-                moved = mu.transfer((i, s))
-                lhs = f(moved) - f_mu
-                rhs = (
-                    (2 * mu[i - 1] - 2 * mu[-1] + s - i + 2) * lo_raised
-                    - (2 * mu[i - 1] + s - i) * lo_plain
-                    + 2 * (mu[-1] - 1) * f(moved.subtract_all(1))
-                )
-                last_transfer(lhs == rhs, mu, i, (lhs, rhs))
+            lo_plain = f(mu.subtract_all(1))
+            for i in _raisable_indices(mu):
+                raised = mu.raise_part(i)
+                diff = f(raised) - f_mu
+                lo_raised = f(raised.subtract_all(1))
+                coef = 2 * mu[i - 1] + s - i
+                # three-term raising identity (the i = s case is its simplest form)
+                rhs = (coef + 1) * lo_raised - coef * lo_plain
+                raising(diff == rhs, mu, i, (diff, rhs))
+                if n >= 3:
+                    bounded(diff >= lo_raised > 0, mu, i, (diff, lo_raised))
+                    shifted(lo_raised >= lo_plain, mu, i, (lo_raised, lo_plain))
+                    expected_equal = has_first_part_three_rest_small(mu) and mu[i - 1] == 1
+                    shifted_equal(
+                        (lo_raised == lo_plain) == expected_equal, mu, i, (lo_raised, lo_plain)
+                    )
 
-        # f is constant under transfers of a 1-part inside the special family
-        if has_first_part_three_rest_small(mu):
-            for move in valid_transfers(mu):
-                if mu[move.i - 1] == 1:
-                    special(f(mu.transfer(move)) == f_mu, mu, move)
+                # transfer recurrence with the last index lowered
+                if i <= s - 1:
+                    moved = mu.transfer((i, s))
+                    lhs = f(moved) - f_mu
+                    rhs = (
+                        (2 * mu[i - 1] - 2 * mu[-1] + s - i + 2) * lo_raised
+                        - (2 * mu[i - 1] + s - i) * lo_plain
+                        + 2 * (mu[-1] - 1) * f(moved.subtract_all(1))
+                    )
+                    last_transfer(lhs == rhs, mu, i, (lhs, rhs))
 
-    fails_at_one(raising_identity_fails_at_first_index())
+            # f is constant under transfers of a 1-part inside the special family
+            if has_first_part_three_rest_small(mu):
+                for move in valid_transfers(mu):
+                    if mu[move.i - 1] == 1:
+                        special(f(mu.transfer(move)) == f_mu, mu, move)
+
+        fails_at_one(raising_identity_fails_at_first_index())
     return report
 
 
@@ -581,46 +581,41 @@ def verify_product_identities(size_budget: int) -> VerificationReport:
 
 def first_part_three_family(n: int) -> list[Partition]:
     """All partitions of n with first part 3 and later parts at most 2."""
-    out = []
-    for x in range((n - 3) // 2 + 1):
-        y = n - 3 - 2 * x
-        if y >= 0:
-            out.append(Partition([3] + [2] * x + [1] * y))
-    return out
+    return [Partition([3] + [2] * x + [1] * (n - 3 - 2 * x)) for x in range((n - 3) // 2 + 1)]
 
 
-def find_cross_block_counterexamples(n: int) -> VerificationReport:
+def find_cross_block_counterexamples(n_max: int) -> VerificationReport:
     """Dominance does not control |eta| across different first parts.
 
-    For n >= 10 and 4 <= a <= n/2, the staircase (2^a, 1^(n-2a)) is dominated
-    by every first-part-3 small-tail partition with few enough 1-parts, yet
-    its f value a^2 + (n-2a)(a-1) + 1 strictly exceeds the constant 2n+2 of
-    that family.  The suite confirms both the dominance and the inequality.
+    For each n from 10 to n_max and 4 <= a <= n/2, the staircase (2^a,
+    1^(n-2a)) is dominated by every first-part-3 small-tail partition with
+    few enough 1-parts, yet its f value a^2 + (n-2a)(a-1) + 1 strictly
+    exceeds the constant 2n+2 of that family.  The suite confirms both the
+    dominance and the inequality.
     """
-    if n < 10:
-        raise ValueError("counterexamples require n >= 10")
-    report = VerificationReport(suite="crossblock", n_range=(n, n))
+    report = _report("crossblock", 10, n_max)
     closed = report.relation("staircase closed form", "a", "b", "values")
     dominated = report.relation("staircase dominated by special partition", "a", "partition")
     larger = report.relation("dominated shape has strictly larger f", "a", "partition", "values")
-    constant = 2 * n + 2
-    # f of each member some a checks, once for all of them: a = 4 admits
-    # the most 1-parts, n - 9
-    family = [
-        (mu, f_value(mu), ones)
-        for mu in first_part_three_family(n)
-        if (ones := mu.count(1)) <= n - 9
-    ]
-    for a in range(4, n // 2 + 1):
-        b = n - 2 * a
-        staircase = Partition([2] * a + [1] * b)
-        staircase_f, closed_f = f_value(staircase), f_closed_form_2a1b(a, b)
-        closed(staircase_f == closed_f, a, b, (staircase_f, closed_f))
-        for mu, mu_f, ones in family:
-            if ones > n - 2 * a - 1:
-                continue
-            dominated(dominance_compare(staircase, mu) is Dominance.LESS, a, mu)
-            larger(mu_f == constant and constant < staircase_f, a, mu, (constant, staircase_f))
+    for n in range(10, n_max + 1):
+        constant = 2 * n + 2
+        # f of each member some a checks, once for all of them: a = 4 admits
+        # the most 1-parts, n - 9
+        family = [
+            (mu, f_value(mu), ones)
+            for mu in first_part_three_family(n)
+            if (ones := mu.count(1)) <= n - 9
+        ]
+        for a in range(4, n // 2 + 1):
+            b = n - 2 * a
+            staircase = Partition([2] * a + [1] * b)
+            staircase_f, closed_f = f_value(staircase), f_closed_form_2a1b(a, b)
+            closed(staircase_f == closed_f, a, b, (staircase_f, closed_f))
+            for mu, mu_f, ones in family:
+                if ones > n - 2 * a - 1:
+                    continue
+                dominated(dominance_compare(staircase, mu) is Dominance.LESS, a, mu)
+                larger(mu_f == constant and constant < staircase_f, a, mu, (constant, staircase_f))
     return report
 
 
@@ -679,18 +674,25 @@ def _scan_level(report, n: int, sweep: _Sweep) -> None:
 # ---------------------------------------------------------------------------
 
 
-def verify_xi_comparison(n: int) -> VerificationReport:
+def verify_xi_comparison(n_max: int) -> VerificationReport:
     """Baseline family: recurrence agreement and |xi| dominance monotonicity.
 
-    Checks, for every partition of n: the two xi recurrences agree, and the
-    mis-transcribed variant disagrees somewhere (witnessed at (1,1)); within
-    each fixed-first-part block, dominance implies |xi(lo)| <= |xi(hi)| with
-    equality exactly on the first-part-3 small-tail family; and the
-    lexicographic extremes of each block bound |xi| from both sides.
+    Checks, for every partition of each n from 2 to n_max: the two xi
+    recurrences agree, and the mis-transcribed variant disagrees somewhere
+    (witnessed at (1,1)); within each fixed-first-part block, dominance
+    implies |xi(lo)| <= |xi(hi)| with equality exactly on the first-part-3
+    small-tail family; and the lexicographic extremes of each block bound
+    |xi| from both sides.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    report = VerificationReport(suite="kuwong-xi", n_range=(n, n))
+    report = _report("kuwong-xi", 2, n_max)
+    admit_levels(n_max)
+    for n in range(2, n_max + 1):
+        _xi_level(report, n)
+    return report
+
+
+def _xi_level(report, n: int) -> None:
+    """kuwong-xi's checks at one n, whose level and sweep are freed on return."""
     agree = report.relation("xi recurrence agreement", "partition", "values")
     extremes = report.relation("lexicographic extremes bound |xi|", "partition", "values")
     variant = report.relation("mis-transcribed variant disagrees at (1,1)")
@@ -717,7 +719,6 @@ def verify_xi_comparison(n: int) -> VerificationReport:
         low, high = values[block[-1]], values[block[0]]
         for i in block:
             extremes(low <= values[i] <= high, parts[i], (low, values[i], high))
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -728,17 +729,23 @@ def verify_xi_comparison(n: int) -> VerificationReport:
 # admissible index, not only the last one
 _ALL_INDICES_MAX_N = 12
 
+# bytes the eta_alt store keeps per partition of size at most n_max: the
+# growth of dualpath's peak RSS from n_max = 40 to 46 less the pm table's
+# (304 less 97 bytes per partition), plus one value's digit growth, rounded up
+_ETA_ALT_BYTES_PER_PARTITION = 250
+
 
 def verify_dual_recurrences(n_max: int) -> VerificationReport:
     """The two independent eta recurrence paths agree on every partition:
     the strip recurrence, read off one lattice sweep, and the lowering one.
 
     Up to ``_ALL_INDICES_MAX_N`` the lowering-comparison recurrence is also
-    evaluated at every admissible index, not only the last one.
+    evaluated at every admissible index, not only the last one.  Its store,
+    filled alongside the sweep, counts in the sweep's admission.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    sweep = _Sweep("pm", n_max)
+    sweep = _Sweep("pm", n_max, _ETA_ALT_BYTES_PER_PARTITION)
     report = VerificationReport(suite="dualpath", n_range=(1, n_max))
     agree = report.relation("dual-path agreement", "partition", "values")
     any_index = report.relation("lowering recurrence index-independent", "partition", "index")
@@ -755,47 +762,29 @@ def verify_dual_recurrences(n_max: int) -> VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# aggregation over ranges (used by the CLI)
+# suites by name (used by the CLI)
 # ---------------------------------------------------------------------------
 
 
-# name: (suite function, smallest n, how far past n_max its shared pm sweep
-# reaches).  Functions are named, and looked up when a suite runs, so that
-# a wrapper installed on this module (perfbench's tracer) is the one called.
+# name: suite function, which takes n_max.  Functions are named, and looked
+# up when a suite runs, so that a wrapper installed on this module
+# (perfbench's tracer) is the one called.
 _SUITES = {
-    "signs": ("verify_sign_pattern", 2, 0),
-    "thm6": ("verify_abs_dominance", 2, 0),
-    "prop2": ("verify_transfer_monotone", 2, 0),
-    "lemmas": ("verify_step_identities", 2, 1),
-    "identities": ("verify_product_identities", None, None),
-    "crossblock": ("find_cross_block_counterexamples", 10, None),
-    "kuwong-xi": ("verify_xi_comparison", 2, None),
-    "dualpath": ("verify_dual_recurrences", None, None),
-    "conjecture2": ("scan_cross_gap_conjecture", None, None),
+    "signs": "verify_sign_pattern",
+    "thm6": "verify_abs_dominance",
+    "prop2": "verify_transfer_monotone",
+    "lemmas": "verify_step_identities",
+    "identities": "verify_product_identities",
+    "crossblock": "find_cross_block_counterexamples",
+    "kuwong-xi": "verify_xi_comparison",
+    "dualpath": "verify_dual_recurrences",
+    "conjecture2": "scan_cross_gap_conjecture",
 }
 SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, n_max: int) -> VerificationReport:
-    """Run a named suite aggregated over its natural range up to n_max.
-
-    A suite with a smallest n runs once per n from there and is merged; the
-    others take n_max as the top of a range of their own.  The per-n pm
-    suites share one sweep, which holds every size up to its own: n_max, or
-    n_max + 1 where a suite raises a part.
-    """
+    """Run a named suite over its range up to n_max."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    func_name, n_min, past = _SUITES[name]
-    func = globals()[func_name]
-    if name in ("thm6", "kuwong-xi"):
-        admit_levels(n_max)
-    if n_min is None:
-        return func(n_max)
-    if n_max < n_min:
-        raise ValueError(f"suite {name} needs n_max >= {n_min}")
-    shared = () if past is None else (_Sweep("pm", n_max + past),)
-    merged = func(n_min, *shared)
-    for n in range(n_min + 1, n_max + 1):
-        merged.merge(func(n, *shared))
-    return merged
+    return globals()[_SUITES[name]](n_max)

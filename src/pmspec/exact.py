@@ -150,15 +150,16 @@ def admit_query(family: str, lam: tuple) -> None:
 _TABLE_BYTES_PER_NODE = {"pm": 140, "sym": 90}
 
 
-def admit_table(family: str, n: int) -> None:
+def admit_table(family: str, n: int, held: int = 0) -> None:
     """Refuse a table of size n whose sweep could not fit in physical memory.
 
-    The sweep holds its values for every partition of size at most n.  p(k)
+    The sweep holds its values for every partition of size at most n, and
+    its caller may hold ``held`` more bytes for each of them.  p(k)
     comes from the pentagonal number recurrence, which stops at the first k
     whose partitions of size at most k overflow memory, so a huge n costs
     no more than a small one.
     """
-    memory, per_node = physical_memory_bytes(), _TABLE_BYTES_PER_NODE[family]
+    memory, per_node = physical_memory_bytes(), _TABLE_BYTES_PER_NODE[family] + held
     nodes = 0
     for k, count in enumerate(partition_counts()):
         nodes += count

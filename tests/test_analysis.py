@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import pytest
 
@@ -17,17 +18,15 @@ P = Partition
 
 
 def test_sign_pattern_suite():
-    for n in range(2, 16):
-        report = analysis.verify_sign_pattern(n)
-        assert report.passed, report.failures[:3]
+    report = analysis.verify_sign_pattern(15)
+    assert report.passed, report.failures[:3]
     with pytest.raises(ValueError):
         analysis.verify_sign_pattern(1)
 
 
 def test_abs_dominance_suite():
-    for n in range(2, 13):
-        report = analysis.verify_abs_dominance(n)
-        assert report.passed, report.failures[:3]
+    report = analysis.verify_abs_dominance(12)
+    assert report.passed, report.failures[:3]
 
 
 def test_abs_dominance_equality_example():
@@ -35,6 +34,7 @@ def test_abs_dominance_equality_example():
     assert eta(P((3, 1, 1, 1))).f == 14
     assert eta(P((3, 2, 1))).f == 14
     report = analysis.verify_abs_dominance(6)
+    assert report.n_range == (2, 6)
     witnesses = {(w["lo"], w["hi"]) for w in report.equality_witnesses}
     assert ("3+1+1+1", "3+2+1") in witnesses
     # strict case across the same first part
@@ -48,9 +48,8 @@ def test_abs_dominance_vacuous_at_2():
 
 
 def test_transfer_monotone_suite():
-    for n in range(2, 13):
-        report = analysis.verify_transfer_monotone(n)
-        assert report.passed, report.failures[:3]
+    report = analysis.verify_transfer_monotone(12)
+    assert report.passed, report.failures[:3]
 
 
 def test_transfer_equality_cases():
@@ -60,9 +59,8 @@ def test_transfer_equality_cases():
 
 
 def test_step_identities_suite():
-    for n in range(2, 14):
-        report = analysis.verify_step_identities(n)
-        assert report.passed, report.failures[:3]
+    report = analysis.verify_step_identities(13)
+    assert report.passed, report.failures[:3]
 
 
 def test_raising_identity_breaks_at_index_one():
@@ -89,8 +87,7 @@ def test_cross_block_counterexamples():
     assert report.passed
     # the n=10, a=4 instance: 2n+2 = 22 < 23 = closed form
     assert f_value(P((2, 2, 2, 2, 1, 1))) == 23
-    for n in range(10, 16):
-        assert analysis.find_cross_block_counterexamples(n).passed
+    assert analysis.find_cross_block_counterexamples(15).passed
     with pytest.raises(ValueError):
         analysis.find_cross_block_counterexamples(9)
 
@@ -118,9 +115,8 @@ def test_conjecture_scan_skips_adjacent_blocks():
 
 
 def test_xi_comparison_suite():
-    for n in range(2, 15):
-        report = analysis.verify_xi_comparison(n)
-        assert report.passed, report.failures[:3]
+    report = analysis.verify_xi_comparison(14)
+    assert report.passed, report.failures[:3]
 
 
 def test_dual_recurrence_suite():
@@ -192,29 +188,30 @@ def _literal_chain_monotone(value, lam, target):
 # suites' values, read off lattice sweeps, are checked against a second engine.
 
 
-def _reference_thm6(n, eta_of):
-    report = analysis.VerificationReport(suite="thm6", n_range=(n, n))
+def _reference_thm6(n_max, eta_of):
+    report = analysis.VerificationReport(suite="thm6", n_range=(2, n_max))
     order = report.relation("|eta(lo)| <= |eta(hi)|", "lo", "hi", "values")
     equal = report.relation("equality iff first part 3 with small tail", "lo", "hi", "values")
     chain = report.relation("stepwise |eta| monotone along chain", "lo", "hi")
     abs_eta = lambda lam: abs(eta_of(lam))  # noqa: E731
     star = analysis.has_first_part_three_rest_small
-    for u, block in _blocks(n).items():
-        for lam in block:
-            for lam2 in block:
-                if lam == lam2 or dominance_compare(lam, lam2) is not Dominance.LESS:
-                    continue
-                a, b = abs_eta(lam), abs_eta(lam2)
-                order(a <= b, lam, lam2, (a, b))
-                if a == b:
-                    report.witness_equality(lo=lam.to_text(), hi=lam2.to_text(), abs_eta=str(a))
-                equal((a == b) == (u == 3 and star(lam) and star(lam2)), lam, lam2, (a, b))
-                chain(_literal_chain_monotone(abs_eta, lam, lam2), lam, lam2)
+    for n in range(2, n_max + 1):
+        for u, block in _blocks(n).items():
+            for lam in block:
+                for lam2 in block:
+                    if lam == lam2 or dominance_compare(lam, lam2) is not Dominance.LESS:
+                        continue
+                    a, b = abs_eta(lam), abs_eta(lam2)
+                    order(a <= b, lam, lam2, (a, b))
+                    if a == b:
+                        report.witness_equality(lo=lam.to_text(), hi=lam2.to_text(), abs_eta=str(a))
+                    equal((a == b) == (u == 3 and star(lam) and star(lam2)), lam, lam2, (a, b))
+                    chain(_literal_chain_monotone(abs_eta, lam, lam2), lam, lam2)
     return report
 
 
-def _reference_xi(n, xi_of):
-    report = analysis.VerificationReport(suite="kuwong-xi", n_range=(n, n))
+def _reference_xi(n_max, xi_of):
+    report = analysis.VerificationReport(suite="kuwong-xi", n_range=(2, n_max))
     agree = report.relation("xi recurrence agreement", "partition", "values")
     extremes = report.relation("lexicographic extremes bound |xi|", "partition", "values")
     variant = report.relation("mis-transcribed variant disagrees at (1,1)")
@@ -222,29 +219,30 @@ def _reference_xi(n, xi_of):
     equal = report.relation("xi equality characterization", "lo", "hi", "values")
     abs_xi = lambda lam: abs(xi_of(lam))  # noqa: E731
     star = analysis.has_first_part_three_rest_small
-    for mu in enumerate_partitions(n):
-        a, b = xi_of(mu), xi_by_last_part(mu)
-        agree(a == b, mu, (a, b))
-    if n == 2:
-        one_one = P((1, 1))
-        variant(
-            xi_by_last_part_printed_variant(one_one) == -2
-            and xi_of(one_one) == -1
-        )
-    for u, block in _blocks(n).items():
-        for lam in block:
-            for lam2 in block:
-                if lam == lam2 or dominance_compare(lam, lam2) is not Dominance.LESS:
-                    continue
-                a, b = abs_xi(lam), abs_xi(lam2)
-                order(a <= b, lam, lam2, (a, b))
-                if a == b:
-                    report.witness_equality(lo=lam.to_text(), hi=lam2.to_text(), abs_xi=str(a))
-                equal((a == b) == (u == 3 and star(lam) and star(lam2)), lam, lam2, (a, b))
-        # the block runs from its lexicographically largest member down
-        low, high = abs_xi(block[-1]), abs_xi(block[0])
-        for lam in block:
-            extremes(low <= abs_xi(lam) <= high, lam, (low, abs_xi(lam), high))
+    for n in range(2, n_max + 1):
+        for mu in enumerate_partitions(n):
+            a, b = xi_of(mu), xi_by_last_part(mu)
+            agree(a == b, mu, (a, b))
+        if n == 2:
+            one_one = P((1, 1))
+            variant(
+                xi_by_last_part_printed_variant(one_one) == -2
+                and xi_of(one_one) == -1
+            )
+        for u, block in _blocks(n).items():
+            for lam in block:
+                for lam2 in block:
+                    if lam == lam2 or dominance_compare(lam, lam2) is not Dominance.LESS:
+                        continue
+                    a, b = abs_xi(lam), abs_xi(lam2)
+                    order(a <= b, lam, lam2, (a, b))
+                    if a == b:
+                        report.witness_equality(lo=lam.to_text(), hi=lam2.to_text(), abs_xi=str(a))
+                    equal((a == b) == (u == 3 and star(lam) and star(lam2)), lam, lam2, (a, b))
+            # the block runs from its lexicographically largest member down
+            low, high = abs_xi(block[-1]), abs_xi(block[0])
+            for lam in block:
+                extremes(low <= abs_xi(lam) <= high, lam, (low, abs_xi(lam), high))
     return report
 
 
@@ -331,17 +329,10 @@ def _install_fault(monkeypatch, factors):
     )
 
 
-def _merged(reference, n_min, n_max, value):
-    report = reference(n_min, value)
-    for n in range(n_min + 1, n_max + 1):
-        report.merge(reference(n, value))
-    return report
-
-
 def test_pair_suites_match_literal_loops_under_injected_fault(monkeypatch):
     eta_of, xi_of = _install_fault(monkeypatch, FAULTY)
     thm6 = analysis.run_suite("thm6", 14)
-    reference = _merged(_reference_thm6, 2, 14, eta_of)
+    reference = _reference_thm6(14, eta_of)
     assert thm6.to_json() == reference.to_json()
     assert thm6.to_text() == reference.to_text()
     assert thm6.failure_count > 0
@@ -353,7 +344,7 @@ def test_pair_suites_match_literal_loops_under_injected_fault(monkeypatch):
     assert scan.failure_count > 0
 
     xi = analysis.run_suite("kuwong-xi", 14)
-    reference = _merged(_reference_xi, 2, 14, xi_of)
+    reference = _reference_xi(14, xi_of)
     assert xi.to_json() == reference.to_json()
     assert xi.to_text() == reference.to_text()
     assert "|xi(lo)| <= |xi(hi)|" in {item["relation"] for item in xi.failures}
@@ -367,9 +358,27 @@ def test_one_broken_row_mid_block_is_listed_among_bulk_rows(monkeypatch):
     eta_of, xi_of = _install_fault(monkeypatch, {broken: 1000})
     for suite, reference, value in (("thm6", _reference_thm6, eta_of), ("kuwong-xi", _reference_xi, xi_of)):
         report = analysis.run_suite(suite, 12)
-        expected = _merged(reference, 2, 12, value)
+        expected = reference(12, value)
         assert report.to_json() == expected.to_json()
         assert report.to_text() == expected.to_text()
         order = [item for item in report.failures if item["relation"].startswith("|")]
         assert len(order) == 6 and {item["lo"] for item in order} == {"4+3+2+2+1"}
         assert report.checks_run > report.failure_count > len(order)
+
+
+def test_pair_suites_keep_one_level_alive_at_a_time(monkeypatch):
+    # a level holds up to p(n)^2/2 dominance bits, so each must be freed
+    # before the next n's is built
+    built = []
+    init = analysis._Level.__init__
+
+    def tracked(self, parts, values):
+        assert [ref() for ref in built if ref() is not None] == [], "an earlier level is alive"
+        init(self, parts, values)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(analysis._Level, "__init__", tracked)
+    for suite in ("thm6", "kuwong-xi", "conjecture2"):
+        built.clear()
+        assert analysis.run_suite(suite, 12).passed
+        assert len(built) == 11

@@ -205,6 +205,17 @@ def test_table_refuses_what_memory_cannot_hold(capsys, monkeypatch, family):
     exact.admit_table(family, 40)  # 215,308 partitions of size at most 40 fit
 
 
+def test_dualpath_admission_counts_its_store(capsys, monkeypatch):
+    # the 28,629 partitions of size at most 30 need about 4 MB as a pm
+    # table, and about 11 MB with the eta_alt store that dualpath fills
+    monkeypatch.setattr(exact, "physical_memory_bytes", lambda: 8e6)
+    code, out, _ = run(capsys, "table", "--family", "pm", "--n", "30", "--format", "csv")
+    assert code == 0 and out
+    code, out, err = run(capsys, "verify", "--suite", "dualpath", "--n-max", "30")
+    assert code == 2 and out == ""
+    assert "physical memory" in err and "Traceback" not in err
+
+
 def test_table_rejects_bad_n(capsys):
     code, _, err = run(capsys, "table", "--n", "0", "--family", "pm", "--format", "csv")
     assert code == 2
@@ -230,6 +241,16 @@ def test_usage_errors_print_one_line_and_exit_2(argv):
     assert done.returncode == 2 and done.stdout == ""
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("pmspec: error:"), done.stderr
+
+
+@pytest.mark.parametrize(
+    "suite, n_min",
+    [("signs", 2), ("thm6", 2), ("prop2", 2), ("lemmas", 2), ("crossblock", 10), ("kuwong-xi", 2)],
+)
+def test_verify_below_a_suites_smallest_n_is_a_usage_error(capsys, suite, n_min):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--n-max", str(n_min - 1))
+    assert code == 2 and out == ""
+    assert err == f"pmspec: error: suite {suite} needs n_max >= {n_min}\n"
 
 
 def test_verify_pass_and_exit_codes(capsys):

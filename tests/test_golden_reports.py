@@ -64,6 +64,17 @@ GOLDEN = {
     ),
 }
 
+# the suites with a smallest n, at that n alone: (n_min, clean (digest,
+# checks_run, failure_count))
+SINGLE_N = {
+    "signs": (2, ("87610f0a3a2cebf0", 2, 0)),
+    "thm6": (2, ("6fc5d532a5d4645c", 0, 0)),
+    "prop2": (2, ("455e83ed7dcec1cb", 0, 0)),
+    "lemmas": (2, ("64df842f7dec58d3", 2, 0)),
+    "crossblock": (10, ("460387dbc3cc0915", 4, 0)),
+    "kuwong-xi": (2, ("90bd00d1bee40caf", 5, 0)),
+}
+
 FACTORS = {
     (4, 2, 2, 1, 1): 0,
     (3, 3, 1, 1, 1, 1): 3,
@@ -110,6 +121,12 @@ def test_faulty_report_is_golden(name, monkeypatch):
     n_max, _, faulty = GOLDEN[name]
     _install_fault(monkeypatch)
     assert _fingerprint(name, n_max) == faulty
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE_N))
+def test_single_n_report_is_golden(name):
+    n_min, clean = SINGLE_N[name]
+    assert _fingerprint(name, n_min) == clean
 
 
 def test_golden_covers_every_suite():
