@@ -216,6 +216,53 @@ def test_dualpath_admission_counts_its_store(capsys, monkeypatch):
     assert "physical memory" in err and "Traceback" not in err
 
 
+# a budget of 8,419,655,680 bytes, and the largest n that each memory check
+# admits with it: pinned so that rewriting the checks cannot move them
+_PINNED_BUDGET = 8_419_655_680
+
+
+@pytest.mark.parametrize(
+    "check, largest",
+    [
+        (lambda n: exact.admit_table("pm", n), 74),
+        (lambda n: exact.admit_table("sym", n), 77),
+        (lambda n: exact.admit_table("pm", n, analysis._ETA_ALT_BYTES_PER_PARTITION), 67),
+        (analysis.admit_levels, 53),
+        (lambda n: oracle._admit("pm", n), 8),
+        (lambda n: oracle._admit("sym", n), 10),
+    ],
+    ids=["table-pm", "table-sym", "dualpath", "pair-suites", "oracle-pm", "oracle-sym"],
+)
+def test_admission_boundaries_are_pinned(monkeypatch, check, largest):
+    for module in (exact, analysis, oracle):
+        monkeypatch.setattr(module, "physical_memory_bytes", lambda: _PINNED_BUDGET, raising=False)
+    check(largest)
+    with pytest.raises(ValueError, match="MB"):
+        check(largest + 1)
+
+
+@pytest.mark.parametrize(
+    "family, partition, admitted",
+    [
+        ("pm", "5000+5000", True),
+        ("sym", "5000+5000", True),
+        ("pm", "5000+5000+5000", False),
+        ("sym", "5000+5000+5000", True),
+        ("pm", "100000000", False),
+        ("sym", "100000000", False),
+    ],
+)
+def test_query_admission_is_pinned(monkeypatch, family, partition, admitted):
+    for module in (exact, analysis, oracle):
+        monkeypatch.setattr(module, "physical_memory_bytes", lambda: _PINNED_BUDGET, raising=False)
+    lam = Partition.from_text(partition)
+    if admitted:
+        exact.admit_query(family, lam)
+    else:
+        with pytest.raises(ValueError, match="MB"):
+            exact.admit_query(family, lam)
+
+
 def test_table_rejects_bad_n(capsys):
     code, _, err = run(capsys, "table", "--n", "0", "--family", "pm", "--format", "csv")
     assert code == 2
