@@ -16,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 
-from .exact import admit_table, binomial, odd_double_factorial, physical_memory_bytes, pm_degree
+from .exact import admit, admit_table, binomial, odd_double_factorial, pm_degree
 from .partitions import (
     Dominance,
     Partition,
@@ -204,25 +204,15 @@ _BYTES_PER_PARTITION = 500
 
 
 def admit_levels(n_max: int) -> None:
-    """Refuse a pair suite whose levels up to n_max could not fit in
-    physical memory.
-
-    p(n) comes from the pentagonal number recurrence, which stops at the
-    first n whose level alone overflows memory, so a huge n_max costs no
-    more than a small one.
-    """
-    memory = physical_memory_bytes()
-    stored = 0
-    for n, count in enumerate(partition_counts()):
-        stored += count
-        needed = _BYTES_PER_BIT * count * count / 2 + _BYTES_PER_PARTITION * stored
-        if needed > memory:
-            raise ValueError(
-                f"pair suites to n={n_max} need about {needed / 1e6:.0f} MB at n={n} "
-                f"({count} partitions), more than the {memory / 1e6:.0f} MB of physical memory"
-            )
-        if n >= n_max:
-            return
+    """Refuse a pair suite whose levels up to n_max could not fit in memory.
+    p(n) comes from the pentagonal number recurrence, one n at a time."""
+    admit(
+        (
+            _BYTES_PER_BIT * count * count / 2 + _BYTES_PER_PARTITION * stored,
+            f"pair suites to n={n_max}, at n={n} ({count} partitions), need",
+        )
+        for n, count, stored in zip(range(n_max + 1), partition_counts(), accumulate(partition_counts()))
+    )
 
 
 def _ranked(values: list) -> tuple:

@@ -6,15 +6,15 @@ are authoritative recurrences, stored up to a fixed index and rolled past
 it.  :func:`irrep_dimension` computes a hook product cell by cell, the
 reference for the first-column hook recurrences the spectrum tables run on
 the partition lattice (:class:`pmspec.lattice.PartitionLattice`).
-:func:`admit_query` refuses a single query, and :func:`admit_table` a table,
-whose evaluation could not fit in physical memory.
+:func:`admit` refuses work whose memory model exceeds physical memory, for
+:func:`admit_query` a single query and for :func:`admit_table` a table.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from itertools import count
+from itertools import accumulate, count
 
 from .partitions import Partition, partition_counts
 
@@ -64,6 +64,18 @@ def _term(store: list, marks: dict, k: int, step) -> int:
 def physical_memory_bytes() -> int:
     """Physical memory of this machine, as the operating system reports it."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def admit(needs) -> None:
+    """Refuse work that could not fit in memory.  ``needs`` yields ``(bytes,
+    description)`` for a growing share of the work, and the first share over
+    the budget raises a ValueError.  Nothing past it is computed, so a model
+    that grows without end costs no more than one that fits."""
+    memory = physical_memory_bytes()
+    for needed, what in needs:
+        if needed > memory:
+            amount = f"{needed / 1e6:.0f}" if needed < 1e12 else f"{needed / 1e6:.3g}"
+            raise ValueError(f"{what} about {amount} MB, more than the {memory / 1e6:.0f} MB of physical memory")
 
 
 def _log_bound(family: str, n: int) -> float:
@@ -119,28 +131,24 @@ def admit_query(family: str, lam: tuple) -> None:
     D it rolls to at most lam_1 (at most 64 times the bits of term lam_1),
     and, for eta, the coefficient rows it caches.  eta rolls its sequence
     only to lam_1 - lam_2 + 1 and the rest of row 1 in the row itself, so
-    for eta this is an upper bound.  One value that alone exceeds physical
-    memory is refused first, and so is the sum.
+    for eta this is an upper bound.  One value that alone exceeds memory is
+    refused first, and so is the sum.
     """
-    n, memory = sum(lam), physical_memory_bytes()
-    bound = "d_n" if family == "pm" else "D_n"
+    admit(_query_needs(family, lam))
+
+
+def _query_needs(family: str, lam: tuple):
+    """One value of a query, then all it holds at its peak, for :func:`admit`."""
+    n = sum(lam)
     bits = _log_bound(family, n) / math.log(2)
-    if bits / 8 > memory:
-        raise ValueError(
-            f"a partition of size n={n} has values up to {bound}, about "
-            f"{bits / 8e6:.3g} MB each, more than the {memory / 1e6:.0f} MB of physical memory"
-        )
+    yield bits / 8, f"a partition of size n={n} has values up to {'d_n' if family == 'pm' else 'D_n'}, each"
     first, second = (tuple(lam) + (0, 0))[:2]
     needed = _held_bytes(2 * (second + 1) * bits, 2 * (second + 1))
     if first > _STORED:
         needed += _held_bytes(64 * _log_bound(family, first) / math.log(2), 64)
     if family == "pm":
         needed += _strip_rows_bytes(lam)
-    if needed > memory:
-        raise ValueError(
-            f"the {family} query on this partition of size n={n} holds about {needed / 1e6:.0f} MB "
-            f"at its peak, more than the {memory / 1e6:.0f} MB of physical memory"
-        )
+    yield needed, f"the {family} query on this partition of size n={n} holds at its peak"
 
 
 # bytes per lattice node, a partition of size at most n, of a table of size
@@ -151,26 +159,17 @@ _TABLE_BYTES_PER_NODE = {"pm": 140, "sym": 90}
 
 
 def admit_table(family: str, n: int, held: int = 0) -> None:
-    """Refuse a table of size n whose sweep could not fit in physical memory.
+    """Refuse a table of size n whose sweep could not fit in memory.
 
     The sweep holds its values for every partition of size at most n, and
-    its caller may hold ``held`` more bytes for each of them.  p(k)
-    comes from the pentagonal number recurrence, which stops at the first k
-    whose partitions of size at most k overflow memory, so a huge n costs
-    no more than a small one.
+    its caller may hold ``held`` more bytes for each of them.  p(k) comes
+    from the pentagonal number recurrence, one k at a time.
     """
-    memory, per_node = physical_memory_bytes(), _TABLE_BYTES_PER_NODE[family] + held
-    nodes = 0
-    for k, count in enumerate(partition_counts()):
-        nodes += count
-        needed = per_node * nodes
-        if needed > memory:
-            raise ValueError(
-                f"a {family} sweep to n={n}: the {nodes} partitions of size at most {k} need "
-                f"about {needed / 1e6:.0f} MB, more than the {memory / 1e6:.0f} MB of physical memory"
-            )
-        if k >= n:
-            return
+    per_node = _TABLE_BYTES_PER_NODE[family] + held
+    admit(
+        (per_node * nodes, f"a {family} sweep to n={n}: the {nodes} partitions of size at most {k} need")
+        for k, nodes in zip(range(n + 1), accumulate(partition_counts()))
+    )
 
 
 def odd_double_factorial(k: int) -> int:

@@ -41,10 +41,10 @@ from __future__ import annotations
 
 import itertools
 from functools import reduce
-from operator import add, or_
+from operator import add, mul, or_
 from typing import NamedTuple, Sequence
 
-from .exact import derangement_count, odd_double_factorial, physical_memory_bytes, pm_degree
+from .exact import admit, derangement_count, odd_double_factorial, pm_degree
 from .tables import SpectrumTable
 
 
@@ -67,26 +67,21 @@ def _width(family: str, n: int) -> int:
 
 def _admit(family: str, n: int) -> None:
     """Refuse n < 1, and any graph whose build and certificate would not fit
-    in physical memory."""
+    in memory."""
     if n < 1:
         raise ValueError(f"oracle {family} needs n >= 1, got n={n}")
     # memory grows with the vertex count V, not with its square: every
     # vertex costs its per-vertex bytes, and each column one bit per vertex
-    # in each layout.  V = (2n-1)!! or n! grows factor by factor, and the
-    # check stops at the first factor that overflows memory, so a huge n
-    # costs no more than a small one.
+    # in each layout.  V = (2n-1)!! or n! is checked factor by factor.
     width = _width(family, n)
-    memory = physical_memory_bytes()
-    vertices = 1
-    for k in range(1, n + 1):
-        vertices *= 2 * k - 1 if family == "pm" else k
-        needed = _BYTES_PER_VERTEX[family] * vertices + _LAYOUTS * width * ((vertices + 7) // 8)
-        if needed > memory:
-            raise ValueError(
-                f"oracle {family} n={n}: the graph has at least {vertices} vertices, "
-                f"which need about {needed / 1e6:.0f} MB, more than the "
-                f"{memory / 1e6:.0f} MB of physical memory"
-            )
+    factors = (2 * k - 1 if family == "pm" else k for k in range(1, n + 1))
+    admit(
+        (
+            _BYTES_PER_VERTEX[family] * vertices + _LAYOUTS * width * ((vertices + 7) // 8),
+            f"oracle {family} n={n}: the graph has at least {vertices} vertices, which need",
+        )
+        for vertices in itertools.accumulate(factors, mul)
+    )
 
 
 class Layout(NamedTuple):

@@ -171,7 +171,7 @@ def test_integer_options_take_ascii_digits_only(capsys, argv):
 )
 def test_pair_suites_refuse_what_memory_cannot_hold(capsys, monkeypatch, argv):
     # at n = 50 the dominance bitsets alone hold p(50)^2 / 2 = 2.1e10 bits
-    monkeypatch.setattr(analysis, "physical_memory_bytes", lambda: 2**30)
+    monkeypatch.setattr(exact, "physical_memory_bytes", lambda: 2**30)
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1
@@ -234,8 +234,7 @@ _PINNED_BUDGET = 8_419_655_680
     ids=["table-pm", "table-sym", "dualpath", "pair-suites", "oracle-pm", "oracle-sym"],
 )
 def test_admission_boundaries_are_pinned(monkeypatch, check, largest):
-    for module in (exact, analysis, oracle):
-        monkeypatch.setattr(module, "physical_memory_bytes", lambda: _PINNED_BUDGET, raising=False)
+    monkeypatch.setattr(exact, "physical_memory_bytes", lambda: _PINNED_BUDGET)
     check(largest)
     with pytest.raises(ValueError, match="MB"):
         check(largest + 1)
@@ -253,8 +252,7 @@ def test_admission_boundaries_are_pinned(monkeypatch, check, largest):
     ],
 )
 def test_query_admission_is_pinned(monkeypatch, family, partition, admitted):
-    for module in (exact, analysis, oracle):
-        monkeypatch.setattr(module, "physical_memory_bytes", lambda: _PINNED_BUDGET, raising=False)
+    monkeypatch.setattr(exact, "physical_memory_bytes", lambda: _PINNED_BUDGET)
     lam = Partition.from_text(partition)
     if admitted:
         exact.admit_query(family, lam)
@@ -353,7 +351,7 @@ def test_oracle_cap_refusal(capsys, monkeypatch):
     code, _, err = run(capsys, "oracle", "--family", "pm", "--n", "0")
     assert code == 2 and "n >= 1" in err
     # pm n=10 has 654,729,075 vertices: about 310 GB at 400 bytes per vertex
-    monkeypatch.setattr(oracle, "physical_memory_bytes", lambda: 64 * 2**30)
+    monkeypatch.setattr(exact, "physical_memory_bytes", lambda: 64 * 2**30)
     code, _, err = run(capsys, "oracle", "--family", "pm", "--n", "10")
     assert code == 2 and "physical memory" in err
 
@@ -512,11 +510,11 @@ def test_xi_deep_partition(capsys):
 def test_oracle_refuses_what_memory_cannot_hold(capsys, monkeypatch):
     # sym n=5 needs 450 bytes for each of its 120 vertices, and 16 bytes for
     # each of its 25 columns in each of 3 layouts: 55,200 bytes
-    monkeypatch.setattr(oracle, "physical_memory_bytes", lambda: 50_000)
+    monkeypatch.setattr(exact, "physical_memory_bytes", lambda: 50_000)
     code, _, err = run(capsys, "oracle", "--family", "sym", "--n", "5")
     assert code == 2 and "physical memory" in err
     # pm n=10 would need about 310 GB
-    monkeypatch.setattr(oracle, "physical_memory_bytes", lambda: 64 * 2**30)
+    monkeypatch.setattr(exact, "physical_memory_bytes", lambda: 64 * 2**30)
     code, _, err = run(capsys, "oracle", "--family", "pm", "--n", "10")
     assert code == 2 and "physical memory" in err
 

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from pmspec import oracle
+from pmspec import exact, oracle
 from pmspec.exact import derangement_count, odd_double_factorial, pm_degree
 from pmspec.partitions import Partition
 from pmspec.pm_spectrum import pm_spectrum_table
@@ -36,7 +36,7 @@ def test_cap_enforced(monkeypatch):
             oracle.enumerate_perfect_matchings(n)
         with pytest.raises(ValueError):
             oracle.build_derangement_graph(n)
-    monkeypatch.setattr(oracle, "physical_memory_bytes", lambda: 64 * 2**30)
+    monkeypatch.setattr(exact, "physical_memory_bytes", lambda: 64 * 2**30)
     with pytest.raises(ValueError):
         oracle.enumerate_perfect_matchings(10)  # 654,729,075 vertices, about 310 GB
     with pytest.raises(ValueError):
@@ -47,7 +47,7 @@ def test_cap_enforced(monkeypatch):
     oracle._admit("sym", 8)
     oracle._admit("pm", 9)  # 34,459,425 vertices, about 16 GB
     oracle._admit("sym", 11)
-    monkeypatch.setattr(oracle, "physical_memory_bytes", lambda: 1000)
+    monkeypatch.setattr(exact, "physical_memory_bytes", lambda: 1000)
     with pytest.raises(ValueError):
         oracle.build_pm_graph(3)  # 15 vertices of 400 bytes each
 
