@@ -618,11 +618,9 @@ def scan_cross_gap_conjecture(n_max: int, progress=None) -> VerificationReport:
     is rendered prominently by the callers.  ``progress(n, checks_run)``, if
     given, is called after each n.
     """
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2")
+    report = _report("conjecture2", 2, n_max)
     admit_levels(n_max)
     sweep = _Sweep("pm", n_max)
-    report = VerificationReport(suite="conjecture2", n_range=(2, n_max))
     for n in range(2, n_max + 1):
         _scan_level(report, n, sweep)
         if progress is not None:
@@ -733,10 +731,8 @@ def verify_dual_recurrences(n_max: int) -> VerificationReport:
     evaluated at every admissible index, not only the last one.  Its store,
     filled alongside the sweep, counts in the sweep's admission.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be positive")
+    report = _report("dualpath", 1, n_max)
     sweep = _Sweep("pm", n_max, _ETA_ALT_BYTES_PER_PARTITION)
-    report = VerificationReport(suite="dualpath", n_range=(1, n_max))
     agree = report.relation("dual-path agreement", "partition", "values")
     any_index = report.relation("lowering recurrence index-independent", "partition", "index")
     for n in range(1, n_max + 1):

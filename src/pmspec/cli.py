@@ -9,9 +9,9 @@ Subcommands map one-to-one onto library operations:
     pmspec oracle --n 4 [--family pm|sym] [--format text|json]
     pmspec scan   --n-max 12 [--progress]
 
-Exit codes: 0 success/pass, 1 verification failure, 2 usage error.  All
-numbers print in plain decimal; identical invocations produce byte-identical
-json/csv output.
+Exit codes: 0 success/pass, 1 verification failure, 2 usage error or out of
+memory.  All numbers print in plain decimal; identical invocations produce
+byte-identical json/csv output.
 """
 
 from __future__ import annotations
@@ -151,6 +151,9 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except ValueError as exc:
         return _usage_error(str(exc))
+    except MemoryError:
+        pass  # reported below, once the traceback and the frames it keeps alive are freed
+    return _usage_error("out of memory, though the memory check admitted this input; discard any output written")
 
 
 if __name__ == "__main__":

@@ -6,8 +6,8 @@ are authoritative recurrences, stored up to a fixed index and rolled past
 it.  :func:`irrep_dimension` computes a hook product cell by cell, the
 reference for the first-column hook recurrences the spectrum tables run on
 the partition lattice (:class:`pmspec.lattice.PartitionLattice`).
-:func:`admit` refuses work whose memory model exceeds physical memory, for
-:func:`admit_query` a single query and for :func:`admit_table` a table.
+:func:`admit` refuses work whose memory model exceeds :func:`memory_budget`,
+for :func:`admit_query` a single query and for :func:`admit_table` a table.
 """
 
 from __future__ import annotations
@@ -71,11 +71,39 @@ def admit(needs) -> None:
     description)`` for a growing share of the work, and the first share over
     the budget raises a ValueError.  Nothing past it is computed, so a model
     that grows without end costs no more than one that fits."""
-    memory = physical_memory_bytes()
+    memory, limit = memory_budget()
     for needed, what in needs:
         if needed > memory:
             amount = f"{needed / 1e6:.0f}" if needed < 1e12 else f"{needed / 1e6:.3g}"
-            raise ValueError(f"{what} about {amount} MB, more than the {memory / 1e6:.0f} MB of physical memory")
+            raise ValueError(f"{what} about {amount} MB, more than the {memory / 1e6:.0f} MB of {limit}")
+
+
+def memory_budget() -> tuple:
+    """The bytes this process may still take, and the name of the limit that
+    binds: the least of physical memory, the soft address-space limit less
+    the address space mapped so far, and a numeric cgroup v2 memory.max."""
+    import resource  # only a memory check needs it
+
+    limits = [(physical_memory_bytes(), "physical memory")]
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if soft != resource.RLIM_INFINITY:
+        mapped = int((_read("/proc/self/statm") or "0").split()[0]) * os.sysconf("SC_PAGE_SIZE")
+        limits.append((soft - mapped, "address space left under RLIMIT_AS"))
+    for line in _read("/proc/self/cgroup").splitlines():
+        if line.startswith("0::"):
+            cap = _read(f"/sys/fs/cgroup{line[3:]}/memory.max").strip()
+            if cap.isdigit():
+                limits.append((int(cap), "memory allowed by the cgroup's memory.max"))
+    return min(limits)
+
+
+def _read(path: str) -> str:
+    """A file's text, or "" where it cannot be read."""
+    try:
+        with open(path) as file:
+            return file.read()
+    except OSError:
+        return ""
 
 
 def _log_bound(family: str, n: int) -> float:

@@ -234,7 +234,7 @@ _PINNED_BUDGET = 8_419_655_680
     ids=["table-pm", "table-sym", "dualpath", "pair-suites", "oracle-pm", "oracle-sym"],
 )
 def test_admission_boundaries_are_pinned(monkeypatch, check, largest):
-    monkeypatch.setattr(exact, "physical_memory_bytes", lambda: _PINNED_BUDGET)
+    monkeypatch.setattr(exact, "memory_budget", lambda: (_PINNED_BUDGET, "physical memory"))
     check(largest)
     with pytest.raises(ValueError, match="MB"):
         check(largest + 1)
@@ -252,13 +252,57 @@ def test_admission_boundaries_are_pinned(monkeypatch, check, largest):
     ],
 )
 def test_query_admission_is_pinned(monkeypatch, family, partition, admitted):
-    monkeypatch.setattr(exact, "physical_memory_bytes", lambda: _PINNED_BUDGET)
+    monkeypatch.setattr(exact, "memory_budget", lambda: (_PINNED_BUDGET, "physical memory"))
     lam = Partition.from_text(partition)
     if admitted:
         exact.admit_query(family, lam)
     else:
         with pytest.raises(ValueError, match="MB"):
             exact.admit_query(family, lam)
+
+
+@pytest.mark.parametrize(
+    "limit_mib, argv",
+    [(60, "verify --suite thm6 --n-max 36"), (100, "table --n 50 --family pm --format csv")],
+    ids=["thm6", "table"],
+)
+def test_address_space_limit_bounds_the_budget(limit_mib, argv):
+    # the import maps about 18 MB, and the level model needs about 71 MB at
+    # n = 36, the pm sweep to n = 50 about 181 MB; under these limits both
+    # commands used to run until a MemoryError, and exit 1
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit_mib << 20, limit_mib << 20))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "pmspec.cli", *argv.split()],
+        env=env, capture_output=True, text=True, preexec_fn=cap, timeout=60,
+    )
+    assert time.perf_counter() - start < 5
+    assert done.returncode == 2 and done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].endswith("MB of address space left under RLIMIT_AS"), done.stderr
+
+
+def test_budget_takes_a_cgroup_memory_max(monkeypatch):
+    files = {"/proc/self/cgroup": "0::/jobs/run\n", "/sys/fs/cgroup/jobs/run/memory.max": "50000000\n"}
+    monkeypatch.setattr(exact, "_read", lambda path: files.get(path, ""))
+    assert exact.memory_budget() == (50_000_000, "memory allowed by the cgroup's memory.max")
+    files["/sys/fs/cgroup/jobs/run/memory.max"] = "max\n"  # no limit
+    assert "cgroup" not in exact.memory_budget()[1]
+
+
+def test_out_of_memory_is_one_line_and_exit_2(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_verify", exhausted)
+    code, out, err = run(capsys, "verify", "--suite", "thm6", "--n-max", "5")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("pmspec: error: out of memory"), err
 
 
 def test_table_rejects_bad_n(capsys):
@@ -290,7 +334,16 @@ def test_usage_errors_print_one_line_and_exit_2(argv):
 
 @pytest.mark.parametrize(
     "suite, n_min",
-    [("signs", 2), ("thm6", 2), ("prop2", 2), ("lemmas", 2), ("crossblock", 10), ("kuwong-xi", 2)],
+    [
+        ("signs", 2),
+        ("thm6", 2),
+        ("prop2", 2),
+        ("lemmas", 2),
+        ("crossblock", 10),
+        ("kuwong-xi", 2),
+        ("dualpath", 1),
+        ("conjecture2", 2),
+    ],
 )
 def test_verify_below_a_suites_smallest_n_is_a_usage_error(capsys, suite, n_min):
     code, out, err = run(capsys, "verify", "--suite", suite, "--n-max", str(n_min - 1))
