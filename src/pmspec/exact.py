@@ -69,8 +69,9 @@ def physical_memory_bytes() -> int:
 def admit(needs) -> None:
     """Refuse work that could not fit in memory.  ``needs`` yields ``(bytes,
     description)`` for a growing share of the work, and the first share over
-    the budget raises a ValueError.  Nothing past it is computed, so a model
-    that grows without end costs no more than one that fits."""
+    :func:`memory_budget` raises a ValueError that names the binding limit.
+    Nothing past it is computed, so a model that grows without end costs no
+    more than one that fits."""
     memory, limit = memory_budget()
     for needed, what in needs:
         if needed > memory:
