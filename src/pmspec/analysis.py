@@ -14,7 +14,7 @@ directions.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 from .exact import admit, admit_table, binomial, odd_double_factorial, pm_degree
 from .partitions import (
@@ -148,21 +148,22 @@ class _Sweep:
 
 
 class _Level:
-    """The partitions of n with what the pair suites need of each, computed once.
+    """A run of partitions of n, all of them or one first-part block, with
+    what the pair suites need of each, computed once.
 
-    ``parts`` are the partitions of n in decreasing lexicographic order, so
-    each first part owns a run of consecutive indices, and ``blocks`` maps
-    each first part to its run.  ``values[i]`` belongs to ``parts[i]``.  Bit j
-    of ``above[i]`` is set iff
-    parts[i] is strictly dominated by parts[j]: lam is dominated by mu iff
-    every prefix sum of lam is at most mu's.  Each set is the intersection,
-    over lam's prefix positions k, of the partitions whose k-th prefix sum
-    reaches lam's; at lam's last position that says mu has no more parts.
-    Lexicographic order extends dominance, so every such j is below i.
+    ``parts`` run in decreasing lexicographic order, so each first part owns
+    a run of consecutive indices, and ``blocks`` maps each first part to its
+    run.  ``values[i]`` belongs to ``parts[i]``.  Bit j of ``above[i]`` is
+    set iff parts[i] is strictly dominated by parts[j]: lam is dominated by
+    mu iff every prefix sum of lam is at most mu's.  Each set is the
+    intersection, over lam's prefix positions k, of the partitions whose
+    k-th prefix sum reaches lam's; at lam's last position that says mu has
+    no more parts.  Lexicographic order extends dominance, so every such j
+    is below i.
     """
 
     def __init__(self, parts: list, values: list) -> None:
-        n = parts[0][0]  # the first partition is (n,)
+        n = sum(parts[0])
         self.parts, self.values = parts, values
         self.blocks: dict = {}
         for i, lam in enumerate(self.parts):
@@ -171,14 +172,17 @@ class _Level:
         # reaching[k][s]: the partitions whose k-th prefix sum is at least s.
         # Each is read off the column of k-th sums (n past a partition's last
         # part), one byte per partition, translated to '1' or '0' with the
-        # lowest index last, as one base-2 int.  The k-th sum is at least k + 1,
-        # so every partition reaches each s <= k + 1
+        # lowest index last, as one base-2 int.  The run's first partition
+        # dominates the others, and its last is dominated by them and is the
+        # longest: no s past the first's k-th sum is asked, and every
+        # partition reaches each s up to the last's
         tables = [b"0" * s + b"1" * (256 - s) for s in range(n + 1)]
-        columns = zip(*(row + [n] * (n - 1 - len(row)) for row in sums))
+        width = min(len(sums[-1]), n - 1)
+        rows = [row + [n] * (width - len(row)) for row in sums]
         everyone = (1 << len(sums)) - 1
         reaching = [
-            [everyone] * (k + 2) + [int(column.translate(t), 2) for t in tables[k + 2 :]]
-            for k, column in enumerate(bytes(col)[::-1] for col in columns)
+            [everyone] * (low + 1) + [int(column.translate(t), 2) for t in tables[low + 1 : high + 1]]
+            for low, high, column in zip(rows[-1], rows[0], (bytes(col)[::-1] for col in zip(*rows)))
         ]
         self.above = []
         for i, row in enumerate(sums):
@@ -186,12 +190,6 @@ class _Level:
             for k, s in enumerate(row[: n - 1]):  # every last prefix sum is n
                 mask &= reaching[k][s]
             self.above.append(mask)
-
-    def rows(self, block: list) -> list:
-        """For each member of a block, the members of the block above it, as
-        a bitset of indices local to the block (bit k is block[k])."""
-        start, full = block[0], (1 << len(block)) - 1
-        return [self.above[i] >> start & full for i in block]
 
 
 # A level's dominance bitsets hold up to p^2/2 bits for its p partitions, at
@@ -247,49 +245,53 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _block_order(report, level: _Level, block: list, symbol: str, equality: str, chain=None):
-    """Check |x(lo)| <= |x(hi)| for every dominated pair of one first-part block.
+def _first_part_blocks(parts: list, values: list):
+    """Each first-part block of one n's partitions, as its partitions and values."""
+    return (zip(*rows) for _, rows in groupby(zip(parts, values), key=lambda row: row[0][0]))
 
-    x is the eigenvalue named by ``symbol``, and the level's values are its
-    absolute values.  Equality must hold exactly when both partitions have
-    first part 3 and all later parts at most 2 (the relation ``equality``);
-    each equal pair is recorded as a witness.  ``chain``, if given, is a
-    third relation with the block's :func:`_monotone_chains`.
+
+def _block_order(report, parts, values, symbol: str, equality: str, along=None) -> None:
+    """Check |x(lo)| <= |x(hi)| for every dominated pair of one first-part
+    block: its partitions and their absolute values, in row order.
+
+    x is the eigenvalue named by ``symbol``.  Equality must hold exactly when
+    both partitions have first part 3 and all later parts at most 2 (the
+    relation ``equality``); each equal pair is recorded as a witness.
+    ``along``, if given, is a third relation, that the values never decrease
+    along the dominance chain between the two (:func:`_monotone_chains`).
+    The block's level is built here and freed on return.
 
     Each row, the pairs (i, j) of one lo, is counted with bitsets: the checks
     that hold are counted in bulk, and each failing check goes through its
     relation in the order a loop over the pairs would list it, by j and then
     by relation.
     """
-    parts, values = level.parts, level.values
+    level = _Level(parts, values)
     order = report.relation(f"|{symbol}(lo)| <= |{symbol}(hi)|", "lo", "hi", "values")
     equal = report.relation(equality, "lo", "hi", "values")
-    along, monotone = chain or (None, None)
-    per_pair = 2 if chain is None else 3
-    key, start = f"abs_{symbol}", block[0]
-    keys, reaching = _ranked(values[start : start + len(block)])
-    star = sum(
-        1 << k for k, i in enumerate(block) if has_first_part_three_rest_small(parts[i])
-    )
-    for k, row in enumerate(level.rows(block)):
+    monotone = None if along is None else _monotone_chains(level)
+    per_pair = 2 if along is None else 3
+    key = f"abs_{symbol}"
+    keys, reaching = _ranked(values)
+    star = sum(1 << k for k, lam in enumerate(parts) if has_first_part_three_rest_small(lam))
+    for k, row in enumerate(level.above):
         if not row:
             continue
-        lam, a = parts[start + k], values[start + k]
+        lam, a = parts[k], values[k]
         reach = reaching[bisect_left(keys, a)]
         low = row & ~reach
         same = row & reach & ~reaching[bisect_right(keys, a)]
         unequal = same ^ (row & star if star >> k & 1 else 0)
-        broken = 0 if chain is None else row & ~monotone[k]
+        broken = 0 if along is None else row & ~monotone[k]
         failing = low | unequal | broken
         report.check_count(
             per_pair * row.bit_count()
             - low.bit_count() - unequal.bit_count() - broken.bit_count()
         )
         for j in _bits(same):
-            hi = parts[start + j].to_text()
-            report.witness_equality(lo=lam.to_text(), hi=hi, **{key: str(a)})
+            report.witness_equality(lo=lam.to_text(), hi=parts[j].to_text(), **{key: str(a)})
         for j in _bits(failing):
-            hi, b = parts[start + j], values[start + j]
+            hi, b = parts[j], values[j]
             if low >> j & 1:
                 order(False, lam, hi, (a, b))
             if unequal >> j & 1:
@@ -339,20 +341,18 @@ def verify_abs_dominance(n_max: int) -> VerificationReport:
 
 
 def _abs_dominance_level(report, n: int, sweep: _Sweep) -> None:
-    """thm6's checks at one n, whose level is freed on return."""
+    """thm6's checks at one n, one first-part block at a time."""
     chain = report.relation("stepwise |eta| monotone along chain", "lo", "hi")
     parts = enumerate_partitions(n)
-    level = _Level(parts, [abs(sweep.value(lam)) for lam in parts])
     equality = "equality iff first part 3 with small tail"
-    for block in level.blocks.values():
-        monotone = _monotone_chains(level, block)
-        _block_order(report, level, block, "eta", equality, (chain, monotone))
+    for block, values in _first_part_blocks(parts, [abs(sweep.value(lam)) for lam in parts]):
+        _block_order(report, block, values, "eta", equality, chain)
 
 
-def _monotone_chains(level: _Level, block: list) -> list:
-    """For each member k of a block, the bitset of the members j above it
-    (local indices, as in ``level.rows``) for which the level's value never
-    decreases along the dominance chain from k to j.
+def _monotone_chains(level: _Level) -> list:
+    """For each member k of a one-block level, the bitset of the members j
+    above it for which the level's value never decreases along the
+    dominance chain from k to j.
 
     The chain from lam toward a target takes the first of
     ``valid_transfers(lam)`` whose result is the target or is still
@@ -363,18 +363,17 @@ def _monotone_chains(level: _Level, block: list) -> list:
     chains are.  Successors come earlier in lexicographic order, so each is
     settled before the members below it.
     """
-    parts, values, start = level.parts, level.values, block[0]
-    index = {parts[i]: k for k, i in enumerate(block)}
-    rows = level.rows(block)
+    parts, values, rows = level.parts, level.values, level.above
+    index = {lam: k for k, lam in enumerate(parts)}
     monotone, reach = [], []  # reach[k]: monotone[k] and k itself
     for k, row in enumerate(rows):
-        lam, ok = parts[start + k], 0
+        lam, ok = parts[k], 0
         for move in valid_transfers(lam) if row else ():
             r = index[lam.transfer(move)]
             served = row & (rows[r] | 1 << r)
             if served:
                 row ^= served
-                if values[start + r] >= values[start + k]:
+                if values[r] >= values[k]:
                     ok |= served & reach[r]
                 if not row:
                     break
@@ -532,7 +531,7 @@ def verify_product_identities(size_budget: int) -> VerificationReport:
     * consequently f(u^q, 1) > f(u+1, u^(q-1)) whenever q > 2u.
     """
     if size_budget < 3:
-        raise ValueError("size budget too small")
+        raise ValueError("suite identities needs n_max >= 3")
     report = VerificationReport(suite="identities", n_range=(2, size_budget))
     one_box = report.relation("one-box-over-rectangle identity", "u", "q", "values")
     proportional = report.relation("rectangle-with-tail proportionality", "u", "q", "values")
@@ -680,7 +679,7 @@ def verify_xi_comparison(n_max: int) -> VerificationReport:
 
 
 def _xi_level(report, n: int) -> None:
-    """kuwong-xi's checks at one n, whose level and sweep are freed on return."""
+    """kuwong-xi's checks at one n, whose sweep is freed on return."""
     agree = report.relation("xi recurrence agreement", "partition", "values")
     extremes = report.relation("lexicographic extremes bound |xi|", "partition", "values")
     variant = report.relation("mis-transcribed variant disagrees at (1,1)")
@@ -688,8 +687,6 @@ def _xi_level(report, n: int) -> None:
     sweep = _Sweep("sym", n)
     parts = enumerate_partitions(n)
     signed = [sweep.value(mu) for mu in parts]
-    level = _Level(parts, list(map(abs, signed)))
-    values = level.values
     for mu, by_first in zip(parts, signed):
         by_last = xi_by_last_part(mu)
         agree(by_first == by_last, mu, (by_first, by_last))
@@ -699,14 +696,14 @@ def _xi_level(report, n: int) -> None:
             and sweep.value(Partition((1, 1))) == -1
         )
 
-    for block in level.blocks.values():
-        _block_order(report, level, block, "xi", "xi equality characterization")
+    for block, values in _first_part_blocks(parts, list(map(abs, signed))):
+        _block_order(report, block, values, "xi", "xi equality characterization")
         # lexicographic extremes bound the whole block: it runs in decreasing
-        # lexicographic order, from block[0] down to (u, 1^(n-u)) for its
-        # first part u
-        low, high = values[block[-1]], values[block[0]]
-        for i in block:
-            extremes(low <= values[i] <= high, parts[i], (low, values[i], high))
+        # lexicographic order, from its first member down to (u, 1^(n-u)) for
+        # its first part u
+        low, high = values[-1], values[0]
+        for mu, value in zip(block, values):
+            extremes(low <= value <= high, mu, (low, value, high))
 
 
 # ---------------------------------------------------------------------------

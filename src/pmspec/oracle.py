@@ -72,13 +72,15 @@ def _admit(family: str, n: int) -> None:
         raise ValueError(f"oracle {family} needs n >= 1, got n={n}")
     # memory grows with the vertex count V, not with its square: every
     # vertex costs its per-vertex bytes, and each column one bit per vertex
-    # in each layout.  V = (2n-1)!! or n! is checked factor by factor.
+    # in each layout.  V = (2n-1)!! or n! is checked factor by factor.  For a
+    # huge n the columns alone overflow at the first factor, so the refusal
+    # names their count as well as the vertices.
     width = _width(family, n)
     factors = (2 * k - 1 if family == "pm" else k for k in range(1, n + 1))
     admit(
         (
             _BYTES_PER_VERTEX[family] * vertices + _LAYOUTS * width * ((vertices + 7) // 8),
-            f"oracle {family} n={n}: the graph has at least {vertices} vertices, which need",
+            f"oracle {family} n={n}: the graph has {width} columns and at least {vertices} vertices, which need",
         )
         for vertices in itertools.accumulate(factors, mul)
     )

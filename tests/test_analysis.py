@@ -266,18 +266,22 @@ def _reference_scan(n_max, eta_of):
 
 
 def test_level_dominance_matches_dominance_compare():
+    # the whole level of each n, and each first-part block on a level of its
+    # own, whose first partition is not (n,)
     for n in range(1, 13):
-        parts = enumerate_partitions(n)
-        level = analysis._Level(parts, [len(lam) for lam in parts])
-        assert level.parts == enumerate_partitions(n)
-        assert level.values == [len(lam) for lam in level.parts]
-        assert level.blocks == {
-            u: [level.parts.index(lam) for lam in block] for u, block in _blocks(n).items()
-        }
-        for i, lam in enumerate(level.parts):
-            for j, mu in enumerate(level.parts):
-                less = dominance_compare(lam, mu) is Dominance.LESS
-                assert bool(level.above[i] >> j & 1) == less, (lam, mu)
+        for parts in [enumerate_partitions(n), *_blocks(n).values()]:
+            level = analysis._Level(parts, [len(lam) for lam in parts])
+            assert level.parts == parts
+            assert level.values == [len(lam) for lam in level.parts]
+            assert level.blocks == {
+                u: [level.parts.index(lam) for lam in block]
+                for u, block in _blocks(n).items()
+                if block[0] in parts
+            }
+            for i, lam in enumerate(level.parts):
+                for j, mu in enumerate(level.parts):
+                    less = dominance_compare(lam, mu) is Dominance.LESS
+                    assert bool(level.above[i] >> j & 1) == less, (lam, mu)
 
 
 def _scrambled(lam):
@@ -294,16 +298,15 @@ def test_monotone_chains_match_literal_walk(value):
     # each pair is settled once, whatever order the pairs are asked in
     failed = 0
     for n in range(2, 15):
-        parts = enumerate_partitions(n)
-        level = analysis._Level(parts, list(map(value, parts)))
-        for block in level.blocks.values():
-            monotone = analysis._monotone_chains(level, block)
-            for k, row in enumerate(level.rows(block)):
+        for block in _blocks(n).values():
+            level = analysis._Level(block, list(map(value, block)))
+            monotone = analysis._monotone_chains(level)
+            for k, row in enumerate(level.above):
                 assert monotone[k] & ~row == 0
                 for j in range(len(block)):
                     if not row >> j & 1:
                         continue
-                    lam, target = level.parts[block[k]], level.parts[block[j]]
+                    lam, target = block[k], block[j]
                     expected = _literal_chain_monotone(value, lam, target)
                     assert bool(monotone[k] >> j & 1) == expected, (lam, target)
                     failed += not expected
@@ -367,18 +370,36 @@ def test_one_broken_row_mid_block_is_listed_among_bulk_rows(monkeypatch):
 
 
 def test_pair_suites_keep_one_level_alive_at_a_time(monkeypatch):
-    # a level holds up to p(n)^2/2 dominance bits, so each must be freed
-    # before the next n's is built
-    built = []
+    # a level holds up to p^2/2 dominance bits for its p partitions, so each
+    # must be freed before the next is built.  thm6 and kuwong-xi read only
+    # pairs within a first-part block, so they build one level per block
+    # (n of them at each n, 77 for n = 2..12); the scan one per n
+    built, first_parts = [], []
     init = analysis._Level.__init__
 
     def tracked(self, parts, values):
         assert [ref() for ref in built if ref() is not None] == [], "an earlier level is alive"
         init(self, parts, values)
         built.append(weakref.ref(self))
+        first_parts.append({lam[0] for lam in parts})
 
     monkeypatch.setattr(analysis._Level, "__init__", tracked)
-    for suite in ("thm6", "kuwong-xi", "conjecture2"):
+    for suite, levels in (("thm6", 77), ("kuwong-xi", 77), ("conjecture2", 11)):
         built.clear()
+        first_parts.clear()
         assert analysis.run_suite(suite, 12).passed
-        assert len(built) == 11
+        assert len(built) == levels
+        if suite != "conjecture2":
+            assert all(len(firsts) == 1 for firsts in first_parts)
+
+
+@pytest.mark.parametrize("suite, bound_mib", [("thm6", 14), ("kuwong-xi", 22)])
+def test_block_suites_peak_near_the_import(peak_rss, suite, bound_mib):
+    # with a level per first-part block, thm6 and kuwong-xi to n_max 33 grow
+    # about 8.5 and 16.5 MiB over the import (Python 3.11); one level per n,
+    # holding every cross-block pair, took them to about 21 and 29 MiB
+    status, baseline = peak_rss("-c", "import pmspec.cli")
+    assert status == 0
+    status, peak = peak_rss("-m", "pmspec.cli", "verify", "--suite", suite, "--n-max", "33")
+    assert status == 0
+    assert peak - baseline <= bound_mib * 2**20

@@ -241,6 +241,31 @@ def test_admission_boundaries_are_pinned(monkeypatch, check, largest):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            "--family sym --n 1000000",
+            "oracle sym n=1000000: the graph has 1000000000000 columns and at least 1 vertices,"
+            " which need about 3e+06 MB, more than the 8420 MB of physical memory",
+        ),
+        (
+            "--family pm --n 100000",
+            "oracle pm n=100000: the graph has 19999900000 columns and at least 1 vertices,"
+            " which need about 60000 MB, more than the 8420 MB of physical memory",
+        ),
+    ],
+    ids=["sym", "pm"],
+)
+def test_oracle_refusal_names_the_columns(capsys, monkeypatch, argv, message):
+    # at a huge n the columns' bits overflow at the first factor of V, so
+    # the vertex count alone would not say why the graph cannot fit
+    monkeypatch.setattr(exact, "memory_budget", lambda: (_PINNED_BUDGET, "physical memory"))
+    code, out, err = run(capsys, "oracle", *argv.split())
+    assert code == 2 and out == ""
+    assert err == f"pmspec: error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "family, partition, admitted",
     [
         ("pm", "5000+5000", True),
@@ -339,6 +364,7 @@ def test_usage_errors_print_one_line_and_exit_2(argv):
         ("thm6", 2),
         ("prop2", 2),
         ("lemmas", 2),
+        ("identities", 3),
         ("crossblock", 10),
         ("kuwong-xi", 2),
         ("dualpath", 1),
