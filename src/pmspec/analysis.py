@@ -14,9 +14,11 @@ directions.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from functools import cache
 from itertools import accumulate, groupby
 
 from .exact import admit, admit_table, binomial, odd_double_factorial, pm_degree
+from .lattice import PartitionLattice
 from .partitions import (
     Dominance,
     Partition,
@@ -128,15 +130,17 @@ class _Sweep:
     """A family's eigenvalues by partition, read off one lattice sweep of
     size n: at every partition of size at most n for pm (:func:`_eta_sweep`),
     and for sym (:func:`_xi_sweep`) at the partitions of n and what their
-    first-part recurrence reaches.  Each partition's id is found by walking
-    the lattice's ``base``.  A sweep that could not fit in physical memory,
-    with ``held`` bytes per partition that its suite keeps besides it, is
-    refused before it starts."""
+    first-part recurrence reaches.  Each partition's id is walked from the
+    lattice's ``base``, all that is kept of the lattice.  A sweep that could
+    not fit in physical memory, with ``held`` bytes per partition that its
+    suite keeps besides it, is refused before it starts."""
+
+    _index = PartitionLattice.index  # reads only ``base``
 
     def __init__(self, family: str, n: int, held: int = 0) -> None:
         admit_table(family, n, held)
         lattice, self._values, _ = (_eta_sweep if family == "pm" else _xi_sweep)(n)
-        self._index = lattice.index
+        self.base = lattice.base
 
     def value(self, lam: Partition) -> int:
         """eta(lam) on a pm sweep, xi(lam) on a sym sweep."""
@@ -147,49 +151,46 @@ class _Sweep:
         return _normalized(lam, self._values[self._index(lam)])
 
 
-class _Level:
-    """A run of partitions of n, all of them or one first-part block, with
-    what the pair suites need of each, computed once.
+@cache
+def _thresholds() -> tuple:
+    """For each s < 256, the byte table that maps below s to '0', the rest to '1'."""
+    return tuple(b"0" * s + b"1" * (256 - s) for s in range(256))
 
-    ``parts`` run in decreasing lexicographic order, so each first part owns
-    a run of consecutive indices, and ``blocks`` maps each first part to its
-    run.  ``values[i]`` belongs to ``parts[i]``.  Bit j of ``above[i]`` is
-    set iff parts[i] is strictly dominated by parts[j]: lam is dominated by
-    mu iff every prefix sum of lam is at most mu's.  Each set is the
-    intersection, over lam's prefix positions k, of the partitions whose
-    k-th prefix sum reaches lam's; at lam's last position that says mu has
-    no more parts.  Lexicographic order extends dominance, so every such j
-    is below i.
+
+def _dominance_rows(parts: list) -> list:
+    """The dominance rows of a run of partitions of n in decreasing
+    lexicographic order, all of them or one first-part block.
+
+    Bit j of row i is set iff parts[i] is strictly dominated by parts[j]:
+    lam is dominated by mu iff every prefix sum of lam is at most mu's.
+    Each set is the intersection, over lam's prefix positions k, of the
+    partitions whose k-th prefix sum reaches lam's; at lam's last position
+    that says mu has no more parts.  Lexicographic order extends dominance,
+    so every such j is below i.
     """
-
-    def __init__(self, parts: list, values: list) -> None:
-        n = sum(parts[0])
-        self.parts, self.values = parts, values
-        self.blocks: dict = {}
-        for i, lam in enumerate(self.parts):
-            self.blocks.setdefault(lam[0], []).append(i)
-        sums = [list(accumulate(lam)) for lam in self.parts]
-        # reaching[k][s]: the partitions whose k-th prefix sum is at least s.
-        # Each is read off the column of k-th sums (n past a partition's last
-        # part), one byte per partition, translated to '1' or '0' with the
-        # lowest index last, as one base-2 int.  The run's first partition
-        # dominates the others, and its last is dominated by them and is the
-        # longest: no s past the first's k-th sum is asked, and every
-        # partition reaches each s up to the last's
-        tables = [b"0" * s + b"1" * (256 - s) for s in range(n + 1)]
-        width = min(len(sums[-1]), n - 1)
-        rows = [row + [n] * (width - len(row)) for row in sums]
-        everyone = (1 << len(sums)) - 1
-        reaching = [
-            [everyone] * (low + 1) + [int(column.translate(t), 2) for t in tables[low + 1 : high + 1]]
-            for low, high, column in zip(rows[-1], rows[0], (bytes(col)[::-1] for col in zip(*rows)))
-        ]
-        self.above = []
-        for i, row in enumerate(sums):
-            mask = (1 << i) - 1
-            for k, s in enumerate(row[: n - 1]):  # every last prefix sum is n
-                mask &= reaching[k][s]
-            self.above.append(mask)
+    n = sum(parts[0])
+    sums = [list(accumulate(lam)) for lam in parts]
+    # reaching[k][s]: the partitions whose k-th prefix sum is at least s.
+    # Each is read off the column of k-th sums (n past a partition's last
+    # part), one byte per partition, translated to '1' or '0' with the
+    # lowest index last, as one base-2 int.  The run's first partition
+    # dominates the others, and its last is dominated by them and is the
+    # longest: no s past the first's k-th sum is asked, and every
+    # partition reaches each s up to the last's
+    width = min(len(sums[-1]), n - 1)
+    rows = [row + [n] * (width - len(row)) for row in sums]
+    everyone = (1 << len(sums)) - 1
+    reaching = [
+        [everyone] * (low + 1) + [int(column.translate(t), 2) for t in _thresholds()[low + 1 : high + 1]]
+        for low, high, column in zip(rows[-1], rows[0], (bytes(col)[::-1] for col in zip(*rows)))
+    ]
+    above = []
+    for i, row in enumerate(sums):
+        mask = (1 << i) - 1
+        for k, s in enumerate(row[: n - 1]):  # every last prefix sum is n
+            mask &= reaching[k][s]
+        above.append(mask)
+    return above
 
 
 # A level's dominance bitsets hold up to p^2/2 bits for its p partitions, at
@@ -232,11 +233,6 @@ def _ranked(values: list) -> tuple:
     return keys, list(accumulate(reversed(masks), int.__or__, initial=0))[::-1]
 
 
-def _span(block: list) -> int:
-    """Bitset of a run of consecutive indices."""
-    return (1 << (block[-1] + 1)) - (1 << block[0])
-
-
 def _bits(mask: int):
     """The set bits of mask, lowest first."""
     while mask:
@@ -245,9 +241,11 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _first_part_blocks(parts: list, values: list):
-    """Each first-part block of one n's partitions, as its partitions and values."""
-    return (zip(*rows) for _, rows in groupby(zip(parts, values), key=lambda row: row[0][0]))
+def _first_part_blocks(parts: list) -> list:
+    """The slice of one n's partitions that each first-part block runs over,
+    largest first part first."""
+    stops = list(accumulate(len(list(block)) for _, block in groupby(parts, key=lambda lam: lam[0])))
+    return list(map(slice, [0, *stops], stops))
 
 
 def _block_order(report, parts, values, symbol: str, equality: str, along=None) -> None:
@@ -259,22 +257,22 @@ def _block_order(report, parts, values, symbol: str, equality: str, along=None) 
     relation ``equality``); each equal pair is recorded as a witness.
     ``along``, if given, is a third relation, that the values never decrease
     along the dominance chain between the two (:func:`_monotone_chains`).
-    The block's level is built here and freed on return.
+    The block's dominance rows are built here and freed on return.
 
     Each row, the pairs (i, j) of one lo, is counted with bitsets: the checks
     that hold are counted in bulk, and each failing check goes through its
     relation in the order a loop over the pairs would list it, by j and then
     by relation.
     """
-    level = _Level(parts, values)
+    rows = _dominance_rows(parts)
     order = report.relation(f"|{symbol}(lo)| <= |{symbol}(hi)|", "lo", "hi", "values")
     equal = report.relation(equality, "lo", "hi", "values")
-    monotone = None if along is None else _monotone_chains(level)
+    monotone = None if along is None else _monotone_chains(parts, values, rows)
     per_pair = 2 if along is None else 3
     key = f"abs_{symbol}"
     keys, reaching = _ranked(values)
     star = sum(1 << k for k, lam in enumerate(parts) if has_first_part_three_rest_small(lam))
-    for k, row in enumerate(level.above):
+    for k, row in enumerate(rows):
         if not row:
             continue
         lam, a = parts[k], values[k]
@@ -344,15 +342,16 @@ def _abs_dominance_level(report, n: int, sweep: _Sweep) -> None:
     """thm6's checks at one n, one first-part block at a time."""
     chain = report.relation("stepwise |eta| monotone along chain", "lo", "hi")
     parts = enumerate_partitions(n)
+    values = [abs(sweep.value(lam)) for lam in parts]
     equality = "equality iff first part 3 with small tail"
-    for block, values in _first_part_blocks(parts, [abs(sweep.value(lam)) for lam in parts]):
-        _block_order(report, block, values, "eta", equality, chain)
+    for block in _first_part_blocks(parts):
+        _block_order(report, parts[block], values[block], "eta", equality, chain)
 
 
-def _monotone_chains(level: _Level) -> list:
-    """For each member k of a one-block level, the bitset of the members j
-    above it for which the level's value never decreases along the
-    dominance chain from k to j.
+def _monotone_chains(parts: list, values: list, rows: list) -> list:
+    """For each member k of a first-part block, the bitset of the members j
+    above it (in its dominance row, :func:`_dominance_rows`) for which the
+    value never decreases along the dominance chain from k to j.
 
     The chain from lam toward a target takes the first of
     ``valid_transfers(lam)`` whose result is the target or is still
@@ -363,7 +362,6 @@ def _monotone_chains(level: _Level) -> list:
     chains are.  Successors come earlier in lexicographic order, so each is
     settled before the members below it.
     """
-    parts, values, rows = level.parts, level.values, level.above
     index = {lam: k for k, lam in enumerate(parts)}
     monotone, reach = [], []  # reach[k]: monotone[k] and k itself
     for k, row in enumerate(rows):
@@ -629,23 +627,23 @@ def scan_cross_gap_conjecture(n_max: int, progress=None) -> VerificationReport:
 
 def _scan_level(report, n: int, sweep: _Sweep) -> None:
     """The scan's checks at one n: one popcount for each lam and block v,
-    and a listed failure for each violating pair.  The level is freed on
-    return, before the next one is built."""
+    and a listed failure for each violating pair.  The dominance rows of
+    all partitions of n are freed on return, before the next n's are built."""
     grows = report.relation("strict |eta| growth across blocks", "lo", "hi", "values")
     parts = enumerate_partitions(n)
-    level = _Level(parts, [abs(sweep.value(lam)) for lam in parts])
-    values, above = level.values, level.above
-    ranked = {v: _ranked(values[b[0] : b[-1] + 1]) for v, b in level.blocks.items()}
+    values = [abs(sweep.value(lam)) for lam in parts]
+    above = _dominance_rows(parts)
+    blocks = [(parts[b.start][0], b, _ranked(values[b])) for b in _first_part_blocks(parts)]
     passed = 0
-    for u, low_block in level.blocks.items():
+    for u, low_block, _ in blocks:
         if u < 2:
             continue
-        for v, high_block in level.blocks.items():
+        for v, high_block, (keys, reaching) in blocks:
             if v < u + 2:
                 continue
-            start, span = high_block[0], _span(high_block)
-            keys, reaching = ranked[v]
-            for i in low_block:
+            start = high_block.start
+            span = (1 << high_block.stop) - (1 << start)
+            for i in range(low_block.start, low_block.stop):
                 a = values[i]
                 row = (above[i] & span) >> start
                 held = row & reaching[bisect_right(keys, a)]
@@ -696,13 +694,14 @@ def _xi_level(report, n: int) -> None:
             and sweep.value(Partition((1, 1))) == -1
         )
 
-    for block, values in _first_part_blocks(parts, list(map(abs, signed))):
-        _block_order(report, block, values, "xi", "xi equality characterization")
+    for block in _first_part_blocks(parts):
+        values = list(map(abs, signed[block]))
+        _block_order(report, parts[block], values, "xi", "xi equality characterization")
         # lexicographic extremes bound the whole block: it runs in decreasing
         # lexicographic order, from its first member down to (u, 1^(n-u)) for
         # its first part u
         low, high = values[-1], values[0]
-        for mu, value in zip(block, values):
+        for mu, value in zip(parts[block], values):
             extremes(low <= value <= high, mu, (low, value, high))
 
 

@@ -270,18 +270,12 @@ def test_level_dominance_matches_dominance_compare():
     # own, whose first partition is not (n,)
     for n in range(1, 13):
         for parts in [enumerate_partitions(n), *_blocks(n).values()]:
-            level = analysis._Level(parts, [len(lam) for lam in parts])
-            assert level.parts == parts
-            assert level.values == [len(lam) for lam in level.parts]
-            assert level.blocks == {
-                u: [level.parts.index(lam) for lam in block]
-                for u, block in _blocks(n).items()
-                if block[0] in parts
-            }
-            for i, lam in enumerate(level.parts):
-                for j, mu in enumerate(level.parts):
+            rows = analysis._dominance_rows(parts)
+            assert len(rows) == len(parts)
+            for i, lam in enumerate(parts):
+                for j, mu in enumerate(parts):
                     less = dominance_compare(lam, mu) is Dominance.LESS
-                    assert bool(level.above[i] >> j & 1) == less, (lam, mu)
+                    assert bool(rows[i] >> j & 1) == less, (lam, mu)
 
 
 def _scrambled(lam):
@@ -299,9 +293,9 @@ def test_monotone_chains_match_literal_walk(value):
     failed = 0
     for n in range(2, 15):
         for block in _blocks(n).values():
-            level = analysis._Level(block, list(map(value, block)))
-            monotone = analysis._monotone_chains(level)
-            for k, row in enumerate(level.above):
+            rows = analysis._dominance_rows(block)
+            monotone = analysis._monotone_chains(block, list(map(value, block)), rows)
+            for k, row in enumerate(rows):
                 assert monotone[k] & ~row == 0
                 for j in range(len(block)):
                     if not row >> j & 1:
@@ -370,20 +364,25 @@ def test_one_broken_row_mid_block_is_listed_among_bulk_rows(monkeypatch):
 
 
 def test_pair_suites_keep_one_level_alive_at_a_time(monkeypatch):
-    # a level holds up to p^2/2 dominance bits for its p partitions, so each
-    # must be freed before the next is built.  thm6 and kuwong-xi read only
-    # pairs within a first-part block, so they build one level per block
-    # (n of them at each n, 77 for n = 2..12); the scan one per n
+    # a level, the dominance rows of a run of partitions, holds up to p^2/2
+    # bits for its p partitions, so each must be freed before the next is
+    # built.  thm6 and kuwong-xi read only pairs within a first-part block,
+    # so they build one level per block (n of them at each n, 77 for
+    # n = 2..12); the scan one per n
     built, first_parts = [], []
-    init = analysis._Level.__init__
+    rows_of = analysis._dominance_rows
 
-    def tracked(self, parts, values):
+    class Rows(list):
+        pass  # a list that can be weakly referenced
+
+    def tracked(parts):
         assert [ref() for ref in built if ref() is not None] == [], "an earlier level is alive"
-        init(self, parts, values)
-        built.append(weakref.ref(self))
+        rows = Rows(rows_of(parts))
+        built.append(weakref.ref(rows))
         first_parts.append({lam[0] for lam in parts})
+        return rows
 
-    monkeypatch.setattr(analysis._Level, "__init__", tracked)
+    monkeypatch.setattr(analysis, "_dominance_rows", tracked)
     for suite, levels in (("thm6", 77), ("kuwong-xi", 77), ("conjecture2", 11)):
         built.clear()
         first_parts.clear()
