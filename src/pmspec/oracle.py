@@ -7,9 +7,9 @@ adjacent iff their supports are disjoint.  A layout gives each vertex a bit
 position, and each column a holder set: one Python int whose bit at a
 vertex's position is set iff that vertex holds the column.  A vertex's
 non-neighbours are the OR of its n holder sets, so one adjacency row costs
-n ORs on V-bit ints, and no V x V array is ever held.  The build reads every
-row once to check every degree; the certificate reads each row once more,
-and once through each generator's moved layout.
+n ORs on V-bit ints, and no V x V array is ever held.  The build reads no
+row: the certificate is the graph's one reader, and it reads every row once
+in each layout it needs, the cells' and one per generator.
 
 Certification never diagonalises A.  Every vertex is labelled by its cell
 relative to the base vertex x0 = vertex 0: the coset type of m ∪ x0 for a
@@ -44,7 +44,7 @@ from functools import reduce
 from operator import add, mul, or_
 from typing import NamedTuple, Sequence
 
-from .exact import admit, derangement_count, odd_double_factorial, pm_degree
+from .exact import admit, odd_double_factorial
 from .tables import SpectrumTable
 
 
@@ -92,15 +92,14 @@ class Layout(NamedTuple):
 
 
 class Graph:
-    """A derangement graph: its vertices' labels and supports, and the common
-    degree that the build checked on every row."""
+    """A derangement graph: its vertices' labels and supports.  Its rows are
+    read only through a layout, once per layout by the certificate."""
 
-    def __init__(self, family: str, n: int, labels: list, support: list, degree: int):
+    def __init__(self, family: str, n: int, labels: list, support: list):
         self.family = family  # "pm" or "sym"
         self.n = n
         self.labels = labels  # vertex descriptions in enumeration order
         self.support = support  # per vertex, the tuple of the n columns it holds
-        self.degree = degree
 
     @property
     def vertex_count(self) -> int:
@@ -200,23 +199,12 @@ def enumerate_perfect_matchings(n: int) -> list[tuple]:
     return rec(tuple(range(1, 2 * n + 1)))
 
 
-def _check_degree(graph: Graph, what: str) -> Graph:
-    """Read every row of the graph; each must have `graph.degree` ones."""
-    every = range(graph.vertex_count)
-    layout = _layout(graph, every)
-    observed = {len(every) - graph.non_neighbours(x, layout).bit_count() for x in every}
-    if observed - {graph.degree}:
-        raise RuntimeError(f"{what}: observed degrees {sorted(observed)} != {graph.degree}")
-    return graph
-
-
 def build_pm_graph(n: int) -> Graph:
     """Graph on the perfect matchings of K_{2n}, adjacent iff edge-disjoint."""
     matchings = enumerate_perfect_matchings(n)  # refuses what would not fit
     edge = {pair: c for c, pair in enumerate(itertools.combinations(range(1, 2 * n + 1), 2))}
     support = [tuple(map(edge.__getitem__, m)) for m in matchings]
-    graph = Graph("pm", n, matchings, support, pm_degree(n))
-    return _check_degree(graph, f"matching graph n={n}")
+    return Graph("pm", n, matchings, support)
 
 
 def build_derangement_graph(n: int) -> Graph:
@@ -225,8 +213,7 @@ def build_derangement_graph(n: int) -> Graph:
     perms = list(itertools.permutations(range(n)))
     offsets = range(0, n * n, n)
     support = [tuple(map(add, offsets, perm)) for perm in perms]
-    graph = Graph("sym", n, perms, support, derangement_count(n))
-    return _check_degree(graph, f"derangement graph n={n}")
+    return Graph("sym", n, perms, support)
 
 
 def numeric_spectrum(graph: Graph):
@@ -443,6 +430,8 @@ def certify(table: SpectrumTable, graph: Graph) -> OracleReport:
     moves = _vertex_permutations(graph.family, graph.labels)
     quotient, equitable, automorphisms = _stream(graph, cell_of, cell_count, moves)
     base = cell_of[0]
+    # x0's degree; the checks below make every vertex's the same
+    degree = sum(quotient[base])
 
     annihilator = [[int(i == j) for j in range(cell_count)] for i in range(cell_count)]
     for theta in predicted:
@@ -481,7 +470,7 @@ def certify(table: SpectrumTable, graph: Graph) -> OracleReport:
     trace_checks = [
         ("sum_mult", sum_mult == vertex_count),
         ("sum_val", sum_val == 0),
-        ("sum_val_sq", sum_val_sq == vertex_count * graph.degree),
+        ("sum_val_sq", sum_val_sq == vertex_count * degree),
     ]
     if expected_count is not None:
         trace_checks.append(("vertex_count", vertex_count == expected_count))
@@ -490,7 +479,7 @@ def certify(table: SpectrumTable, graph: Graph) -> OracleReport:
         family=graph.family,
         n=graph.n,
         vertex_count=vertex_count,
-        degree_observed=graph.degree,
+        degree_observed=degree,
         quotient_size=cell_count,
         quotient_checks=quotient_checks,
         trace_checks=trace_checks,

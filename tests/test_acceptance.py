@@ -113,5 +113,6 @@ def test_criterion_11_degree_discrepancy():
         ok = ok and pm_degree_inclusion_exclusion(n) == pm_degree(n)
         ok = ok and pm_degree_truncated_sum(n) == pm_degree(n) - (-1) ** n
     for n in range(1, 6):
-        ok = ok and oracle.build_pm_graph(n).degree == pm_degree(n)
+        report = oracle.certify(pm_spectrum_table(n), oracle.build_pm_graph(n))
+        ok = ok and report.degree_observed == pm_degree(n)
     _report("11 degree: recurrence = full sum = brute force; truncated sum off by (-1)^n", ok)

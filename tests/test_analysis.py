@@ -11,7 +11,7 @@ from pmspec.partitions import (
     dominance_compare,
     enumerate_partitions,
 )
-from pmspec.pm_spectrum import eta, f_value
+from pmspec.pm_spectrum import eta, eta_alt, f_value
 from pmspec.sym_spectrum import xi_by_first_part, xi_by_last_part, xi_by_last_part_printed_variant
 
 P = Partition
@@ -40,6 +40,30 @@ def test_abs_dominance_equality_example():
     # strict case across the same first part
     assert f_value(P((2, 1, 1, 1, 1))) == 2
     assert f_value(P((2, 2, 2))) == 10
+
+
+@pytest.mark.parametrize(
+    "lo, hi, etas, xis",
+    [
+        # equality with first part 4, not 3
+        ((4, 2, 2, 2), (4, 3, 1, 1, 1), (138, 138), (33, 33)),
+        # the lexicographically later partition has the smaller |value|
+        ((4, 2, 2, 2, 1), (4, 3, 1, 1, 1, 1), (-152, -150), (-38, -37)),
+    ],
+)
+def test_lexicographic_reading_fails_where_dominance_is_silent(lo, hi, etas, xis):
+    # the "almost" of the paper's title: read as the lexicographic order
+    # within a first-part block, the statement "|x(lo)| <= |x(hi)|, with
+    # equality iff the first part is 3" fails at n = 10 and n = 11 for both
+    # families; the pairs are incomparable in dominance, the order the
+    # suites check, so no suite sees them
+    lo, hi = P(lo), P(hi)
+    assert tuple(lo) < tuple(hi) and lo[0] == hi[0] == 4
+    assert dominance_compare(lo, hi) is Dominance.INCOMPARABLE
+    assert (eta(lo).eta, eta(hi).eta) == (eta_alt(lo), eta_alt(hi)) == etas
+    assert (xi_by_first_part(lo), xi_by_first_part(hi)) == xis
+    assert (xi_by_last_part(lo), xi_by_last_part(hi)) == xis
+    assert abs(etas[0]) >= abs(etas[1]) and abs(xis[0]) >= abs(xis[1])
 
 
 def test_abs_dominance_vacuous_at_2():

@@ -1,4 +1,5 @@
 
+import math
 import random
 
 import numpy as np
@@ -60,6 +61,10 @@ def _table(family, n):
     return pm_spectrum_table(n) if family == "pm" else sym_spectrum_table(n)
 
 
+def _degree(family, n):
+    return pm_degree(n) if family == "pm" else derangement_count(n)
+
+
 def _adjacency(graph):
     """The whole adjacency matrix as lists of 0/1, read with vertex y at bit y."""
     every = range(graph.vertex_count)
@@ -69,6 +74,11 @@ def _adjacency(graph):
 
 def _neighbours(graph, u):
     return [y for y, bit in enumerate(_adjacency(graph)[u]) if bit]
+
+
+def _degrees(graph):
+    """The set of the graph's row sums, read from the whole matrix."""
+    return {sum(row) for row in _adjacency(graph)}
 
 
 @pytest.mark.parametrize("vertex_count", [1, 3, 1449, 5040, 40320])
@@ -118,7 +128,7 @@ def test_rows_are_the_literal_predicate_in_every_layout(family, n):
             assert shared & ~vertex_bits == 0
             adjacent = [_literally_adjacent(family, a, b) for b in graph.labels]
             assert [not shared >> p & 1 for p in layout.position] == adjacent
-            assert graph.vertex_count - shared.bit_count() == sum(adjacent) == graph.degree
+            assert graph.vertex_count - shared.bit_count() == sum(adjacent) == _degree(family, n)
             if layout.position is position:
                 cells = range(len(sizes))
                 per_cell = [sum(not adj for adj, d in zip(adjacent, cell_of) if d == c) for c in cells]
@@ -127,21 +137,21 @@ def test_rows_are_the_literal_predicate_in_every_layout(family, n):
 
 def test_pm_graph_small():
     g = oracle.build_pm_graph(2)
-    assert g.vertex_count == 3 and g.degree == 2  # triangle
+    assert g.vertex_count == 3 and _degrees(g) == {2} == {pm_degree(2)}  # triangle
     assert _adjacency(g) == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
     g = oracle.build_pm_graph(3)
-    assert g.vertex_count == 15 and g.degree == 8
+    assert g.vertex_count == 15 and _degrees(g) == {8} == {pm_degree(3)}
     g = oracle.build_pm_graph(1)
-    assert g.vertex_count == 1 and g.degree == 0
+    assert g.vertex_count == 1 and _degrees(g) == {0} == {pm_degree(1)}
 
 
 def test_derangement_graph_small():
     g = oracle.build_derangement_graph(2)
-    assert g.vertex_count == 2 and g.degree == 1
+    assert g.vertex_count == 2 and _degrees(g) == {1} == {derangement_count(2)}
     g = oracle.build_derangement_graph(3)
-    assert g.vertex_count == 6 and g.degree == 2
+    assert g.vertex_count == 6 and _degrees(g) == {2} == {derangement_count(3)}
     g = oracle.build_derangement_graph(4)
-    assert g.vertex_count == 24 and g.degree == 9
+    assert g.vertex_count == 24 and _degrees(g) == {9} == {derangement_count(4)}
 
 
 def test_numeric_spectrum_triangle():
@@ -245,7 +255,7 @@ class EditedGraph(oracle.Graph):
     are read, in any layout: `edits` maps a vertex pair (u, v) to 0 or 1."""
 
     def __init__(self, graph, edits):
-        super().__init__(graph.family, graph.n, graph.labels, graph.support, graph.degree)
+        super().__init__(graph.family, graph.n, graph.labels, graph.support)
         self.edits = edits
 
     def non_neighbours(self, x, layout):
@@ -267,7 +277,7 @@ def _edited(graph, *edits):
 
 def _relabelled(graph, labels):
     """The same adjacency under other vertex labels."""
-    return oracle.Graph(graph.family, graph.n, labels, graph.support, graph.degree)
+    return oracle.Graph(graph.family, graph.n, labels, graph.support)
 
 
 @pytest.mark.parametrize("family, n", [("pm", 3), ("pm", 4), ("sym", 4), ("sym", 5)])
@@ -281,6 +291,8 @@ def test_removed_edge_fails_the_partition_or_the_symmetry(family, n):
         checks = dict(report.quotient_checks)
         assert not (checks["equitable"] and checks["automorphisms"]), edge
         assert not report.passed
+        # a failed report, not an exception, and the degree is x0's as edited
+        assert report.degree_observed == sum(_adjacency(broken)[0])
 
 
 def test_equitable_edge_switch_is_caught_by_the_automorphism_check():
@@ -326,7 +338,7 @@ def test_dense_spectrum_equals_table(family, n):
     predicted = sorted(val for val, mult in table.rows.values() for _ in range(mult))
     spectrum = oracle.numeric_spectrum(graph)
     assert sorted(round(x) for x in spectrum) == predicted
-    assert np.allclose(spectrum, predicted, atol=1e-8 * max(1, graph.degree))
+    assert np.allclose(spectrum, predicted, atol=1e-8 * max(1, _degree(family, n)))
 
 
 def test_edited_graph_reads_its_edits_in_every_order():
@@ -362,18 +374,35 @@ def test_oracle_peak_memory(peak_rss):
     assert peak <= 30 * 2**20
 
 
+def test_sym_admission_model_covers_the_peak_growth(peak_rss):
+    # _admit's model, per-vertex bytes plus one bit per vertex and column in
+    # each layout, must grow at least as fast as the measured peak: from sym
+    # n=7 (5,040 vertices) to n=8 (40,320) the model grows about 15.97 MiB
+    # and the peak about 14.0 MiB (Python 3.11)
+    def model(n):
+        vertices = math.factorial(n)
+        width = oracle._width("sym", n)
+        return oracle._BYTES_PER_VERTEX["sym"] * vertices + oracle._LAYOUTS * width * ((vertices + 7) // 8)
+
+    peaks = []
+    for n in (7, 8):
+        status, peak = peak_rss("-m", "pmspec.cli", "oracle", "--family", "sym", "--n", str(n), "--format", "json")
+        assert status == 0
+        peaks.append(peak)
+    assert peaks[1] - peaks[0] <= model(8) - model(7)
+
+
 def test_faults_in_late_blocks_are_caught():
     # an edge removed between the last vertex and its last neighbour: only
-    # their rows see it, late in the build's degree pass and in the
-    # certificate's
+    # their rows see it, late in the certificate's pass
     graph = oracle.build_pm_graph(4)
     u = graph.vertex_count - 1
     v = _neighbours(graph, u)[-1]
     broken = _edited(graph, (u, v, 0))
-    with pytest.raises(RuntimeError, match="observed degrees"):
-        oracle._check_degree(broken, "edited graph")
-    checks = dict(oracle.certify(pm_spectrum_table(4), broken).quotient_checks)
+    report = oracle.certify(pm_spectrum_table(4), broken)
+    checks = dict(report.quotient_checks)
     assert checks["equitable"] is False and checks["automorphisms"] is False
+    assert report.degree_observed == pm_degree(4) and not report.passed
 
 
 # tuple code independent of the oracle's, kept as its reference

@@ -4,15 +4,25 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_tracer_finds_every_traced_name(tmp_path):
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["table", "--n", "4", "--family", "pm", "--format", "csv"],
+        ["oracle", "--family", "sym", "--n", "3", "--format", "json"],
+    ],
+    ids=["table", "oracle"],
+)
+def test_tracer_finds_every_traced_name(tmp_path, args):
     # the benchmark's tracer wraps pmspec's functions by name and writes a
     # null metric for a span whose names are all gone, or for the eta cache
-    # count when pm_spectrum has no cache; a renamed function must fail here
+    # count when pm_spectrum has no cache; a renamed function must fail here.
+    # The oracle's build span reads vertex_count off the graph it returns
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    args = ["table", "--n", "4", "--family", "pm", "--format", "csv"]
     trace = tmp_path / "trace.json"
     traced = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "traced_op.py"), str(trace), *args],
@@ -25,4 +35,7 @@ def test_tracer_finds_every_traced_name(tmp_path):
     assert plain.returncode == 0 and traced.stdout == plain.stdout
     record = json.loads(trace.read_text())
     assert record["absent"] == []
-    assert record["pm_cache_entries"] is not None
+    if args[0] == "table":
+        assert record["pm_cache_entries"] is not None
+    else:
+        assert record["counters"]["oracle.vertices"] == 6
