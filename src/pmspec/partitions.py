@@ -179,6 +179,72 @@ def iter_partitions(n: int) -> Iterator[list]:
         yield parts[:m]
 
 
+def iter_partition_texts(n: int) -> Iterator[str]:
+    """The text of every partition of n, as :meth:`Partition.to_text`
+    writes it, in the order of :func:`iter_partitions`, by the same walk.
+
+    pre[i] is the text of ``parts[:i]`` for i <= h + 1, and a step rebuilds
+    only the entries of the parts it changes.  Each text is pre[h + 1]
+    followed by the trailing 1s, a cached run of '+1'; the last, (1^n), has
+    no part above 1 (h = -1) and is written whole.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n < 2:
+        yield str(n)
+        return
+    parts = [n] + [1] * (n - 1)
+    plus = [f"+{k}" for k in range(n + 1)]
+    ones = ["+1" * k for k in range(n)]
+    pre = [""] * (n + 1)
+    pre[1] = str(n)
+    m, h = 1, 0
+    yield pre[1]
+    while True:
+        if parts[h] == 2:
+            parts[h], h, m = 1, h - 1, m + 1
+            if h < 0:
+                yield "1" + ones[n - 1]
+                return
+        else:
+            part, rest = parts[h] - 1, m - h
+            parts[h] = part
+            pre[h + 1] = pre[h] + plus[part] if h else str(part)
+            while rest >= part:
+                h += 1
+                parts[h], rest = part, rest - part
+                pre[h + 1] = pre[h] + plus[part]
+            m = h + 2 if rest else h + 1
+            if rest > 1:
+                h += 1
+                parts[h] = rest
+                pre[h + 1] = pre[h] + plus[rest]
+        yield pre[h + 1] + ones[m - h - 1]
+
+
+def first_part_counts(n: int) -> list[int]:
+    """How many partitions of n have first part n, n - 1, ..., 1: the
+    lengths of the first-part runs of :func:`iter_partitions`.  For n = 0
+    it is [1], the empty partition, whose first part counts as 0.
+
+    A partition of n with first part m is m followed by a partition of
+    n - m with parts at most m, and those are counted for every m at once,
+    one m at a time.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n == 0:
+        return [1]
+    bounded = [1] + [0] * n  # partitions of k with parts at most m, after step m
+    counts = []
+    for m in range(1, n + 1):
+        for k in range(m, n + 1):
+            bounded[k] += bounded[k - m]
+        counts.append(bounded[n - m])
+    counts.reverse()
+    return counts
+
+
 def enumerate_partitions(n: int) -> list[Partition]:
     """All partitions of n in decreasing lexicographic order, (n) first: the
     walk of :func:`iter_partitions`."""

@@ -18,13 +18,14 @@ is nonnegative and vanishes only at the single-box partition (1).
 from __future__ import annotations
 
 import math
+from itertools import islice
 from operator import add, mul, neg, sub
 from typing import NamedTuple
 
 from . import memo
 from .exact import _hook_quotient, pm_degree
 from .lattice import PartitionLattice, row_entries
-from .partitions import Partition, iter_partitions
+from .partitions import Partition, first_part_counts, iter_partitions
 from .tables import SpectrumTable
 
 
@@ -241,8 +242,18 @@ def pm_spectrum_table(n: int) -> SpectrumTable:
     if n < 1:
         raise ValueError("n must be positive")
     values, hooks = row_entries(*_eta_sweep(n))
-    for parts, value in zip(iter_partitions(n), values):
-        _normalized(tuple(parts), value)
+    # (-1)^(n - lam_1) is one sign over each run of rows with one first
+    # part, so a run's check is one min or max; for n >= 2 no row is (1),
+    # and f > 0 on every row is the whole check.  When a run fails, or at
+    # n = 1, whose one row is 0, the rows are checked one by one, which
+    # names the first faulty row.
+    rest = iter(values)
+    if not all(
+        min(islice(rest, count)) > 0 if (n - first) % 2 == 0 else max(islice(rest, count)) < 0
+        for first, count in zip(range(n, 0, -1), first_part_counts(n))
+    ):
+        for parts, value in zip(iter_partitions(n), values):
+            _normalized(tuple(parts), value)
     order = math.factorial(2 * n)
     dims = [_hook_quotient(order, h) for h in hooks]
     return SpectrumTable(family="pm", n=n, values=values, multiplicities=dims)

@@ -8,7 +8,10 @@ from pmspec.partitions import (
     dominance_chain,
     dominance_compare,
     enumerate_partitions,
+    first_part_counts,
     has_first_part_three_rest_small,
+    iter_partition_texts,
+    iter_partitions,
     parse_digits,
     partition_counts,
     valid_transfers,
@@ -142,6 +145,21 @@ def test_enumerate_partitions_lex_and_count():
             assert all(p > 0 for p in lam) and sum(lam) == n
             assert all(a >= b for a, b in zip(lam, lam[1:]))
     assert list(zip(range(41), partition_counts())) == list(enumerate(expected))
+
+
+def test_partition_texts_follow_the_walk():
+    for n in range(31):
+        assert list(iter_partition_texts(n)) == ["+".join(map(str, p)) or "0" for p in iter_partitions(n)]
+
+
+def test_first_part_counts_are_the_walk_runs():
+    for n, total in zip(range(31), partition_counts()):
+        firsts = [p[0] if p else 0 for p in iter_partitions(n)]
+        runs = [firsts.count(first) for first in range(n, 0, -1)] if n else [1]
+        assert first_part_counts(n) == runs
+        assert sum(runs) == total
+    with pytest.raises(ValueError):
+        first_part_counts(-1)
 
 
 def test_partition_counts_far_out():

@@ -1,7 +1,9 @@
 import functools
+import re
 import tracemalloc
 from bisect import bisect_right
 from itertools import accumulate
+from operator import neg
 
 import pytest
 from hypothesis import given, settings
@@ -172,22 +174,30 @@ def test_table_rows_match_the_single_query_store():
 
 
 def test_table_checks_every_sign_and_every_dimension(monkeypatch):
-    signs, quotients = [], []
-
-    def normalized(lam, value):
-        signs.append((lam, value))
-        return normalized_check(lam, value)
+    quotients = []
 
     def hook_quotient(order, product):
         quotients.append(product)
         return quotient_check(order, product)
 
-    normalized_check, quotient_check = pm_spectrum._normalized, pm_spectrum._hook_quotient
-    monkeypatch.setattr(pm_spectrum, "_normalized", normalized)
+    quotient_check = pm_spectrum._hook_quotient
     monkeypatch.setattr(pm_spectrum, "_hook_quotient", hook_quotient)
-    rows = pm_spectrum_table(9).rows
-    assert signs == [(lam, value) for lam, (value, _) in rows.items()]
-    assert len(quotients) == len(rows)
+    rows = list(pm_spectrum_table(9).rows)
+    assert len(quotients) == len(rows) == 30
+
+    # a row of the wrong sign, or zero, anywhere in the table is named
+    row_entries = pm_spectrum.row_entries
+    for index, lam in enumerate(rows):
+        for broken in (neg, lambda value: 0):
+
+            def faulty(*args):
+                values, hooks = row_entries(*args)
+                values[index] = broken(values[index])
+                return values, hooks
+
+            monkeypatch.setattr(pm_spectrum, "row_entries", faulty)
+            with pytest.raises(AssertionError, match=re.escape(f"sign normalization violated at {tuple(lam)!r}:")):
+                pm_spectrum_table(9)
 
 
 @pytest.mark.parametrize("row", [0, -1])
