@@ -130,16 +130,17 @@ class _Sweep:
     """A family's eigenvalues by partition, read off one lattice sweep of
     size n: at every partition of size at most n for pm (:func:`_eta_sweep`),
     and for sym (:func:`_xi_sweep`) at the partitions of n and what their
-    first-part recurrence reaches.  Each partition's id is walked from the
-    lattice's ``base``, all that is kept of the lattice.  A sweep that could
-    not fit in physical memory, with ``held`` bytes per partition that its
-    suite keeps besides it, is refused before it starts."""
+    first-part recurrence reaches, with no hook products.  Each partition's
+    id is walked from the lattice's ``base``, all that is kept of the
+    lattice.  A sweep that could not fit in physical memory, with ``held``
+    bytes per partition that its suite keeps besides it, is refused before
+    it starts."""
 
     _index = PartitionLattice.index  # reads only ``base``
 
     def __init__(self, family: str, n: int, held: int = 0) -> None:
         admit_table(family, n, held)
-        lattice, self._values, _ = (_eta_sweep if family == "pm" else _xi_sweep)(n)
+        lattice, self._values, _, _ = (_eta_sweep if family == "pm" else _xi_sweep)(n)
         self.base = lattice.base
 
     def value(self, lam: Partition) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import os
-from itertools import accumulate, count
+from itertools import accumulate, count, islice
 
 from .partitions import Partition, partition_counts
 
@@ -188,17 +188,26 @@ _TABLE_BYTES_PER_NODE = {"pm": 140, "sym": 90}
 
 
 def admit_table(family: str, n: int, held: int = 0) -> None:
-    """Refuse a table of size n whose sweep could not fit in memory.
+    """Refuse a table of size n whose sweep could not fit in memory, or
+    whose lattice ids could not fit in 4 bytes.
 
     The sweep holds its values for every partition of size at most n, and
     its caller may hold ``held`` more bytes for each of them.  p(k) comes
-    from the pentagonal number recurrence, one k at a time.
+    from the pentagonal number recurrence, one k at a time.  Those
+    partitions are the ids 0, 1, ... of an ``array("i")``, so there must be
+    fewer than 2^31 of them: n <= 102.
     """
     per_node = _TABLE_BYTES_PER_NODE[family] + held
     admit(
         (per_node * nodes, f"a {family} sweep to n={n}: the {nodes} partitions of size at most {k} need")
         for k, nodes in zip(range(n + 1), accumulate(partition_counts()))
     )
+    nodes = sum(islice(partition_counts(), n + 1))
+    if nodes >= 2**31:
+        raise ValueError(
+            f"a {family} sweep to n={n}: the {nodes} partitions of size at most {n} need ids"
+            f" up to {nodes - 1}, past {2**31 - 1}, the largest 4-byte int"
+        )
 
 
 def odd_double_factorial(k: int) -> int:

@@ -228,21 +228,31 @@ def first_part_counts(n: int) -> list[int]:
     it is [1], the empty partition, whose first part counts as 0.
 
     A partition of n with first part m is m followed by a partition of
-    n - m with parts at most m, and those are counted for every m at once,
-    one m at a time.
+    n - m with parts at most m (:func:`bounded_partition_counts`).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return [1]
-    bounded = [1] + [0] * n  # partitions of k with parts at most m, after step m
-    counts = []
+    bounded = bounded_partition_counts(n)
+    return [bounded[m][n - m] for m in range(n, 0, -1)]
+
+
+def bounded_partition_counts(n: int) -> list[list[int]]:
+    """``bounded[m][s]``, how many partitions of s have parts at most m, for
+    0 <= m, s <= n.
+
+    A partition of s with parts at most m either has none equal to m or is
+    m followed by one of s - m with parts at most m, so each m's counts are
+    the previous m's with those added, one m at a time.
+    """
+    row = [1] + [0] * n
+    bounded = [row[:]]
     for m in range(1, n + 1):
-        for k in range(m, n + 1):
-            bounded[k] += bounded[k - m]
-        counts.append(bounded[n - m])
-    counts.reverse()
-    return counts
+        for s in range(m, n + 1):
+            row[s] += row[s - m]
+        bounded.append(row[:])
+    return bounded
 
 
 def enumerate_partitions(n: int) -> list[Partition]:

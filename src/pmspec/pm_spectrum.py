@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from . import memo
 from .exact import _hook_quotient, pm_degree
-from .lattice import PartitionLattice, row_entries
+from .lattice import PartitionLattice
 from .partitions import Partition, first_part_counts, iter_partitions
 from .tables import SpectrumTable
 
@@ -187,9 +187,9 @@ def f_closed_form_2a1b(a: int, b: int) -> int:
     return a * a + b * (a - 1) + 1
 
 
-def _eta_sweep(n: int) -> tuple:
-    """eta at every partition of size <= n, and H(2 nu) at those a row's
-    chain nu, nu - 1, ... reaches, by lattice id.
+def _eta_sweep(n: int, hooks: bool = False) -> tuple:
+    """eta at every partition of size <= n, by lattice id, and at the
+    partitions of n in row order; with ``hooks``, also H(2 lam) at those.
 
     One forward sweep of the strip recurrence: the children of
     lam = (m,) + t are its head and head - j for j <= last, all of fewer
@@ -197,16 +197,19 @@ def _eta_sweep(n: int) -> tuple:
     slice of the values per child, added up a slice at a time.  Most
     coefficients are 1 or -1 (every j = 0, and j = 1 at last = 1); those
     slices are copied, negated, added or subtracted with no product.
-    Returns the lattice, the eta values and the doubled hook products.
+    Returns the lattice, the eta values by id, the eta values of the rows
+    and the doubled hook products of the rows (None without ``hooks``).
     """
-    lattice = PartitionLattice(n, doubled=True)
+    lattice = PartitionLattice(n, doubled=True, hooks=hooks)
     base, minus1 = lattice.base, lattice.minus1
     rows = _StripRows()
     values = [1]
+    by_row = [None] * lattice.row_count
     for r, blocks in lattice.levels():
-        for _, _, lo, hi, head, last, _ in blocks:
+        for _, _, lo, hi, head, last, _, place in blocks:
             if head is None:
                 values.extend(map(pm_degree, range(lo, hi + 1)))
+                by_row[0] = values[hi]
                 continue
             # head - j of (m,) + t is base[head] + m - j, where head starts
             # as t without its last part and steps by minus1
@@ -226,7 +229,8 @@ def _eta_sweep(n: int) -> tuple:
                 else:
                     acc = list(map(add, acc, map(c.__mul__, kids)))
             values += acc
-    return lattice, values, lattice.hooks
+            by_row[place] = acc[-1]  # at m = hi, the row
+    return lattice, values, by_row, lattice.row_hooks
 
 
 def pm_spectrum_table(n: int) -> SpectrumTable:
@@ -241,7 +245,7 @@ def pm_spectrum_table(n: int) -> SpectrumTable:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    values, hooks = row_entries(*_eta_sweep(n))
+    _, _, values, hooks = _eta_sweep(n, hooks=True)
     # (-1)^(n - lam_1) is one sign over each run of rows with one first
     # part, so a run's check is one min or max; for n >= 2 no row is (1),
     # and f > 0 on every row is the whole check.  When a run fails, or at

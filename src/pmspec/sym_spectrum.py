@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from . import memo
 from .exact import _hook_quotient, conjugate, derangement_count
-from .lattice import PartitionLattice, row_entries
+from .lattice import PartitionLattice
 from .partitions import Partition
 from .tables import SpectrumTable
 
@@ -123,23 +123,27 @@ def xi(mu: Partition) -> XiValue:
     return XiValue(partition=mu, xi=xi_by_first_part(mu))
 
 
-def _xi_sweep(n: int) -> tuple:
-    """xi and H(nu) by lattice id, at the partitions nu the table needs.
+def _xi_sweep(n: int, hooks: bool = False) -> tuple:
+    """xi by lattice id at the partitions nu the table needs, and xi at the
+    partitions of n in row order; with ``hooks``, also H(lam) at those.
 
     One forward sweep of the first-part recurrence: the children of
     mu = (m,) + t are mu - 1 and t - 1.  Only the rows and the partitions
     with |nu| + len(nu) <= n are evaluated, the others hold None.  Returns
-    the lattice, the xi values and the hook products.
+    the lattice, the xi values by id, the xi values of the rows and the
+    hook products of the rows (None without ``hooks``).
     """
-    lattice = PartitionLattice(n, doubled=False)
+    lattice = PartitionLattice(n, doubled=False, hooks=hooks)
     base, minus1 = lattice.base, lattice.minus1
     values = [None] * len(base)
     values[0] = 1
+    by_row = [None] * lattice.row_count
     for r, blocks in lattice.levels():
         sign = 1 if r & 1 else -1  # (-1)^(r-1)
-        for tail, offset, lo, hi, head, _, _ in blocks:
+        for tail, offset, lo, hi, head, _, _, place in blocks:
             if head is None:
                 values[lo : hi + 1] = map(derangement_count, range(lo, hi + 1))
+                by_row[0] = values[hi]
                 continue
             shifted = base[minus1[tail]] - 1  # mu - 1 is shifted + m
             tail_value = values[minus1[tail]]
@@ -152,8 +156,8 @@ def _xi_sweep(n: int) -> tuple:
                     for m in range(lo, top + 1)
                 ]
             row = sign * (hi + r - 1) * values[shifted + hi]
-            values[offset + hi] = row + tail_value if (hi + r) & 1 else row - tail_value
-    return lattice, values, lattice.hooks
+            values[offset + hi] = by_row[place] = row + tail_value if (hi + r) & 1 else row - tail_value
+    return lattice, values, by_row, lattice.row_hooks
 
 
 def sym_spectrum_table(n: int) -> SpectrumTable:
@@ -166,7 +170,7 @@ def sym_spectrum_table(n: int) -> SpectrumTable:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    values, hooks = row_entries(*_xi_sweep(n))
+    _, _, values, hooks = _xi_sweep(n, hooks=True)
     order = math.factorial(n)
     squares = [_hook_quotient(order, h) ** 2 for h in hooks]
     return SpectrumTable(family="sym", n=n, values=values, multiplicities=squares)

@@ -1,15 +1,18 @@
 import json
 import weakref
+from itertools import accumulate, islice
 
 import pytest
 
 from pmspec import analysis
+from pmspec.exact import _TABLE_BYTES_PER_NODE
 from pmspec.partitions import (
     Dominance,
     Partition,
     dominance_chain,
     dominance_compare,
     enumerate_partitions,
+    partition_counts,
 )
 from pmspec.pm_spectrum import eta, eta_alt, f_value
 from pmspec.sym_spectrum import xi_by_first_part, xi_by_last_part, xi_by_last_part_printed_variant
@@ -426,3 +429,19 @@ def test_block_suites_peak_near_the_import(peak_rss, suite, bound_mib):
     status, peak = peak_rss("-m", "pmspec.cli", "verify", "--suite", suite, "--n-max", "33")
     assert status == 0
     assert peak - baseline <= bound_mib * 2**20
+
+
+def test_dualpath_admission_model_covers_the_peak_growth(peak_rss):
+    # dualpath is admitted as a pm sweep that holds _ETA_ALT_BYTES_PER_PARTITION
+    # more bytes per partition for its eta_alt store, so its peak must grow no
+    # faster than the two together: from n_max 30 to 36 that is 390 bytes for
+    # each of the 70,504 partitions added, 27.5 MB, against about 22 MiB
+    # measured (Python 3.11)
+    nodes = list(accumulate(islice(partition_counts(), 37)))
+    peaks = []
+    for n_max in (30, 36):
+        status, peak = peak_rss("-m", "pmspec.cli", "verify", "--suite", "dualpath", "--n-max", str(n_max))
+        assert status == 0
+        peaks.append(peak)
+    per_partition = _TABLE_BYTES_PER_NODE["pm"] + analysis._ETA_ALT_BYTES_PER_PARTITION
+    assert peaks[1] - peaks[0] <= per_partition * (nodes[36] - nodes[30])

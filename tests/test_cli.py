@@ -240,6 +240,24 @@ def test_admission_boundaries_are_pinned(monkeypatch, check, largest):
         check(largest + 1)
 
 
+@pytest.mark.parametrize("family", ["pm", "sym"])
+def test_table_ids_fit_in_four_bytes(capsys, monkeypatch, family):
+    # the 2,098,739,073 partitions of size at most 102 take ids below 2^31,
+    # and the 2,369,988,023 of size at most 103 do not; with 10^15 bytes
+    # memory would admit both, so n = 103 is refused for its ids alone,
+    # before anything is built
+    monkeypatch.setattr(exact, "memory_budget", lambda: (10**15, "physical memory"))
+    exact.admit_table(family, 102)
+    with pytest.raises(ValueError, match="4-byte"):
+        exact.admit_table(family, 103)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "table", "--n", "103", "--family", family)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and "2369988023 partitions" in lines[0] and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -21,15 +21,14 @@ def swept(n):
 def test_every_partition_gets_one_id_and_the_walk_finds_it(n):
     lattice, blocks = swept(n)
     # the blocks' ids, in the order they come, are 1, 2, ... with no gap
-    ids = [offset + m for _, offset, lo, hi, _, _, _ in blocks for m in range(lo, hi + 1)]
+    ids = [offset + m for _, offset, lo, hi, _, _, _, _ in blocks for m in range(lo, hi + 1)]
     assert ids == list(range(1, len(ids) + 1))
     partitions = list(chain.from_iterable(enumerate_partitions(k) for k in range(n + 1)))
     assert len(ids) + 1 == len(partitions) == len(lattice.base) == len(lattice.minus1)
     walked = {lattice.index(lam): lam for lam in partitions}
     assert sorted(walked) == list(range(len(partitions)))
-    assert lattice.rows().tolist() == [lattice.index(lam) for lam in enumerate_partitions(n)]
     # each block's partitions are (m,) + t for its tail t
-    for tail, offset, lo, hi, _, _, _ in blocks:
+    for tail, offset, lo, hi, _, _, _, _ in blocks:
         t = walked[tail]
         assert lo == (t[0] if t else 1) and hi == n - sum(t)
         assert [walked[offset + m] for m in range(lo, hi + 1)] == [(m,) + t for m in range(lo, hi + 1)]
@@ -40,7 +39,7 @@ def test_children_are_found_by_index_and_come_first(n):
     lattice, blocks = swept(n)
     base, minus1 = lattice.base, lattice.minus1
     walked = {lattice.index(lam): lam for k in range(n + 1) for lam in enumerate_partitions(k)}
-    for tail, offset, lo, hi, head, last, _ in blocks:
+    for tail, offset, lo, hi, head, last, _, _ in blocks:
         t = walked[tail]
         assert minus1[tail] == lattice.index(minus(t, 1))
         if t:
@@ -59,11 +58,28 @@ def test_children_are_found_by_index_and_come_first(n):
                 child = minus1[child]
 
 
+@pytest.mark.parametrize("n", range(1, 31))
+def test_block_places_are_the_row_order(n):
+    # each block's one partition of n, (hi,) + t, is put at its place: the
+    # places are 0, 1, ..., p(n) - 1 with no gap or repeat, and the ids in
+    # place are those of enumerate_partitions(n), in its order
+    lattice, blocks = swept(n)
+    rows = enumerate_partitions(n)
+    assert len(blocks) == len(rows) == lattice.row_count
+    placed = {place: offset + hi for _, offset, _, hi, _, _, _, place in blocks}
+    assert sorted(placed) == list(range(len(rows)))
+    assert [placed[place] for place in range(len(rows))] == [lattice.index(lam) for lam in rows]
+
+
 @pytest.mark.parametrize("n", range(2, 13))
 def test_sym_sweep_evaluates_the_first_part_closure(n):
-    lattice, values, hooks = _xi_sweep(n)
+    lattice, values, rows, row_hooks = _xi_sweep(n, hooks=True)
     evaluated = {node for node, value in enumerate(values) if value is not None}
-    assert evaluated == {node for node, value in enumerate(hooks) if value is not None}
+    # the rows' hook products are kept in row order, apart from the others
+    row_ids = [lattice.index(lam) for lam in enumerate_partitions(n)]
+    assert evaluated == {node for node, value in enumerate(lattice.hooks) if value is not None} | set(row_ids)
+    assert None not in row_hooks and all(lattice.hooks[node] is None for node in row_ids)
+    assert rows == [values[node] for node in row_ids]
     # what the first-part recurrence reaches from the rows: mu - 1 and the
     # tail after mu's first part, - 1, for every mu of two parts or more
     closure, todo = set(), list(enumerate_partitions(n))

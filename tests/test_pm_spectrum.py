@@ -186,16 +186,16 @@ def test_table_checks_every_sign_and_every_dimension(monkeypatch):
     assert len(quotients) == len(rows) == 30
 
     # a row of the wrong sign, or zero, anywhere in the table is named
-    row_entries = pm_spectrum.row_entries
+    sweep = pm_spectrum._eta_sweep
     for index, lam in enumerate(rows):
         for broken in (neg, lambda value: 0):
 
-            def faulty(*args):
-                values, hooks = row_entries(*args)
+            def faulty(*args, **kwargs):
+                lattice, by_id, values, hooks = sweep(*args, **kwargs)
                 values[index] = broken(values[index])
-                return values, hooks
+                return lattice, by_id, values, hooks
 
-            monkeypatch.setattr(pm_spectrum, "row_entries", faulty)
+            monkeypatch.setattr(pm_spectrum, "_eta_sweep", faulty)
             with pytest.raises(AssertionError, match=re.escape(f"sign normalization violated at {tuple(lam)!r}:")):
                 pm_spectrum_table(9)
 
@@ -204,14 +204,14 @@ def test_table_checks_every_sign_and_every_dimension(monkeypatch):
 def test_table_rejects_a_zero_row_other_than_one_box(row, monkeypatch):
     # the rows' parts reach _normalized from the streamed partition walk;
     # f = 0 is allowed at (1) alone, so a zero at (4) or (1, 1, 1, 1) fails
-    row_entries = pm_spectrum.row_entries
+    sweep = pm_spectrum._eta_sweep
 
-    def zeroed(*args):
-        values, hooks = row_entries(*args)
+    def zeroed(*args, **kwargs):
+        lattice, by_id, values, hooks = sweep(*args, **kwargs)
         values[row] = 0
-        return values, hooks
+        return lattice, by_id, values, hooks
 
-    monkeypatch.setattr(pm_spectrum, "row_entries", zeroed)
+    monkeypatch.setattr(pm_spectrum, "_eta_sweep", zeroed)
     with pytest.raises(AssertionError, match="sign normalization violated"):
         pm_spectrum_table(4)
     assert pm_spectrum_table(1).rows == {P((1,)): (0, 1)}
@@ -325,14 +325,15 @@ def test_single_query_matches_the_lowering_recurrence(lam):
 
 @functools.cache
 def _swept(n):
-    lattice, values, _ = _eta_sweep(n)
-    return lattice, values
+    lattice, values, rows, _ = _eta_sweep(n)
+    return lattice, values, dict(zip(enumerate_partitions(n), rows))
 
 
 @settings(max_examples=60, deadline=None)
 @given(SHAPES.map(lambda lam: P(lam[: bisect_right(list(accumulate(lam)), 30)])))
 def test_single_query_matches_the_sweep(lam):
     # the prefix table against the lattice sweep, which holds every
-    # partition of size at most 30
-    lattice, values = _swept(30)
-    assert eta(lam).eta == values[lattice.index(lam)]
+    # partition of size at most 30, and against the rows of the sweep of
+    # lam's size
+    lattice, values, _ = _swept(30)
+    assert eta(lam).eta == values[lattice.index(lam)] == _swept(lam.size)[2][lam]

@@ -144,14 +144,14 @@ def test_single_query_matches_the_last_part_recurrence(mu):
 
 @functools.cache
 def _swept(n):
-    lattice, values, _ = _xi_sweep(n)
-    return lattice, values
+    lattice, values, rows, _ = _xi_sweep(n)
+    return lattice, values, dict(zip(enumerate_partitions(n), rows))
 
 
 @settings(max_examples=60, deadline=None)
 @given(SHAPES.map(lambda mu: P(mu[: bisect_right(list(accumulate(mu)), 30)])))
 def test_single_query_matches_the_sweep(mu):
     # the suffix table against the lattice sweep of mu's size, which holds
-    # the partitions of that size
-    lattice, values = _swept(mu.size)
-    assert xi(mu).xi == values[lattice.index(mu)]
+    # the partitions of that size, by id and in row order
+    lattice, values, rows = _swept(mu.size)
+    assert xi(mu).xi == values[lattice.index(mu)] == rows[mu]
