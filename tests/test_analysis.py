@@ -347,6 +347,14 @@ def _install_fault(monkeypatch, factors):
     queries under the same fault, for the literal loops."""
     read = analysis._Sweep.value
     monkeypatch.setattr(analysis._Sweep, "value", lambda self, lam: _faulty(read(self, lam), lam, factors))
+    sweep = analysis._xi_sweep
+
+    def xi_sweep(n, *args, **kwargs):
+        lattice, values, by_row, hooks = sweep(n, *args, **kwargs)
+        rows = [_faulty(value, lam, factors) for lam, value in zip(enumerate_partitions(n), by_row)]
+        return lattice, values, rows, hooks
+
+    monkeypatch.setattr(analysis, "_xi_sweep", xi_sweep)
     return (
         lambda lam: _faulty(eta(lam).eta, lam, factors),
         lambda mu: _faulty(xi_by_first_part(mu), mu, factors),

@@ -13,6 +13,7 @@ import hashlib
 import pytest
 
 from pmspec import analysis
+from pmspec.partitions import enumerate_partitions
 from pmspec.pm_spectrum import eta_alt, f_value
 
 # suite: (n_max, clean (digest, checks_run, failure_count), faulty (...))
@@ -100,6 +101,14 @@ def _install_fault(monkeypatch):
     for name in ("value", "f"):
         read = getattr(analysis._Sweep, name)
         monkeypatch.setattr(analysis._Sweep, name, lambda self, lam, read=read: _scale(lam, read(self, lam)))
+    sweep = analysis._xi_sweep
+
+    def xi_sweep(n, *args, **kwargs):
+        # the row list, xi at the partitions of n in table order
+        lattice, values, by_row, hooks = sweep(n, *args, **kwargs)
+        return lattice, values, list(map(_scale, enumerate_partitions(n), by_row)), hooks
+
+    monkeypatch.setattr(analysis, "_xi_sweep", xi_sweep)
     monkeypatch.setattr(analysis, "f_value", lambda lam: _scale(lam, f_value(lam)))
     monkeypatch.setattr(analysis, "eta_alt", lambda lam: eta_alt(lam) + (lam in SHIFTED))
 
