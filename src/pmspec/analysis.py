@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import cache
-from itertools import accumulate, groupby
+from itertools import accumulate
 
 from .exact import admit, admit_table, binomial, odd_double_factorial, pm_degree
 from .lattice import PartitionLattice
@@ -25,6 +25,7 @@ from .partitions import (
     TransferMove,
     dominance_compare,
     enumerate_partitions,
+    first_part_counts,
     has_first_part_three_rest_small,
     partition_counts,
     valid_transfers,
@@ -127,24 +128,22 @@ def _report(suite: str, n_min: int, n_max: int) -> VerificationReport:
 
 
 class _Sweep:
-    """A family's eigenvalues by partition, read off one lattice sweep of
-    size n: at every partition of size at most n for pm (:func:`_eta_sweep`),
-    and for sym (:func:`_xi_sweep`) at the partitions of n and what their
-    first-part recurrence reaches, with no hook products.  Each partition's
-    id is walked from the lattice's ``base``, all that is kept of the
-    lattice.  A sweep that could not fit in physical memory, with ``held``
-    bytes per partition that its suite keeps besides it, is refused before
-    it starts."""
+    """eta by partition, read off one pm lattice sweep of size n
+    (:func:`_eta_sweep`), at every partition of size at most n.  Each
+    partition's id is walked from the lattice's ``base``, all that is kept
+    of the lattice.  A sweep that could not fit in physical memory, with
+    ``held`` bytes per partition that its suite keeps besides it, is refused
+    before it starts."""
 
     _index = PartitionLattice.index  # reads only ``base``
 
-    def __init__(self, family: str, n: int, held: int = 0) -> None:
-        admit_table(family, n, held)
-        lattice, self._values, _, _ = (_eta_sweep if family == "pm" else _xi_sweep)(n)
+    def __init__(self, n: int, held: int = 0) -> None:
+        admit_table("pm", n, held)
+        lattice, self._values, _, _ = _eta_sweep(n)
         self.base = lattice.base
 
     def value(self, lam: Partition) -> int:
-        """eta(lam) on a pm sweep, xi(lam) on a sym sweep."""
+        """eta(lam)."""
         return self._values[self._index(lam)]
 
     def f(self, lam: Partition) -> int:
@@ -242,10 +241,10 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _first_part_blocks(parts: list) -> list:
-    """The slice of one n's partitions that each first-part block runs over,
-    largest first part first."""
-    stops = list(accumulate(len(list(block)) for _, block in groupby(parts, key=lambda lam: lam[0])))
+def _first_part_blocks(n: int) -> list:
+    """The slice of the partitions of n, in decreasing lexicographic order,
+    that each first-part block runs over, largest first part first."""
+    stops = list(accumulate(first_part_counts(n)))
     return list(map(slice, [0, *stops], stops))
 
 
@@ -308,7 +307,7 @@ def verify_sign_pattern(n_max: int) -> VerificationReport:
     """(-1)^(n - lambda_1) * eta > 0 for every partition of each n from 2 to
     n_max, read off one pm sweep of size n_max."""
     report = _report("signs", 2, n_max)
-    sweep = _Sweep("pm", n_max)
+    sweep = _Sweep(n_max)
     sign = report.relation(None, "partition", "eta")
     for n in range(2, n_max + 1):
         for lam in enumerate_partitions(n):
@@ -333,7 +332,7 @@ def verify_abs_dominance(n_max: int) -> VerificationReport:
     """
     report = _report("thm6", 2, n_max)
     admit_levels(n_max)
-    sweep = _Sweep("pm", n_max)
+    sweep = _Sweep(n_max)
     for n in range(2, n_max + 1):
         _abs_dominance_level(report, n, sweep)
     return report
@@ -345,7 +344,7 @@ def _abs_dominance_level(report, n: int, sweep: _Sweep) -> None:
     parts = enumerate_partitions(n)
     values = [abs(sweep.value(lam)) for lam in parts]
     equality = "equality iff first part 3 with small tail"
-    for block in _first_part_blocks(parts):
+    for block in _first_part_blocks(n):
         _block_order(report, parts[block], values[block], "eta", equality, chain)
 
 
@@ -391,7 +390,7 @@ def verify_transfer_monotone(n_max: int) -> VerificationReport:
     from 2 to n_max; equality exactly on the first-part-3 small-tail family
     when the raised part is 1."""
     report = _report("prop2", 2, n_max)
-    f = _Sweep("pm", n_max).f
+    f = _Sweep(n_max).f
     grows = report.relation("f(transfer) >= f", "partition", "move", "values")
     equal = report.relation("transfer equality characterization", "partition", "move", "values")
     for n in range(2, n_max + 1):
@@ -449,7 +448,7 @@ def verify_step_identities(n_max: int) -> VerificationReport:
     breakdown at i = 1 is checked once per n.
     """
     report = _report("lemmas", 2, n_max)
-    f = _Sweep("pm", n_max + 1).f
+    f = _Sweep(n_max + 1).f
     weighted = report.relation("weighted-sum identity", "partition", "values")
     raising = report.relation("raising identity", "partition", "index", "values")
     bounded = report.relation("raising lower bound", "partition", "index", "values")
@@ -618,7 +617,7 @@ def scan_cross_gap_conjecture(n_max: int, progress=None) -> VerificationReport:
     """
     report = _report("conjecture2", 2, n_max)
     admit_levels(n_max)
-    sweep = _Sweep("pm", n_max)
+    sweep = _Sweep(n_max)
     for n in range(2, n_max + 1):
         _scan_level(report, n, sweep)
         if progress is not None:
@@ -634,7 +633,7 @@ def _scan_level(report, n: int, sweep: _Sweep) -> None:
     parts = enumerate_partitions(n)
     values = [abs(sweep.value(lam)) for lam in parts]
     above = _dominance_rows(parts)
-    blocks = [(parts[b.start][0], b, _ranked(values[b])) for b in _first_part_blocks(parts)]
+    blocks = [(parts[b.start][0], b, _ranked(values[b])) for b in _first_part_blocks(n)]
     passed = 0
     for u, low_block, _ in blocks:
         if u < 2:
@@ -682,20 +681,21 @@ def _xi_level(report, n: int) -> None:
     agree = report.relation("xi recurrence agreement", "partition", "values")
     extremes = report.relation("lexicographic extremes bound |xi|", "partition", "values")
     variant = report.relation("mis-transcribed variant disagrees at (1,1)")
-    # a sym sweep holds only what the partitions of its own size reach
-    sweep = _Sweep("sym", n)
+    # a sym sweep holds only what the partitions of its own size reach, and
+    # returns xi at those in row order
+    admit_table("sym", n)
+    signed = _xi_sweep(n)[2]
     parts = enumerate_partitions(n)
-    signed = [sweep.value(mu) for mu in parts]
     for mu, by_first in zip(parts, signed):
         by_last = xi_by_last_part(mu)
         agree(by_first == by_last, mu, (by_first, by_last))
     if n == 2:
         variant(
             xi_by_last_part_printed_variant(Partition((1, 1))) == -2
-            and sweep.value(Partition((1, 1))) == -1
+            and signed[1] == -1
         )
 
-    for block in _first_part_blocks(parts):
+    for block in _first_part_blocks(n):
         values = list(map(abs, signed[block]))
         _block_order(report, parts[block], values, "xi", "xi equality characterization")
         # lexicographic extremes bound the whole block: it runs in decreasing
@@ -729,7 +729,7 @@ def verify_dual_recurrences(n_max: int) -> VerificationReport:
     filled alongside the sweep, counts in the sweep's admission.
     """
     report = _report("dualpath", 1, n_max)
-    sweep = _Sweep("pm", n_max, _ETA_ALT_BYTES_PER_PARTITION)
+    sweep = _Sweep(n_max, _ETA_ALT_BYTES_PER_PARTITION)
     agree = report.relation("dual-path agreement", "partition", "values")
     any_index = report.relation("lowering recurrence index-independent", "partition", "index")
     for n in range(1, n_max + 1):

@@ -21,7 +21,7 @@ arrays of 4-byte ints, with 0 where no id is set (and at the empty
 partition, whose base and t - 1 are both 0); :func:`pmspec.exact.admit_table`
 refuses every n whose ids would not fit.  A partition's id can also be
 walked from ``base`` (:meth:`PartitionLattice.index`), which is how the
-suites read a sweep.
+suites read a pm sweep.
 
 The rows of a table, the partitions of n, and every nu - 1 they lead to
 are the partitions nu with |nu| = n or |nu| + len(nu) <= n; in a block of
@@ -35,11 +35,11 @@ straight into a list in table order.
 
 from __future__ import annotations
 
-from itertools import accumulate, islice
+from itertools import accumulate
 from operator import mul
 from typing import Iterator
 
-from .partitions import bounded_partition_counts, partition_counts
+from .partitions import bounded_partition_counts
 
 
 class PartitionLattice:
@@ -48,7 +48,7 @@ class PartitionLattice:
     ``array("i")`` of one entry per id, 0 where unset.  ``hooks`` is a list
     by id, None where unset, and ``row_hooks`` holds H at the partitions of
     n in the order of :func:`pmspec.partitions.enumerate_partitions`; both
-    are None without ``hooks``.
+    are None without ``hooks``; ``bounded`` is ``bounded_partition_counts(n)``.
 
     H(nu) = F(nu) H(nu - 1) with H(()) = 1, where F(nu) is the product of
     the hooks in nu's first column: removing that column changes no other
@@ -67,10 +67,11 @@ class PartitionLattice:
         self.doubled = doubled
         # By id, for the partitions t that some (m,) + t of size <= n
         # extends, and 0 elsewhere: (m,) + t has id base[t] + m, and
-        # minus1[t] is the id of t - 1.  The empty partition is 0.
-        counts = list(islice(partition_counts(), n + 1))
-        nodes = sum(counts)
-        self.row_count = counts[-1]
+        # minus1[t] is the id of t - 1.  The empty partition is 0.  Row n of
+        # the bounded counts is p(0), ..., p(n), parts at most n being no bound
+        self.bounded = bounded_partition_counts(n)
+        nodes = sum(self.bounded[n])
+        self.row_count = self.bounded[n][n]
         self.base = array("i", [0]) * nodes
         self.minus1 = array("i", [0]) * nodes
         # H by id where a row's chain nu - 1, nu - 2, ... can reach, and
@@ -108,7 +109,7 @@ class PartitionLattice:
         :func:`pmspec.partitions.bounded_partition_counts`.
         """
         n, base, minus1, hooks, row_hooks = self.n, self.base, self.minus1, self.hooks, self.row_hooks
-        bounded = bounded_partition_counts(n)
+        bounded = self.bounded
         first, at_least = [0] * (n + 1), -1
         for h in range(n, 0, -1):
             at_least += bounded[h][n - h]

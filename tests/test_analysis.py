@@ -16,6 +16,7 @@ from pmspec.partitions import (
 )
 from pmspec.pm_spectrum import eta, eta_alt, f_value
 from pmspec.sym_spectrum import xi_by_first_part, xi_by_last_part, xi_by_last_part_printed_variant
+from test_golden_reports import GOLDEN, _fingerprint
 
 P = Partition
 
@@ -144,6 +145,17 @@ def test_conjecture_scan_skips_adjacent_blocks():
 def test_xi_comparison_suite():
     report = analysis.verify_xi_comparison(14)
     assert report.passed, report.failures[:3]
+
+
+def test_xi_comparison_reads_the_sym_row_list(monkeypatch):
+    # kuwong-xi takes xi at the partitions of n from its sweep's row list,
+    # so it walks no lattice ids and builds no pm sweep
+    def refused(*args):
+        raise AssertionError("kuwong-xi built a _Sweep")
+
+    monkeypatch.setattr(analysis, "_Sweep", refused)
+    n_max, clean, _ = GOLDEN["kuwong-xi"]
+    assert _fingerprint("kuwong-xi", n_max) == clean
 
 
 def test_dual_recurrence_suite():

@@ -17,6 +17,7 @@ from pmspec.partitions import Partition
 from pmspec.pm_spectrum import f_closed_form_2a1b, pm_spectrum_table
 from pmspec.sym_spectrum import xi_by_last_part
 from pmspec.tables import SpectrumTable
+from test_golden_reports import GOLDEN, _install_fault
 
 
 def run(capsys, *argv):
@@ -337,6 +338,15 @@ def test_budget_takes_a_cgroup_memory_max(monkeypatch):
     assert "cgroup" not in exact.memory_budget()[1]
 
 
+def test_budget_takes_the_address_space_left_under_rlimit_as(monkeypatch):
+    soft = exact.physical_memory_bytes() // 2
+    files = {"/proc/self/statm": "1000 200 50 1 0 300 0\n", "/proc/self/cgroup": ""}
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (soft, resource.RLIM_INFINITY))
+    monkeypatch.setattr(exact, "_read", files.__getitem__)
+    left = soft - 1000 * os.sysconf("SC_PAGE_SIZE")
+    assert exact.memory_budget() == (left, "address space left under RLIMIT_AS")
+
+
 def test_out_of_memory_is_one_line_and_exit_2(capsys, monkeypatch):
     def exhausted(args):
         raise MemoryError
@@ -456,6 +466,20 @@ def test_oracle_cap_refusal(capsys, monkeypatch):
 def test_scan_command(capsys):
     code, out, _ = run(capsys, "scan", "--n-max", "8")
     assert code == 0 and "0 violations" in out
+
+
+def test_scan_lists_each_violation(capsys, monkeypatch):
+    # the golden reports' value fault breaks 9 cross-block pairs to n = 14
+    _install_fault(monkeypatch)
+    failures = analysis.scan_cross_gap_conjecture(14).failures
+    code, out, _ = run(capsys, "scan", "--n-max", "14")
+    assert code == 0
+    assert out.splitlines() == [
+        "*** CONJECTURE VIOLATIONS FOUND ***",
+        *(f"  violation: {item}" for item in failures),
+        "*** total violations: 9 ***",
+    ]
+    assert len(failures) == GOLDEN["conjecture2"][2][2] == 9
 
 
 def test_scan_progress_goes_to_stderr(capsys):
