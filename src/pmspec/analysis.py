@@ -18,16 +18,16 @@ from functools import cache
 from itertools import accumulate
 
 from .exact import admit, admit_table, binomial, odd_double_factorial, pm_degree
-from .lattice import PartitionLattice
+from .lattice import ID_LIMIT, PartitionLattice
 from .partitions import (
     Dominance,
     Partition,
     TransferMove,
+    bounded_partition_counts,
     dominance_compare,
     enumerate_partitions,
     first_part_counts,
     has_first_part_three_rest_small,
-    partition_counts,
     valid_transfers,
 )
 from .pm_spectrum import _eta_sweep, _normalized, eta_alt, eta_alt_at, f_closed_form_2a1b, f_value
@@ -204,13 +204,15 @@ _BYTES_PER_PARTITION = 500
 
 def admit_levels(n_max: int) -> None:
     """Refuse a pair suite whose levels up to n_max could not fit in memory.
-    p(n) comes from the pentagonal number recurrence, one n at a time."""
+    No n past ID_LIMIT is counted: every pair suite also builds a sweep, which
+    ``admit_table`` refuses there, and the level at ID_LIMIT needs petabytes."""
+    counts = bounded_partition_counts(min(n_max, ID_LIMIT))[-1]
     admit(
         (
             _BYTES_PER_BIT * count * count / 2 + _BYTES_PER_PARTITION * stored,
             f"pair suites to n={n_max}, at n={n} ({count} partitions), need",
         )
-        for n, count, stored in zip(range(n_max + 1), partition_counts(), accumulate(partition_counts()))
+        for n, (count, stored) in enumerate(zip(counts, accumulate(counts)))
     )
 
 

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import math
 import os
-from itertools import accumulate, count, islice
+from itertools import accumulate, count
 
-from .partitions import Partition, partition_counts
+from .lattice import ID_LIMIT
+from .partitions import Partition, bounded_partition_counts
 
 # Terms up to this index are kept, index = argument, since kept terms add up
 # quadratically (d_20000 alone has about 83,000 digits).  A table of size n
@@ -192,20 +193,21 @@ def admit_table(family: str, n: int, held: int = 0) -> None:
     whose lattice ids could not fit in 4 bytes.
 
     The sweep holds its values for every partition of size at most n, and
-    its caller may hold ``held`` more bytes for each of them.  p(k) comes
-    from the pentagonal number recurrence, one k at a time.  Those
+    its caller may hold ``held`` more bytes for each of them.  Those
     partitions are the ids 0, 1, ... of an ``array("i")``, so there must be
-    fewer than 2^31 of them: n <= 102.
+    fewer than 2^31 of them, n < ID_LIMIT, and no count past it is needed.
     """
     per_node = _TABLE_BYTES_PER_NODE[family] + held
+    top = min(n, ID_LIMIT)
+    counts = bounded_partition_counts(top)[top]
     admit(
         (per_node * nodes, f"a {family} sweep to n={n}: the {nodes} partitions of size at most {k} need")
-        for k, nodes in zip(range(n + 1), accumulate(partition_counts()))
+        for k, nodes in enumerate(accumulate(counts))
     )
-    nodes = sum(islice(partition_counts(), n + 1))
+    nodes = sum(counts)
     if nodes >= 2**31:
         raise ValueError(
-            f"a {family} sweep to n={n}: the {nodes} partitions of size at most {n} need ids"
+            f"a {family} sweep to n={n}: the {nodes} partitions of size at most {top} need ids"
             f" up to {nodes - 1}, past {2**31 - 1}, the largest 4-byte int"
         )
 

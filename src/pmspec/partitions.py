@@ -10,7 +10,7 @@ interface are 1-based, matching the usual mu_1 >= mu_2 >= ... notation.
 from __future__ import annotations
 
 import enum
-from itertools import accumulate, count
+from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -259,24 +259,6 @@ def enumerate_partitions(n: int) -> list[Partition]:
     """All partitions of n in decreasing lexicographic order, (n) first: the
     walk of :func:`iter_partitions`."""
     return list(map(Partition._trusted, iter_partitions(n)))
-
-
-def partition_counts() -> Iterator[int]:
-    """p(0), p(1), p(2), ...: how many partitions each n has, without listing
-    them, by Euler's pentagonal number recurrence
-    p(n) = sum over k >= 1 of (-1)^(k+1) (p(n - k(3k-1)/2) + p(n - k(3k+1)/2))."""
-    counts = [1]
-    yield 1
-    for n in count(1):
-        total, k = 0, 1
-        while k * (3 * k - 1) // 2 <= n:
-            sign = 1 if k % 2 else -1
-            total += sign * counts[n - k * (3 * k - 1) // 2]
-            if k * (3 * k + 1) // 2 <= n:
-                total += sign * counts[n - k * (3 * k + 1) // 2]
-            k += 1
-        counts.append(total)
-        yield total
 
 
 def dominance_compare(mu: Partition, nu: Partition) -> Dominance:

@@ -1,6 +1,6 @@
 import json
 import weakref
-from itertools import accumulate, islice
+from itertools import accumulate
 
 import pytest
 
@@ -9,10 +9,10 @@ from pmspec.exact import _TABLE_BYTES_PER_NODE
 from pmspec.partitions import (
     Dominance,
     Partition,
+    bounded_partition_counts,
     dominance_chain,
     dominance_compare,
     enumerate_partitions,
-    partition_counts,
 )
 from pmspec.pm_spectrum import eta, eta_alt, f_value
 from pmspec.sym_spectrum import xi_by_first_part, xi_by_last_part, xi_by_last_part_printed_variant
@@ -457,7 +457,7 @@ def test_dualpath_admission_model_covers_the_peak_growth(peak_rss):
     # faster than the two together: from n_max 30 to 36 that is 390 bytes for
     # each of the 70,504 partitions added, 27.5 MB, against about 22 MiB
     # measured (Python 3.11)
-    nodes = list(accumulate(islice(partition_counts(), 37)))
+    nodes = list(accumulate(bounded_partition_counts(36)[36]))
     peaks = []
     for n_max in (30, 36):
         status, peak = peak_rss("-m", "pmspec.cli", "verify", "--suite", "dualpath", "--n-max", str(n_max))
@@ -465,3 +465,21 @@ def test_dualpath_admission_model_covers_the_peak_growth(peak_rss):
         peaks.append(peak)
     per_partition = _TABLE_BYTES_PER_NODE["pm"] + analysis._ETA_ALT_BYTES_PER_PARTITION
     assert peaks[1] - peaks[0] <= per_partition * (nodes[36] - nodes[30])
+
+
+def test_level_admission_model_covers_the_peak_growth(peak_rss):
+    # scan is admitted by admit_levels, whose need at n_max is one level's
+    # dominance bitsets, p(n_max)^2 / 2 bits at _BYTES_PER_BIT, and
+    # _BYTES_PER_PARTITION for each partition of size at most n_max, so its
+    # peak must grow no faster: from n_max 24 to 34 that is 37.6 MiB, against
+    # about 20 MiB measured (Python 3.11)
+    def need(n_max):
+        counts = bounded_partition_counts(n_max)[n_max]
+        return analysis._BYTES_PER_BIT * counts[-1] ** 2 / 2 + analysis._BYTES_PER_PARTITION * sum(counts)
+
+    peaks = []
+    for n_max in (24, 34):
+        status, peak = peak_rss("-m", "pmspec.cli", "scan", "--n-max", str(n_max))
+        assert status == 0
+        peaks.append(peak)
+    assert peaks[1] - peaks[0] <= need(34) - need(24)

@@ -2,8 +2,8 @@ from itertools import chain
 
 import pytest
 
-from pmspec.lattice import PartitionLattice
-from pmspec.partitions import Partition, enumerate_partitions
+from pmspec.lattice import ID_LIMIT, PartitionLattice
+from pmspec.partitions import Partition, bounded_partition_counts, enumerate_partitions
 from pmspec.sym_spectrum import _xi_sweep, xi_by_last_part
 
 
@@ -93,3 +93,8 @@ def test_sym_sweep_evaluates_the_first_part_closure(n):
     for nu in closure:
         assert values[lattice.index(nu)] == xi_by_last_part(Partition(nu)), nu
 
+
+def test_id_limit_is_the_least_n_past_four_byte_ids():
+    # the partitions of size at most n take the ids 0, 1, ... of an array("i")
+    counts = bounded_partition_counts(ID_LIMIT)[ID_LIMIT]
+    assert sum(counts[:ID_LIMIT]) < 2**31 <= sum(counts)

@@ -2,12 +2,12 @@
 
 import io
 import json
-from itertools import accumulate, islice
+from itertools import accumulate
 
 import pytest
 
 from pmspec.exact import _TABLE_BYTES_PER_NODE
-from pmspec.partitions import Partition, partition_counts
+from pmspec.partitions import Partition, bounded_partition_counts
 from pmspec.pm_spectrum import pm_spectrum_table
 from pmspec.sym_spectrum import sym_spectrum_table
 from pmspec.tables import CSV_HEADER, SpectrumTable
@@ -121,7 +121,7 @@ def test_admission_model_covers_the_table_peak_growth(peak_rss, family):
     # admit_table's bytes per lattice node must grow at least as fast as the
     # measured peak: from n = 40 to n = 45 the pm peak grows about 31 MiB
     # against a model of 43 MiB, and sym about 20 against 28 (Python 3.11)
-    nodes = list(accumulate(islice(partition_counts(), 46)))
+    nodes = list(accumulate(bounded_partition_counts(45)[45]))
     peaks = []
     for n in (40, 45):
         status, peak = peak_rss("-m", "pmspec.cli", "table", "--family", family, "--n", str(n), "--format", "csv")
