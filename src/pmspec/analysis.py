@@ -204,8 +204,8 @@ _BYTES_PER_PARTITION = 500
 
 def admit_levels(n_max: int) -> None:
     """Refuse a pair suite whose levels up to n_max could not fit in memory.
-    No n past ID_LIMIT is counted: every pair suite also builds a sweep, which
-    ``admit_table`` refuses there, and the level at ID_LIMIT needs petabytes."""
+    No n past ID_LIMIT is counted: each pair suite next admits its sweep to
+    n_max, which ``admit_table`` refuses there, and that level needs petabytes."""
     counts = bounded_partition_counts(min(n_max, ID_LIMIT))[-1]
     admit(
         (
@@ -673,6 +673,9 @@ def verify_xi_comparison(n_max: int) -> VerificationReport:
     """
     report = _report("kuwong-xi", 2, n_max)
     admit_levels(n_max)
+    # n_max's sym sweep is the largest: each n's holds only what the
+    # partitions of its own size reach, and returns xi at those in row order
+    admit_table("sym", n_max)
     for n in range(2, n_max + 1):
         _xi_level(report, n)
     return report
@@ -683,9 +686,6 @@ def _xi_level(report, n: int) -> None:
     agree = report.relation("xi recurrence agreement", "partition", "values")
     extremes = report.relation("lexicographic extremes bound |xi|", "partition", "values")
     variant = report.relation("mis-transcribed variant disagrees at (1,1)")
-    # a sym sweep holds only what the partitions of its own size reach, and
-    # returns xi at those in row order
-    admit_table("sym", n)
     signed = _xi_sweep(n)[2]
     parts = enumerate_partitions(n)
     for mu, by_first in zip(parts, signed):

@@ -39,7 +39,7 @@ from itertools import accumulate
 from operator import mul
 from typing import Iterator
 
-from .partitions import bounded_partition_counts, first_part_counts
+from .partitions import bounded_partition_counts
 
 # the least n with 2^31 partitions of size at most n or more, too many for the
 # ids of an ``array("i")``: :func:`pmspec.exact.admit_table` refuses n >= it
@@ -114,7 +114,10 @@ class PartitionLattice:
         """
         n, base, minus1, hooks, row_hooks = self.n, self.base, self.minus1, self.hooks, self.row_hooks
         bounded = self.bounded
-        first = [0, *reversed(list(accumulate(first_part_counts(n), initial=-1)))]
+        first, at_least = [0] * (n + 1), -1
+        for h in range(n, 0, -1):
+            at_least += bounded[h][n - h]
+            first[h] = at_least
         blocks = [(0, 0, 1, n, None, None, 1 if hooks else None, 0)]
         r, next_id = 1, n + 1
         while blocks:

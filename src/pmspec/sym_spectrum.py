@@ -68,8 +68,7 @@ def _xi_suffixes(mu: tuple) -> int:
     holds i - 1 <= j <= mu_i, and row 1 only j <= mu_2, past which suffix_1
     - j has one part.  Row i is built from row i + 1 alone, so two rows are
     alive at a time, and there are at most |mu| + r nodes.  No j past mu_2
-    is read, so conj is taken of mu with its parts capped at mu_2 + 1.  Each
-    row past row 1 rolls its one-part nodes' D down from the empty suffix.
+    is read, so conj is taken of mu with its parts capped at mu_2 + 1.
     """
     if not mu:
         return 1
@@ -84,10 +83,8 @@ def _xi_suffixes(mu: tuple) -> int:
         row = [1] * (top - i + 2)  # suffix_i - j at index j - (i - 1)
         for j in range(min(top, part - 1), i - 2, -1):
             r, m = conj[j] - i + 1, part - j
-            if r == 1 and i == 1:
-                row[j - i + 1] = derangement_count(m)  # row 1's one such node, at j = mu_2
-            elif r == 1:  # D_m = (m - 1)(D_(m-1) + D_(m-2)), from D_0 = 1 at j = part
-                row[j - i + 1] = (m - 1) * (row[j - i + 2] + row[j - i + 3]) if m > 1 else 0
+            if r == 1:
+                row[j - i + 1] = derangement_count(m)
             else:
                 shifted, tail = row[j - i + 2], below[j - i + 1]
                 value = (m + r - 1) * shifted if r & 1 else -(m + r - 1) * shifted

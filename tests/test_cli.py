@@ -260,6 +260,23 @@ def test_table_ids_fit_in_four_bytes(capsys, monkeypatch, family):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [("scan",), ("verify", "--suite", "thm6"), ("verify", "--suite", "kuwong-xi")],
+    ids=["scan", "thm6", "kuwong-xi"],
+)
+def test_pair_suites_refuse_four_byte_ids_at_once(capsys, monkeypatch, argv):
+    # with 10^18 bytes every level up to n = 103 is admitted, so each pair
+    # suite's sweep to 150 is refused for its ids before any n is run
+    monkeypatch.setattr(exact, "memory_budget", lambda: (10**18, "physical memory"))
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--n-max", "150")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and "4-byte" in lines[0] and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (

@@ -136,19 +136,6 @@ def test_single_part_evaluates_one_node(monkeypatch):
     assert peak < 100_000
 
 
-def test_one_part_runs_roll_their_derangement_numbers(monkeypatch):
-    # the one-part nodes (part - j,) of a row past row 1 run down from the
-    # empty suffix, so their D are rolled along the row; only row 1's node
-    # (mu_1 - mu_2,) is looked up.  Each lookup past the stored terms would
-    # roll from a checkpoint again: (2000, 2000) took 1,999 of them
-    assert xi_by_first_part(P((1500, 1500))) == xi_by_last_part(P((1500, 1500)))
-    asked = []
-    monkeypatch.setattr(sym_spectrum, "derangement_count", lambda k: asked.append(k) or derangement_count(k))
-    for mu in [(2000, 2000), (1100, 1030, 3)]:
-        xi_by_first_part(P(mu))
-    assert asked == [70]
-
-
 @settings(max_examples=60, deadline=None)
 @given(SHAPES)
 def test_single_query_matches_the_last_part_recurrence(mu):
