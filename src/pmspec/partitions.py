@@ -10,6 +10,7 @@ interface are 1-based, matching the usual mu_1 >= mu_2 >= ... notation.
 from __future__ import annotations
 
 import enum
+import operator
 from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple
 
@@ -18,8 +19,10 @@ class Partition(tuple):
     """Canonical partition: non-increasing positive parts, no trailing zeros.
 
     Construction normalizes by stripping trailing zeros; an all-zero input
-    yields the empty partition.  Negative entries or increasing sequences
-    are rejected.  A Partition argument is returned as it is.
+    yields the empty partition.  Each part must be an integer, by
+    ``operator.index``: a float or a string raises TypeError.  Negative
+    entries or increasing sequences are rejected.  A Partition argument is
+    returned as it is.
     """
 
     __slots__ = ()
@@ -27,7 +30,7 @@ class Partition(tuple):
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
         if type(parts) is cls:
             return parts
-        data = tuple(int(p) for p in parts)
+        data = tuple(map(operator.index, parts))
         if any(p < 0 for p in data):
             raise ValueError(f"negative part in {data!r}")
         if any(a < b for a, b in zip(data, data[1:])):
@@ -151,62 +154,40 @@ class Dominance(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
-def iter_partitions(n: int) -> Iterator[list]:
-    """The parts of every partition of n, each as a new list, in decreasing
-    lexicographic order, (n) first, by algorithm ZS1 (Zoghbi and Stojmenovic
-    1998): ``parts[:m]`` is the current partition, followed by 1s, and h
-    indexes its last part above 1."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    parts = [n] + [1] * (n - 1)
-    m, h = min(n, 1), 0
-    yield parts[:m]
-    while parts[0] > 1:
-        if parts[h] == 2:
-            parts[h], h, m = 1, h - 1, m + 1
-        else:
-            # lower part h by one, and regroup the freed box and the
-            # trailing 1s greedily into parts no larger than it
-            part, rest = parts[h] - 1, m - h
-            parts[h] = part
-            while rest >= part:
-                h += 1
-                parts[h], rest = part, rest - part
-            m = h + 2 if rest else h + 1
-            if rest > 1:
-                h += 1
-                parts[h] = rest
-        yield parts[:m]
+def walk_partitions(n: int) -> Iterator[tuple[list, int, str]]:
+    """Every partition of n in decreasing lexicographic order, (n) first, by
+    algorithm ZS1 (Zoghbi and Stojmenovic 1998), as ``(parts, m, text)``.
 
-
-def iter_partition_texts(n: int) -> Iterator[str]:
-    """The text of every partition of n, as :meth:`Partition.to_text`
-    writes it, in the order of :func:`iter_partitions`, by the same walk.
-
-    pre[i] is the text of ``parts[:i]`` for i <= h + 1, and a step rebuilds
-    only the entries of the parts it changes.  Each text is pre[h + 1]
-    followed by the trailing 1s, a cached run of '+1'; the last, (1^n), has
-    no part above 1 (h = -1) and is written whole.
+    ``parts[:m]`` is the partition, followed by 1s; ``parts`` is the walk's
+    own list, valid only until the next step, and ``parts[0]`` is the first
+    part, 0 for the empty partition.  ``text`` is what
+    :meth:`Partition.to_text` writes.  h indexes the last part above 1, and
+    pre[i] is the text of ``parts[:i]`` for i <= h + 1: a step rebuilds only
+    the entries of the parts it changes.  Each text is pre[h + 1] followed
+    by the trailing 1s, a cached run of '+1'; the last, (1^n), has no part
+    above 1 (h = -1) and is written whole.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n < 2:
-        yield str(n)
-        return
     parts = [n] + [1] * (n - 1)
+    if n < 2:
+        yield parts, n, str(n)
+        return
     plus = [f"+{k}" for k in range(n + 1)]
     ones = ["+1" * k for k in range(n)]
     pre = [""] * (n + 1)
     pre[1] = str(n)
     m, h = 1, 0
-    yield pre[1]
+    yield parts, m, pre[1]
     while True:
         if parts[h] == 2:
             parts[h], h, m = 1, h - 1, m + 1
             if h < 0:
-                yield "1" + ones[n - 1]
+                yield parts, m, "1" + ones[n - 1]
                 return
         else:
+            # lower part h by one, and regroup the freed box and the
+            # trailing 1s greedily into parts no larger than it
             part, rest = parts[h] - 1, m - h
             parts[h] = part
             pre[h + 1] = pre[h] + plus[part] if h else str(part)
@@ -219,12 +200,12 @@ def iter_partition_texts(n: int) -> Iterator[str]:
                 h += 1
                 parts[h] = rest
                 pre[h + 1] = pre[h] + plus[rest]
-        yield pre[h + 1] + ones[m - h - 1]
+        yield parts, m, pre[h + 1] + ones[m - h - 1]
 
 
 def first_part_counts(n: int) -> list[int]:
     """How many partitions of n have first part n, n - 1, ..., 1: the
-    lengths of the first-part runs of :func:`iter_partitions`.  For n = 0
+    lengths of the first-part runs of :func:`walk_partitions`.  For n = 0
     it is [1], the empty partition, whose first part counts as 0.
 
     A partition of n with first part m is m followed by a partition of
@@ -257,8 +238,8 @@ def bounded_partition_counts(n: int) -> list[list[int]]:
 
 def enumerate_partitions(n: int) -> list[Partition]:
     """All partitions of n in decreasing lexicographic order, (n) first: the
-    walk of :func:`iter_partitions`."""
-    return list(map(Partition._trusted, iter_partitions(n)))
+    walk of :func:`walk_partitions`."""
+    return [Partition._trusted(parts[:m]) for parts, m, _ in walk_partitions(n)]
 
 
 def dominance_compare(mu: Partition, nu: Partition) -> Dominance:

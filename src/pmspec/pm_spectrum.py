@@ -25,7 +25,7 @@ from typing import NamedTuple
 from . import memo
 from .exact import _hook_quotient, pm_degree
 from .lattice import PartitionLattice
-from .partitions import Partition, first_part_counts, iter_partitions
+from .partitions import Partition, first_part_counts, walk_partitions
 from .tables import SpectrumTable
 
 
@@ -256,8 +256,8 @@ def pm_spectrum_table(n: int) -> SpectrumTable:
         min(islice(rest, count)) > 0 if (n - first) % 2 == 0 else max(islice(rest, count)) < 0
         for first, count in zip(range(n, 0, -1), first_part_counts(n))
     ):
-        for parts, value in zip(iter_partitions(n), values):
-            _normalized(tuple(parts), value)
+        for (parts, m, _), value in zip(walk_partitions(n), values):
+            _normalized(tuple(parts[:m]), value)
     order = math.factorial(2 * n)
     dims = [_hook_quotient(order, h) for h in hooks]
     return SpectrumTable(family="pm", n=n, values=values, multiplicities=dims)

@@ -2,7 +2,7 @@
 for one graph family at one size, with deterministic csv/json/text
 rendering.  A table holds two lists in row order and no per-row object;
 the partitions are walked again whenever they are written
-(:func:`pmspec.partitions.iter_partition_texts`) or looked up."""
+(:func:`pmspec.partitions.walk_partitions`) or looked up."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import io
 import itertools
 from typing import NamedTuple
 
-from .partitions import enumerate_partitions, first_part_counts, iter_partition_texts
+from .partitions import enumerate_partitions, walk_partitions
 
 CSV_HEADER = "partition,eigenvalue,multiplicity"
 _CHUNK_ROWS = 4096  # rows rendered per write
@@ -49,39 +49,35 @@ class SpectrumTable(NamedTuple):
     def write(self, stream, fmt: str) -> None:
         """Write the table as csv, json or text to `stream`, a chunk of rows
         at a time, so that no rendering of the whole table is ever held.
-        Partitions render as :meth:`Partition.to_text` does, from
-        :func:`pmspec.partitions.iter_partition_texts`; json needs no
-        escapes in them."""
-        rows = zip(iter_partition_texts(self.n), self.values, self.multiplicities)
+        Partitions render as :meth:`Partition.to_text` does, from the texts
+        of :func:`pmspec.partitions.walk_partitions`; json needs no escapes
+        in them."""
+        rows = zip(walk_partitions(self.n), self.values, self.multiplicities)
         if fmt == "csv":
             head, tail = CSV_HEADER + "\n", ""
-            lines = (f"{text},{val},{mult}\n" for text, val, mult in rows)
+            lines = (f"{text},{val},{mult}\n" for (_, _, text), val, mult in rows)
         elif fmt == "json":
             import json  # loaded only when json is written
 
             head, tail = f'{{"family":{json.dumps(self.family)},"n":{self.n},"rows":[', "]}\n"
             lines = (
                 f',{{"partition":"{text}","eigenvalue":{val},"multiplicity":{mult}}}'
-                for text, val, mult in rows
+                for (_, _, text), val, mult in rows
             )
             head += next(lines, ",")[1:]  # the first row has no comma before it
         elif fmt == "text":
             title = f"{self.family} spectrum, n={self.n}"
             head, tail = f"{title}\n{'-' * len(title)}\n", ""
             width = max(1, 2 * self.n - 1)  # the text of (1^n); a part has no more digits than units
-            # each row's first part, from the lengths of the first-part runs
-            firsts = itertools.chain.from_iterable(
-                map(itertools.repeat, range(self.n, -1, -1), first_part_counts(self.n))
-            )
 
-            def line(text, val, mult, first):
-                sign_ok = val == 0 or (-1) ** (self.n - first) * val > 0
+            def line(parts, text, val, mult):
+                sign_ok = val == 0 or (-1) ** (self.n - parts[0]) * val > 0
                 return (
                     f"{text:<{width}}  eigenvalue={val}  multiplicity={mult}"
                     f"  sign={'ok' if sign_ok else 'UNEXPECTED'}\n"
                 )
 
-            lines = (line(*row, first) for row, first in zip(rows, firsts))
+            lines = (line(parts, text, val, mult) for (parts, _, text), val, mult in rows)
         else:
             raise ValueError(f"unknown table format {fmt!r}")
         stream.write(head)

@@ -11,10 +11,9 @@ from pmspec.partitions import (
     enumerate_partitions,
     first_part_counts,
     has_first_part_three_rest_small,
-    iter_partition_texts,
-    iter_partitions,
     parse_digits,
     valid_transfers,
+    walk_partitions,
 )
 
 WEAKLY_BELOW = (Dominance.LESS, Dominance.EQUAL)
@@ -27,6 +26,16 @@ def test_normalize():
         Partition((2, 3))
     with pytest.raises(ValueError):
         Partition((3, -1))
+
+
+def test_parts_must_be_integers():
+    import numpy as np
+
+    for parts in ([2.5, 1], ["3", "2"], [2.9, 1.2], [2, 1.0]):
+        with pytest.raises(TypeError):
+            Partition(parts)
+    lam = Partition([np.int64(3), np.uint8(2), 1])
+    assert lam == (3, 2, 1) and all(type(p) is int for p in lam)
 
 
 def test_construction_strips_long_zero_tails_and_reuses_partitions():
@@ -149,12 +158,17 @@ def test_enumerate_partitions_lex_and_count():
 
 def test_partition_texts_follow_the_walk():
     for n in range(31):
-        assert list(iter_partition_texts(n)) == ["+".join(map(str, p)) or "0" for p in iter_partitions(n)]
+        walk = [(tuple(parts[:m]), text, parts[m:n]) for parts, m, text in walk_partitions(n)]
+        assert [text for _, text, _ in walk] == [lam.to_text() for lam in enumerate_partitions(n)]
+        assert all(lam == Partition.from_text(text) and set(ones) <= {1} for lam, text, ones in walk)
+    with pytest.raises(ValueError):
+        next(walk_partitions(-1))
 
 
 def test_first_part_counts_are_the_walk_runs():
     for n, total in zip(range(31), bounded_partition_counts(30)[30]):
-        firsts = [p[0] if p else 0 for p in iter_partitions(n)]
+        firsts = [parts[0] for parts, _, _ in walk_partitions(n)]
+        assert firsts == [lam[0] if lam else 0 for lam in enumerate_partitions(n)]
         runs = [firsts.count(first) for first in range(n, 0, -1)] if n else [1]
         assert first_part_counts(n) == runs
         assert sum(runs) == total
