@@ -13,11 +13,12 @@ directions.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from functools import cache
 from itertools import accumulate
 
-from .exact import admit, admit_table, binomial, odd_double_factorial, pm_degree
+from .exact import _held_bytes, _log_bound, admit, admit_table, binomial, odd_double_factorial, pm_degree
 from .lattice import ID_LIMIT, PartitionLattice
 from .partitions import (
     Dominance,
@@ -520,6 +521,26 @@ def verify_step_identities(n_max: int) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
+# a shape a suite holds: its tuple of parts, 56 bytes and 8 per part in
+# CPython, and about 64 bytes for the dict slot or list entry that holds it
+_SHAPE_BYTES = 120
+
+
+def _shapes_needs(size_budget: int):
+    """The bytes :func:`verify_product_identities` holds after each (u, q),
+    for :func:`admit`: up to five new shapes per (u, q), each a key of up to
+    q + 1 parts and an f of at most d of its size."""
+    held = 0.0
+    for u in range(1, size_budget):
+        for q in range(1, (size_budget - 1) // u + 1):
+            sizes = [q * u + 1, q * u + 1, q * (u - 1)]
+            if q * (u + 2) + 1 <= size_budget:
+                sizes += [q * (u + 2) + 1, q * (u + 1) + 1]
+            bits = sum(_log_bound("pm", size) for size in sizes) / math.log(2)
+            held += _held_bytes(bits, len(sizes)) + len(sizes) * (_SHAPE_BYTES + 8 * (q + 1))
+            yield held, f"identities to n={size_budget}: the shapes up to u={u}, q={q} need"
+
+
 def verify_product_identities(size_budget: int) -> VerificationReport:
     """Identities on near-rectangular families, for all shapes within budget.
 
@@ -529,9 +550,13 @@ def verify_product_identities(size_budget: int) -> VerificationReport:
     * f((u+2)^q, 1) = (2u+q+1) f((u+1)^q, 1) + 2u f(u^q, 1);
     * q * f(u+1, u^(q-1)) = 2u * f(u^q, 1);
     * consequently f(u^q, 1) > f(u+1, u^(q-1)) whenever q > 2u.
+
+    Every shape's f is kept, so a budget whose shapes could not fit in
+    memory is refused before any is evaluated.
     """
     if size_budget < 3:
         raise ValueError("suite identities needs n_max >= 3")
+    admit(_shapes_needs(size_budget))
     report = VerificationReport(suite="identities", n_range=(2, size_budget))
     one_box = report.relation("one-box-over-rectangle identity", "u", "q", "values")
     proportional = report.relation("rectangle-with-tail proportionality", "u", "q", "values")
@@ -573,6 +598,15 @@ def first_part_three_family(n: int) -> list[Partition]:
     return [Partition([3] + [2] * x + [1] * (n - 3 - 2 * x)) for x in range((n - 3) // 2 + 1)]
 
 
+def _family_needs(n_max: int):
+    """The bytes :func:`find_cross_block_counterexamples` holds at each n,
+    for :func:`admit`: the first-part-3 family, (n - 1) // 2 partitions of
+    at most n - 2 parts."""
+    for n in range(10, n_max + 1):
+        members = (n - 1) // 2
+        yield members * (_SHAPE_BYTES + 8 * (n - 2)), f"crossblock at n={n}: its {members} family members need"
+
+
 def find_cross_block_counterexamples(n_max: int) -> VerificationReport:
     """Dominance does not control |eta| across different first parts.
 
@@ -580,9 +614,11 @@ def find_cross_block_counterexamples(n_max: int) -> VerificationReport:
     1^(n-2a)) is dominated by every first-part-3 small-tail partition with
     few enough 1-parts, yet its f value a^2 + (n-2a)(a-1) + 1 strictly
     exceeds the constant 2n+2 of that family.  The suite confirms both the
-    dominance and the inequality.
+    dominance and the inequality.  An n_max at which the family could not
+    fit in memory is refused before any n is run.
     """
     report = _report("crossblock", 10, n_max)
+    admit(_family_needs(n_max))
     closed = report.relation("staircase closed form", "a", "b", "values")
     dominated = report.relation("staircase dominated by special partition", "a", "partition")
     larger = report.relation("dominated shape has strictly larger f", "a", "partition", "values")

@@ -2,10 +2,11 @@
 matching-graph degrees, and hook-length dimensions.
 
 Everything here is arbitrary-precision integer arithmetic; the sequences
-are authoritative recurrences, stored up to a fixed index and rolled past
-it.  :func:`irrep_dimension` computes a hook product cell by cell, the
-reference for the first-column hook recurrences the spectrum tables run on
-the partition lattice (:class:`pmspec.lattice.PartitionLattice`).
+are authoritative recurrences, each kept one way, as checkpoint pairs and
+the pair it last rolled to.  :func:`irrep_dimension` computes a hook
+product cell by cell, the reference for the first-column hook recurrences
+the spectrum tables run on the partition lattice
+(:class:`pmspec.lattice.PartitionLattice`).
 :func:`admit` refuses work whose memory model exceeds :func:`memory_budget`,
 for :func:`admit_query` a single query and for :func:`admit_table` a table.
 """
@@ -19,46 +20,43 @@ from itertools import accumulate, count
 from .lattice import ID_LIMIT
 from .partitions import Partition, bounded_partition_counts
 
-# Terms up to this index are kept, index = argument, since kept terms add up
-# quadratically (d_20000 alone has about 83,000 digits).  A table of size n
-# reads terms up to n, and a single query up to its largest part, so tables
-# and parts below it never pass it.  Past it a term is rolled forward from
-# the nearest checkpoint below: a roll keeps the pair (term m, term m-1) at
-# every checkpoint m it passes, the multiples of 2^(b-5) for m of bit
-# length b, sixteen per doubling of the index.  A roll then takes fewer than
-# m/16 steps, and the pairs kept for a sequence rolled to m hold at most
-# about 64 times the bits of term m (39 times at m = 20,000).
-_STORED = 1024
-_odd_df, _odd_df_marks = [1, 1], {}       # (2k-1)!!, with (-1)!! = 1
-_pm_deg, _pm_deg_marks = [1, 0], {}       # degree of the matching derangement graph on 2n points
-_derange, _derange_marks = [1, 0], {}     # derangement numbers
+# Each sequence is kept one way: its step, step(m, term m-1, term m-2) =
+# term m, the pair (term m, term m-1) at each checkpoint m rolled past, and
+# the index and pair it last rolled to.  A term is rolled from the highest
+# pair kept at or below its index, so ascending reads take one step each.
+# Kept terms add up (d_20000 alone has about 83,000 digits), so checkpoints
+# thin out: the multiples of 2^(b-5) for m of bit length b, every m below
+# 32, then sixteen per doubling.  A read below the last pair takes fewer
+# than m/16 steps, and past m = 1,024 the pairs of a sequence rolled to m
+# hold at most 47 times the bits of term m (43 at m = 20,000), which
+# _query_needs rounds up to 64.  Index 0's pair holds 0 for term -1, which
+# the step at m = 1 multiplies by 0 or does not read.
+_odd_df = (lambda m, prev, _: prev * (2 * m - 1), {0: (1, 0)}, [0, 1, 0])  # (2k-1)!!
+_pm_deg = (lambda m, prev, prev2: 2 * (m - 1) * (prev + prev2), {0: (1, 0)}, [0, 1, 0])  # d_n
+_derange = (lambda m, prev, prev2: (m - 1) * (prev + prev2), {0: (1, 0)}, [0, 1, 0])  # D_n
 
 
 def _checkpoint_below(m: int) -> int:
-    """The checkpoint at or below index m >= _STORED (_STORED is one)."""
-    return m - m % (1 << (m.bit_length() - 5))
+    """The checkpoint at or below index m."""
+    return m - m % (1 << (m >> 5).bit_length())
 
 
-def _term(store: list, marks: dict, k: int, step) -> int:
-    """Term k of the sequence whose first terms ``store`` holds and whose
-    checkpoint pairs ``marks`` holds, by index from _STORED on, where
-    ``step(m, term m-1, term m-2)`` is term m."""
-    while len(store) <= min(k, _STORED):
-        store.append(step(len(store), store[-1], store[-2]))
-    if k < len(store):
-        return store[k]
-    if not marks:
-        marks[_STORED] = (store[-1], store[-2])
+def _term(sequence: tuple, k: int) -> int:
+    """Term k of ``sequence``, (step, checkpoint pairs, last index and pair)."""
+    step, marks, last = sequence
     m = _checkpoint_below(k)
     if m not in marks:
-        # every checkpoint up to the highest index rolled so far is kept, so
-        # one missing lies past them all
-        m = next(reversed(marks))
-    prev, prev2 = marks[m]
-    for m in range(m + 1, k + 1):
-        prev, prev2 = step(m, prev, prev2), prev
-        if _checkpoint_below(m) == m:
-            marks[m] = (prev, prev2)
+        # every checkpoint up to the highest index rolled to is kept, so one
+        # missing lies past them all
+        m = max(marks)
+    at, prev, prev2 = last
+    if not m <= at <= k:
+        at, (prev, prev2) = m, marks[m]
+    for at in range(at + 1, k + 1):
+        prev, prev2 = step(at, prev, prev2), prev
+        if _checkpoint_below(at) == at:
+            marks[at] = (prev, prev2)
+    last[:] = k, prev, prev2
     return prev
 
 
@@ -158,11 +156,11 @@ def admit_query(family: str, lam: tuple) -> None:
     its peak two rows of at most lam_2 + 1 values (see
     :func:`pmspec.pm_spectrum._eta_prefixes` and
     :func:`pmspec.sym_spectrum._xi_suffixes`), the checkpoint pairs of d or
-    D it rolls to at most lam_1 (at most 64 times the bits of term lam_1),
-    and, for eta, the coefficient rows it caches.  eta rolls its sequence
-    only to lam_1 - lam_2 + 1 and the rest of row 1 in the row itself, so
-    for eta this is an upper bound.  One value that alone exceeds memory is
-    refused first, and so is the sum.
+    D it rolls to lam_1 (at most 64 times the bits of term lam_1, counted
+    past lam_1 = 1,024, below which they hold under 100 KB), and, for eta,
+    the coefficient rows it caches.  Both families roll their sequence
+    through :mod:`pmspec.exact` up to lam_1.  One value that alone exceeds
+    memory is refused first, and so is the sum.
     """
     admit(_query_needs(family, lam))
 
@@ -174,7 +172,7 @@ def _query_needs(family: str, lam: tuple):
     yield bits / 8, f"a partition of size n={n} has values up to {'d_n' if family == 'pm' else 'D_n'}, each"
     first, second = (tuple(lam) + (0, 0))[:2]
     needed = _held_bytes(2 * (second + 1) * bits, 2 * (second + 1))
-    if first > _STORED:
+    if first > 1024:
         needed += _held_bytes(64 * _log_bound(family, first) / math.log(2), 64)
     if family == "pm":
         needed += _strip_rows_bytes(lam)
@@ -216,7 +214,7 @@ def odd_double_factorial(k: int) -> int:
     """(2k-1)!! = 1*3*...*(2k-1); the empty product 1 for k = 0."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return _term(_odd_df, _odd_df_marks, k, lambda m, prev, _: prev * (2 * m - 1))
+    return _term(_odd_df, k)
 
 
 def binomial(n: int, k: int) -> int:
@@ -233,7 +231,7 @@ def pm_degree(n: int) -> int:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _term(_pm_deg, _pm_deg_marks, n, lambda m, prev, prev2: 2 * (m - 1) * (prev + prev2))
+    return _term(_pm_deg, n)
 
 
 def pm_degree_inclusion_exclusion(n: int) -> int:
@@ -254,7 +252,7 @@ def derangement_count(n: int) -> int:
     """Number of fixed-point-free permutations of [n]; D_0 = 1, D_1 = 0."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _term(_derange, _derange_marks, n, lambda m, prev, prev2: (m - 1) * (prev + prev2))
+    return _term(_derange, n)
 
 
 def conjugate(mu: Partition) -> Partition:

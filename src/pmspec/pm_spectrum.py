@@ -85,17 +85,13 @@ def _eta_prefixes(lam: tuple) -> int:
     for j <= lam_(i+1), the most row i + 1 reads (lam_(r+1) = 0), and is
     built from row i - 1 alone; at j = lam_i the last part vanishes and the
     node is row i - 1's.  So two rows are alive at a time and no tuple is
-    built or hashed.  Row 1 is d_(lam_1 - j) for j <= lam_2: two degrees,
-    rolled up once by d_k = 2(k-1)(d_(k-1) + d_(k-2)).
+    built or hashed.  Row 1 is d_(lam_1 - j) for j <= lam_2, read from
+    :func:`pmspec.exact.pm_degree` in ascending order, one roll step each.
     """
     if len(lam) < 2:
         return pm_degree(lam[0]) if lam else 1
     rows = _StripRows()
-    low = lam[0] - lam[1]
-    row = [pm_degree(low), pm_degree(low + 1)]
-    for k in range(low + 2, lam[0] + 1):
-        row.append(2 * (k - 1) * (row[-1] + row[-2]))
-    row.reverse()
+    row = list(map(pm_degree, range(lam[0] - lam[1], lam[0] + 1)))[::-1]
     for i in range(2, len(lam) + 1):
         part, parity = lam[i - 1], i & 1
         reach = lam[i] if i < len(lam) else 0

@@ -483,3 +483,19 @@ def test_level_admission_model_covers_the_peak_growth(peak_rss):
         assert status == 0
         peaks.append(peak)
     assert peaks[1] - peaks[0] <= need(34) - need(24)
+
+
+def test_shape_admission_model_covers_the_peak_growth(peak_rss):
+    # identities is admitted by _shapes_needs, which counts every shape it
+    # keeps at _SHAPE_BYTES and 8 bytes per part with an f of at most d of
+    # its size, so its peak must grow no faster: from n_max 100 to 300 that
+    # is about 3.6 MiB, against about 1.1 MiB measured (Python 3.11)
+    def need(n_max):
+        return max(held for held, _ in analysis._shapes_needs(n_max))
+
+    peaks = []
+    for n_max in (100, 300):
+        status, peak = peak_rss("-m", "pmspec.cli", "verify", "--suite", "identities", "--n-max", str(n_max))
+        assert status == 0
+        peaks.append(peak)
+    assert peaks[1] - peaks[0] <= need(300) - need(100)

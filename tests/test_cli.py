@@ -231,8 +231,10 @@ _PINNED_BUDGET = 8_419_655_680
         (analysis.admit_levels, 53),
         (lambda n: oracle._admit("pm", n), 8),
         (lambda n: oracle._admit("sym", n), 10),
+        (lambda n: exact.admit(analysis._shapes_needs(n)), 11776),
+        (lambda n: exact.admit(analysis._family_needs(n)), 45873),
     ],
-    ids=["table-pm", "table-sym", "dualpath", "pair-suites", "oracle-pm", "oracle-sym"],
+    ids=["table-pm", "table-sym", "dualpath", "pair-suites", "oracle-pm", "oracle-sym", "identities", "crossblock"],
 )
 def test_admission_boundaries_are_pinned(monkeypatch, check, largest):
     monkeypatch.setattr(exact, "memory_budget", lambda: (_PINNED_BUDGET, "physical memory"))
@@ -274,6 +276,20 @@ def test_pair_suites_refuse_four_byte_ids_at_once(capsys, monkeypatch, argv):
     assert code == 2 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and "4-byte" in lines[0] and "Traceback" not in err
+
+
+@pytest.mark.parametrize("suite", ["identities", "crossblock"])
+def test_shape_suites_refuse_a_huge_n_max_at_once(capsys, monkeypatch, suite):
+    # identities keeps every shape's f and crossblock one n's family, so at
+    # n_max 10^9 both outgrow the budget within the first u or n = 45,874
+    # and are refused before anything is evaluated
+    monkeypatch.setattr(exact, "memory_budget", lambda: (_PINNED_BUDGET, "physical memory"))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--suite", suite, "--n-max", "1000000000")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"pmspec: error: {suite}") and "MB" in lines[0], err
 
 
 @pytest.mark.parametrize(

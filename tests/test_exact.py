@@ -15,6 +15,7 @@ from pmspec.exact import (
 )
 from pmspec.lattice import PartitionLattice
 from pmspec.partitions import Partition, enumerate_partitions
+from pmspec.sym_spectrum import xi_by_first_part
 
 
 def pm_degree_truncated_sum(n: int) -> int:
@@ -91,62 +92,92 @@ def test_truncated_sum_differs_by_alternating_unit():
         assert pm_degree_truncated_sum(n) != pm_degree(n)
 
 
+def _fresh(monkeypatch, name):
+    """Replace the sequence ``name`` by one that keeps nothing rolled yet,
+    and return the list its step appends each index it rolls to."""
+    step, _, _ = getattr(exact, name)
+    steps = []
+
+    def counted(m, prev, prev2):
+        steps.append(m)
+        return step(m, prev, prev2)
+
+    monkeypatch.setattr(exact, name, (counted, {0: (1, 0)}, [0, 1, 0]))
+    return steps
+
+
 def test_sequences_roll_past_the_stored_index():
-    # past the stored index each term is rolled from the last two kept,
-    # and the stores stay at their fixed length
-    n = exact._STORED + 6
+    # past index 1,024, where the query model starts counting checkpoint
+    # pairs, each term is rolled from the pairs kept below it
+    n = 1024 + 6
     assert pm_degree(n) == pm_degree_inclusion_exclusion(n)
     assert derangement_count(n) == sum(
         (-1) ** k * (math.factorial(n) // math.factorial(k)) for k in range(n + 1)
     )
     assert odd_double_factorial(n) == math.factorial(2 * n) // (2**n * math.factorial(n))
     assert pm_degree(n + 1) == 2 * n * (pm_degree(n) + pm_degree(n - 1))
-    for store in (exact._pm_deg, exact._derange, exact._odd_df):
-        assert len(store) == exact._STORED + 1
 
 
 def test_checkpoints_match_the_plain_recurrence(monkeypatch):
-    # past the stored index a roll starts at the nearest kept checkpoint
-    # below: at the store, at a checkpoint below a term asked for earlier,
-    # or at the last one kept.  The terms on both sides of several
-    # checkpoints, two of them where the spacing doubles, equal the
+    # a roll starts at the highest pair kept at or below its index: a
+    # checkpoint below a term asked for earlier, the last checkpoint kept, or
+    # the pair last rolled to.  The terms on both sides of several
+    # checkpoints, three of them where the spacing doubles, equal the
     # recurrences run straight through
-    top = 4 * exact._STORED + 2
+    top = 4 * 1024 + 2
     d, big_d, odd = [1, 0], [1, 0], [1, 1]
     for m in range(2, top + 1):
         d.append(2 * (m - 1) * (d[-1] + d[-2]))
         big_d.append((m - 1) * (big_d[-1] + big_d[-2]))
         odd.append(odd[-1] * (2 * m - 1))
     sequences = [
-        ("_pm_deg_marks", pm_degree, d),
-        ("_derange_marks", derangement_count, big_d),
-        ("_odd_df_marks", odd_double_factorial, odd),
+        ("_pm_deg", pm_degree, d),
+        ("_derange", derangement_count, big_d),
+        ("_odd_df", odd_double_factorial, odd),
     ]
-    indices = [2049, 1025, 1088, 1087, 1089, 2047, 2048, 2176, 2175, 2177, 1151, 1152, 4097, 4096, 3000]
-    for marks_name, term, plain in sequences:
-        monkeypatch.setattr(exact, marks_name, {})
+    indices = [5, 0, 33, 31, 2049, 1025, 1088, 1087, 1089, 2047, 2048, 2176, 2175, 2177, 1151, 1152, 4097, 4096, 3000]
+    for name, term, plain in sequences:
+        steps = _fresh(monkeypatch, name)
+        _, marks, last = getattr(exact, name)
         for k in indices:
-            assert term(k) == plain[k], (term.__name__, k)
-        marks = getattr(exact, marks_name)
-        expected = [m for m in range(exact._STORED, top) if exact._checkpoint_below(m) == m]
-        # sixteen per doubling, from the stored index on: spacing 64 from
-        # 1024, 128 from 2048 and 256 from 4096
-        assert list(marks) == expected
-        assert len(expected) == 16 + 16 + 1
-        assert all(marks[m] == (plain[m], plain[m - 1]) for m in expected)
-    # each roll starts at the highest kept pair at or below its index
-    store, marks, steps = [1, 0], {}, []
+            start = max([m for m in marks if m <= k] + [last[0]] * (last[0] <= k))
+            steps.clear()
+            assert term(k) == plain[k], (name, k)
+            assert steps == list(range(start + 1, k + 1)), (name, k)
+        expected = [m for m in range(top) if exact._checkpoint_below(m) == m]
+        # every index below 32, then sixteen per doubling: spacing 2 from 32,
+        # 64 from 1024, 128 from 2048 and 256 from 4096
+        assert list(marks) == sorted(marks) == expected
+        assert len(expected) == 32 + 7 * 16 + 1
+        assert all(marks[m] == (plain[m], plain[m - 1]) for m in expected if m)
+        assert last == [3000, plain[3000], plain[2999]]
 
-    def step(m, prev, prev2):
-        steps.append(m)
-        return 2 * (m - 1) * (prev + prev2)
 
-    exact._term(store, marks, exact._STORED, step)
-    for k in indices:
-        start = max([exact._STORED, *(m for m in marks if m <= k)])
+def test_ascending_reads_take_one_step_each(monkeypatch):
+    # past the highest pair kept each read in ascending order takes one step,
+    # and a read below the pair last rolled to starts at the checkpoint below
+    d = [1, 0]
+    for m in range(2, 1600):
+        d.append(2 * (m - 1) * (d[-1] + d[-2]))
+    steps = _fresh(monkeypatch, "_pm_deg")
+    assert pm_degree(1500) == d[1500] and len(steps) == 1500
+    for k in range(1501, 1600):
         steps.clear()
-        assert exact._term(store, marks, k, step) == d[k]
-        assert steps == list(range(start + 1, k + 1)), k
+        assert pm_degree(k) == d[k] and steps == [k]
+    steps.clear()
+    assert pm_degree(1571) == d[1571]
+    assert steps == list(range(1537, 1572))  # from the checkpoint 1536, spacing 64
+    steps.clear()
+    assert pm_degree(20) == d[20] and steps == []  # every index below 32 is kept
+
+
+def test_fresh_xi_query_steps_once_per_one_part_node(monkeypatch):
+    # xi's one-part nodes of (2000, 2000) read D_1 ... D_2000 in ascending
+    # order, one step each
+    expected = xi_by_first_part((2000, 2000))
+    steps = _fresh(monkeypatch, "_derange")
+    assert xi_by_first_part((2000, 2000)) == expected
+    assert len(steps) <= 2000
 
 
 def test_derangement_count():

@@ -6,7 +6,8 @@ the single query f and the second eta path) at a handful of partitions, so
 that 24 of the 29 relations list failures: the digests then pin the witness
 rendering of every relation, the failure order and the cap, not only the
 clean verdicts.  A census counts every relation's failures under the fault,
-listed or not, and pins the four that it cannot reach.
+listed or not, and pins the four that it cannot reach; each of those four
+fails under a fault of its own kind.
 """
 
 import hashlib
@@ -15,7 +16,7 @@ from collections import Counter
 import pytest
 
 from pmspec import analysis
-from pmspec.partitions import enumerate_partitions
+from pmspec.partitions import Dominance, Partition, enumerate_partitions
 from pmspec.pm_spectrum import eta_alt, f_value
 
 # suite: (n_max, clean (digest, checks_run, failure_count), faulty (...))
@@ -155,10 +156,9 @@ UNREACHED = {
 }
 
 
-def test_relation_census(monkeypatch):
-    # failures counted per declared relation, also past the listing cap: every
-    # relation but the unreached four fails at least once under the fault
-    _install_fault(monkeypatch)
+def _count_failures(monkeypatch, names):
+    """Run each named suite at its golden n_max and count the failures of
+    every declared relation, also past the listing cap, by (suite, name)."""
     failures, declared = Counter(), set()
     relation = analysis.VerificationReport.relation
 
@@ -174,7 +174,46 @@ def test_relation_census(monkeypatch):
         return counted
 
     monkeypatch.setattr(analysis.VerificationReport, "relation", counting)
-    for name, (n_max, _, _) in GOLDEN.items():
-        analysis.run_suite(name, n_max)
+    for name in names:
+        analysis.run_suite(name, GOLDEN[name][0])
+    return failures, declared
+
+
+def test_relation_census(monkeypatch):
+    # every relation but the unreached four fails at least once under the fault
+    _install_fault(monkeypatch)
+    failures, declared = _count_failures(monkeypatch, GOLDEN)
     assert len(declared) == 29
     assert {key for key in declared if not failures[key]} == UNREACHED
+
+
+def _lowered_tail_shape(lam):
+    # f(1,1,1,1) below f(2,1,1): the tail shape of u = 1, q = 3 no longer exceeds
+    return f_value(Partition((2, 1, 1))) - 1 if lam == (1, 1, 1, 1) else f_value(lam)
+
+
+# for each unreached relation, a fault of its own kind: the name it patches
+# in analysis and what that name becomes
+OWN_FAULTS = {
+    ("crossblock", "staircase dominated by special partition"): (
+        "dominance_compare",
+        lambda mu, nu: Dominance.INCOMPARABLE,
+    ),
+    ("identities", "tail shape exceeds raised shape for long rectangles"): ("f_value", _lowered_tail_shape),
+    ("kuwong-xi", "mis-transcribed variant disagrees at (1,1)"): (
+        "xi_by_last_part_printed_variant",
+        lambda mu: -1,
+    ),
+    ("lemmas", "raising identity must fail at index 1"): (
+        "raising_identity_fails_at_first_index",
+        lambda: False,
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(OWN_FAULTS), ids=lambda key: key[0])
+def test_unreached_relation_fails_under_its_own_fault(monkeypatch, key):
+    assert set(OWN_FAULTS) == UNREACHED
+    monkeypatch.setattr(analysis, *OWN_FAULTS[key])
+    failures, declared = _count_failures(monkeypatch, [key[0]])
+    assert key in declared and failures[key] >= 1
