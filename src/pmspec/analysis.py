@@ -32,7 +32,7 @@ from .partitions import (
     valid_transfers,
 )
 from .pm_spectrum import _eta_sweep, _normalized, eta_alt, eta_alt_at, f_closed_form_2a1b, f_value
-from .sym_spectrum import _xi_sweep, xi_by_last_part, xi_by_last_part_printed_variant
+from .sym_spectrum import _xi_sweep, xi_by_last_part_printed_variant
 
 MAX_LISTED_FAILURES = 100
 
@@ -697,36 +697,47 @@ def _scan_level(report, n: int, sweep: _Sweep) -> None:
 # ---------------------------------------------------------------------------
 
 
+# bytes per partition of size at most n_max that kuwong-xi's strip sweep at
+# alpha = 1 keeps for the whole suite: the growth of kuwong-xi's peak RSS
+# from n_max = 36 to 42 less the sym table's (122 less 64 bytes per
+# partition), plus one value's digit growth, rounded up
+_XI_STRIP_BYTES_PER_NODE = 100
+
+
 def verify_xi_comparison(n_max: int) -> VerificationReport:
     """Baseline family: recurrence agreement and |xi| dominance monotonicity.
 
-    Checks, for every partition of each n from 2 to n_max: the two xi
-    recurrences agree, and the mis-transcribed variant disagrees somewhere
-    (witnessed at (1,1)); within each fixed-first-part block, dominance
-    implies |xi(lo)| <= |xi(hi)| with equality exactly on the first-part-3
-    small-tail family; and the lexicographic extremes of each block bound
-    |xi| from both sides.
+    Checks, for every partition of each n from 2 to n_max: two xi
+    recurrences agree, the first-part one (each n's sym sweep) and the
+    strip one at alpha = 1 (one sweep to n_max), and the mis-transcribed
+    last-part variant disagrees somewhere (witnessed at (1,1)); within each
+    fixed-first-part block, dominance implies |xi(lo)| <= |xi(hi)| with
+    equality exactly on the first-part-3 small-tail family; and the
+    lexicographic extremes of each block bound |xi| from both sides.
     """
     report = _report("kuwong-xi", 2, n_max)
     admit_levels(n_max)
     # n_max's sym sweep is the largest: each n's holds only what the
-    # partitions of its own size reach, and returns xi at those in row order
-    admit_table("sym", n_max)
+    # partitions of its own size reach, and returns xi at those in row
+    # order.  The strip sweep is kept for every n beside it
+    admit_table("sym", n_max, _XI_STRIP_BYTES_PER_NODE)
+    lattice, strip, _, _ = _eta_sweep(n_max, alpha=1)
     for n in range(2, n_max + 1):
-        _xi_level(report, n)
+        _xi_level(report, n, lattice, strip)
     return report
 
 
-def _xi_level(report, n: int) -> None:
-    """kuwong-xi's checks at one n, whose sweep is freed on return."""
+def _xi_level(report, n: int, lattice: PartitionLattice, strip: list) -> None:
+    """kuwong-xi's checks at one n, whose sym sweep is freed on return.
+    ``strip`` holds xi by id of ``lattice``, the strip sweep's."""
     agree = report.relation("xi recurrence agreement", "partition", "values")
     extremes = report.relation("lexicographic extremes bound |xi|", "partition", "values")
     variant = report.relation("mis-transcribed variant disagrees at (1,1)")
     signed = _xi_sweep(n)[2]
     parts = enumerate_partitions(n)
     for mu, by_first in zip(parts, signed):
-        by_last = xi_by_last_part(mu)
-        agree(by_first == by_last, mu, (by_first, by_last))
+        by_strip = strip[lattice.index(mu)]
+        agree(by_first == by_strip, mu, (by_first, by_strip))
     if n == 2:
         variant(
             xi_by_last_part_printed_variant(Partition((1, 1))) == -2

@@ -74,8 +74,25 @@ def admit(needs) -> None:
     memory, limit = memory_budget()
     for needed, what in needs:
         if needed > memory:
-            amount = f"{needed / 1e6:.0f}" if needed < 1e12 else f"{needed / 1e6:.3g}"
-            raise ValueError(f"{what} about {amount} MB, more than the {memory / 1e6:.0f} MB of {limit}")
+            # the need is rounded up and the budget down, so the need reads larger
+            have = memory // 10**6
+            raise ValueError(f"{what} about {_megabytes_up(needed)} MB, more than the {have:.0f} MB of {limit}")
+
+
+def _megabytes_up(needed) -> str:
+    """``needed`` bytes in MB, rounded up: to whole MB below 10^6 MB, and to
+    three significant digits from there, exactly for an int of any size."""
+    mb = int(-(-needed // 10**6))
+    if mb < 10**6:
+        return f"{mb}"
+    # mb's decimal exponent; log10 may be one off next to a power of 10
+    exponent = int(math.log10(mb))
+    exponent += 10 ** (exponent + 1) <= mb
+    exponent -= 10**exponent > mb
+    head = -(-mb // 10 ** (exponent - 2))  # 100 to 1000
+    if head == 1000:
+        head, exponent = 100, exponent + 1
+    return f"{head / 100:g}e+{exponent:02d}"
 
 
 def memory_budget() -> tuple:

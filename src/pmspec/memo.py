@@ -11,13 +11,15 @@ list, so children are built once per node.
 Every recurrence gets its own store: two recurrences computing the same
 quantity never share values, which keeps their agreement a real
 cross-check.  A store lives as long as its ``Recurrence``.  The only
-instances are the module-level stores of the cross-check recurrences,
-``eta_alt`` and ``xi_by_last_part``, which keep theirs until
-``cache_clear``.  The single queries ``eta`` and ``xi_by_first_part`` use
-no store: each evaluates on a table indexed by its argument's own prefixes
-or suffixes, which lives for one call.  The spectrum tables, and most
-verification suites, read their values off forward sweeps of the same
-recurrences over every partition of size at most n (:mod:`pmspec.lattice`).
+instances are module-level stores, which keep their nodes until
+``cache_clear``: that of ``eta_alt``, the dualpath suite's second eta, and
+that of ``xi_by_last_part``, a single query that no suite calls.  The
+single queries ``eta`` and ``xi_by_first_part`` use no store: each
+evaluates on a table indexed by its argument's own prefixes or suffixes,
+which lives for one call.  The spectrum tables and the other verification
+suites read their values off forward sweeps over every partition of size
+at most n (:mod:`pmspec.lattice`); the kuwong-xi suite checks xi's
+first-part sweep against the strip recurrence's sweep at alpha = 1.
 """
 
 from __future__ import annotations

@@ -10,7 +10,9 @@ Two fully independent recurrence paths are provided:
 ``eta`` evaluates on a table of its argument's prefixes that lives for one
 call; ``eta_alt`` memoizes in a store of its own (:mod:`pmspec.memo`).  No
 value passes between them, so their agreement is a genuine cross-check of
-the code, not a cache readback.
+the code, not a cache readback.  The strip recurrence's lattice sweep,
+:func:`_eta_sweep`, also runs at alpha = 1, where it gives the xi of
+:mod:`pmspec.sym_spectrum`.
 ``f_value`` is the sign-normalized quantity (-1)^(n - lambda_1) * eta, which
 is nonnegative and vanishes only at the single-box partition (1).
 """
@@ -23,7 +25,7 @@ from operator import add, mul, neg, sub
 from typing import NamedTuple
 
 from . import memo
-from .exact import _hook_quotient, pm_degree
+from .exact import _hook_quotient, derangement_count, pm_degree
 from .lattice import PartitionLattice
 from .partitions import Partition, first_part_counts, walk_partitions
 from .tables import SpectrumTable
@@ -36,21 +38,29 @@ class EtaValue(NamedTuple):
 
 
 class _StripRows(dict):
-    """Coefficient rows of the strip recurrence by (last, r mod 2), each
-    computed on first use.  One lives for one query or one sweep:
+    """Coefficient rows of the strip recurrence of the family alpha, by
+    (last, r mod 2), each computed on first use.  One lives for one query
+    or one sweep:
 
-    (-1)^last eta(lam) = eta(head) + sum_j (-1)^(j r) C(last, j) (2j-1)!! eta(head - j),
+    (-1)^last x(lam) = x(head) + sum_j (-1)^(j r) C(last, j) P_j x(head - j),
 
-    so eta is the children's values dotted with the row
-    [(-1)^(last + j r) C(last, j) (2j-1)!! for j in 0..last]."""
+    where P_j = (alpha + 1)(2 alpha + 1) ... ((j - 1) alpha + 1), so x is
+    the children's values dotted with the row
+    [(-1)^(last + j r) C(last, j) P_j for j in 0..last].  At alpha = 2,
+    P_j = (2j-1)!! and x is eta; at alpha = 1, P_j = j! and x is xi."""
+
+    def __init__(self, alpha: int = 2) -> None:
+        super().__init__()
+        self.alpha = alpha
 
     def __missing__(self, key: tuple) -> list:
         last, parity = key
-        # C(last, j+1) (2j+1)!! = C(last, j) (2j-1)!! (last - j)(2j + 1)/(j + 1)
+        alpha = self.alpha
+        # C(last, j+1) P_(j+1) = C(last, j) P_j (last - j)(alpha j + 1)/(j + 1)
         row, c = [], 1
         for j in range(last + 1):
             row.append(c)
-            c = c * (last - j) * (2 * j + 1) // (j + 1)
+            c = c * (last - j) * (alpha * j + 1) // (j + 1)
         if parity:
             row[(last + 1) & 1 :: 2] = map(neg, row[(last + 1) & 1 :: 2])
         elif last & 1:
@@ -183,28 +193,31 @@ def f_closed_form_2a1b(a: int, b: int) -> int:
     return a * a + b * (a - 1) + 1
 
 
-def _eta_sweep(n: int, hooks: bool = False) -> tuple:
+def _eta_sweep(n: int, hooks: bool = False, alpha: int = 2) -> tuple:
     """eta at every partition of size <= n, by lattice id, and at the
     partitions of n in row order; with ``hooks``, also H(2 lam) at those.
+    At ``alpha`` = 1 the values are xi, not eta; the hooks stay doubled.
 
-    One forward sweep of the strip recurrence: the children of
-    lam = (m,) + t are its head and head - j for j <= last, all of fewer
-    parts, so a block's values are its coefficient row dotted with one
-    slice of the values per child, added up a slice at a time.  Most
-    coefficients are 1 or -1 (every j = 0, and j = 1 at last = 1); those
-    slices are copied, negated, added or subtracted with no product.
-    Returns the lattice, the eta values by id, the eta values of the rows
-    and the doubled hook products of the rows (None without ``hooks``).
+    One forward sweep of the strip recurrence (:class:`_StripRows`): the
+    children of lam = (m,) + t are its head and head - j for j <= last,
+    all of fewer parts, so a block's values are its coefficient row dotted
+    with one slice of the values per child, added up a slice at a time.
+    Most coefficients are 1 or -1 (every j = 0, and j = 1 at last = 1);
+    those slices are copied, negated, added or subtracted with no product.
+    The one-part values are d_m (alpha = 2) or D_m (alpha = 1).  Returns
+    the lattice, the values by id, the values of the rows and the doubled
+    hook products of the rows (None without ``hooks``).
     """
     lattice = PartitionLattice(n, doubled=True, hooks=hooks)
     base, minus1 = lattice.base, lattice.minus1
-    rows = _StripRows()
+    rows = _StripRows(alpha)
+    one_part = pm_degree if alpha == 2 else derangement_count
     values = [1]
     by_row = [None] * lattice.row_count
     for r, blocks in lattice.levels():
         for _, _, lo, hi, head, last, _, place in blocks:
             if head is None:
-                values.extend(map(pm_degree, range(lo, hi + 1)))
+                values.extend(map(one_part, range(lo, hi + 1)))
                 by_row[0] = values[hi]
                 continue
             # head - j of (m,) + t is base[head] + m - j, where head starts

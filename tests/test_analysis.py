@@ -4,7 +4,7 @@ from itertools import accumulate
 
 import pytest
 
-from pmspec import analysis
+from pmspec import analysis, sym_spectrum
 from pmspec.exact import _TABLE_BYTES_PER_NODE
 from pmspec.partitions import (
     Dominance,
@@ -148,14 +148,24 @@ def test_xi_comparison_suite():
 
 
 def test_xi_comparison_reads_the_sym_row_list(monkeypatch):
-    # kuwong-xi takes xi at the partitions of n from its sweep's row list,
-    # so it walks no lattice ids and builds no pm sweep
+    # kuwong-xi takes its first xi at the partitions of n from each n's sym
+    # row list, and its second from its own alpha = 1 strip sweep by id,
+    # not through _Sweep, whose reads the pm fault patches: so it builds no
+    # _Sweep, and its clean report keeps its golden digest
     def refused(*args):
         raise AssertionError("kuwong-xi built a _Sweep")
 
     monkeypatch.setattr(analysis, "_Sweep", refused)
     n_max, clean, _ = GOLDEN["kuwong-xi"]
     assert _fingerprint("kuwong-xi", n_max) == clean
+
+
+def test_xi_comparison_fills_no_last_part_store():
+    # the second xi comes off one alpha = 1 strip sweep, not the
+    # xi_by_last_part store, so the suite leaves that store empty
+    sym_spectrum._xi_last.cache_clear()
+    assert analysis.run_suite("kuwong-xi", 12).passed
+    assert sym_spectrum._xi_last.cache_info().currsize == 0
 
 
 def test_dual_recurrence_suite():
@@ -439,11 +449,13 @@ def test_pair_suites_keep_one_level_alive_at_a_time(monkeypatch):
             assert all(len(firsts) == 1 for firsts in first_parts)
 
 
-@pytest.mark.parametrize("suite, bound_mib", [("thm6", 14), ("kuwong-xi", 22)])
+@pytest.mark.parametrize("suite, bound_mib", [("thm6", 14), ("kuwong-xi", 10)])
 def test_block_suites_peak_near_the_import(peak_rss, suite, bound_mib):
     # with a level per first-part block, thm6 and kuwong-xi to n_max 33 grow
-    # about 8.5 and 16.5 MiB over the import (Python 3.11); one level per n,
-    # holding every cross-block pair, took them to about 21 and 29 MiB
+    # about 8.5 and 6 MiB over the import (Python 3.11); one level per n,
+    # holding every cross-block pair, took them to about 21 and 29 MiB, and
+    # kuwong-xi's xi_by_last_part store, its second xi before the alpha = 1
+    # strip sweep, to about 14 MiB
     status, baseline = peak_rss("-c", "import pmspec.cli")
     assert status == 0
     status, peak = peak_rss("-m", "pmspec.cli", "verify", "--suite", suite, "--n-max", "33")
@@ -464,6 +476,22 @@ def test_dualpath_admission_model_covers_the_peak_growth(peak_rss):
         assert status == 0
         peaks.append(peak)
     per_partition = _TABLE_BYTES_PER_NODE["pm"] + analysis._ETA_ALT_BYTES_PER_PARTITION
+    assert peaks[1] - peaks[0] <= per_partition * (nodes[36] - nodes[30])
+
+
+def test_xi_sweeps_admission_model_covers_the_peak_growth(peak_rss):
+    # kuwong-xi admits its sym sweep at n_max with _XI_STRIP_BYTES_PER_NODE
+    # more bytes per partition for its alpha = 1 strip sweep, so its peak
+    # must grow no faster than the two together, its levels' bitsets left
+    # out: from n_max 30 to 36 that is 190 bytes for each of the 70,504
+    # partitions added, 12.8 MiB, against about 8 MiB measured (Python 3.11)
+    nodes = list(accumulate(bounded_partition_counts(36)[36]))
+    peaks = []
+    for n_max in (30, 36):
+        status, peak = peak_rss("-m", "pmspec.cli", "verify", "--suite", "kuwong-xi", "--n-max", str(n_max))
+        assert status == 0
+        peaks.append(peak)
+    per_partition = _TABLE_BYTES_PER_NODE["sym"] + analysis._XI_STRIP_BYTES_PER_NODE
     assert peaks[1] - peaks[0] <= per_partition * (nodes[36] - nodes[30])
 
 

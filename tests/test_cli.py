@@ -228,13 +228,17 @@ _PINNED_BUDGET = 8_419_655_680
         (lambda n: exact.admit_table("pm", n), 74),
         (lambda n: exact.admit_table("sym", n), 77),
         (lambda n: exact.admit_table("pm", n, analysis._ETA_ALT_BYTES_PER_PARTITION), 67),
+        (lambda n: exact.admit_table("sym", n, analysis._XI_STRIP_BYTES_PER_NODE), 72),
         (analysis.admit_levels, 53),
         (lambda n: oracle._admit("pm", n), 8),
         (lambda n: oracle._admit("sym", n), 10),
         (lambda n: exact.admit(analysis._shapes_needs(n)), 11776),
         (lambda n: exact.admit(analysis._family_needs(n)), 45873),
     ],
-    ids=["table-pm", "table-sym", "dualpath", "pair-suites", "oracle-pm", "oracle-sym", "identities", "crossblock"],
+    ids=[
+        "table-pm", "table-sym", "dualpath", "kuwong-xi-sweeps", "pair-suites",
+        "oracle-pm", "oracle-sym", "identities", "crossblock",
+    ],
 )
 def test_admission_boundaries_are_pinned(monkeypatch, check, largest):
     monkeypatch.setattr(exact, "memory_budget", lambda: (_PINNED_BUDGET, "physical memory"))
@@ -298,12 +302,12 @@ def test_shape_suites_refuse_a_huge_n_max_at_once(capsys, monkeypatch, suite):
         (
             "--family sym --n 1000000",
             "oracle sym n=1000000: the graph has 1000000000000 columns and at least 1 vertices,"
-            " which need about 3e+06 MB, more than the 8420 MB of physical memory",
+            " which need about 3.01e+06 MB, more than the 8419 MB of physical memory",
         ),
         (
             "--family pm --n 100000",
             "oracle pm n=100000: the graph has 19999900000 columns and at least 1 vertices,"
-            " which need about 60000 MB, more than the 8420 MB of physical memory",
+            " which need about 60000 MB, more than the 8419 MB of physical memory",
         ),
     ],
     ids=["sym", "pm"],
@@ -315,6 +319,15 @@ def test_oracle_refusal_names_the_columns(capsys, monkeypatch, argv, message):
     code, out, err = run(capsys, "oracle", *argv.split())
     assert code == 2 and out == ""
     assert err == f"pmspec: error: {message}\n"
+
+
+def test_oracle_refuses_a_need_past_any_float(capsys, monkeypatch):
+    # at n = 10^200 the columns alone need more bytes than a float can hold,
+    # and the refusal rounds that int need without converting it
+    monkeypatch.setattr(exact, "memory_budget", lambda: (_PINNED_BUDGET, "physical memory"))
+    code, out, err = run(capsys, "oracle", "--family", "pm", "--n", "1" + "0" * 200)
+    assert code == 2 and out == ""
+    assert err.endswith(" which need about 6e+394 MB, more than the 8419 MB of physical memory\n"), err
 
 
 @pytest.mark.parametrize(

@@ -231,3 +231,25 @@ def test_irrep_dimension_sum_of_squares():
     for n in range(1, 13):
         total = sum(irrep_dimension(mu) ** 2 for mu in enumerate_partitions(n))
         assert total == math.factorial(n)
+
+
+@pytest.mark.parametrize(
+    "budget, needed, amounts",
+    [
+        # both were once printed as the same whole MB
+        (2_028_400_000, 2_028_400_001, ("2029", "2028")),
+        (10**12, 10**12 + 1, ("1.01e+06", "1000000")),
+        (8_419_655_680, 8_419_655_681, ("8420", "8419")),
+        # an int need past any float is still rounded up, not overflowed
+        (10**12, 10**900 + 1, ("1.01e+894", "1000000")),
+        (10**12, 999 * 10**897 + 1, ("1e+894", "1000000")),
+    ],
+)
+def test_a_refused_need_reads_larger_than_the_budget(monkeypatch, budget, needed, amounts):
+    # the need is rounded up and the budget down
+    monkeypatch.setattr(exact, "memory_budget", lambda: (budget, "physical memory"))
+    exact.admit([(budget, "at the budget")])
+    with pytest.raises(ValueError) as refusal:
+        exact.admit([(needed, "just over it, needs")])
+    need, have = amounts
+    assert str(refusal.value) == f"just over it, needs about {need} MB, more than the {have} MB of physical memory"

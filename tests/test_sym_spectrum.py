@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from pmspec import sym_spectrum
 from pmspec.exact import derangement_count, irrep_dimension
 from pmspec.partitions import Partition, enumerate_partitions
+from pmspec.pm_spectrum import _eta_sweep
 from pmspec.sym_spectrum import (
     _xi_sweep,
     sym_spectrum_table,
@@ -155,3 +156,16 @@ def test_single_query_matches_the_sweep(mu):
     # the partitions of that size, by id and in row order
     lattice, values, rows = _swept(mu.size)
     assert xi(mu).xi == values[lattice.index(mu)] == rows[mu]
+
+
+def test_four_xi_paths_agree_up_to_twenty():
+    # every partition of size <= 20: the first-part recurrence as each n's
+    # sym sweep and as a single query, the strip recurrence at alpha = 1 as
+    # one sweep to 20, and the last-part recurrence with its store
+    lattice, strip, _, _ = _eta_sweep(20, alpha=1)
+    checked = 0
+    for n in range(1, 21):
+        for mu, row in zip(enumerate_partitions(n), _xi_sweep(n)[2]):
+            assert row == strip[lattice.index(mu)] == xi_by_first_part(mu) == xi_by_last_part(mu), mu
+            checked += 1
+    assert checked == 2713  # p(1) + ... + p(20)
