@@ -131,17 +131,16 @@ def _report(suite: str, n_min: int, n_max: int) -> VerificationReport:
 class _Sweep:
     """eta by partition, read off one pm lattice sweep of size n
     (:func:`_eta_sweep`), at every partition of size at most n.  Each
-    partition's id is walked from the lattice's ``base``, all that is kept
-    of the lattice.  A sweep that could not fit in physical memory, with
-    ``held`` bytes per partition that its suite keeps besides it, is refused
-    before it starts."""
+    partition's node id is walked from the lattice's blocks, so the
+    lattice, whose arrays hold one entry per partition of n, is kept.  A
+    sweep that could not fit in physical memory, with ``held`` bytes per
+    partition that ``holder`` names and its suite keeps besides it, is
+    refused before it starts."""
 
-    _index = PartitionLattice.index  # reads only ``base``
-
-    def __init__(self, n: int, held: int = 0) -> None:
-        admit_table("pm", n, held)
+    def __init__(self, n: int, held: int = 0, holder: str = "") -> None:
+        admit_table("pm", n, held, holder)
         lattice, self._values, _, _ = _eta_sweep(n)
-        self.base = lattice.base
+        self._index = lattice.index
 
     def value(self, lam: Partition) -> int:
         """eta(lam)."""
@@ -720,7 +719,7 @@ def verify_xi_comparison(n_max: int) -> VerificationReport:
     # n_max's sym sweep is the largest: each n's holds only what the
     # partitions of its own size reach, and returns xi at those in row
     # order.  The strip sweep is kept for every n beside it
-    admit_table("sym", n_max, _XI_STRIP_BYTES_PER_NODE)
+    admit_table("sym", n_max, _XI_STRIP_BYTES_PER_NODE, "its alpha = 1 strip sweep")
     lattice, strip, _, _ = _eta_sweep(n_max, alpha=1)
     for n in range(2, n_max + 1):
         _xi_level(report, n, lattice, strip)
@@ -729,7 +728,9 @@ def verify_xi_comparison(n_max: int) -> VerificationReport:
 
 def _xi_level(report, n: int, lattice: PartitionLattice, strip: list) -> None:
     """kuwong-xi's checks at one n, whose sym sweep is freed on return.
-    ``strip`` holds xi by id of ``lattice``, the strip sweep's."""
+    ``strip`` holds xi by node id of ``lattice``, the strip sweep's, at
+    every partition of size at most n_max; each row's node id is walked
+    from the lattice's blocks."""
     agree = report.relation("xi recurrence agreement", "partition", "values")
     extremes = report.relation("lexicographic extremes bound |xi|", "partition", "values")
     variant = report.relation("mis-transcribed variant disagrees at (1,1)")
@@ -778,7 +779,7 @@ def verify_dual_recurrences(n_max: int) -> VerificationReport:
     filled alongside the sweep, counts in the sweep's admission.
     """
     report = _report("dualpath", 1, n_max)
-    sweep = _Sweep(n_max, _ETA_ALT_BYTES_PER_PARTITION)
+    sweep = _Sweep(n_max, _ETA_ALT_BYTES_PER_PARTITION, "the eta_alt store")
     agree = report.relation("dual-path agreement", "partition", "values")
     any_index = report.relation("lowering recurrence index-independent", "partition", "index")
     for n in range(1, n_max + 1):

@@ -203,26 +203,30 @@ def _query_needs(family: str, lam: tuple):
 _TABLE_BYTES_PER_NODE = {"pm": 140, "sym": 90}
 
 
-def admit_table(family: str, n: int, held: int = 0) -> None:
+def admit_table(family: str, n: int, held: int = 0, holder: str = "") -> None:
     """Refuse a table of size n whose sweep could not fit in memory, or
-    whose lattice ids could not fit in 4 bytes.
+    whose lattice node ids could not fit in 4 bytes.
 
-    The sweep holds its values for every partition of size at most n, and
-    its caller may hold ``held`` more bytes for each of them.  Those
-    partitions are the ids 0, 1, ... of an ``array("i")``, so there must be
-    fewer than 2^31 of them, n < ID_LIMIT, and no count past it is needed.
+    The need is counted per partition of size at most n, at which the pm
+    sweep holds its values, and its caller may hold ``held`` more bytes for
+    each of them, for what ``holder`` names; a refusal names it beside the
+    sweep.  Those partitions are the node ids 0, 1, ..., which the
+    lattice's ``base``, an ``array("i")``, holds offsets into, so there
+    must be fewer than 2^31 of them, n < ID_LIMIT, and no count past it is
+    needed.
     """
     per_node = _TABLE_BYTES_PER_NODE[family] + held
+    what = f"a {family} sweep to n={n}" + (f" and {holder}" if holder else "")
     top = min(n, ID_LIMIT)
     counts = bounded_partition_counts(top)[top]
     admit(
-        (per_node * nodes, f"a {family} sweep to n={n}: the {nodes} partitions of size at most {k} need")
+        (per_node * nodes, f"{what}: the {nodes} partitions of size at most {k} need")
         for k, nodes in enumerate(accumulate(counts))
     )
     nodes = sum(counts)
     if nodes >= 2**31:
         raise ValueError(
-            f"a {family} sweep to n={n}: the {nodes} partitions of size at most {top} need ids"
+            f"{what}: the {nodes} partitions of size at most {top} need ids"
             f" up to {nodes - 1}, past {2**31 - 1}, the largest 4-byte int"
         )
 

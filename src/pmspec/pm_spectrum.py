@@ -194,19 +194,23 @@ def f_closed_form_2a1b(a: int, b: int) -> int:
 
 
 def _eta_sweep(n: int, hooks: bool = False, alpha: int = 2) -> tuple:
-    """eta at every partition of size <= n, by lattice id, and at the
+    """eta at every partition of size <= n, by lattice node id, and at the
     partitions of n in row order; with ``hooks``, also H(2 lam) at those.
     At ``alpha`` = 1 the values are xi, not eta; the hooks stay doubled.
 
     One forward sweep of the strip recurrence (:class:`_StripRows`): the
     children of lam = (m,) + t are its head and head - j for j <= last,
-    all of fewer parts, so a block's values are its coefficient row dotted
-    with one slice of the values per child, added up a slice at a time.
-    Most coefficients are 1 or -1 (every j = 0, and j = 1 at last = 1);
-    those slices are copied, negated, added or subtracted with no product.
-    The one-part values are d_m (alpha = 2) or D_m (alpha = 1).  Returns
-    the lattice, the values by id, the values of the rows and the doubled
-    hook products of the rows (None without ``hooks``).
+    all of fewer parts and of every size, so the values are kept by node,
+    not by slot (:mod:`pmspec.lattice`).  head - j of a block's partitions
+    is one slice of the nodes of one block, that of t's head stepped j
+    times by ``minus1``, at ``base`` of that block, so a block's values are
+    its coefficient row dotted with one slice of the values per child,
+    added up a slice at a time.  Most coefficients are 1 or -1 (every
+    j = 0, and j = 1 at last = 1); those slices are copied, negated, added
+    or subtracted with no product.  The one-part values are d_m
+    (alpha = 2) or D_m (alpha = 1).  Returns the lattice, the values by
+    node id, the values of the rows and the doubled hook products of the
+    rows (None without ``hooks``).
     """
     lattice = PartitionLattice(n, doubled=True, hooks=hooks)
     base, minus1 = lattice.base, lattice.minus1
@@ -215,13 +219,13 @@ def _eta_sweep(n: int, hooks: bool = False, alpha: int = 2) -> tuple:
     values = [1]
     by_row = [None] * lattice.row_count
     for r, blocks in lattice.levels():
-        for _, _, lo, hi, head, last, _, place in blocks:
+        for place, lo, hi, head, last, _, _ in blocks:
             if head is None:
                 values.extend(map(one_part, range(lo, hi + 1)))
                 by_row[0] = values[hi]
                 continue
             # head - j of (m,) + t is base[head] + m - j, where head starts
-            # as t without its last part and steps by minus1
+            # as the block of t without its last part and steps by minus1
             row, count = rows[last, r & 1], hi - lo + 1
             start = base[head] + lo
             acc = values[start : start + count]

@@ -127,39 +127,41 @@ def xi(mu: Partition) -> XiValue:
 
 
 def _xi_sweep(n: int, hooks: bool = False) -> tuple:
-    """xi by lattice id at the partitions nu the table needs, and xi at the
-    partitions of n in row order; with ``hooks``, also H(lam) at those.
+    """xi by lattice slot at the partitions nu the table needs, and xi at
+    the partitions of n in row order; with ``hooks``, also H(lam) at those.
 
     One forward sweep of the first-part recurrence: the children of
     mu = (m,) + t are mu - 1 and t - 1.  Only the rows and the partitions
-    with |nu| + len(nu) <= n are evaluated, the others hold None.  Returns
-    the lattice, the xi values by id, the xi values of the rows and the
-    hook products of the rows (None without ``hooks``).
+    with |nu| + len(nu) <= n are evaluated, p(n) of the latter, each at its
+    slot (:mod:`pmspec.lattice`).  A block's evaluated mu - 1 are one slice
+    of the block of t - 1, and t - 1 is at the slot the block carries, so a
+    block's values are appended in one pass.  Returns the lattice, the p(n)
+    xi values by slot, the xi values of the rows and the hook products of
+    the rows (None without ``hooks``).
     """
     lattice = PartitionLattice(n, doubled=False, hooks=hooks)
-    base, minus1 = lattice.base, lattice.minus1
-    values = [None] * len(base)
-    values[0] = 1
+    minus1, slots = lattice.minus1, lattice.slots
+    # xi(()) = D_0 and xi((m,)) = D_m, at slots 0 to n - 1, and (n,) is a row
+    values = list(map(derangement_count, range(n)))
     by_row = [None] * lattice.row_count
+    by_row[0] = derangement_count(n)
     for r, blocks in lattice.levels():
+        if r == 1:
+            continue
         sign = 1 if r & 1 else -1  # (-1)^(r-1)
-        for tail, offset, lo, hi, head, _, _, place in blocks:
-            if head is None:
-                values[lo : hi + 1] = map(derangement_count, range(lo, hi + 1))
-                by_row[0] = values[hi]
-                continue
-            shifted = base[minus1[tail]] - 1  # mu - 1 is shifted + m
-            tail_value = values[minus1[tail]]
+        for place, lo, hi, _, _, _, below in blocks:
+            shifted = slots[minus1[place]] - 1  # mu - 1 is at slot shifted + m
+            tail_value = values[below]
             # (-1)^(r-1) (m + r - 1) xi(mu - 1) + (-1)^(m + r - 1) xi(t - 1) at
-            # m <= hi - r and at the row, m = hi
+            # m <= hi - r, the block's next slots, and at the row, m = hi
             top = hi - r
             if lo <= top:
-                values[offset + lo : offset + top + 1] = [
+                values += [
                     sign * (m + r - 1) * values[shifted + m] + (tail_value if (m + r) & 1 else -tail_value)
                     for m in range(lo, top + 1)
                 ]
             row = sign * (hi + r - 1) * values[shifted + hi]
-            values[offset + hi] = by_row[place] = row + tail_value if (hi + r) & 1 else row - tail_value
+            by_row[place] = row + tail_value if (hi + r) & 1 else row - tail_value
     return lattice, values, by_row, lattice.row_hooks
 
 

@@ -215,6 +215,7 @@ def test_dualpath_admission_counts_its_store(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--suite", "dualpath", "--n-max", "30")
     assert code == 2 and out == ""
     assert "physical memory" in err and "Traceback" not in err
+    assert "a pm sweep to n=30 and the eta_alt store: the" in err
 
 
 # a budget of 8,419,655,680 bytes, and the largest n that each memory check
@@ -280,6 +281,26 @@ def test_pair_suites_refuse_four_byte_ids_at_once(capsys, monkeypatch, argv):
     assert code == 2 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and "4-byte" in lines[0] and "Traceback" not in err
+
+
+def test_kuwong_xi_refusal_names_its_strip_sweep(capsys, monkeypatch):
+    # kuwong-xi admits its sym sweep with _XI_STRIP_BYTES_PER_NODE more bytes
+    # per partition for its alpha = 1 strip sweep, and its refusals say so:
+    # with the levels let through, the pinned budget refuses n_max 73 for
+    # memory, 190 bytes for each of 46,329,631 partitions; with 10^18 bytes,
+    # n_max 150 is refused for its 4-byte ids
+    monkeypatch.setattr(exact, "memory_budget", lambda: (_PINNED_BUDGET, "physical memory"))
+    monkeypatch.setattr(analysis, "admit_levels", lambda n_max: None)
+    with pytest.raises(ValueError) as refused:
+        analysis.verify_xi_comparison(73)
+    assert str(refused.value).startswith(
+        "a sym sweep to n=73 and its alpha = 1 strip sweep: the 46329631 partitions of size at most 73 need about"
+        " 8803 MB"
+    )
+    monkeypatch.setattr(exact, "memory_budget", lambda: (10**18, "physical memory"))
+    code, out, err = run(capsys, "verify", "--suite", "kuwong-xi", "--n-max", "150")
+    assert code == 2 and out == ""
+    assert "a sym sweep to n=150 and its alpha = 1 strip sweep:" in err and "4-byte" in err
 
 
 @pytest.mark.parametrize("suite", ["identities", "crossblock"])

@@ -153,9 +153,16 @@ def _swept(n):
 @given(SHAPES.map(lambda mu: P(mu[: bisect_right(list(accumulate(mu)), 30)])))
 def test_single_query_matches_the_sweep(mu):
     # the suffix table against the lattice sweep of mu's size, which holds
-    # the partitions of that size, by id and in row order
+    # the partitions of that size in row order, and by slot the nu with
+    # |nu| + len(nu) at most that size, mu - 1 among them
     lattice, values, rows = _swept(mu.size)
-    assert xi(mu).xi == values[lattice.index(mu)] == rows[mu]
+    assert xi(mu).xi == rows[mu]
+    if mu:
+        # mu - 1 = (m,) + t is in the block of t, the place of the row (|mu| - |t|,) + t
+        below = P(part - 1 for part in mu)
+        t = below[1:]
+        block = enumerate_partitions(mu.size).index((mu.size - sum(t),) + t)
+        assert xi(below).xi == values[lattice.slots[block] + sum(below[:1])]
 
 
 def test_four_xi_paths_agree_up_to_twenty():
