@@ -18,7 +18,7 @@ from bisect import bisect_left, bisect_right
 from functools import cache
 from itertools import accumulate
 
-from .exact import _held_bytes, _log_bound, admit, admit_table, binomial, odd_double_factorial, pm_degree
+from .exact import LEDGER, _held_bytes, _log_bound, admit, admit_table, binomial, odd_double_factorial, pm_degree
 from .lattice import ID_LIMIT, PartitionLattice
 from .partitions import (
     Dominance,
@@ -133,12 +133,12 @@ class _Sweep:
     (:func:`_eta_sweep`), at every partition of size at most n.  Each
     partition's node id is walked from the lattice's blocks, so the
     lattice, whose arrays hold one entry per partition of n, is kept.  A
-    sweep that could not fit in physical memory, with ``held`` bytes per
-    partition that ``holder`` names and its suite keeps besides it, is
-    refused before it starts."""
+    sweep that could not fit in the memory budget, with what the ledger
+    names in ``also`` and its suite keeps beside it, is refused before it
+    starts."""
 
-    def __init__(self, n: int, held: int = 0, holder: str = "") -> None:
-        admit_table("pm", n, held, holder)
+    def __init__(self, n: int, *also: str) -> None:
+        admit_table("pm", n, *also)
         lattice, self._values, _, _ = _eta_sweep(n)
         self._index = lattice.index
 
@@ -193,27 +193,18 @@ def _dominance_rows(parts: list) -> list:
     return above
 
 
-# A level's dominance bitsets hold up to p^2/2 bits for its p partitions, at
-# 4 bytes per 30-bit digit of a Python int.  Besides them, the per-block
-# masks, the partitions and the stored eta or xi values took 321 to 449
-# bytes per partition of size at most n: the peak-RSS growth of scan, thm6
-# and kuwong-xi to n = 32, 36 and 39, less the bitsets
-_BYTES_PER_BIT = 4 / 30
-_BYTES_PER_PARTITION = 500
-
-
-def admit_levels(n_max: int) -> None:
-    """Refuse a pair suite whose levels up to n_max could not fit in memory.
+def _level_needs(n_max: int):
+    """The bytes a pair suite holds at each n up to n_max, for :func:`admit`:
+    a level's bitsets, p^2/2 bits for its p partitions, and the ledger's rate
+    for the masks, partitions and values, per partition of size at most n.
     No n past ID_LIMIT is counted: each pair suite next admits its sweep to
     n_max, which ``admit_table`` refuses there, and that level needs petabytes."""
     counts = bounded_partition_counts(min(n_max, ID_LIMIT))[-1]
-    admit(
-        (
-            _BYTES_PER_BIT * count * count / 2 + _BYTES_PER_PARTITION * stored,
+    for n, (count, stored) in enumerate(zip(counts, accumulate(counts))):
+        yield (
+            _held_bytes(count * count / 2, 0) + LEDGER["pair suites"] * stored,
             f"pair suites to n={n_max}, at n={n} ({count} partitions), need",
         )
-        for n, (count, stored) in enumerate(zip(counts, accumulate(counts)))
-    )
 
 
 def _ranked(values: list) -> tuple:
@@ -333,7 +324,7 @@ def verify_abs_dominance(n_max: int) -> VerificationReport:
     end-to-end.
     """
     report = _report("thm6", 2, n_max)
-    admit_levels(n_max)
+    admit(_level_needs(n_max))
     sweep = _Sweep(n_max)
     for n in range(2, n_max + 1):
         _abs_dominance_level(report, n, sweep)
@@ -520,15 +511,11 @@ def verify_step_identities(n_max: int) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-# a shape a suite holds: its tuple of parts, 56 bytes and 8 per part in
-# CPython, and about 64 bytes for the dict slot or list entry that holds it
-_SHAPE_BYTES = 120
-
-
 def _shapes_needs(size_budget: int):
     """The bytes :func:`verify_product_identities` holds after each (u, q),
     for :func:`admit`: up to five new shapes per (u, q), each a key of up to
-    q + 1 parts and an f of at most d of its size."""
+    q + 1 parts at the ledger's rate and 8 bytes a part, and an f of at most
+    d of its size."""
     held = 0.0
     for u in range(1, size_budget):
         for q in range(1, (size_budget - 1) // u + 1):
@@ -536,7 +523,7 @@ def _shapes_needs(size_budget: int):
             if q * (u + 2) + 1 <= size_budget:
                 sizes += [q * (u + 2) + 1, q * (u + 1) + 1]
             bits = sum(_log_bound("pm", size) for size in sizes) / math.log(2)
-            held += _held_bytes(bits, len(sizes)) + len(sizes) * (_SHAPE_BYTES + 8 * (q + 1))
+            held += _held_bytes(bits, len(sizes)) + len(sizes) * (LEDGER["the shapes"] + 8 * (q + 1))
             yield held, f"identities to n={size_budget}: the shapes up to u={u}, q={q} need"
 
 
@@ -600,10 +587,11 @@ def first_part_three_family(n: int) -> list[Partition]:
 def _family_needs(n_max: int):
     """The bytes :func:`find_cross_block_counterexamples` holds at each n,
     for :func:`admit`: the first-part-3 family, (n - 1) // 2 partitions of
-    at most n - 2 parts."""
+    at most n - 2 parts, each a shape at the ledger's rate and 8 bytes a part."""
     for n in range(10, n_max + 1):
         members = (n - 1) // 2
-        yield members * (_SHAPE_BYTES + 8 * (n - 2)), f"crossblock at n={n}: its {members} family members need"
+        need = members * (LEDGER["the shapes"] + 8 * (n - 2))
+        yield need, f"crossblock at n={n}: its {members} family members need"
 
 
 def find_cross_block_counterexamples(n_max: int) -> VerificationReport:
@@ -653,7 +641,7 @@ def scan_cross_gap_conjecture(n_max: int, progress=None) -> VerificationReport:
     given, is called after each n.
     """
     report = _report("conjecture2", 2, n_max)
-    admit_levels(n_max)
+    admit(_level_needs(n_max))
     sweep = _Sweep(n_max)
     for n in range(2, n_max + 1):
         _scan_level(report, n, sweep)
@@ -696,13 +684,6 @@ def _scan_level(report, n: int, sweep: _Sweep) -> None:
 # ---------------------------------------------------------------------------
 
 
-# bytes per partition of size at most n_max that kuwong-xi's strip sweep at
-# alpha = 1 keeps for the whole suite: the growth of kuwong-xi's peak RSS
-# from n_max = 36 to 42 less the sym table's (122 less 64 bytes per
-# partition), plus one value's digit growth, rounded up
-_XI_STRIP_BYTES_PER_NODE = 100
-
-
 def verify_xi_comparison(n_max: int) -> VerificationReport:
     """Baseline family: recurrence agreement and |xi| dominance monotonicity.
 
@@ -715,11 +696,11 @@ def verify_xi_comparison(n_max: int) -> VerificationReport:
     lexicographic extremes of each block bound |xi| from both sides.
     """
     report = _report("kuwong-xi", 2, n_max)
-    admit_levels(n_max)
+    admit(_level_needs(n_max))
     # n_max's sym sweep is the largest: each n's holds only what the
     # partitions of its own size reach, and returns xi at those in row
     # order.  The strip sweep is kept for every n beside it
-    admit_table("sym", n_max, _XI_STRIP_BYTES_PER_NODE, "its alpha = 1 strip sweep")
+    admit_table("sym", n_max, "its alpha = 1 strip sweep")
     lattice, strip, _, _ = _eta_sweep(n_max, alpha=1)
     for n in range(2, n_max + 1):
         _xi_level(report, n, lattice, strip)
@@ -764,12 +745,6 @@ def _xi_level(report, n: int, lattice: PartitionLattice, strip: list) -> None:
 # admissible index, not only the last one
 _ALL_INDICES_MAX_N = 12
 
-# bytes the eta_alt store keeps per partition of size at most n_max: the
-# growth of dualpath's peak RSS from n_max = 40 to 46 less the pm table's
-# (304 less 97 bytes per partition), plus one value's digit growth, rounded up
-_ETA_ALT_BYTES_PER_PARTITION = 250
-
-
 def verify_dual_recurrences(n_max: int) -> VerificationReport:
     """The two independent eta recurrence paths agree on every partition:
     the strip recurrence, read off one lattice sweep, and the lowering one.
@@ -779,7 +754,7 @@ def verify_dual_recurrences(n_max: int) -> VerificationReport:
     filled alongside the sweep, counts in the sweep's admission.
     """
     report = _report("dualpath", 1, n_max)
-    sweep = _Sweep(n_max, _ETA_ALT_BYTES_PER_PARTITION, "the eta_alt store")
+    sweep = _Sweep(n_max, "the eta_alt store")
     agree = report.relation("dual-path agreement", "partition", "values")
     any_index = report.relation("lowering recurrence index-independent", "partition", "index")
     for n in range(1, n_max + 1):

@@ -9,6 +9,8 @@ the spectrum tables run on the partition lattice
 (:class:`pmspec.lattice.PartitionLattice`).
 :func:`admit` refuses work whose memory model exceeds :func:`memory_budget`,
 for :func:`admit_query` a single query and for :func:`admit_table` a table.
+Each memory model's measured bytes-per-unit rate is one entry of
+:data:`LEDGER`, which every model's need generator reads.
 """
 
 from __future__ import annotations
@@ -98,7 +100,8 @@ def _megabytes_up(needed) -> str:
 def memory_budget() -> tuple:
     """The bytes this process may still take, and the name of the limit that
     binds: the least of physical memory, the soft address-space limit less
-    the address space mapped so far, and a numeric cgroup v2 memory.max."""
+    the address space mapped so far, and a numeric cgroup v2 memory.max less
+    the cgroup's memory.current; never below 0."""
     import resource  # only a memory check needs it
 
     limits = [(physical_memory_bytes(), "physical memory")]
@@ -108,10 +111,13 @@ def memory_budget() -> tuple:
         limits.append((soft - mapped, "address space left under RLIMIT_AS"))
     for line in _read("/proc/self/cgroup").splitlines():
         if line.startswith("0::"):
-            cap = _read(f"/sys/fs/cgroup{line[3:]}/memory.max").strip()
+            group = f"/sys/fs/cgroup{line[3:]}"
+            cap = _read(f"{group}/memory.max").strip()
             if cap.isdigit():
-                limits.append((int(cap), "memory allowed by the cgroup's memory.max"))
-    return min(limits)
+                used = int(_read(f"{group}/memory.current") or 0)
+                limits.append((int(cap) - used, "memory allowed by the cgroup's memory.max"))
+    memory, limit = min(limits)
+    return max(memory, 0), limit
 
 
 def _read(path: str) -> str:
@@ -196,37 +202,57 @@ def _query_needs(family: str, lam: tuple):
     yield needed, f"the {family} query on this partition of size n={n} holds at its peak"
 
 
-# bytes per lattice node, a partition of size at most n, of a table of size
-# n: the growth of the table command's peak RSS from n = 45 to n = 50, 106
-# (pm) and 64 (sym), plus the growth of one value's digits to the largest n
-# admitted in a few GB (about 22 bytes), rounded up
-_TABLE_BYTES_PER_NODE = {"pm": 140, "sym": 90}
+# The memory ledger: what each held thing costs, in bytes per unit, by the
+# name a refusal prints.  A rate is the growth of a command's peak RSS between
+# two sizes, or a sum of CPython object sizes, rounded up; tests/test_memory.py
+# measures each again.  A node is a partition of size at most n.
+LEDGER = {
+    # per node: table --n 45 to 50 grew 106 bytes, plus ~22 of one value's digit growth
+    "a pm sweep": 140,
+    # per node: table --n 45 to 50 grew 64 bytes, plus ~22 of one value's digit growth
+    "a sym sweep": 90,
+    # per node: dualpath --n-max 40 to 46 grew 304 bytes less the pm table's 97, plus digits
+    "the eta_alt store": 250,
+    # per node: kuwong-xi --n-max 36 to 42 grew 122 bytes less the sym table's 64, plus digits
+    "its alpha = 1 strip sweep": 100,
+    # per node beside a level's bits: scan, thm6, kuwong-xi to 32, 36, 39 grew 321-449 bytes
+    "pair suites": 500,
+    # per shape kept: a tuple's 56 bytes and a 64-byte slot; identities 100 to 300 grew 1.1 MiB of a 3.6 MiB need
+    "the shapes": 120,
+    # per vertex: oracle pm n=6 to 7 grew 326 bytes a vertex more than the layouts' bits
+    "oracle pm": 400,
+    # per vertex: oracle sym n=7 to 8 grew 374 bytes a vertex more than the layouts' bits, 8 to 9 382
+    "oracle sym": 450,
+}
 
 
-def admit_table(family: str, n: int, held: int = 0, holder: str = "") -> None:
+def _table_needs(family: str, n: int, *also: str):
+    """The bytes a sweep of size n holds, with what the ledger names in
+    ``also`` beside it, for :func:`admit`: its per-node rates for each
+    partition of size at most k, for each k up to n or ID_LIMIT."""
+    per_node = sum(LEDGER[name] for name in (f"a {family} sweep", *also))
+    what = " and ".join((f"a {family} sweep to n={n}", *also))
+    for k, nodes in enumerate(accumulate(bounded_partition_counts(min(n, ID_LIMIT))[-1])):
+        yield per_node * nodes, f"{what}: the {nodes} partitions of size at most {k} need"
+
+
+def admit_table(family: str, n: int, *also: str) -> None:
     """Refuse a table of size n whose sweep could not fit in memory, or
     whose lattice node ids could not fit in 4 bytes.
 
     The need is counted per partition of size at most n, at which the pm
-    sweep holds its values, and its caller may hold ``held`` more bytes for
-    each of them, for what ``holder`` names; a refusal names it beside the
-    sweep.  Those partitions are the node ids 0, 1, ..., which the
-    lattice's ``base``, an ``array("i")``, holds offsets into, so there
-    must be fewer than 2^31 of them, n < ID_LIMIT, and no count past it is
-    needed.
+    sweep holds its values, at the ledger's rate for the sweep and for what
+    ``also`` names, which its caller holds beside it; a refusal names them
+    all.  Those partitions are the node ids 0, 1, ..., which the lattice's
+    ``base``, an ``array("i")``, holds offsets into, so there must be fewer
+    than 2^31 of them, n < ID_LIMIT, and no count past it is needed.
     """
-    per_node = _TABLE_BYTES_PER_NODE[family] + held
-    what = f"a {family} sweep to n={n}" + (f" and {holder}" if holder else "")
-    top = min(n, ID_LIMIT)
-    counts = bounded_partition_counts(top)[top]
-    admit(
-        (per_node * nodes, f"{what}: the {nodes} partitions of size at most {k} need")
-        for k, nodes in enumerate(accumulate(counts))
-    )
-    nodes = sum(counts)
-    if nodes >= 2**31:
+    admit(_table_needs(family, n, *also))
+    nodes = sum(bounded_partition_counts(min(n, ID_LIMIT))[-1])
+    if nodes >= 2**31:  # n >= ID_LIMIT
+        what = " and ".join((f"a {family} sweep to n={n}", *also))
         raise ValueError(
-            f"{what}: the {nodes} partitions of size at most {top} need ids"
+            f"{what}: the {nodes} partitions of size at most {ID_LIMIT} need ids"
             f" up to {nodes - 1}, past {2**31 - 1}, the largest 4-byte int"
         )
 

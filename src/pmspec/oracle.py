@@ -44,17 +44,9 @@ from functools import reduce
 from operator import add, mul, or_
 from typing import NamedTuple, Sequence
 
-from .exact import admit, odd_double_factorial
+from .exact import LEDGER, admit, odd_double_factorial
 from .tables import SpectrumTable
 
-
-# bytes per vertex beside the holder sets: its label, support and cell id,
-# its two move entries and its bit in each layout, and the label -> vertex
-# dict the moves are found with.  Measured as the growth of the oracle
-# command's peak RSS less the growth of the holder sets: 326 bytes from
-# pm n=6 to n=7, 374 from sym n=7 to n=8 and 382 from n=8 to n=9.  Rounded
-# up, since labels and supports grow with n
-_BYTES_PER_VERTEX = {"pm": 400, "sym": 450}
 
 # layouts the certificate holds at once: the cells' and one per generator
 _LAYOUTS = 3
@@ -65,25 +57,27 @@ def _width(family: str, n: int) -> int:
     return n * (2 * n - 1) if family == "pm" else n * n
 
 
+def _graph_needs(family: str, n: int):
+    """The bytes the build and certificate of a graph hold, for :func:`admit`:
+    the ledger's rate for every vertex (its label, support, cell id and moves)
+    and one bit per vertex for each column in each layout, V = (2n-1)!! or n!
+    counted factor by factor.  For a huge n the columns alone overflow at the
+    first factor, so the refusal names their count as well as the vertices."""
+    width = _width(family, n)
+    factors = (2 * k - 1 if family == "pm" else k for k in range(1, n + 1))
+    for vertices in itertools.accumulate(factors, mul):
+        yield (
+            LEDGER[f"oracle {family}"] * vertices + _LAYOUTS * width * ((vertices + 7) // 8),
+            f"oracle {family} n={n}: the graph has {width} columns and at least {vertices} vertices, which need",
+        )
+
+
 def _admit(family: str, n: int) -> None:
     """Refuse n < 1, and any graph whose build and certificate would not fit
     in memory."""
     if n < 1:
         raise ValueError(f"oracle {family} needs n >= 1, got n={n}")
-    # memory grows with the vertex count V, not with its square: every
-    # vertex costs its per-vertex bytes, and each column one bit per vertex
-    # in each layout.  V = (2n-1)!! or n! is checked factor by factor.  For a
-    # huge n the columns alone overflow at the first factor, so the refusal
-    # names their count as well as the vertices.
-    width = _width(family, n)
-    factors = (2 * k - 1 if family == "pm" else k for k in range(1, n + 1))
-    admit(
-        (
-            _BYTES_PER_VERTEX[family] * vertices + _LAYOUTS * width * ((vertices + 7) // 8),
-            f"oracle {family} n={n}: the graph has {width} columns and at least {vertices} vertices, which need",
-        )
-        for vertices in itertools.accumulate(factors, mul)
-    )
+    admit(_graph_needs(family, n))
 
 
 class Layout(NamedTuple):

@@ -45,3 +45,11 @@ def peak_rss(tmp_path_factory):
     run("-m", "pmspec.cli", "eta", "--partition", "1")
     run("-m", "pmspec.cli", "oracle", "--family", "sym", "--n", "1", "--format", "json")
     return run
+
+
+@pytest.fixture(scope="session")
+def import_peak(peak_rss):
+    """The peak RSS in bytes of a bare ``import pmspec.cli``, measured once."""
+    status, peak = peak_rss("-c", "import pmspec.cli")
+    assert status == 0
+    return peak

@@ -1,15 +1,12 @@
 import json
 import weakref
-from itertools import accumulate
 
 import pytest
 
 from pmspec import analysis, sym_spectrum
-from pmspec.exact import _TABLE_BYTES_PER_NODE
 from pmspec.partitions import (
     Dominance,
     Partition,
-    bounded_partition_counts,
     dominance_chain,
     dominance_compare,
     enumerate_partitions,
@@ -450,80 +447,12 @@ def test_pair_suites_keep_one_level_alive_at_a_time(monkeypatch):
 
 
 @pytest.mark.parametrize("suite, bound_mib", [("thm6", 14), ("kuwong-xi", 10)])
-def test_block_suites_peak_near_the_import(peak_rss, suite, bound_mib):
+def test_block_suites_peak_near_the_import(peak_rss, import_peak, suite, bound_mib):
     # with a level per first-part block, thm6 and kuwong-xi to n_max 33 grow
     # about 8.5 and 6 MiB over the import (Python 3.11); one level per n,
     # holding every cross-block pair, took them to about 21 and 29 MiB, and
     # kuwong-xi's xi_by_last_part store, its second xi before the alpha = 1
     # strip sweep, to about 14 MiB
-    status, baseline = peak_rss("-c", "import pmspec.cli")
-    assert status == 0
     status, peak = peak_rss("-m", "pmspec.cli", "verify", "--suite", suite, "--n-max", "33")
     assert status == 0
-    assert peak - baseline <= bound_mib * 2**20
-
-
-def test_dualpath_admission_model_covers_the_peak_growth(peak_rss):
-    # dualpath is admitted as a pm sweep that holds _ETA_ALT_BYTES_PER_PARTITION
-    # more bytes per partition for its eta_alt store, so its peak must grow no
-    # faster than the two together: from n_max 30 to 36 that is 390 bytes for
-    # each of the 70,504 partitions added, 27.5 MB, against about 22 MiB
-    # measured (Python 3.11)
-    nodes = list(accumulate(bounded_partition_counts(36)[36]))
-    peaks = []
-    for n_max in (30, 36):
-        status, peak = peak_rss("-m", "pmspec.cli", "verify", "--suite", "dualpath", "--n-max", str(n_max))
-        assert status == 0
-        peaks.append(peak)
-    per_partition = _TABLE_BYTES_PER_NODE["pm"] + analysis._ETA_ALT_BYTES_PER_PARTITION
-    assert peaks[1] - peaks[0] <= per_partition * (nodes[36] - nodes[30])
-
-
-def test_xi_sweeps_admission_model_covers_the_peak_growth(peak_rss):
-    # kuwong-xi admits its sym sweep at n_max with _XI_STRIP_BYTES_PER_NODE
-    # more bytes per partition for its alpha = 1 strip sweep, so its peak
-    # must grow no faster than the two together, its levels' bitsets left
-    # out: from n_max 30 to 36 that is 190 bytes for each of the 70,504
-    # partitions added, 12.8 MiB, against about 8 MiB measured (Python 3.11)
-    nodes = list(accumulate(bounded_partition_counts(36)[36]))
-    peaks = []
-    for n_max in (30, 36):
-        status, peak = peak_rss("-m", "pmspec.cli", "verify", "--suite", "kuwong-xi", "--n-max", str(n_max))
-        assert status == 0
-        peaks.append(peak)
-    per_partition = _TABLE_BYTES_PER_NODE["sym"] + analysis._XI_STRIP_BYTES_PER_NODE
-    assert peaks[1] - peaks[0] <= per_partition * (nodes[36] - nodes[30])
-
-
-def test_level_admission_model_covers_the_peak_growth(peak_rss):
-    # scan is admitted by admit_levels, whose need at n_max is one level's
-    # dominance bitsets, p(n_max)^2 / 2 bits at _BYTES_PER_BIT, and
-    # _BYTES_PER_PARTITION for each partition of size at most n_max, so its
-    # peak must grow no faster: from n_max 24 to 34 that is 37.6 MiB, against
-    # about 20 MiB measured (Python 3.11)
-    def need(n_max):
-        counts = bounded_partition_counts(n_max)[n_max]
-        return analysis._BYTES_PER_BIT * counts[-1] ** 2 / 2 + analysis._BYTES_PER_PARTITION * sum(counts)
-
-    peaks = []
-    for n_max in (24, 34):
-        status, peak = peak_rss("-m", "pmspec.cli", "scan", "--n-max", str(n_max))
-        assert status == 0
-        peaks.append(peak)
-    assert peaks[1] - peaks[0] <= need(34) - need(24)
-
-
-def test_shape_admission_model_covers_the_peak_growth(peak_rss):
-    # identities is admitted by _shapes_needs, which counts every shape it
-    # keeps at _SHAPE_BYTES and 8 bytes per part with an f of at most d of
-    # its size, so its peak must grow no faster: from n_max 100 to 300 that
-    # is about 3.6 MiB, against about 1.1 MiB measured (Python 3.11)
-    def need(n_max):
-        return max(held for held, _ in analysis._shapes_needs(n_max))
-
-    peaks = []
-    for n_max in (100, 300):
-        status, peak = peak_rss("-m", "pmspec.cli", "verify", "--suite", "identities", "--n-max", str(n_max))
-        assert status == 0
-        peaks.append(peak)
-    assert peaks[1] - peaks[0] <= need(300) - need(100)
+    assert peak - import_peak <= bound_mib * 2**20

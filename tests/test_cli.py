@@ -222,26 +222,26 @@ def test_dualpath_admission_counts_its_store(capsys, monkeypatch):
 # admits with it: pinned so that rewriting the checks cannot move them
 _PINNED_BUDGET = 8_419_655_680
 
+# by check: the ledger entry whose rate sets its boundary, the check, and the
+# largest n it admits under the pinned budget
+PINNED_BOUNDARIES = {
+    "table-pm": ("a pm sweep", lambda n: exact.admit_table("pm", n), 74),
+    "table-sym": ("a sym sweep", lambda n: exact.admit_table("sym", n), 77),
+    "dualpath": ("the eta_alt store", lambda n: exact.admit_table("pm", n, "the eta_alt store"), 67),
+    "kuwong-xi-sweeps": (
+        "its alpha = 1 strip sweep", lambda n: exact.admit_table("sym", n, "its alpha = 1 strip sweep"), 72
+    ),
+    "pair-suites": ("pair suites", lambda n: exact.admit(analysis._level_needs(n)), 53),
+    "oracle-pm": ("oracle pm", lambda n: oracle._admit("pm", n), 8),
+    "oracle-sym": ("oracle sym", lambda n: oracle._admit("sym", n), 10),
+    "identities": ("the shapes", lambda n: exact.admit(analysis._shapes_needs(n)), 11776),
+    "crossblock": ("the shapes", lambda n: exact.admit(analysis._family_needs(n)), 45873),
+}
 
-@pytest.mark.parametrize(
-    "check, largest",
-    [
-        (lambda n: exact.admit_table("pm", n), 74),
-        (lambda n: exact.admit_table("sym", n), 77),
-        (lambda n: exact.admit_table("pm", n, analysis._ETA_ALT_BYTES_PER_PARTITION), 67),
-        (lambda n: exact.admit_table("sym", n, analysis._XI_STRIP_BYTES_PER_NODE), 72),
-        (analysis.admit_levels, 53),
-        (lambda n: oracle._admit("pm", n), 8),
-        (lambda n: oracle._admit("sym", n), 10),
-        (lambda n: exact.admit(analysis._shapes_needs(n)), 11776),
-        (lambda n: exact.admit(analysis._family_needs(n)), 45873),
-    ],
-    ids=[
-        "table-pm", "table-sym", "dualpath", "kuwong-xi-sweeps", "pair-suites",
-        "oracle-pm", "oracle-sym", "identities", "crossblock",
-    ],
-)
-def test_admission_boundaries_are_pinned(monkeypatch, check, largest):
+
+@pytest.mark.parametrize("name, check, largest", PINNED_BOUNDARIES.values(), ids=PINNED_BOUNDARIES)
+def test_admission_boundaries_are_pinned(monkeypatch, name, check, largest):
+    assert name in exact.LEDGER
     monkeypatch.setattr(exact, "memory_budget", lambda: (_PINNED_BUDGET, "physical memory"))
     check(largest)
     with pytest.raises(ValueError, match="MB"):
@@ -284,13 +284,13 @@ def test_pair_suites_refuse_four_byte_ids_at_once(capsys, monkeypatch, argv):
 
 
 def test_kuwong_xi_refusal_names_its_strip_sweep(capsys, monkeypatch):
-    # kuwong-xi admits its sym sweep with _XI_STRIP_BYTES_PER_NODE more bytes
-    # per partition for its alpha = 1 strip sweep, and its refusals say so:
-    # with the levels let through, the pinned budget refuses n_max 73 for
-    # memory, 190 bytes for each of 46,329,631 partitions; with 10^18 bytes,
-    # n_max 150 is refused for its 4-byte ids
+    # kuwong-xi admits its sym sweep with the ledger's rate for its alpha = 1
+    # strip sweep beside it, and its refusals say so: with the levels let
+    # through, the pinned budget refuses n_max 73 for memory, 190 bytes for
+    # each of 46,329,631 partitions; with 10^18 bytes, n_max 150 is refused
+    # for its 4-byte ids
     monkeypatch.setattr(exact, "memory_budget", lambda: (_PINNED_BUDGET, "physical memory"))
-    monkeypatch.setattr(analysis, "admit_levels", lambda n_max: None)
+    monkeypatch.setattr(analysis, "_level_needs", lambda n_max: ())
     with pytest.raises(ValueError) as refused:
         analysis.verify_xi_comparison(73)
     assert str(refused.value).startswith(
@@ -403,6 +403,22 @@ def test_budget_takes_a_cgroup_memory_max(monkeypatch):
     assert exact.memory_budget() == (50_000_000, "memory allowed by the cgroup's memory.max")
     files["/sys/fs/cgroup/jobs/run/memory.max"] = "max\n"  # no limit
     assert "cgroup" not in exact.memory_budget()[1]
+
+
+def test_budget_takes_what_the_cgroup_has_not_used(monkeypatch):
+    # the cgroup's memory.current, the interpreter and all else it holds, is
+    # not there to take; a budget already spent reads 0, not a negative
+    files = {
+        "/proc/self/cgroup": "0::/jobs/run\n",
+        "/sys/fs/cgroup/jobs/run/memory.max": "50000000\n",
+        "/sys/fs/cgroup/jobs/run/memory.current": "18000000\n",
+    }
+    monkeypatch.setattr(exact, "_read", lambda path: files.get(path, ""))
+    assert exact.memory_budget() == (32_000_000, "memory allowed by the cgroup's memory.max")
+    files["/sys/fs/cgroup/jobs/run/memory.current"] = "60000000\n"
+    assert exact.memory_budget() == (0, "memory allowed by the cgroup's memory.max")
+    with pytest.raises(ValueError, match="more than the 0 MB of memory allowed by the cgroup's memory.max"):
+        exact.admit_table("pm", 1)
 
 
 def test_budget_takes_the_address_space_left_under_rlimit_as(monkeypatch):
@@ -680,13 +696,11 @@ def test_query_admitted_below_its_peak(capsys, monkeypatch):
     assert code == 0 and "sign-pattern: ok" in out
 
 
-def test_deep_query_peaks_where_the_import_does(peak_rss):
+def test_deep_query_peaks_where_the_import_does(peak_rss, import_peak):
     # the prefix table of 2^300 1^250 holds two rows of at most three values
-    status, baseline = peak_rss("-c", "import pmspec.cli")
-    assert status == 0
     status, peak = peak_rss("-m", "pmspec.cli", "eta", "--partition", "+".join(["2"] * 300 + ["1"] * 250))
     assert status == 0
-    assert peak - baseline <= 1 << 20
+    assert peak - import_peak <= 1 << 20
 
 
 def test_xi_deep_partition(capsys):

@@ -1,5 +1,4 @@
 
-import math
 import random
 
 import numpy as np
@@ -372,37 +371,6 @@ def test_oracle_peak_memory(peak_rss):
     # about 19 MB on Python 3.11; the dense build peaked at 657 MB and the
     # float32 row blocks at 45 MB
     assert peak <= 30 * 2**20
-
-
-def _admission_model(family, n):
-    """_admit's model: per-vertex bytes plus one bit per vertex and column in
-    each layout."""
-    vertices = odd_double_factorial(n) if family == "pm" else math.factorial(n)
-    width = oracle._width(family, n)
-    return oracle._BYTES_PER_VERTEX[family] * vertices + oracle._LAYOUTS * width * ((vertices + 7) // 8)
-
-
-def _peak_growth(peak_rss, family, small, large):
-    peaks = []
-    for n in (small, large):
-        status, peak = peak_rss("-m", "pmspec.cli", "oracle", "--family", family, "--n", str(n), "--format", "json")
-        assert status == 0
-        peaks.append(peak)
-    return peaks[1] - peaks[0]
-
-
-def test_sym_admission_model_covers_the_peak_growth(peak_rss):
-    # the model must grow at least as fast as the measured peak: from sym
-    # n=7 (5,040 vertices) to n=8 (40,320) the model grows about 15.97 MiB
-    # and the peak about 14.7 MiB (Python 3.11)
-    assert _peak_growth(peak_rss, "sym", 7, 8) <= _admission_model("sym", 8) - _admission_model("sym", 7)
-
-
-def test_pm_admission_model_covers_the_peak_growth(peak_rss):
-    # from pm n=5 (945 vertices) to n=6 (10,395) the model grows about
-    # 3.84 MiB and the peak about 3.5-3.6 MiB (Python 3.11), 2.1-2.4 MiB
-    # (3.10, 3.12)
-    assert _peak_growth(peak_rss, "pm", 5, 6) <= _admission_model("pm", 6) - _admission_model("pm", 5)
 
 
 def test_faults_in_late_blocks_are_caught():

@@ -2,12 +2,10 @@
 
 import io
 import json
-from itertools import accumulate
 
 import pytest
 
-from pmspec.exact import _TABLE_BYTES_PER_NODE
-from pmspec.partitions import Partition, bounded_partition_counts
+from pmspec.partitions import Partition
 from pmspec.pm_spectrum import pm_spectrum_table
 from pmspec.sym_spectrum import sym_spectrum_table
 from pmspec.tables import CSV_HEADER, SpectrumTable
@@ -105,29 +103,13 @@ def test_from_rows_refuses_keys_out_of_row_order():
 
 
 @pytest.mark.parametrize("family, n, fmt", [("sym", 38, "json"), ("pm", 36, "csv")])
-def test_table_peaks_near_the_import(peak_rss, family, n, fmt):
+def test_table_peaks_near_the_import(peak_rss, import_peak, family, n, fmt):
     # the sweep's values and hook products are about 9 MB of it: the rows
     # are two lists, with no per-row object, and the lattice's ids are int
     # arrays
-    status, baseline = peak_rss("-c", "import pmspec.cli")
-    assert status == 0
     status, peak = peak_rss("-m", "pmspec.cli", "table", "--family", family, "--n", str(n), "--format", fmt)
     assert status == 0
-    assert peak - baseline <= 12 * 2**20
-
-
-@pytest.mark.parametrize("family", ["pm", "sym"])
-def test_admission_model_covers_the_table_peak_growth(peak_rss, family):
-    # admit_table's bytes per lattice node must grow at least as fast as the
-    # measured peak: from n = 40 to n = 45 the pm peak grows about 31 MiB
-    # against a model of 43 MiB, and sym about 20 against 28 (Python 3.11)
-    nodes = list(accumulate(bounded_partition_counts(45)[45]))
-    peaks = []
-    for n in (40, 45):
-        status, peak = peak_rss("-m", "pmspec.cli", "table", "--family", family, "--n", str(n), "--format", "csv")
-        assert status == 0
-        peaks.append(peak)
-    assert peaks[1] - peaks[0] <= _TABLE_BYTES_PER_NODE[family] * (nodes[45] - nodes[40])
+    assert peak - import_peak <= 12 * 2**20
 
 
 def test_unknown_format_is_refused():
