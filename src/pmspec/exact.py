@@ -207,9 +207,10 @@ def _query_needs(family: str, lam: tuple):
 # two sizes, or a sum of CPython object sizes, rounded up; tests/test_memory.py
 # measures each again.  A node is a partition of size at most n.
 LEDGER = {
-    # per node: table --n 45 to 50 grew 106 bytes, plus ~22 of one value's digit growth
+    # per node: the suites' sweep, which keeps every value, grew 56 bytes from n = 45
+    # to 50 (table --n, which drops the dead ones, 54), plus ~22 of one value's digit growth
     "a pm sweep": 140,
-    # per node: table --n 45 to 50 grew 64 bytes, plus ~22 of one value's digit growth
+    # per node: table --n 45 to 50 grew 34 bytes, plus ~22 of one value's digit growth
     "a sym sweep": 90,
     # per node: dualpath --n-max 40 to 46 grew 304 bytes less the pm table's 97, plus digits
     "the eta_alt store": 250,

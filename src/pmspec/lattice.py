@@ -15,7 +15,10 @@ The lattice keeps three kinds of index:
 * by node: each of the partitions of size at most n has a node id, assigned
   level by level (by number of parts), then by block, then by ascending m.
   The empty partition is 0 and (m,) is m.  Only the pm strip sweep keeps
-  values by node: it reads its children at every size;
+  values by node: it reads its children at every size.  A node nu of k
+  parts is read by no level after max(k + 1, n - |nu|), so in a block of
+  level below r - 1 every m > hi - r is dead before level r.  The table's
+  sweep drops those values on a schedule; the suites' sweeps keep them;
 * by slot, for the evaluated nodes: the hook products and the sym sweep's
   values are needed only at the partitions nu with |nu| + len(nu) <= n,
   which nu -> nu + 1, padded with 1s, maps one to one onto the partitions

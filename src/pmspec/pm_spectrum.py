@@ -193,9 +193,10 @@ def f_closed_form_2a1b(a: int, b: int) -> int:
     return a * a + b * (a - 1) + 1
 
 
-def _eta_sweep(n: int, hooks: bool = False, alpha: int = 2) -> tuple:
+def _eta_sweep(n: int, table: bool = False, alpha: int = 2) -> tuple:
     """eta at every partition of size <= n, by lattice node id, and at the
-    partitions of n in row order; with ``hooks``, also H(2 lam) at those.
+    partitions of n in row order; for a ``table``, also H(2 lam) at those,
+    and each value by node dropped once no later level reads it.
     At ``alpha`` = 1 the values are xi, not eta; the hooks stay doubled.
 
     One forward sweep of the strip recurrence (:class:`_StripRows`): the
@@ -204,45 +205,91 @@ def _eta_sweep(n: int, hooks: bool = False, alpha: int = 2) -> tuple:
     not by slot (:mod:`pmspec.lattice`).  head - j of a block's partitions
     is one slice of the nodes of one block, that of t's head stepped j
     times by ``minus1``, at ``base`` of that block, so a block's values are
-    its coefficient row dotted with one slice of the values per child,
-    added up a slice at a time.  Most coefficients are 1 or -1 (every
-    j = 0, and j = 1 at last = 1); those slices are copied, negated, added
-    or subtracted with no product.  The one-part values are d_m
-    (alpha = 2) or D_m (alpha = 1).  Returns the lattice, the values by
-    node id, the values of the rows and the doubled hook products of the
-    rows (None without ``hooks``).
+    its coefficient row dotted with one slice of the values per child.
+    The terms are chained maps, one per coefficient, read once as the
+    block's values are appended, so no list of partial sums is built.  A
+    coefficient of 1 or -1 (every j = 0, and j = 1 at last = 1) adds or
+    subtracts its slice with no product, and a head of coefficient -1 is
+    subtracted last, not negated first.  The one-part values are d_m
+    (alpha = 2) or D_m (alpha = 1).
+
+    Liveness: a node nu of k parts is read at level k + 1 as a head, and
+    at a later level r only as head - j with j >= 1, whose reader has size
+    at least |nu| + r, at most n.  So nu is dead after level
+    max(k + 1, n - |nu|): before level r, every m > hi - r of a block of
+    level below r - 1 is dead.  For a table, the blocks of more than four
+    nodes are visited on a schedule, each visit setting the dead range to
+    None, and the next coming once half of what is still held has died, so
+    a block is visited about log2 of its node count times; a smaller block
+    keeps its values.  Returns the lattice, the values by node id (None
+    where dropped), the values of the rows and the doubled hook products
+    of the rows (None but for a ``table``).
     """
-    lattice = PartitionLattice(n, doubled=True, hooks=hooks)
+    from array import array  # loaded already by the lattice
+
+    lattice = PartitionLattice(n, doubled=True, hooks=table)
     base, minus1 = lattice.base, lattice.minus1
-    rows = _StripRows(alpha)
+    # the coefficient rows by the level's parity and t's last part, at most n / 2
+    strip = _StripRows(alpha)
+    rows = [[strip[last, parity] for last in range(n // 2 + 1)] for parity in (0, 1)]
     one_part = pm_degree if alpha == 2 else derangement_count
     values = [1]
     by_row = [None] * lattice.row_count
+    # The blocks of one level and one node count die alike, so they are
+    # visited as a group: due[s] lists the groups to visit before level s,
+    # each the node ids of the blocks' m = lo, their node count and the
+    # level of the group's last visit, 0 before the first.  Before level s a
+    # block holds its first count - done nodes, of which count - s are live.
+    due = [[] for _ in range(n + 1)] if table else None
+    nones = [(None,) * k for k in range(n + 1)]
     for r, blocks in lattice.levels():
+        if table:
+            for firsts, count, done in due[r]:
+                live = max(count - r, 0)
+                dead, held = nones[count - done - live], count - done
+                for first in firsts:
+                    values[first + live : first + held] = dead
+                if live and count - live // 2 <= n:
+                    due[count - live // 2].append((firsts, count, r))
+            due[r] = None
+            groups = [array("i") for _ in range(n + 1)]
+        level_rows = rows[r & 1]
         for place, lo, hi, head, last, _, _ in blocks:
+            first, count = len(values), hi - lo + 1
             if head is None:
                 values.extend(map(one_part, range(lo, hi + 1)))
                 by_row[0] = values[hi]
-                continue
-            # head - j of (m,) + t is base[head] + m - j, where head starts
-            # as the block of t without its last part and steps by minus1
-            row, count = rows[last, r & 1], hi - lo + 1
-            start = base[head] + lo
-            acc = values[start : start + count]
-            if row[0] < 0:
-                acc = list(map(neg, acc))
-            for j in range(1, last + 1):
-                head = minus1[head]
-                start = base[head] + lo - j
-                kids, c = values[start : start + count], row[j]
-                if c == 1:
-                    acc = list(map(add, acc, kids))
-                elif c == -1:
-                    acc = list(map(sub, acc, kids))
-                else:
-                    acc = list(map(add, acc, map(c.__mul__, kids)))
-            values += acc
-            by_row[place] = acc[-1]  # at m = hi, the row
+            else:
+                # head - j of (m,) + t is base[head] + m - j, where head starts
+                # as the block of t without its last part and steps by minus1
+                row = level_rows[last]
+                start = base[head] + lo
+                heads = values[start : start + count]
+                acc = heads if row[0] == 1 else None
+                for j in range(1, last + 1):
+                    head = minus1[head]
+                    start = base[head] + lo - j
+                    kids, c = values[start : start + count], row[j]
+                    if acc is None:
+                        acc = kids if c == 1 else map(c.__mul__, kids)
+                    elif c == 1:
+                        acc = map(add, acc, kids)
+                    elif c == -1:
+                        acc = map(sub, acc, kids)
+                    else:
+                        acc = map(add, acc, map(c.__mul__, kids))
+                if row[0] == -1:
+                    acc = map(sub, acc, heads)
+                values += acc
+                by_row[place] = values[-1]  # at m = hi, the row
+            if table and count > 4:
+                groups[count].append(first)
+        if table:
+            # a group is first visited at level r + 2 or later, once half is dead
+            for count in range(5, n + 1):
+                visit = max(r + 2, count - count // 2)
+                if groups[count] and visit <= n:
+                    due[visit].append((groups[count], count, 0))
     return lattice, values, by_row, lattice.row_hooks
 
 
@@ -253,12 +300,15 @@ def pm_spectrum_table(n: int) -> SpectrumTable:
     of the doubled partition 2*lam; multiplicities total (2n-1)!!.  The
     strip recurrence and the doubled-shape hook recurrence run in one
     sweep over the partitions of size <= n (:func:`_eta_sweep`), which
-    leaves the module stores as they were.  Every row passes the sign
-    check and every dimension the remainder check.
+    leaves the module stores as they were.  The sweep drops each value
+    once it is dead: a partition nu of k parts is read by no level after
+    max(k + 1, n - |nu|).  The multiplicities are written over the hook
+    products, one row at a time.  Every row passes the sign check and
+    every dimension the remainder check.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    _, _, values, hooks = _eta_sweep(n, hooks=True)
+    values, dims = _eta_sweep(n, table=True)[2:]
     # (-1)^(n - lam_1) is one sign over each run of rows with one first
     # part, so a run's check is one min or max; for n >= 2 no row is (1),
     # and f > 0 on every row is the whole check.  When a run fails, or at
@@ -272,5 +322,6 @@ def pm_spectrum_table(n: int) -> SpectrumTable:
         for (parts, m, _), value in zip(walk_partitions(n), values):
             _normalized(tuple(parts[:m]), value)
     order = math.factorial(2 * n)
-    dims = [_hook_quotient(order, h) for h in hooks]
+    for i, h in enumerate(dims):
+        dims[i] = _hook_quotient(order, h)
     return SpectrumTable(family="pm", n=n, values=values, multiplicities=dims)

@@ -171,11 +171,16 @@ def sym_spectrum_table(n: int) -> SpectrumTable:
     The row indexed by mu has multiplicity dim(mu)^2; multiplicities total
     n!.  Like :func:`pmspec.pm_spectrum.pm_spectrum_table`, the table runs
     the first-part recurrence and the hook recurrence in one sweep over the
-    partition lattice (:func:`_xi_sweep`).
+    partition lattice (:func:`_xi_sweep`).  Every nu that a row of n
+    reaches by mu - 1 and t - 1 steps has |nu| + len(nu) <= n, so the sweep
+    keeps xi only at those, p(n) of them.  Those values go once the sweep
+    ends, before the multiplicities are written over the hook products,
+    one row at a time.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    _, _, values, hooks = _xi_sweep(n, hooks=True)
+    values, squares = _xi_sweep(n, hooks=True)[2:]
     order = math.factorial(n)
-    squares = [_hook_quotient(order, h) ** 2 for h in hooks]
+    for i, h in enumerate(squares):
+        squares[i] = _hook_quotient(order, h) ** 2
     return SpectrumTable(family="sym", n=n, values=values, multiplicities=squares)

@@ -13,7 +13,9 @@ from typing import NamedTuple
 from .partitions import enumerate_partitions, walk_partitions
 
 CSV_HEADER = "partition,eigenvalue,multiplicity"
-_CHUNK_ROWS = 4096  # rows rendered per write
+# rows rendered per write: a chunk's text is held whole, and at 4,096 rows a
+# json chunk of a table at n = 36 outgrew the table's own sweep
+_CHUNK_ROWS = 1024
 
 
 class SpectrumTable(NamedTuple):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmspec import pm_spectrum, sym_spectrum
+from pmspec import analysis, pm_spectrum, sym_spectrum
 from pmspec.exact import binomial, irrep_dimension, odd_double_factorial, pm_degree
 from pmspec.partitions import Partition, enumerate_partitions
 from pmspec.pm_spectrum import (
@@ -215,6 +215,26 @@ def test_table_rejects_a_zero_row_other_than_one_box(row, monkeypatch):
     with pytest.raises(AssertionError, match="sign normalization violated"):
         pm_spectrum_table(4)
     assert pm_spectrum_table(1).rows == {P((1,)): (0, 1)}
+
+
+def test_table_rows_match_the_untrimmed_sweep():
+    # the table's sweep drops the values no later level reads; its rows are
+    # those of the sweep that keeps every value
+    for n in range(1, 31):
+        assert pm_spectrum_table(n).values == _eta_sweep(n)[2]
+
+
+def test_table_sweep_ends_holding_only_live_values():
+    # at n = 30 the table's sweep ends holding 7,154 of its 28,629 values,
+    # each equal to the full sweep's, so a sweep that stops dropping dead
+    # values fails.  The suites' sweeps, at alpha = 2 and 1, read every
+    # size and keep every value
+    held, full = _eta_sweep(30, table=True)[1], _eta_sweep(30)[1]
+    assert len(held) == len(full) == 28629
+    assert sum(value is not None for value in held) <= 7154
+    assert all(value is None or value == kept for value, kept in zip(held, full))
+    assert None not in full and None not in _eta_sweep(30, alpha=1)[1]
+    assert None not in analysis._Sweep(30)._values
 
 
 def test_table_leaves_module_stores_alone():

@@ -8,7 +8,7 @@ import pytest
 from pmspec.partitions import Partition
 from pmspec.pm_spectrum import pm_spectrum_table
 from pmspec.sym_spectrum import sym_spectrum_table
-from pmspec.tables import CSV_HEADER, SpectrumTable
+from pmspec.tables import _CHUNK_ROWS, CSV_HEADER, SpectrumTable
 
 
 def _reference(table, fmt):
@@ -51,19 +51,24 @@ def test_streamed_bytes_equal_whole_rendering(family, n):
 
 
 def test_write_is_chunked():
-    table = sym_spectrum_table(30)  # 5,604 rows: more than one chunk, far fewer than one write each
+    # 5,604 rows: several chunks, and no write holds more than one chunk's rows
+    table = sym_spectrum_table(30)
+    marks = {"csv": "\n", "json": '"partition":', "text": "  eigenvalue="}
 
-    class Counting(io.StringIO):
-        writes = 0
+    class Recording(io.StringIO):
+        def __init__(self):
+            super().__init__()
+            self.rows = []
 
         def write(self, text):
-            Counting.writes += 1
+            self.rows.append(text.count(marks[fmt]) - text.startswith(CSV_HEADER))
             return super().write(text)
 
-    stream = Counting()
-    table.write(stream, "csv")
-    assert 2 < Counting.writes < len(table.rows)
-    assert stream.getvalue() == _reference(table, "csv")
+    for fmt in marks:
+        stream = Recording()
+        table.write(stream, fmt)
+        assert max(stream.rows) <= _CHUNK_ROWS < len(table.values) == sum(stream.rows)
+        assert stream.getvalue() == _reference(table, fmt)
 
 
 @pytest.mark.parametrize("family", ["pm", "sym"])
