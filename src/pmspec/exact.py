@@ -208,7 +208,8 @@ def _query_needs(family: str, lam: tuple):
 # measures each again.  A node is a partition of size at most n.
 LEDGER = {
     # per node: the suites' sweep, which keeps every value, grew 56 bytes from n = 45
-    # to 50 (table --n, which drops the dead ones, 54), plus ~22 of one value's digit growth
+    # to 50 (table --n, which drops the dead ones, 54), plus ~22 of one value's digit
+    # growth; the raw peaks are in BENCH_42.json
     "a pm sweep": 140,
     # per node: table --n 45 to 50 grew 34 bytes, plus ~22 of one value's digit growth
     "a sym sweep": 90,

@@ -51,7 +51,8 @@ def test_streamed_bytes_equal_whole_rendering(family, n):
 
 
 def test_write_is_chunked():
-    # 5,604 rows: several chunks, and no write holds more than one chunk's rows
+    # 5,604 rows: the head holds at most one, every chunk but the last holds
+    # exactly _CHUNK_ROWS, and the tail none
     table = sym_spectrum_table(30)
     marks = {"csv": "\n", "json": '"partition":', "text": "  eigenvalue="}
 
@@ -67,7 +68,10 @@ def test_write_is_chunked():
     for fmt in marks:
         stream = Recording()
         table.write(stream, fmt)
-        assert max(stream.rows) <= _CHUNK_ROWS < len(table.values) == sum(stream.rows)
+        head, *chunks, last, tail = stream.rows
+        assert head <= 1 and tail == 0 and 0 < last <= _CHUNK_ROWS
+        assert chunks == [_CHUNK_ROWS] * len(chunks)
+        assert head + sum(chunks) + last == len(table.values) > 2 * _CHUNK_ROWS
         assert stream.getvalue() == _reference(table, fmt)
 
 
