@@ -19,7 +19,7 @@ import math
 import os
 from itertools import accumulate, count
 
-from .lattice import ID_LIMIT
+from .lattice import ID_LIMIT, _hook_quotient
 from .partitions import Partition, bounded_partition_counts
 
 # Each sequence is kept one way: its step, step(m, term m-1, term m-2) =
@@ -207,11 +207,11 @@ def _query_needs(family: str, lam: tuple):
 # two sizes, or a sum of CPython object sizes, rounded up; tests/test_memory.py
 # measures each again.  A node is a partition of size at most n.
 LEDGER = {
-    # per node: the suites' sweep, which keeps every value, grew 56 bytes from n = 45
-    # to 50 (table --n, which drops the dead ones, 54), plus ~22 of one value's digit
-    # growth; the raw peaks are in BENCH_42.json
+    # per node: the suites' sweep, which keeps every value, grew 52 bytes from n = 45
+    # to 50 (table --n, which drops the dead ones, 38), plus ~22 of one value's digit
+    # growth; the raw peaks are in BENCH_45.json
     "a pm sweep": 140,
-    # per node: table --n 45 to 50 grew 34 bytes, plus ~22 of one value's digit growth
+    # per node: table --n 45 to 50 grew 28 bytes, plus ~22 of one value's digit growth
     "a sym sweep": 90,
     # per node: dualpath --n-max 40 to 46 grew 304 bytes less the pm table's 97, plus digits
     "the eta_alt store": 250,
@@ -219,7 +219,7 @@ LEDGER = {
     "its alpha = 1 strip sweep": 100,
     # per node beside a level's bits: scan, thm6, kuwong-xi to 32, 36, 39 grew 321-449 bytes
     "pair suites": 500,
-    # per shape kept: a tuple's 56 bytes and a 64-byte slot; identities 100 to 300 grew 1.1 MiB of a 3.6 MiB need
+    # per shape kept: a tuple's 56 bytes and a 64-byte slot; identities 100 to 300 grew 2.6 MiB of a 3.6 MiB need
     "the shapes": 120,
     # per vertex: oracle pm n=6 to 7 grew 326 bytes a vertex more than the layouts' bits
     "oracle pm": 400,
@@ -331,10 +331,3 @@ def irrep_dimension(mu: Partition) -> int:
             hook_product *= row - j + conj[j] - i - 1
     return _hook_quotient(math.factorial(n), hook_product)
 
-
-def _hook_quotient(n_factorial: int, hook_product: int) -> int:
-    """n! over the hook product of a shape of size n, which must divide it."""
-    dim, rem = divmod(n_factorial, hook_product)
-    if rem:
-        raise ArithmeticError(f"hook product {hook_product} does not divide {n_factorial}")
-    return dim

@@ -11,19 +11,33 @@ The lattice keeps three kinds of index:
 * by block, in ``array("i")`` of p(n) entries: ``base``, the node id of
   (0,) + t, so that (m,) + t has the node id ``base[b] + m``; ``minus1``,
   the block of t - 1, where ``nu - j`` subtracts j from every part and
-  drops the zeros; and ``slots``, the slot of (0,) + t (below);
+  drops the zeros; and ``slots``, the slot of (0,) + t (below), where
+  the block has slots;
 * by node: each of the partitions of size at most n has a node id, assigned
   level by level (by number of parts), then by block, then by ascending m.
-  The empty partition is 0 and (m,) is m.  Only the pm strip sweep keeps
-  values by node: it reads its children at every size.  A node nu of k
-  parts is read by no level after max(k + 1, n - |nu|), so in a block of
-  level below r - 1 every m > hi - r is dead before level r.  The table's
-  sweep drops those values on a schedule; the suites' sweeps keep them;
+  Within a level the blocks come by descending node count, hi - lo + 1,
+  and as their parents came within one count.  The empty partition is 0
+  and (m,) is m.  Only the pm strip sweep keeps values by node: it reads
+  its children at every size;
 * by slot, for the evaluated nodes: the hook products and the sym sweep's
   values are needed only at the partitions nu with |nu| + len(nu) <= n,
   which nu -> nu + 1, padded with 1s, maps one to one onto the partitions
   of n.  In a block of r-part partitions these are m <= hi - r, and
   ``slots[b] + m`` numbers them 0, 1, ..., p(n) - 1 in node order.
+
+A table's sweep drops each value once no later level reads it, on one
+schedule that :meth:`PartitionLattice.levels` keeps for all the lists a
+table holds; the suites' sweeps keep every value.  A node nu of k parts
+is read by level k + 1 as a head, and by a later level r only as head - j
+with j >= 1, whose reader has size at least |nu| + r, at most n: nu is
+dead after level max(k + 1, n - |nu|), so before level r every m > hi - r
+of a block of level below r - 1 is dead.  A slot nu is read by level r
+only as mu - 1 or t - 1 of a partition of r parts and size |nu| + r or
+more, evaluated or a row, so of at most n: before level r every slot
+m > hi - r of a block of a lower level is dead.  In a block of c nodes,
+then, c - r of its nodes and slots are live before level r: the blocks of
+one level and one node count die alike, and are one run in node order and
+in slot order.
 
 Each read is one slice of a block, found by arithmetic with no tuple built
 or hashed, and every child of lam a table recurrence takes comes first in
@@ -51,14 +65,18 @@ rank((m,) + t) = P(|t| + m, m - 1) + rank(t), with P from
 is thus the block of t plus ``step[hi][m]``, which depends on hi and m
 alone.  A partition's node id is walked that way from the empty block
 (:meth:`PartitionLattice.index`), which is how the suites read a pm sweep.
+Where t - 1 keeps all the parts of t, its block holds len(t) + 1 more
+nodes than t's, so it comes first in their level, as (m - 1,) + (t - 1)
+must.
 :func:`pmspec.exact.admit_table` refuses every n whose node ids would not
 fit in 4 bytes.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
-from operator import mul
+import math
+from itertools import accumulate, chain, compress, count, repeat
+from operator import attrgetter, itemgetter, mul
 from typing import Iterator
 
 from .partitions import bounded_partition_counts
@@ -67,16 +85,19 @@ from .partitions import bounded_partition_counts
 # node ids of an ``array("i")``: :func:`pmspec.exact.admit_table` refuses n >= it
 ID_LIMIT = 103
 
+# entries a compaction of a table sweep's values by node cuts at a time
+_CUT = 1 << 14
+
 
 class PartitionLattice:
     """Blocks, node ids and slots for the partitions of size at most n,
     assigned by :meth:`levels`, and, with ``hooks``, their hook products.
     ``base``, ``minus1`` and ``slots`` are ``array("i")`` of one entry per
     block, p(n) in all; ``step[h][m]`` is what the block of (m,) + t adds
-    to that of t, for t of size n - h.  ``hooks`` is a list by slot, and
-    ``row_hooks`` holds H at the partitions of n in the order of
-    :func:`pmspec.partitions.enumerate_partitions`; both are None without
-    ``hooks``.
+    to that of t, for t of size n - h.  ``hooks`` is H in a list by slot,
+    and ``row_dims`` holds N!/H at the partitions of n, of size N, in the
+    order of :func:`pmspec.partitions.enumerate_partitions`, each checked to
+    divide exactly; both are None without ``hooks``.
 
     H(nu) = F(nu) H(nu - 1) with H(()) = 1, where F(nu) is the product of
     the hooks in nu's first column: removing that column changes no other
@@ -111,13 +132,13 @@ class PartitionLattice:
         self.base = array("i", [0]) * self.row_count
         self.minus1 = array("i", [0]) * self.row_count
         self.slots = array("i", [0]) * self.row_count
-        # H by slot, and at each row; complete once :meth:`levels` is exhausted
-        self.hooks = self.row_hooks = None
+        # H by slot, and N!/H at each row; complete once :meth:`levels` is exhausted
+        self.hooks = self.row_dims = None
         if hooks:
             self.hooks = []
-            self.row_hooks = [None] * self.row_count
+            self.row_dims = [None] * self.row_count
 
-    def levels(self) -> Iterator[tuple]:
+    def levels(self, nodes: list = None, slotted: list = None) -> Iterator[tuple]:
         """Yield ``(r, blocks)`` for r = 1, 2, ..., n, the partitions of r parts.
 
         A block ``(b, lo, hi, head, last, column, below)`` holds the
@@ -127,17 +148,56 @@ class PartitionLattice:
         the block of t without its last part and ``last`` is t's last part;
         both are None at r = 1, where t is empty.  ``column`` is F(t), None
         without hook products, and ``below`` is the slot of t - 1.  Blocks
-        come in node order, which is also slot order.  ``base``, ``minus1``
-        and ``slots`` are set for every block of a level before it is
-        yielded, and ``hooks`` at every slot of fewer than r parts.
+        come in node order, which is also slot order: by descending node
+        count, hi - lo + 1, and then as their parents came.  ``minus1`` and
+        ``slots`` are set for every block of a level before it is yielded,
+        and ``base`` once it has been read, before the next level (and not
+        at all for a table's sweep by slot alone); ``hooks`` at every slot
+        of fewer than r parts, and ``row_dims`` at every row of fewer than r
+        parts.
+
+        ``nodes``, a list by node id, or ``slotted``, a list by slot, makes
+        this a table's sweep: the caller extends the list with each level's
+        values, after 1 at the empty partition for ``nodes``, and each of
+        them, and each hook product, is set to None once no later level
+        reads it (the liveness rules of :mod:`pmspec.lattice`).  The blocks
+        of one level and one node count are visited as a group: first once
+        half of what it holds is dead (its nodes, or without ``nodes`` its
+        slots), then each time half of what it still holds has died.  Once
+        at most half of ``nodes`` is live, its live ranges are moved to its
+        front and ``base`` follows them, so that :meth:`index` finds only
+        the live nodes of a table's sweep.
         """
+        from array import array  # loaded already by __init__
+
         n, base, minus1, slots, step = self.n, self.base, self.minus1, self.slots, self.step
-        hooks, row_hooks = self.hooks, self.row_hooks
+        hooks, row_dims = self.hooks, self.row_dims
         hooked = hooks is not None
+        if hooked:
+            order = math.factorial(2 * n if self.doubled else n)
+        by_node = nodes is not None
+        trim = by_node or slotted is not None
+        by_slot = [values for values in (slotted, hooks) if values is not None]
+        # due[s]: the groups to visit before level s; those past n are kept whole
+        due = [[] for _ in range(n + 2)]
+        held = 0  # the values ``nodes`` holds
+        # the empty partition and the (m,): nodes 0 to n and slots 0 to n - 1
         blocks = [(0, 1, n, None, None, 1 if hooked else None, 0)]
-        r, next_id, next_slot = 1, n + 1, n
+        groups = [_Group(array("i", [0]), 1, n + 1, 0, 0, n)]
+        # start: the node id of the first block's m = lo in the level read last
+        r, start, next_slot = 1, 1, n
         while blocks:
             yield r, blocks
+            if trim:
+                # a node of a block of level k is dead before level r once
+                # m > hi - r and r > k + 1, a slot once m > hi - r and r > k:
+                # a group of count nodes per block holds count - k slots, and
+                # count - r of each are live.  Its first visit comes once half
+                # of its nodes, or with no nodes its slots, are dead
+                for group in groups:
+                    first = group.count - (group.held if by_node else group.slot_stride) // 2
+                    due[min(max(r + 1 + by_node, first), n + 1)].append(group)
+                    held += group.count * group.blocks
             # F((m,) + t) = weights[m] F(t)
             if not hooked:
                 weights = None
@@ -145,52 +205,80 @@ class PartitionLattice:
                 weights = [(2 * m + r - 1) * (2 * m + r - 2) for m in range(n + 1)]
             else:
                 weights = range(r - 1, n + r)
-            level = []
-            for b, lo, hi, head, last, f, _ in blocks:
-                if head is None:
-                    if hooked:
-                        # H((m,)) = weights[1] ... weights[m]; (n,) is the row
-                        *hooks[:], row_hooks[0] = accumulate(weights[1 : n + 1], mul, initial=1)
-                    # (m,) - 1 is (m - 1,), of slot m - 1, and (m,)'s head is empty
-                    children = step[n]
-                    for m in range(1, n // 2 + 1):
-                        child = children[m]
-                        base[child], minus1[child], slots[child] = next_id - m, children[m - 1], next_slot - m
-                        column = weights[m] if hooked else None
-                        level.append((child, m, n - m, 0, m, column, m - 1))
-                        next_id += n - 2 * m + 1
-                        if n - 2 * m > 1:
-                            next_slot += n - 2 * m - 1
-                    continue
+            # the next level's blocks, by node count
+            by_count = [[] for _ in range(n + 1)]
+            if r == 1:
+                if hooked:
+                    # H((m,)) = weights[1] ... weights[m]; (n,) is the row
+                    *hooks[:], h = accumulate(weights[1 : n + 1], mul, initial=1)
+                    row_dims[0] = _hook_quotient(order, h)
+                # (m,) - 1 is (m - 1,), of slot m - 1, and (m,)'s head is empty
+                children = step[n]
+                for m in range(1, n // 2 + 1):
+                    child = children[m]
+                    minus1[child] = children[m - 1]
+                    column = weights[m] if hooked else None
+                    by_count[n - 2 * m + 1].append((child, m, n - m, 0, m, column, m - 1))
+            # the one block of level 1, the empty tail's, is done above
+            for b, lo, hi, head, last, f, _ in blocks if r > 1 else ():
                 down = minus1[b]
                 shifted = slots[down] - 1  # the slot of (m,) + t - 1 is shifted + m
                 if hooked:
-                    # H at m <= hi - r, in slot order, and at the row, m = hi
+                    # H at m <= hi - r, in slot order, and the row's dimension, m = hi
                     top = hi - r
                     if lo <= top:
                         factors = map(f.__mul__, weights[lo : top + 1])
                         hooks += map(mul, factors, hooks[shifted + lo : shifted + top + 1])
-                    row_hooks[b] = f * weights[hi] * hooks[shifted + hi]
+                    row_dims[b] = _hook_quotient(order, f * weights[hi] * hooks[shifted + hi])
                 # (m,) + t extends to (m', m) + t iff |t| + 2m <= n, i.e. m <= hi // 2.
                 # That tail's head, (m,) + head(t), is in the block of t's head,
                 # whose hi is hi + last, and its - 1, (m - 1,) + (t - 1), is in
                 # t - 1's, whose hi is hi + r - 1, at slot shifted + m
-                half = hi // 2
-                if lo > half:
+                if lo > hi // 2:
                     continue
                 children, heads, shifts = step[hi], step[hi + last], step[hi + r - 1]
-                for m in range(lo, half + 1):
+                for m in range(lo, hi // 2 + 1):
                     child = b + children[m]
-                    base[child], minus1[child], slots[child] = next_id - m, down + shifts[m - 1], next_slot - m
+                    minus1[child] = down + shifts[m - 1]
                     column = f * weights[m] if hooked else None
-                    level.append((child, m, hi - m, head + heads[m], last, column, shifted + m))
-                    # the child's nodes are m to hi - m, and its evaluated ones
-                    # m to (hi - m) - (r + 1), if any
-                    next_id += hi - 2 * m + 1
-                    if hi - 2 * m > r:
-                        next_slot += hi - 2 * m - r
-            blocks = level
+                    by_count[hi - 2 * m + 1].append((child, m, hi - m, head + heads[m], last, column, shifted + m))
             r += 1
+            if trim and r <= n:
+                for group in due[r]:
+                    held -= group.drop(r, nodes, by_slot)
+                    if group.held:
+                        due[group.count - group.held // 2].append(group)
+                due[r] = None
+                if by_node and 2 * held <= len(nodes):
+                    start = _compact(nodes, base, chain.from_iterable(due[r + 1 :]), start)
+            # the level read last is in place now, and no later compaction
+            # before the next level moves it: its base, which a table's sweep
+            # by slot alone never reads
+            if by_node or not trim:
+                for b, lo, hi, _, _, _, _ in blocks:
+                    base[b] = start - lo
+                    start += hi - lo + 1
+            # the next level by descending count, with its slots and the
+            # node ids of its groups: the block of t - 1 has r more nodes than
+            # that of t, so (m - 1,) + (t - 1) comes before (m,) + t where the
+            # two have r parts
+            blocks, groups, node = [], [], start
+            for c in range(n, 0, -1):
+                level = by_count[c]
+                if not level:
+                    continue
+                evaluated = max(c - r, 0)  # m <= hi - r
+                if by_node or trim and evaluated:
+                    ids = array("i", map(itemgetter(0), level)) if by_node else None
+                    groups.append(_Group(ids, len(level), c, node, next_slot, evaluated))
+                node += len(level) * c
+                # a block with no slot is no block's t - 1, and its slots is
+                # never read
+                if evaluated:
+                    for child, m, _, _, _, _, _ in level:
+                        slots[child] = next_slot - m
+                        next_slot += evaluated
+                blocks += level
 
     def index(self, lam: tuple) -> int:
         """The node id of a partition of size at most n: the block of its
@@ -200,3 +288,89 @@ class PartitionLattice:
             b += step[hi][part]
             hi -= part
         return self.base[b] + lam[0] if lam else 0
+
+
+class _Group:
+    """The blocks of one level and one node count of a table's sweep, which
+    die alike and are one run in node order and in slot order: block i of
+    the run holds its nodes from ``node + i * node_stride`` on and its
+    slots from ``slot + i * slot_stride`` on, of which the first ``held``
+    (of the slots, at most ``slot_stride``) are still set.  ``ids`` are the
+    blocks' numbers, kept for :func:`_compact`, only for a sweep by node."""
+
+    __slots__ = ("ids", "blocks", "count", "node", "node_stride", "slot", "slot_stride", "held")
+
+    def __init__(self, ids, blocks: int, count: int, node: int, slot: int, slot_stride: int) -> None:
+        self.ids, self.blocks, self.count, self.held = ids, blocks, count, count
+        self.node, self.node_stride, self.slot, self.slot_stride = node, count, slot, slot_stride
+
+    def drop(self, r: int, nodes: list, by_slot: list) -> int:
+        """Set to None what the blocks hold that is dead before level r, in
+        ``nodes`` (if not None) and in each list of ``by_slot``, and return
+        the count of nodes dropped."""
+        live, held = max(self.count - r, 0), self.held
+        if nodes is not None:
+            _clear(nodes, self.node, self.node_stride, self.blocks, live, held)
+        for values in by_slot:
+            _clear(values, self.slot, self.slot_stride, self.blocks, live, min(held, self.slot_stride))
+        self.held = live
+        return (held - live) * self.blocks
+
+
+def _clear(values: list, start: int, stride: int, blocks: int, live: int, held: int) -> None:
+    """Set offsets live to held - 1 of each of ``blocks`` runs of ``stride``
+    entries of ``values``, from ``start`` on, to None: one slice of all the
+    runs once none is live, else one slice per block or one strided slice
+    per offset, whichever are fewer."""
+    end = start + blocks * stride
+    if not live:
+        values[start:end] = repeat(None, end - start)
+    elif blocks < held - live:
+        dead = [None] * (held - live)
+        for first in range(start, end, stride):
+            values[first + live : first + held] = dead
+    else:
+        dead = [None] * blocks
+        for offset in range(live, held):
+            values[start + offset : end : stride] = dead
+
+
+def _compact(nodes: list, base, groups, unbased: int) -> int:
+    """Move the nodes that ``groups`` hold to the front of ``nodes``, in
+    place and in node order, each group's blocks one after another with no
+    gap, and cut ``nodes`` after them.  The blocks of the groups before node
+    id ``unbased`` are re-based; those from it on, the level read last, get
+    their base once the level is in place.  Returns where ``unbased`` moved."""
+    kept, moved = 0, unbased
+    for group in sorted(groups, key=attrgetter("node")):
+        start, stride, held, blocks = group.node, group.node_stride, group.held, group.blocks
+        end = start + blocks * stride
+        if start == unbased:
+            moved = kept
+        if start == kept and held == stride:
+            kept = end  # in place already
+            continue
+        live = nodes[start:end]
+        if held < stride:
+            # the first held of each block's stride entries
+            live = list(compress(live, (b"\1" * held + b"\0" * (stride - held)) * blocks))
+        # kept <= start, and no later group has moved yet
+        nodes[kept : kept + len(live)] = live
+        if start < unbased:
+            for b, shift in zip(group.ids, count(kept - start, held - stride)):
+                base[b] += shift
+        group.node, group.node_stride = kept, held
+        kept += len(live)
+    # a slice at a time: a cut copies the references it drops
+    while len(nodes) > kept:
+        del nodes[max(kept, len(nodes) - _CUT) :]
+    return moved
+
+
+def _hook_quotient(n_factorial: int, hook_product: int) -> int:
+    """n! over the hook product of a shape of size n, which must divide it."""
+    dim, rem = divmod(n_factorial, hook_product)
+    if rem:
+        raise ArithmeticError(f"hook product {hook_product} does not divide {n_factorial}")
+    return dim
+

@@ -19,13 +19,12 @@ is nonnegative and vanishes only at the single-box partition (1).
 
 from __future__ import annotations
 
-import math
 from itertools import islice
 from operator import add, mul, neg, sub
 from typing import NamedTuple
 
 from . import memo
-from .exact import _hook_quotient, derangement_count, pm_degree
+from .exact import derangement_count, pm_degree
 from .lattice import PartitionLattice
 from .partitions import Partition, first_part_counts, walk_partitions
 from .tables import SpectrumTable
@@ -195,8 +194,8 @@ def f_closed_form_2a1b(a: int, b: int) -> int:
 
 def _eta_sweep(n: int, table: bool = False, alpha: int = 2) -> tuple:
     """eta at every partition of size <= n, by lattice node id, and at the
-    partitions of n in row order; for a ``table``, also H(2 lam) at those,
-    and each value by node dropped once no later level reads it.
+    partitions of n in row order; for a ``table``, also N!/H(2 lam) at
+    those, and only the values some later level still reads.
     At ``alpha`` = 1 the values are xi, not eta; the hooks stay doubled.
 
     One forward sweep of the strip recurrence (:class:`_StripRows`): the
@@ -210,23 +209,19 @@ def _eta_sweep(n: int, table: bool = False, alpha: int = 2) -> tuple:
     block's values are appended, so no list of partial sums is built.  A
     coefficient of 1 or -1 (every j = 0, and j = 1 at last = 1) adds or
     subtracts its slice with no product, and a head of coefficient -1 is
-    subtracted last, not negated first.  The one-part values are d_m
-    (alpha = 2) or D_m (alpha = 1).
+    subtracted last, not negated first; a block of last part 1, most of
+    them, is one pass over its head and its one other child.  The one-part
+    values are d_m (alpha = 2) or D_m (alpha = 1).
 
-    Liveness: a node nu of k parts is read at level k + 1 as a head, and
-    at a later level r only as head - j with j >= 1, whose reader has size
-    at least |nu| + r, at most n.  So nu is dead after level
-    max(k + 1, n - |nu|): before level r, every m > hi - r of a block of
-    level below r - 1 is dead.  For a table, the blocks of more than four
-    nodes are visited on a schedule, each visit setting the dead range to
-    None, and the next coming once half of what is still held has died, so
-    a block is visited about log2 of its node count times; a smaller block
-    keeps its values.  Returns the lattice, the values by node id (None
-    where dropped), the values of the rows and the doubled hook products
-    of the rows (None but for a ``table``).
+    For a ``table`` the lattice drops each value, and each hook product,
+    once no later level reads it, and moves the live values to the front of
+    the list whenever at most half of it is live
+    (:meth:`pmspec.lattice.PartitionLattice.levels`); the suites' sweeps
+    keep every value.  Returns the lattice, the values by node id (for a
+    ``table``, the live ones at the node ids its ``base`` gives, the rest
+    None or gone), the values of the rows and the dimensions of the doubled
+    rows (None but for a ``table``).
     """
-    from array import array  # loaded already by the lattice
-
     lattice = PartitionLattice(n, doubled=True, hooks=table)
     base, minus1 = lattice.base, lattice.minus1
     # the coefficient rows by the level's parity and t's last part, at most n / 2
@@ -235,62 +230,44 @@ def _eta_sweep(n: int, table: bool = False, alpha: int = 2) -> tuple:
     one_part = pm_degree if alpha == 2 else derangement_count
     values = [1]
     by_row = [None] * lattice.row_count
-    # The blocks of one level and one node count die alike, so they are
-    # visited as a group: due[s] lists the groups to visit before level s,
-    # each the node ids of the blocks' m = lo, their node count and the
-    # level of the group's last visit, 0 before the first.  Before level s a
-    # block holds its first count - done nodes, of which count - s are live.
-    due = [[] for _ in range(n + 1)] if table else None
-    nones = [(None,) * k for k in range(n + 1)]
-    for r, blocks in lattice.levels():
-        if table:
-            for firsts, count, done in due[r]:
-                live = max(count - r, 0)
-                dead, held = nones[count - done - live], count - done
-                for first in firsts:
-                    values[first + live : first + held] = dead
-                if live and count - live // 2 <= n:
-                    due[count - live // 2].append((firsts, count, r))
-            due[r] = None
-            groups = [array("i") for _ in range(n + 1)]
+    for r, blocks in lattice.levels(nodes=values if table else None):
+        if r == 1:
+            # (m,) for m = 1 to n, after the empty partition
+            values.extend(map(one_part, range(1, n + 1)))
+            by_row[0] = values[n]
+            continue
         level_rows = rows[r & 1]
         for place, lo, hi, head, last, _, _ in blocks:
-            first, count = len(values), hi - lo + 1
-            if head is None:
-                values.extend(map(one_part, range(lo, hi + 1)))
-                by_row[0] = values[hi]
-            else:
-                # head - j of (m,) + t is base[head] + m - j, where head starts
-                # as the block of t without its last part and steps by minus1
-                row = level_rows[last]
-                start = base[head] + lo
-                heads = values[start : start + count]
-                acc = heads if row[0] == 1 else None
-                for j in range(1, last + 1):
-                    head = minus1[head]
-                    start = base[head] + lo - j
-                    kids, c = values[start : start + count], row[j]
-                    if acc is None:
-                        acc = kids if c == 1 else map(c.__mul__, kids)
-                    elif c == 1:
-                        acc = map(add, acc, kids)
-                    elif c == -1:
-                        acc = map(sub, acc, kids)
-                    else:
-                        acc = map(add, acc, map(c.__mul__, kids))
-                if row[0] == -1:
-                    acc = map(sub, acc, heads)
-                values += acc
-                by_row[place] = values[-1]  # at m = hi, the row
-            if table and count > 4:
-                groups[count].append(first)
-        if table:
-            # a group is first visited at level r + 2 or later, once half is dead
-            for count in range(5, n + 1):
-                visit = max(r + 2, count - count // 2)
-                if groups[count] and visit <= n:
-                    due[visit].append((groups[count], count, 0))
-    return lattice, values, by_row, lattice.row_hooks
+            # head - j of (m,) + t is base[head] + m - j, where head starts
+            # as the block of t without its last part and steps by minus1
+            count, row = hi - lo + 1, level_rows[last]
+            start = base[head] + lo
+            heads = values[start : start + count]
+            if last == 1:
+                # most blocks: the row is [-1, 1] or [-1, -1], head - 1 the one kid
+                start = base[minus1[head]] + lo - 1
+                kids = values[start : start + count]
+                values += map(sub, kids, heads) if row[1] == 1 else map(neg, map(add, kids, heads))
+                by_row[place] = values[-1]
+                continue
+            acc = heads if row[0] == 1 else None
+            for j in range(1, last + 1):
+                head = minus1[head]
+                start = base[head] + lo - j
+                kids, c = values[start : start + count], row[j]
+                if acc is None:
+                    acc = kids if c == 1 else map(c.__mul__, kids)
+                elif c == 1:
+                    acc = map(add, acc, kids)
+                elif c == -1:
+                    acc = map(sub, acc, kids)
+                else:
+                    acc = map(add, acc, map(c.__mul__, kids))
+            if row[0] == -1:
+                acc = map(sub, acc, heads)
+            values += acc
+            by_row[place] = values[-1]  # at m = hi, the row
+    return lattice, values, by_row, lattice.row_dims
 
 
 def pm_spectrum_table(n: int) -> SpectrumTable:
@@ -302,9 +279,9 @@ def pm_spectrum_table(n: int) -> SpectrumTable:
     sweep over the partitions of size <= n (:func:`_eta_sweep`), which
     leaves the module stores as they were.  The sweep drops each value
     once it is dead: a partition nu of k parts is read by no level after
-    max(k + 1, n - |nu|).  The multiplicities are written over the hook
-    products, one row at a time.  Every row passes the sign check and
-    every dimension the remainder check.
+    max(k + 1, n - |nu|).  Each row's dimension is taken as soon as its hook
+    product is known.  Every row passes the sign check and every dimension
+    the remainder check.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -321,7 +298,4 @@ def pm_spectrum_table(n: int) -> SpectrumTable:
     ):
         for (parts, m, _), value in zip(walk_partitions(n), values):
             _normalized(tuple(parts[:m]), value)
-    order = math.factorial(2 * n)
-    for i, h in enumerate(dims):
-        dims[i] = _hook_quotient(order, h)
     return SpectrumTable(family="pm", n=n, values=values, multiplicities=dims)

@@ -16,11 +16,10 @@ so it fills no store; ``xi_by_last_part`` stays a public single query.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 from . import memo
-from .exact import _hook_quotient, conjugate, derangement_count
+from .exact import conjugate, derangement_count
 from .lattice import PartitionLattice
 from .partitions import Partition
 from .tables import SpectrumTable
@@ -126,26 +125,29 @@ def xi(mu: Partition) -> XiValue:
     return XiValue(partition=mu, xi=xi_by_first_part(mu))
 
 
-def _xi_sweep(n: int, hooks: bool = False) -> tuple:
+def _xi_sweep(n: int, table: bool = False) -> tuple:
     """xi by lattice slot at the partitions nu the table needs, and xi at
-    the partitions of n in row order; with ``hooks``, also H(lam) at those.
+    the partitions of n in row order; for a ``table``, also dim(lam) at
+    those, and only the values by slot some later level still reads.
 
     One forward sweep of the first-part recurrence: the children of
     mu = (m,) + t are mu - 1 and t - 1.  Only the rows and the partitions
     with |nu| + len(nu) <= n are evaluated, p(n) of the latter, each at its
     slot (:mod:`pmspec.lattice`).  A block's evaluated mu - 1 are one slice
     of the block of t - 1, and t - 1 is at the slot the block carries, so a
-    block's values are appended in one pass.  Returns the lattice, the p(n)
-    xi values by slot, the xi values of the rows and the hook products of
-    the rows (None without ``hooks``).
+    block's values are appended in one pass.  For a ``table`` the lattice
+    drops each value by slot, and each hook product, once no later level
+    reads it (:meth:`pmspec.lattice.PartitionLattice.levels`).  Returns the
+    lattice, the p(n) xi values by slot (None where dropped), the xi values
+    of the rows and the dimensions of the rows (None but for a ``table``).
     """
-    lattice = PartitionLattice(n, doubled=False, hooks=hooks)
+    lattice = PartitionLattice(n, doubled=False, hooks=table)
     minus1, slots = lattice.minus1, lattice.slots
     # xi(()) = D_0 and xi((m,)) = D_m, at slots 0 to n - 1, and (n,) is a row
     values = list(map(derangement_count, range(n)))
     by_row = [None] * lattice.row_count
     by_row[0] = derangement_count(n)
-    for r, blocks in lattice.levels():
+    for r, blocks in lattice.levels(slotted=values if table else None):
         if r == 1:
             continue
         sign = 1 if r & 1 else -1  # (-1)^(r-1)
@@ -162,7 +164,7 @@ def _xi_sweep(n: int, hooks: bool = False) -> tuple:
                 ]
             row = sign * (hi + r - 1) * values[shifted + hi]
             by_row[place] = row + tail_value if (hi + r) & 1 else row - tail_value
-    return lattice, values, by_row, lattice.row_hooks
+    return lattice, values, by_row, lattice.row_dims
 
 
 def sym_spectrum_table(n: int) -> SpectrumTable:
@@ -173,14 +175,13 @@ def sym_spectrum_table(n: int) -> SpectrumTable:
     the first-part recurrence and the hook recurrence in one sweep over the
     partition lattice (:func:`_xi_sweep`).  Every nu that a row of n
     reaches by mu - 1 and t - 1 steps has |nu| + len(nu) <= n, so the sweep
-    keeps xi only at those, p(n) of them.  Those values go once the sweep
-    ends, before the multiplicities are written over the hook products,
-    one row at a time.
+    keeps xi only at those, p(n) of them, each until no later level reads
+    it.  Each row's dimension is taken as soon as its hook product is
+    known, and squared in place once the sweep ends.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    values, squares = _xi_sweep(n, hooks=True)[2:]
-    order = math.factorial(n)
-    for i, h in enumerate(squares):
-        squares[i] = _hook_quotient(order, h) ** 2
+    values, squares = _xi_sweep(n, table=True)[2:]
+    for i, dim in enumerate(squares):
+        squares[i] = dim * dim
     return SpectrumTable(family="sym", n=n, values=values, multiplicities=squares)

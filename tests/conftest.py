@@ -53,3 +53,31 @@ def import_peak(peak_rss):
     status, peak = peak_rss("-c", "import pmspec.cli")
     assert status == 0
     return peak
+
+
+@pytest.fixture
+def held_by_level(monkeypatch):
+    """``held_by_level(sweep)`` runs ``sweep()`` with the lattice's levels
+    watched, and returns, for the lists of values a sweep hands the lattice
+    and then its hook products, the most entries of each not None at the
+    start of any level, and what ``sweep()`` returned."""
+    from pmspec.lattice import PartitionLattice
+
+    levels = PartitionLattice.levels
+
+    def watched(self, nodes=None, slotted=None):
+        lists = [values for values in (nodes, slotted, self.hooks) if values is not None]
+        for item in levels(self, nodes, slotted):
+            held = [sum(value is not None for value in values) for values in lists]
+            peaks[:] = map(max, peaks, held) if peaks else held
+            yield item
+
+    peaks = []
+    monkeypatch.setattr(PartitionLattice, "levels", watched)
+
+    def held(sweep):
+        peaks.clear()
+        result = sweep()
+        return list(peaks), result
+
+    return held

@@ -215,13 +215,14 @@ def test_irrep_dimension_examples():
 
 
 def test_hook_dimensions_check_the_remainder():
-    # the tables divide n! by the lattice's hook products in _hook_quotient
+    # the lattice divides n! by each row's hook product in _hook_quotient
     lattice = PartitionLattice(6, doubled=False, hooks=True)
     for _ in lattice.levels():
         pass
-    rows = dict(zip(enumerate_partitions(6), lattice.row_hooks))
-    products = [rows[mu] for mu in ((4, 2), (2, 2, 2))]
-    assert [_hook_quotient(math.factorial(6), h) for h in products] == [9, 5]
+    rows = dict(zip(enumerate_partitions(6), lattice.row_dims))
+    assert [rows[mu] for mu in ((4, 2), (2, 2, 2))] == [9, 5]
+    # their hook products, 5*4*2*1 * 2*1 and 4*3 * 3*2 * 2*1
+    assert [_hook_quotient(math.factorial(6), h) for h in (80, 144)] == [9, 5]
     # a hook product that does not divide n! signals a hook bug: 4 for (2, 1)
     with pytest.raises(ArithmeticError):
         _hook_quotient(math.factorial(3), 4)

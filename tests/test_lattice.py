@@ -109,7 +109,7 @@ def test_lattice_lists_hold_one_slot_per_row(n, doubled):
     assert len(lattice.base) == len(lattice.minus1) == len(lattice.slots) == p == len(enumerate_partitions(n))
     for _ in lattice.levels():
         pass
-    assert len(lattice.hooks) == p and None not in lattice.hooks and None not in lattice.row_hooks
+    assert len(lattice.hooks) == p and None not in lattice.hooks and None not in lattice.row_dims
     values = _xi_sweep(n)[1]
     assert len(values) == p and None not in values
     # the slots hold those nu, and H(nu) (of 2 nu when doubled) at each
@@ -126,12 +126,15 @@ def test_lattice_lists_hold_one_slot_per_row(n, doubled):
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_sym_sweep_evaluates_the_first_part_closure(n):
-    lattice, values, rows, row_hooks = _xi_sweep(n, hooks=True)
+    lattice, values, rows, _ = _xi_sweep(n)
+    hooked = PartitionLattice(n, doubled=False, hooks=True)
+    for _ in hooked.levels():
+        pass
     by_slot = slotted(lattice)
     # the values and hook products by slot are of the same partitions, and
     # the rows' are kept in row order, apart from them
     parts = enumerate_partitions(n)
-    assert len(values) == len(lattice.hooks) == len(by_slot) and None not in row_hooks
+    assert len(values) == len(hooked.hooks) == len(by_slot) and None not in hooked.row_dims
     assert not set(parts) & set(by_slot.values())
     # what the first-part recurrence reaches from the rows: mu - 1 and the
     # tail after mu's first part, - 1, for every mu of two parts or more

@@ -15,10 +15,10 @@ from test_cli import PINNED_BOUNDARIES
 
 # by ledger name: the command, the two sizes its last argument takes, and the
 # need generator of its model at a size.  On Python 3.11 the peaks grew, in
-# MiB against the model's growth: tables pm 40 -> 45 about 17 against 43.4,
-# sym 11 against 27.9; dualpath 30 -> 36 21 against 26.2; kuwong-xi 7
+# MiB against the model's growth: tables pm 40 -> 45 about 12 against 43.4,
+# sym 9 against 27.9; dualpath 30 -> 36 21 against 26.2; kuwong-xi 7
 # against 12.8, its levels' bitsets, which "pair suites" counts, left out;
-# scan 24 -> 34 18 against 37.6; identities 100 -> 300 0-1.1 against 3.6;
+# scan 24 -> 34 18 against 37.6; identities 100 -> 300 2.6 against 3.6;
 # the oracle sym 7 -> 8 14-14.7 against 16.0, and pm 5 -> 6 2.5-3.6
 # against 3.84 (2.1-2.4 on Python 3.10 and 3.12)
 CASES = {

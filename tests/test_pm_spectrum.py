@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmspec import analysis, pm_spectrum, sym_spectrum
+from pmspec import analysis, lattice, pm_spectrum, sym_spectrum
 from pmspec.exact import binomial, irrep_dimension, odd_double_factorial, pm_degree
 from pmspec.partitions import Partition, enumerate_partitions
 from pmspec.pm_spectrum import (
@@ -180,8 +180,8 @@ def test_table_checks_every_sign_and_every_dimension(monkeypatch):
         quotients.append(product)
         return quotient_check(order, product)
 
-    quotient_check = pm_spectrum._hook_quotient
-    monkeypatch.setattr(pm_spectrum, "_hook_quotient", hook_quotient)
+    quotient_check = lattice._hook_quotient
+    monkeypatch.setattr(lattice, "_hook_quotient", hook_quotient)
     rows = list(pm_spectrum_table(9).rows)
     assert len(quotients) == len(rows) == 30
 
@@ -224,15 +224,20 @@ def test_table_rows_match_the_untrimmed_sweep():
         assert pm_spectrum_table(n).values == _eta_sweep(n)[2]
 
 
-def test_table_sweep_ends_holding_only_live_values():
-    # at n = 30 the table's sweep ends holding 7,154 of its 28,629 values,
-    # each equal to the full sweep's, so a sweep that stops dropping dead
-    # values fails.  The suites' sweeps, at alpha = 2 and 1, read every
-    # size and keep every value
-    held, full = _eta_sweep(30, table=True)[1], _eta_sweep(30)[1]
-    assert len(held) == len(full) == 28629
-    assert sum(value is not None for value in held) <= 7154
-    assert all(value is None or value == kept for value, kept in zip(held, full))
+def test_table_sweep_ends_holding_only_live_values(held_by_level):
+    # at n = 30 the table's sweep holds at most 6,504 values by node at the
+    # start of a level and ends holding 4, in a list no longer than twice
+    # that: (), (1^29), (2, 1^28) and (1^30), each the full sweep's.  Its hook
+    # products by slot peak at 3,425 of 5,604 and end at 1.  The suites'
+    # sweeps, at alpha = 2 and 1, read every size and keep every value
+    peaks, (trimmed, held, _, _) = held_by_level(lambda: _eta_sweep(30, table=True))
+    kept, full = _eta_sweep(30)[:2]
+    live = [value for value in held if value is not None]
+    assert peaks[0] <= 6504 and peaks[1] <= 3425
+    assert len(full) == 28629 and len(live) == 4 and len(held) <= 2 * len(live)
+    for lam in ((), (1,) * 29, (2,) + (1,) * 28, (1,) * 30):
+        assert held[trimmed.index(lam)] == full[kept.index(lam)], lam
+    assert sum(h is not None for h in trimmed.hooks) == 1
     assert None not in full and None not in _eta_sweep(30, alpha=1)[1]
     assert None not in analysis._Sweep(30)._values
 

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmspec import sym_spectrum
+from pmspec import lattice, sym_spectrum
 from pmspec.exact import derangement_count, irrep_dimension
+from pmspec.lattice import PartitionLattice
 from pmspec.partitions import Partition, enumerate_partitions
 from pmspec.pm_spectrum import _eta_sweep
 from pmspec.sym_spectrum import (
@@ -95,10 +96,34 @@ def test_table_checks_every_dimension(monkeypatch):
         quotients.append(product)
         return quotient_check(order, product)
 
-    quotient_check = sym_spectrum._hook_quotient
-    monkeypatch.setattr(sym_spectrum, "_hook_quotient", hook_quotient)
+    quotient_check = lattice._hook_quotient
+    monkeypatch.setattr(lattice, "_hook_quotient", hook_quotient)
     rows = sym_spectrum_table(9).rows
     assert len(quotients) == len(rows)
+
+
+def test_table_rows_match_the_untrimmed_sweep():
+    # the table's sweep drops the values no later level reads; its rows are
+    # those of the sweep that keeps every value
+    for n in range(1, 31):
+        assert sym_spectrum_table(n).values == _xi_sweep(n)[2]
+
+
+def test_table_sweep_ends_holding_only_live_values(held_by_level):
+    # at n = 30 the table's sweep holds at most 3,673 of its 5,604 values by
+    # slot at the start of a level and ends holding 1, and its hook products
+    # likewise, each the untrimmed sweep's at its slot; the suites' sym
+    # sweep keeps every value
+    peaks, (trimmed, held, _, _) = held_by_level(lambda: _xi_sweep(30, table=True))
+    full = _xi_sweep(30)[1]
+    hooked = PartitionLattice(30, doubled=False, hooks=True)
+    for _ in hooked.levels():
+        pass
+    assert peaks[0] <= 3673 and peaks[1] <= 3673
+    for values, kept in ((held, full), (trimmed.hooks, hooked.hooks)):
+        assert len(values) == len(kept) == 5604 and None not in kept
+        assert sum(value is not None for value in values) == 1
+        assert all(value is None or value == k for value, k in zip(values, kept))
 
 
 def test_n4_trace_desk_check():

@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 
 import pytest
 
@@ -111,14 +112,22 @@ def test_from_rows_refuses_keys_out_of_row_order():
         SpectrumTable.from_rows("pm", 6, rows)
 
 
+# the most either case below peaked over the import in three sets of eight
+# fresh runs, in MiB, by Python version; sym 38 json peaked highest on each
+_TABLE_PEAKS = {(3, 10): 6.43, (3, 11): 5.39, (3, 12): 6.43}
+
+
 @pytest.mark.parametrize("family, n, fmt", [("sym", 38, "json"), ("pm", 36, "csv")])
 def test_table_peaks_near_the_import(peak_rss, import_peak, family, n, fmt):
-    # the sweep's values and hook products are about 9 MB of it: the rows
-    # are two lists, with no per-row object, and the lattice's ids are int
-    # arrays
+    # the table's two lists hold about 2.5 MiB (sym 38) and the sweep's
+    # traced peak is about 4.2 MiB: the sweep keeps a value only while a
+    # later level reads it, and the lattice's ids are int arrays.  The bound
+    # is the most measured on this Python, or on any if it is not listed,
+    # and 0.5 MiB
     status, peak = peak_rss("-m", "pmspec.cli", "table", "--family", family, "--n", str(n), "--format", fmt)
     assert status == 0
-    assert peak - import_peak <= 12 * 2**20
+    measured = _TABLE_PEAKS.get(sys.version_info[:2], max(_TABLE_PEAKS.values()))
+    assert peak - import_peak <= (measured + 0.5) * 2**20
 
 
 def test_unknown_format_is_refused():
