@@ -221,9 +221,11 @@ LEDGER = {
     "pair suites": 500,
     # per shape kept: a tuple's 56 bytes and a 64-byte slot; identities 100 to 300 grew 2.6 MiB of a 3.6 MiB need
     "the shapes": 120,
-    # per vertex: oracle pm n=6 to 7 grew 326 bytes a vertex more than the layouts' bits
+    # per vertex: oracle pm n=6 to 7 grew 210-212 bytes a vertex more than the layouts' bits, 326
+    # while a vertex was tuples and lists; the rate stays, so that no admitted n moves
     "oracle pm": 400,
-    # per vertex: oracle sym n=7 to 8 grew 374 bytes a vertex more than the layouts' bits, 8 to 9 382
+    # per vertex: oracle sym n=7 to 8 grew 168-170 bytes a vertex more than the layouts' bits, 8 to 9
+    # 208, against 374 and 382 while a vertex was tuples and lists; the rate stays, as for pm
     "oracle sym": 450,
 }
 

@@ -11,6 +11,13 @@ n ORs on V-bit ints, and no V x V array is ever held.  The build reads no
 row: the certificate is the graph's one reader, and it reads every row once
 in each layout it needs, the cells' and one per generator.
 
+A vertex is held in compact form: its support as n bytes, one a column; its
+label as a matching's tuple of pairs, each pair one tuple that every
+matching holding it shares, or as the n bytes of a permutation; and its cell
+id, its image under each generator and its bit in each layout as entries of
+4-byte int arrays.  So no graph with more than 256 columns, or with 2^31
+vertices or more, is built.
+
 Certification never diagonalises A.  Every vertex is labelled by its cell
 relative to the base vertex x0 = vertex 0: the coset type of m ∪ x0 for a
 matching m, the cycle type of x0^-1 σ for a permutation σ.  The certificate
@@ -40,6 +47,8 @@ multiplicity (a Vandermonde system), with no float step anywhere.
 from __future__ import annotations
 
 import itertools
+import math
+from array import array
 from functools import reduce
 from operator import add, mul, or_
 from typing import NamedTuple, Sequence
@@ -73,11 +82,21 @@ def _graph_needs(family: str, n: int):
 
 
 def _admit(family: str, n: int) -> None:
-    """Refuse n < 1, and any graph whose build and certificate would not fit
-    in memory."""
+    """Refuse n < 1, any graph whose build and certificate would not fit in
+    memory, and any whose vertices would not fit their compact form: a
+    column in one byte, a vertex id in a 4-byte int."""
     if n < 1:
         raise ValueError(f"oracle {family} needs n >= 1, got n={n}")
     admit(_graph_needs(family, n))
+    width = _width(family, n)
+    if width > 256:
+        raise ValueError(f"oracle {family} n={n}: the graph has {width} columns, past the 256 a byte numbers")
+    vertices = odd_double_factorial(n) if family == "pm" else math.factorial(n)
+    if vertices >= 2**31:
+        raise ValueError(
+            f"oracle {family} n={n}: the graph has {vertices} vertices, which need ids past {2**31 - 1},"
+            " the largest 4-byte int"
+        )
 
 
 class Layout(NamedTuple):
@@ -86,14 +105,16 @@ class Layout(NamedTuple):
 
 
 class Graph:
-    """A derangement graph: its vertices' labels and supports.  Its rows are
-    read only through a layout, once per layout by the certificate."""
+    """A derangement graph: its vertices' labels and supports.  A vertex's
+    support is the bytes of its n columns, and its label is a matching's
+    tuple of shared pairs or a permutation's bytes.  Its rows are read only
+    through a layout, once per layout by the certificate."""
 
     def __init__(self, family: str, n: int, labels: list, support: list):
         self.family = family  # "pm" or "sym"
         self.n = n
         self.labels = labels  # vertex descriptions in enumeration order
-        self.support = support  # per vertex, the tuple of the n columns it holds
+        self.support = support  # per vertex, the bytes of the n columns it holds
 
     @property
     def vertex_count(self) -> int:
@@ -197,16 +218,17 @@ def build_pm_graph(n: int) -> Graph:
     """Graph on the perfect matchings of K_{2n}, adjacent iff edge-disjoint."""
     matchings = enumerate_perfect_matchings(n)  # refuses what would not fit
     edge = {pair: c for c, pair in enumerate(itertools.combinations(range(1, 2 * n + 1), 2))}
-    support = [tuple(map(edge.__getitem__, m)) for m in matchings]
+    support = [bytes(map(edge.__getitem__, m)) for m in matchings]
     return Graph("pm", n, matchings, support)
 
 
 def build_derangement_graph(n: int) -> Graph:
-    """Graph on all permutations of [n], adjacent iff they differ everywhere."""
+    """Graph on all permutations of [n], each the bytes of its values 0..n-1,
+    adjacent iff they differ everywhere."""
     _admit("sym", n)
-    perms = list(itertools.permutations(range(n)))
+    perms = list(map(bytes, itertools.permutations(range(n))))
     offsets = range(0, n * n, n)
-    support = [tuple(map(add, offsets, perm)) for perm in perms]
+    support = [bytes(map(add, offsets, perm)) for perm in perms]
     return Graph("sym", n, perms, support)
 
 
@@ -295,30 +317,32 @@ def _cycle_type(step: list[int]) -> tuple:
     return tuple(lengths)
 
 
-def _cells(family: str, labels: list) -> list[int]:
-    """Each vertex's cell relative to x0 = vertex 0, as ids 0, 1, ... in order
-    of first appearance, so x0's cell is 0: the cycle type of x0^-1 σ for a
-    permutation σ, the coset type of m ∪ x0 for a matching m.  A component
-    of m ∪ x0 on 2k points is two k-cycles of x0∘m, so the cycle type of
-    x0∘m names the coset type."""
+def _cells(family: str, labels: list) -> array:
+    """Each vertex's cell relative to x0 = vertex 0, as an int array of ids
+    0, 1, ... in order of first appearance, so x0's cell is 0: the cycle
+    type of x0^-1 σ for a permutation σ, the coset type of m ∪ x0 for a
+    matching m.  A component of m ∪ x0 on 2k points is two k-cycles of
+    x0∘m, so the cycle type of x0∘m names the coset type."""
     if family == "sym":
-        inverse = [0] * len(labels[0])
+        # x0^-1 as a translation table of the byte values
+        inverse = bytearray(256)
         for position, value in enumerate(labels[0]):
             inverse[value] = position
-        steps = ([inverse[value] for value in perm] for perm in labels)
+        steps = map(bytes.translate, labels, itertools.repeat(bytes(inverse)))
     else:
         x0 = _partner(labels[0])
         steps = ([x0[q] for q in _partner(m)] for m in labels)
     ids: dict = {}
-    return [ids.setdefault(_cycle_type(step), len(ids)) for step in steps]
+    return array("i", (ids.setdefault(_cycle_type(step), len(ids)) for step in steps))
 
 
-def _vertex_permutations(family: str, labels: list) -> list[list[int]]:
-    """How a transposition and a full cycle of the points move the vertices:
-    left multiplication on the values 0..n-1 of a permutation, relabelling
-    of the points 1..2n of a matching.  The two generate the symmetric
-    group.  A vertex whose image is not on the vertex list maps to -1, and
-    one whose image labels several vertices maps to the last of them."""
+def _vertex_permutations(family: str, labels: list) -> list[array]:
+    """How a transposition and a full cycle of the points move the vertices,
+    each an int array from vertex to image: left multiplication on the
+    values 0..n-1 of a permutation, relabelling of the points 1..2n of a
+    matching.  The two generate the symmetric group.  A vertex whose image
+    is not on the vertex list maps to -1, and one whose image labels several
+    vertices maps to the last of them."""
     index = {label: v for v, label in enumerate(labels)}
     if family == "sym":
         points = list(range(len(labels[0])))
@@ -327,23 +351,26 @@ def _vertex_permutations(family: str, labels: list) -> list[list[int]]:
     swap = dict(zip(points, points[1::-1] + points[2:]))
     shift = dict(zip(points, points[1:] + points[:1]))
 
-    def image(g, label):
+    def images(g):
         if family == "sym":
-            return tuple(map(g.__getitem__, label))
-        return tuple(sorted((g[a], g[b]) if g[a] < g[b] else (g[b], g[a]) for a, b in label))
+            # g as a translation table of the byte values
+            return map(bytes.translate, labels, itertools.repeat(bytes(map(g.get, range(256), range(256)))))
+        pair = {(a, b): tuple(sorted((g[a], g[b]))) for a, b in itertools.permutations(points, 2)}
+        return (tuple(sorted(map(pair.__getitem__, m))) for m in labels)
 
-    return [[index.get(image(g, label), -1) for label in labels] for g in (swap, shift)]
+    return [array("i", map(index.get, images(g), itertools.repeat(-1))) for g in (swap, shift)]
 
 
-def _cell_positions(cell_of: list[int], cell_count: int):
-    """Bit positions that number the vertices cell by cell in vertex order,
-    each cell from a whole byte on; and each cell's size and slice of bytes."""
+def _cell_positions(cell_of: Sequence[int], cell_count: int):
+    """Bit positions, an int array, that number the vertices cell by cell in
+    vertex order, each cell from a whole byte on; and each cell's size and
+    slice of bytes."""
     sizes = [0] * cell_count
     for c in cell_of:
         sizes[c] += 1
     starts = list(itertools.accumulate(((size + 7) // 8 for size in sizes), initial=0))
     next_bit = [8 * start for start in starts]
-    position = []
+    position = array("i")
     for c in cell_of:
         position.append(next_bit[c])
         next_bit[c] += 1
@@ -357,7 +384,19 @@ def _counts(bits: int, slices: list) -> list[int]:
     return list(map(int.bit_count, parts))
 
 
-def _stream(graph: Graph, cell_of: list[int], cell_count: int, moves: list[list[int]]):
+def _moved_position(move: array, position: array):
+    """The bit of y for vertex move[y], or None if the move does not permute
+    the vertices: it maps a vertex to -1, or two vertices to one and so
+    leaves some vertex's entry at -1."""
+    if -1 in move:
+        return None
+    moved = array("i", [-1]) * len(move)
+    for image, p in zip(move, position):
+        moved[image] = p
+    return None if -1 in moved else moved
+
+
+def _stream(graph: Graph, cell_of: array, cell_count: int, moves: list[array]):
     """The quotient B, read off the first vertex of each cell, then one pass
     over every vertex: whether its counts into the cells are its cell's row
     of B, and whether each move permutes the vertices and preserves its
@@ -369,15 +408,9 @@ def _stream(graph: Graph, cell_of: list[int], cell_count: int, moves: list[list[
     shared = [
         _counts(graph.non_neighbours(cell_of.index(c), layout), slices) for c in range(cell_count)
     ]
-    automorphisms = all(sorted(move) == list(range(vertex_count)) for move in moves)
-    moved = []
-    if automorphisms:
-        for move in moves:
-            # vertex move[y] at the bit of y
-            moved_position = [0] * vertex_count
-            for y, image in enumerate(move):
-                moved_position[image] = position[y]
-            moved.append((move, _layout(graph, moved_position)))
+    moved_positions = [_moved_position(move, position) for move in moves]
+    automorphisms = None not in moved_positions
+    moved = [(move, _layout(graph, p)) for move, p in zip(moves, moved_positions)] if automorphisms else []
     equitable = True
     for x in range(vertex_count):
         row = graph.non_neighbours(x, layout)
@@ -388,7 +421,7 @@ def _stream(graph: Graph, cell_of: list[int], cell_count: int, moves: list[list[
     return quotient, equitable, automorphisms
 
 
-def _orbit_size(moves: list[list[int]], vertex_count: int) -> int:
+def _orbit_size(moves: list[array], vertex_count: int) -> int:
     """Size of the orbit of vertex 0 under the group the moves generate."""
     reached = [False] * vertex_count
     reached[0] = True

@@ -267,6 +267,30 @@ def test_table_ids_fit_in_four_bytes(capsys, monkeypatch, family):
 
 
 @pytest.mark.parametrize(
+    "family, largest, vertices, past, columns",
+    [("pm", 10, 13749310575, 12, 276), ("sym", 12, 6227020800, 17, 289)],
+)
+def test_oracle_vertices_fit_their_compact_form(capsys, monkeypatch, family, largest, vertices, past, columns):
+    # a vertex holds each column in a byte and its id in a 4-byte int; with
+    # 10^18 bytes memory would admit every n here, so the n after `largest`
+    # is refused for its vertex ids, up to `past`, refused for its columns,
+    # before anything is built
+    monkeypatch.setattr(exact, "memory_budget", lambda: (10**18, "physical memory"))
+    oracle._admit(family, largest)
+    with pytest.raises(ValueError, match=f" {vertices} vertices, .*4-byte"):
+        oracle._admit(family, largest + 1)
+    for n in range(largest + 1, past):
+        with pytest.raises(ValueError, match="4-byte"):
+            oracle._admit(family, n)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "oracle", "--family", family, "--n", str(past))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and f" {columns} columns, past the 256" in lines[0] and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [("scan",), ("verify", "--suite", "thm6"), ("verify", "--suite", "kuwong-xi")],
     ids=["scan", "thm6", "kuwong-xi"],

@@ -19,8 +19,8 @@ from test_cli import PINNED_BOUNDARIES
 # sym 9 against 27.9; dualpath 30 -> 36 21 against 26.2; kuwong-xi 7
 # against 12.8, its levels' bitsets, which "pair suites" counts, left out;
 # scan 24 -> 34 18 against 37.6; identities 100 -> 300 2.6 against 3.6;
-# the oracle sym 7 -> 8 14-14.7 against 16.0, and pm 5 -> 6 2.5-3.6
-# against 3.84 (2.1-2.4 on Python 3.10 and 3.12)
+# the oracle sym 7 -> 8 6.5 against 16.0, and pm 5 -> 6 2.1-2.3
+# against 3.84
 CASES = {
     "a pm sweep": ("table --family pm --format csv --n", 40, 45, lambda n: exact._table_needs("pm", n)),
     "a sym sweep": ("table --family sym --format csv --n", 40, 45, lambda n: exact._table_needs("sym", n)),
