@@ -19,7 +19,7 @@ from functools import cache
 from itertools import accumulate
 
 from .exact import LEDGER, _held_bytes, _log_bound, admit, admit_table, binomial, odd_double_factorial, pm_degree
-from .lattice import ID_LIMIT, PartitionLattice
+from .lattice import ID_LIMIT
 from .partitions import (
     Dominance,
     Partition,
@@ -30,6 +30,7 @@ from .partitions import (
     first_part_counts,
     has_first_part_three_rest_small,
     valid_transfers,
+    walk_partitions,
 )
 from .pm_spectrum import _eta_sweep, _normalized, eta_alt, eta_alt_at, f_closed_form_2a1b, f_value
 from .sym_spectrum import _xi_sweep, xi_by_last_part_printed_variant
@@ -129,22 +130,18 @@ def _report(suite: str, n_min: int, n_max: int) -> VerificationReport:
 
 
 class _Sweep:
-    """eta by partition, read off one pm lattice sweep of size n
-    (:func:`_eta_sweep`), at every partition of size at most n.  Each
-    partition's node id is walked from the lattice's blocks, so the
+    """f by partition, read off one pm lattice sweep of size n
+    (:func:`_eta_sweep`), at every partition of size at most n, for the
+    suites that read f out of row order (``prop2`` and ``lemmas``).
+    Each partition's node id is walked from the lattice's blocks, so the
     lattice, whose arrays hold one entry per partition of n, is kept.  A
-    sweep that could not fit in the memory budget, with what the ledger
-    names in ``also`` and its suite keeps beside it, is refused before it
+    sweep that could not fit in the memory budget is refused before it
     starts."""
 
-    def __init__(self, n: int, *also: str) -> None:
-        admit_table("pm", n, *also)
+    def __init__(self, n: int) -> None:
+        admit_table("pm", n)
         lattice, self._values, _, _ = _eta_sweep(n)
         self._index = lattice.index
-
-    def value(self, lam: Partition) -> int:
-        """eta(lam)."""
-        return self._values[self._index(lam)]
 
     def f(self, lam: Partition) -> int:
         """(-1)^(n - lam_1) eta, checked nonnegative and zero only at (1)."""
@@ -298,14 +295,14 @@ def _block_order(report, parts, values, symbol: str, equality: str, along=None) 
 
 def verify_sign_pattern(n_max: int) -> VerificationReport:
     """(-1)^(n - lambda_1) * eta > 0 for every partition of each n from 2 to
-    n_max, read off one pm sweep of size n_max."""
+    n_max, read off the rows of each n's pm sweep, with the first part and
+    text of each row from :func:`walk_partitions`."""
     report = _report("signs", 2, n_max)
-    sweep = _Sweep(n_max)
+    admit_table("pm", n_max)
     sign = report.relation(None, "partition", "eta")
     for n in range(2, n_max + 1):
-        for lam in enumerate_partitions(n):
-            value = sweep.value(lam)
-            sign((-1) ** (n - lam[0]) * value > 0, lam, str(value))
+        for value, (parts, _, text) in zip(_eta_sweep(n)[2], walk_partitions(n)):
+            sign((-1) ** (n - parts[0]) * value > 0, text, str(value))
     return report
 
 
@@ -325,17 +322,18 @@ def verify_abs_dominance(n_max: int) -> VerificationReport:
     """
     report = _report("thm6", 2, n_max)
     admit(_level_needs(n_max))
-    sweep = _Sweep(n_max)
+    admit_table("pm", n_max)
     for n in range(2, n_max + 1):
-        _abs_dominance_level(report, n, sweep)
+        _abs_dominance_level(report, n)
     return report
 
 
-def _abs_dominance_level(report, n: int, sweep: _Sweep) -> None:
-    """thm6's checks at one n, one first-part block at a time."""
+def _abs_dominance_level(report, n: int) -> None:
+    """thm6's checks at one n, one first-part block at a time, on the rows
+    of n's pm sweep."""
     chain = report.relation("stepwise |eta| monotone along chain", "lo", "hi")
+    values = list(map(abs, _eta_sweep(n)[2]))
     parts = enumerate_partitions(n)
-    values = [abs(sweep.value(lam)) for lam in parts]
     equality = "equality iff first part 3 with small tail"
     for block in _first_part_blocks(n):
         _block_order(report, parts[block], values[block], "eta", equality, chain)
@@ -642,21 +640,22 @@ def scan_cross_gap_conjecture(n_max: int, progress=None) -> VerificationReport:
     """
     report = _report("conjecture2", 2, n_max)
     admit(_level_needs(n_max))
-    sweep = _Sweep(n_max)
+    admit_table("pm", n_max)
     for n in range(2, n_max + 1):
-        _scan_level(report, n, sweep)
+        _scan_level(report, n)
         if progress is not None:
             progress(n, report.checks_run)
     return report
 
 
-def _scan_level(report, n: int, sweep: _Sweep) -> None:
-    """The scan's checks at one n: one popcount for each lam and block v,
-    and a listed failure for each violating pair.  The dominance rows of
-    all partitions of n are freed on return, before the next n's are built."""
+def _scan_level(report, n: int) -> None:
+    """The scan's checks at one n, on the rows of n's pm sweep: one
+    popcount for each lam and block v, and a listed failure for each
+    violating pair.  The dominance rows of all partitions of n are freed on
+    return, before the next n's are built."""
     grows = report.relation("strict |eta| growth across blocks", "lo", "hi", "values")
+    values = list(map(abs, _eta_sweep(n)[2]))
     parts = enumerate_partitions(n)
-    values = [abs(sweep.value(lam)) for lam in parts]
     above = _dominance_rows(parts)
     blocks = [(parts[b.start][0], b, _ranked(values[b])) for b in _first_part_blocks(n)]
     passed = 0
@@ -688,8 +687,8 @@ def verify_xi_comparison(n_max: int) -> VerificationReport:
     """Baseline family: recurrence agreement and |xi| dominance monotonicity.
 
     Checks, for every partition of each n from 2 to n_max: two xi
-    recurrences agree, the first-part one (each n's sym sweep) and the
-    strip one at alpha = 1 (one sweep to n_max), and the mis-transcribed
+    recurrences agree, the first-part one and the strip one at alpha = 1,
+    each read off the rows of its own sweep of n, and the mis-transcribed
     last-part variant disagrees somewhere (witnessed at (1,1)); within each
     fixed-first-part block, dominance implies |xi(lo)| <= |xi(hi)| with
     equality exactly on the first-part-3 small-tail family; and the
@@ -697,28 +696,25 @@ def verify_xi_comparison(n_max: int) -> VerificationReport:
     """
     report = _report("kuwong-xi", 2, n_max)
     admit(_level_needs(n_max))
-    # n_max's sym sweep is the largest: each n's holds only what the
-    # partitions of its own size reach, and returns xi at those in row
-    # order.  The strip sweep is kept for every n beside it
+    # n_max's two sweeps are the largest; each n's returns xi at the
+    # partitions of n in row order
     admit_table("sym", n_max, "its alpha = 1 strip sweep")
-    lattice, strip, _, _ = _eta_sweep(n_max, alpha=1)
     for n in range(2, n_max + 1):
-        _xi_level(report, n, lattice, strip)
+        _xi_level(report, n)
     return report
 
 
-def _xi_level(report, n: int, lattice: PartitionLattice, strip: list) -> None:
-    """kuwong-xi's checks at one n, whose sym sweep is freed on return.
-    ``strip`` holds xi by node id of ``lattice``, the strip sweep's, at
-    every partition of size at most n_max; each row's node id is walked
-    from the lattice's blocks."""
+def _xi_level(report, n: int) -> None:
+    """kuwong-xi's checks at one n, on the rows of n's strip sweep at alpha
+    = 1 and of its sym sweep; both sweeps are freed before the rows are
+    read."""
     agree = report.relation("xi recurrence agreement", "partition", "values")
     extremes = report.relation("lexicographic extremes bound |xi|", "partition", "values")
     variant = report.relation("mis-transcribed variant disagrees at (1,1)")
+    strip = _eta_sweep(n, alpha=1)[2]
     signed = _xi_sweep(n)[2]
     parts = enumerate_partitions(n)
-    for mu, by_first in zip(parts, signed):
-        by_strip = strip[lattice.index(mu)]
+    for mu, by_first, by_strip in zip(parts, signed, strip):
         agree(by_first == by_strip, mu, (by_first, by_strip))
     if n == 2:
         variant(
@@ -747,19 +743,20 @@ _ALL_INDICES_MAX_N = 12
 
 def verify_dual_recurrences(n_max: int) -> VerificationReport:
     """The two independent eta recurrence paths agree on every partition:
-    the strip recurrence, read off one lattice sweep, and the lowering one.
+    the strip recurrence, read off the rows of each n's lattice sweep, and
+    the lowering one.
 
     Up to ``_ALL_INDICES_MAX_N`` the lowering-comparison recurrence is also
     evaluated at every admissible index, not only the last one.  Its store,
-    filled alongside the sweep, counts in the sweep's admission.
+    filled alongside the sweeps, counts in the sweep's admission.
     """
     report = _report("dualpath", 1, n_max)
-    sweep = _Sweep(n_max, "the eta_alt store")
+    admit_table("pm", n_max, "the eta_alt store")
     agree = report.relation("dual-path agreement", "partition", "values")
     any_index = report.relation("lowering recurrence index-independent", "partition", "index")
     for n in range(1, n_max + 1):
-        for lam in enumerate_partitions(n):
-            a, b = sweep.value(lam), eta_alt(lam)
+        for a, lam in zip(_eta_sweep(n)[2], enumerate_partitions(n)):
+            b = eta_alt(lam)
             agree(a == b, lam, (a, b))
             if n <= _ALL_INDICES_MAX_N:
                 s = len(lam)

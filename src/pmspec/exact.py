@@ -207,15 +207,15 @@ def _query_needs(family: str, lam: tuple):
 # two sizes, or a sum of CPython object sizes, rounded up; tests/test_memory.py
 # measures each again.  A node is a partition of size at most n.
 LEDGER = {
-    # per node: the suites' sweep, which keeps every value, grew 52 bytes from n = 45
-    # to 50 (table --n, which drops the dead ones, 38), plus ~22 of one value's digit
-    # growth; the raw peaks are in BENCH_45.json
+    # per node: _Sweep, which keeps every value, grew 52 bytes from n = 45 to 50 (signs, a
+    # sweep per n, 58; table --n, which drops the dead ones, 38), plus ~22 of digit growth
     "a pm sweep": 140,
     # per node: table --n 45 to 50 grew 28 bytes, plus ~22 of one value's digit growth
     "a sym sweep": 90,
     # per node: dualpath --n-max 40 to 46 grew 304 bytes less the pm table's 97, plus digits
     "the eta_alt store": 250,
-    # per node: kuwong-xi --n-max 36 to 42 grew 122 bytes less the sym table's 64, plus digits
+    # per node: kuwong-xi --n-max 36 to 42 grew 85 bytes less the sym table's 31, plus digits;
+    # it over-counts, as each n's strip sweep is freed before that n's sym sweep runs
     "its alpha = 1 strip sweep": 100,
     # per node beside a level's bits: scan, thm6, kuwong-xi to 32, 36, 39 grew 321-449 bytes
     "pair suites": 500,

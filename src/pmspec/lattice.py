@@ -64,7 +64,8 @@ rank((m,) + t) = P(|t| + m, m - 1) + rank(t), with P from
 :func:`pmspec.partitions.bounded_partition_counts`.  The block of (m,) + t
 is thus the block of t plus ``step[hi][m]``, which depends on hi and m
 alone.  A partition's node id is walked that way from the empty block
-(:meth:`PartitionLattice.index`), which is how the suites read a pm sweep.
+(:meth:`PartitionLattice.index`), which is how two suites read f off a pm
+sweep; the others read each n's rows.
 Where t - 1 keeps all the parts of t, its block holds len(t) + 1 more
 nodes than t's, so it comes first in their level, as (m - 1,) + (t - 1)
 must.

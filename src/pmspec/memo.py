@@ -17,9 +17,9 @@ that of ``xi_by_last_part``, a single query that no suite calls.  The
 single queries ``eta`` and ``xi_by_first_part`` use no store: each
 evaluates on a table indexed by its argument's own prefixes or suffixes,
 which lives for one call.  The spectrum tables and the other verification
-suites read their values off forward sweeps over every partition of size
-at most n (:mod:`pmspec.lattice`); the kuwong-xi suite checks xi's
-first-part sweep against the strip recurrence's sweep at alpha = 1.
+suites read their values off forward sweeps over the partitions of size
+at most n (:mod:`pmspec.lattice`); the kuwong-xi suite checks the rows of
+xi's first-part sweep of each n against the strip recurrence's at alpha = 1.
 """
 
 from __future__ import annotations

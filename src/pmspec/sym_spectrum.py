@@ -8,10 +8,11 @@ for one call; ``xi_by_last_part`` carries the coefficient mu_r, recurses by
 dropping the last part, and memoizes in a store of its own.  A common
 transcription of the second one subtracts 1 from every part of the
 dropped-tail term as well; that variant is kept as a diagnostic because it
-already disagrees at (1,1).  The kuwong-xi suite checks the first-part
-recurrence's lattice sweep (:func:`_xi_sweep`) against a third path, the
-strip recurrence of eta at alpha = 1 (:func:`pmspec.pm_spectrum._eta_sweep`),
-so it fills no store; ``xi_by_last_part`` stays a public single query.
+already disagrees at (1,1).  The kuwong-xi suite checks the rows of the
+first-part recurrence's lattice sweep of each n (:func:`_xi_sweep`) against
+those of a third path, the strip recurrence of eta at alpha = 1
+(:func:`pmspec.pm_spectrum._eta_sweep`), so it fills no store;
+``xi_by_last_part`` stays a public single query.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import weakref
 import pytest
 
 from pmspec import analysis, sym_spectrum
+from pmspec.lattice import PartitionLattice
 from pmspec.partitions import (
     Dominance,
     Partition,
@@ -144,17 +145,18 @@ def test_xi_comparison_suite():
     assert report.passed, report.failures[:3]
 
 
-def test_xi_comparison_reads_the_sym_row_list(monkeypatch):
-    # kuwong-xi takes its first xi at the partitions of n from each n's sym
-    # row list, and its second from its own alpha = 1 strip sweep by id,
-    # not through _Sweep, whose reads the pm fault patches: so it builds no
-    # _Sweep, and its clean report keeps its golden digest
+@pytest.mark.parametrize("name", ["signs", "thm6", "conjecture2", "dualpath", "kuwong-xi"])
+def test_row_suites_read_each_n_from_its_rows(name, monkeypatch):
+    # these suites read their values at the partitions of each n from the
+    # row lists of that n's sweeps, in row order: they build no _Sweep and
+    # walk no node id, and their clean reports keep their golden digests
     def refused(*args):
-        raise AssertionError("kuwong-xi built a _Sweep")
+        raise AssertionError(f"{name} built a _Sweep or walked a node id")
 
     monkeypatch.setattr(analysis, "_Sweep", refused)
-    n_max, clean, _ = GOLDEN["kuwong-xi"]
-    assert _fingerprint("kuwong-xi", n_max) == clean
+    monkeypatch.setattr(PartitionLattice, "index", refused)
+    n_max, clean, _ = GOLDEN[name]
+    assert _fingerprint(name, n_max) == clean
 
 
 def test_xi_comparison_fills_no_last_part_store():
@@ -362,18 +364,21 @@ def _faulty(value, lam, factors=FAULTY):
 
 
 def _install_fault(monkeypatch, factors):
-    """Fault the values the suites read off their sweeps; return the single
-    queries under the same fault, for the literal loops."""
-    read = analysis._Sweep.value
-    monkeypatch.setattr(analysis._Sweep, "value", lambda self, lam: _faulty(read(self, lam), lam, factors))
-    sweep = analysis._xi_sweep
+    """Fault the rows the suites read off eta's sweeps at alpha = 2 and off
+    xi's; return the single queries under the same fault, for the literal
+    loops."""
 
-    def xi_sweep(n, *args, **kwargs):
-        lattice, values, by_row, hooks = sweep(n, *args, **kwargs)
-        rows = [_faulty(value, lam, factors) for lam, value in zip(enumerate_partitions(n), by_row)]
-        return lattice, values, rows, hooks
+    def faulty_rows(sweep):
+        def faulty(n, *args, **kwargs):
+            lattice, values, by_row, hooks = sweep(n, *args, **kwargs)
+            rows = [_faulty(value, lam, factors) for lam, value in zip(enumerate_partitions(n), by_row)]
+            return lattice, values, rows, hooks
 
-    monkeypatch.setattr(analysis, "_xi_sweep", xi_sweep)
+        return faulty
+
+    eta_sweep, faulty = analysis._eta_sweep, faulty_rows(analysis._eta_sweep)
+    monkeypatch.setattr(analysis, "_eta_sweep", lambda n, alpha=2: faulty(n) if alpha == 2 else eta_sweep(n, alpha=alpha))
+    monkeypatch.setattr(analysis, "_xi_sweep", faulty_rows(analysis._xi_sweep))
     return (
         lambda lam: _faulty(eta(lam).eta, lam, factors),
         lambda mu: _faulty(xi_by_first_part(mu), mu, factors),

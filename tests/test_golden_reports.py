@@ -100,18 +100,24 @@ def _scale(lam, value):
     return value * FACTORS[lam] or 1 if lam in FACTORS else value
 
 
-def _install_fault(monkeypatch):
-    for name in ("value", "f"):
-        read = getattr(analysis._Sweep, name)
-        monkeypatch.setattr(analysis._Sweep, name, lambda self, lam, read=read: _scale(lam, read(self, lam)))
-    sweep = analysis._xi_sweep
-
-    def xi_sweep(n, *args, **kwargs):
-        # the row list, xi at the partitions of n in table order
+def _scaled_rows(sweep):
+    # the sweep with its row list, the values at the partitions of n in
+    # table order, scaled
+    def faulty(n, *args, **kwargs):
         lattice, values, by_row, hooks = sweep(n, *args, **kwargs)
         return lattice, values, list(map(_scale, enumerate_partitions(n), by_row)), hooks
 
-    monkeypatch.setattr(analysis, "_xi_sweep", xi_sweep)
+    return faulty
+
+
+def _install_fault(monkeypatch):
+    read = analysis._Sweep.f
+    monkeypatch.setattr(analysis._Sweep, "f", lambda self, lam: _scale(lam, read(self, lam)))
+    # eta's rows only: the strip sweep at alpha = 1 is kuwong-xi's clean
+    # second xi, which the faulty first one must disagree with
+    eta_sweep, faulty = analysis._eta_sweep, _scaled_rows(analysis._eta_sweep)
+    monkeypatch.setattr(analysis, "_eta_sweep", lambda n, alpha=2: faulty(n) if alpha == 2 else eta_sweep(n, alpha=alpha))
+    monkeypatch.setattr(analysis, "_xi_sweep", _scaled_rows(analysis._xi_sweep))
     monkeypatch.setattr(analysis, "f_value", lambda lam: _scale(lam, f_value(lam)))
     monkeypatch.setattr(analysis, "eta_alt", lambda lam: eta_alt(lam) + (lam in SHIFTED))
 
