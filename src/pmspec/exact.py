@@ -208,9 +208,9 @@ def _query_needs(family: str, lam: tuple):
 # measures each again.  A node is a partition of size at most n.
 LEDGER = {
     # per node: _Sweep, which keeps every value, grew 52 bytes from n = 45 to 50 (signs, a
-    # sweep per n, 58; table --n, which drops the dead ones, 38), plus ~22 of digit growth
+    # sweep per n, 53; table --n, which drops the dead ones, 35), plus ~22 of digit growth
     "a pm sweep": 140,
-    # per node: table --n 45 to 50 grew 28 bytes, plus ~22 of one value's digit growth
+    # per node: table --n 45 to 50 grew 24 bytes, plus ~22 of one value's digit growth
     "a sym sweep": 90,
     # per node: dualpath --n-max 40 to 46 grew 304 bytes less the pm table's 97, plus digits
     "the eta_alt store": 250,

@@ -9,7 +9,8 @@ place of its row (hi,) + t in the table, decreasing lexicographic order.
 The lattice keeps three kinds of index:
 
 * by block, in ``array("i")`` of p(n) entries: ``base``, the node id of
-  (0,) + t, so that (m,) + t has the node id ``base[b] + m``; ``minus1``,
+  (0,) + t, so that (m,) + t has the node id ``base[b] + m``, made only
+  for the sweeps that read node ids; ``minus1``,
   the block of t - 1, where ``nu - j`` subtracts j from every part and
   drops the zeros; and ``slots``, the slot of (0,) + t (below), where
   the block has slots;
@@ -69,6 +70,17 @@ sweep; the others read each n's rows.
 Where t - 1 keeps all the parts of t, its block holds len(t) + 1 more
 nodes than t's, so it comes first in their level, as (m - 1,) + (t - 1)
 must.
+
+A level's blocks are held in flat columns, a :class:`Level`: b, lo, hi,
+head, last and below in ``array("i")``, and F(t) in one list where hook
+products are taken, so a block costs 24 bytes and its F(t), not a tuple and
+three boxed ids.  The next level fills one ``array("i")`` per node count,
+six ints a child, while the level before it is read, and is joined into
+columns once that level is done; its groups' ids are slices of its b column.
+The pm sweep reads b, lo, hi, head and last, the sym sweep b, lo, hi and
+below, and the lattice's own pass over a level b, lo, hi, head, last and
+F(t); ``base`` and the next level's slots are set from b and lo, a run of
+one node count at a time.
 :func:`pmspec.exact.admit_table` refuses every n whose node ids would not
 fit in 4 bytes.
 """
@@ -76,8 +88,10 @@ fit in 4 bytes.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from itertools import accumulate, chain, compress, count, repeat
-from operator import attrgetter, itemgetter, mul
+from operator import attrgetter, mul
+from struct import Struct
 from typing import Iterator
 
 from .partitions import bounded_partition_counts
@@ -85,6 +99,9 @@ from .partitions import bounded_partition_counts
 # the least n with 2^31 partitions of size at most n or more, too many for the
 # node ids of an ``array("i")``: :func:`pmspec.exact.admit_table` refuses n >= it
 ID_LIMIT = 103
+
+# a block's six ints, b, lo, hi, head, last and below, as the bytes of an array("i")
+_BLOCK = Struct("6i").pack
 
 # entries a compaction of a table sweep's values by node cuts at a time
 _CUT = 1 << 14
@@ -94,8 +111,8 @@ class PartitionLattice:
     """Blocks, node ids and slots for the partitions of size at most n,
     assigned by :meth:`levels`, and, with ``hooks``, their hook products.
     ``base``, ``minus1`` and ``slots`` are ``array("i")`` of one entry per
-    block, p(n) in all; ``step[h][m]`` is what the block of (m,) + t adds
-    to that of t, for t of size n - h.  ``hooks`` is H in a list by slot,
+    block, p(n) in all, ``base`` made on first use; ``step[h][m]`` is what
+    the block of (m,) + t adds to that of t, for t of size n - h.  ``hooks`` is H in a list by slot,
     and ``row_dims`` holds N!/H at the partitions of n, of size N, in the
     order of :func:`pmspec.partitions.enumerate_partitions`, each checked to
     divide exactly; both are None without ``hooks``.
@@ -129,8 +146,7 @@ class PartitionLattice:
             for h in range(n + 1)
         ]
         # by block, set by :meth:`levels`; block 0, of the empty tail, is 0
-        # in all three
-        self.base = array("i", [0]) * self.row_count
+        # in all three, and ``base`` is made on first use
         self.minus1 = array("i", [0]) * self.row_count
         self.slots = array("i", [0]) * self.row_count
         # H by slot, and N!/H at each row; complete once :meth:`levels` is exhausted
@@ -139,23 +155,41 @@ class PartitionLattice:
             self.hooks = []
             self.row_dims = [None] * self.row_count
 
-    def levels(self, nodes: list = None, slotted: list = None) -> Iterator[tuple]:
-        """Yield ``(r, blocks)`` for r = 1, 2, ..., n, the partitions of r parts.
+    @cached_property
+    def base(self):
+        """By block, the node id of (0,) + t, set by :meth:`levels`; a table's
+        sweep by slot alone never reads it, and never makes it."""
+        from array import array  # loaded already by __init__
 
-        A block ``(b, lo, hi, head, last, column, below)`` holds the
-        partitions (m,) + t for lo <= m <= hi: ``b`` is its number, the
-        place of (hi,) + t among the partitions of n, lo is t's first part
-        (1 for the empty t) and (hi,) + t is the one of size n.  ``head`` is
-        the block of t without its last part and ``last`` is t's last part;
-        both are None at r = 1, where t is empty.  ``column`` is F(t), None
-        without hook products, and ``below`` is the slot of t - 1.  Blocks
-        come in node order, which is also slot order: by descending node
-        count, hi - lo + 1, and then as their parents came.  ``minus1`` and
-        ``slots`` are set for every block of a level before it is yielded,
-        and ``base`` once it has been read, before the next level (and not
-        at all for a table's sweep by slot alone); ``hooks`` at every slot
-        of fewer than r parts, and ``row_dims`` at every row of fewer than r
-        parts.
+        return array("i", [0]) * self.row_count
+
+    def levels(self, nodes: list = None, slotted: list = None) -> Iterator[tuple]:
+        """Yield ``(r, level)`` for r = 1, 2, ..., n, the partitions of r
+        parts, each level a :class:`Level` of blocks in flat columns.
+
+        A block holds the partitions (m,) + t for lo <= m <= hi: ``b`` is
+        its number, the place of (hi,) + t among the partitions of n, lo is
+        t's first part (1 for the empty t) and (hi,) + t is the one of size
+        n.  ``head`` is the block of t without its last part and ``last``
+        is t's last part; both are 0 at r = 1, where t is empty.  ``column``
+        holds F(t), and is None without hook products, and ``below`` is the
+        slot of t - 1.  Blocks come in node order, which is also slot order:
+        by descending node count, hi - lo + 1, and then as their parents
+        came.  ``minus1`` and ``slots`` are set for every block of a level
+        before it is yielded, and ``base`` once it has been read, before the
+        next level (and not at all for a table's sweep by slot alone);
+        ``hooks`` at every slot of fewer than r parts, and ``row_dims`` at
+        every row of fewer than r parts.
+
+        No tuple or boxed int per block outlives the pass that reads it.
+        While a level is read, the next fills one ``array("i")`` per node
+        count, six ints a child (b, lo, hi, head, last, below), with F(t) in
+        a list beside it; the buckets are then joined into the next level's
+        columns.  Each pass reads the columns it needs: the pass over a
+        level that finds its children and its hook products reads b, lo,
+        hi, head, last and F(t), and ``base``, the next level's slots and
+        its groups' ids are set from b and lo, one run of one node count at
+        a time.
 
         ``nodes``, a list by node id, or ``slotted``, a list by slot, makes
         this a table's sweep: the caller extends the list with each level's
@@ -171,24 +205,28 @@ class PartitionLattice:
         """
         from array import array  # loaded already by __init__
 
-        n, base, minus1, slots, step = self.n, self.base, self.minus1, self.slots, self.step
+        n, minus1, slots, step = self.n, self.minus1, self.slots, self.step
         hooks, row_dims = self.hooks, self.row_dims
         hooked = hooks is not None
         if hooked:
             order = math.factorial(2 * n if self.doubled else n)
         by_node = nodes is not None
         trim = by_node or slotted is not None
+        # a table's sweep by slot alone never reads base, so it is never made
+        base = self.base if by_node or not trim else None
         by_slot = [values for values in (slotted, hooks) if values is not None]
         # due[s]: the groups to visit before level s; those past n are kept whole
         due = [[] for _ in range(n + 2)]
         held = 0  # the values ``nodes`` holds
-        # the empty partition and the (m,): nodes 0 to n and slots 0 to n - 1
-        blocks = [(0, 1, n, None, None, 1 if hooked else None, 0)]
+        # the empty partition and the (m,): nodes 0 to n and slots 0 to n - 1,
+        # in the one block of the empty tail, whose head and last are 0
+        empty = [array("i", [value]) for value in (0, 1, n, 0, 0, 0)]  # b, lo, hi, head, last, below
+        level = Level(*empty, [1] if hooked else None, [(n, 1)], int(n > 1))
         groups = [_Group(array("i", [0]), 1, n + 1, 0, 0, n)]
         # start: the node id of the first block's m = lo in the level read last
         r, start, next_slot = 1, 1, n
-        while blocks:
-            yield r, blocks
+        while level:
+            yield r, level
             if trim:
                 # a node of a block of level k is dead before level r once
                 # m > hi - r and r > k + 1, a slot once m > hi - r and r > k:
@@ -199,15 +237,17 @@ class PartitionLattice:
                     first = group.count - (group.held if by_node else group.slot_stride) // 2
                     due[min(max(r + 1 + by_node, first), n + 1)].append(group)
                     held += group.count * group.blocks
-            # F((m,) + t) = weights[m] F(t)
+            # F((m,) + t) = weights[m] F(t), in a list: indexing a range is slower
             if not hooked:
                 weights = None
             elif self.doubled:
                 weights = [(2 * m + r - 1) * (2 * m + r - 2) for m in range(n + 1)]
             else:
-                weights = range(r - 1, n + r)
-            # the next level's blocks, by node count
-            by_count = [[] for _ in range(n + 1)]
+                weights = list(range(r - 1, n + r))
+            # the next level's blocks by node count, six ints a block in an
+            # array: b, lo, hi, head, last and below; F(t) apart
+            by_count = [array("i") for _ in range(n + 1)]
+            columns = [[] for _ in range(n + 1)] if hooked else None
             if r == 1:
                 if hooked:
                     # H((m,)) = weights[1] ... weights[m]; (n,) is the row
@@ -218,31 +258,32 @@ class PartitionLattice:
                 for m in range(1, n // 2 + 1):
                     child = children[m]
                     minus1[child] = children[m - 1]
-                    column = weights[m] if hooked else None
-                    by_count[n - 2 * m + 1].append((child, m, n - m, 0, m, column, m - 1))
-            # the one block of level 1, the empty tail's, is done above
-            for b, lo, hi, head, last, f, _ in blocks if r > 1 else ():
-                down = minus1[b]
-                shifted = slots[down] - 1  # the slot of (m,) + t - 1 is shifted + m
-                if hooked:
-                    # H at m <= hi - r, in slot order, and the row's dimension, m = hi
-                    top = hi - r
-                    if lo <= top:
-                        factors = map(f.__mul__, weights[lo : top + 1])
-                        hooks += map(mul, factors, hooks[shifted + lo : shifted + top + 1])
-                    row_dims[b] = _hook_quotient(order, f * weights[hi] * hooks[shifted + hi])
+                    by_count[n - 2 * m + 1].frombytes(_BLOCK(child, m, n - m, 0, m, m - 1))
+                    if hooked:
+                        columns[n - 2 * m + 1].append(weights[m])
+            else:
                 # (m,) + t extends to (m', m) + t iff |t| + 2m <= n, i.e. m <= hi // 2.
                 # That tail's head, (m,) + head(t), is in the block of t's head,
                 # whose hi is hi + last, and its - 1, (m - 1,) + (t - 1), is in
                 # t - 1's, whose hi is hi + r - 1, at slot shifted + m
-                if lo > hi // 2:
-                    continue
-                children, heads, shifts = step[hi], step[hi + last], step[hi + r - 1]
-                for m in range(lo, hi // 2 + 1):
-                    child = b + children[m]
-                    minus1[child] = down + shifts[m - 1]
-                    column = f * weights[m] if hooked else None
-                    by_count[hi - 2 * m + 1].append((child, m, hi - m, head + heads[m], last, column, shifted + m))
+                blocks = zip(level.b, level.lo, level.hi, level.head, level.last, level.column or repeat(None))
+                for b, lo, hi, head, last, f in blocks:
+                    down = minus1[b]
+                    shifted = slots[down] - 1  # the slot of (m,) + t - 1 is shifted + m
+                    if hooked:
+                        # H at m <= hi - r, in slot order, and the row's dimension, m = hi
+                        top = hi - r + 1
+                        if lo < top:
+                            hooks += map(mul, map(f.__mul__, weights[lo:top]), hooks[shifted + lo : shifted + top])
+                        row_dims[b] = _hook_quotient(order, f * weights[hi] * hooks[shifted + hi])
+                    if lo > hi // 2:
+                        continue
+                    children, heads, shifts = step[hi], step[hi + last], step[hi + r - 1]
+                    for m in range(lo, hi // 2 + 1):
+                        minus1[child := b + children[m]] = down + shifts[m - 1]
+                        by_count[hi - 2 * m + 1].frombytes(_BLOCK(child, m, hi - m, head + heads[m], last, shifted + m))
+                        if hooked:
+                            columns[hi - 2 * m + 1].append(f * weights[m])
             r += 1
             if trim and r <= n:
                 for group in due[r]:
@@ -253,33 +294,47 @@ class PartitionLattice:
                 if by_node and 2 * held <= len(nodes):
                     start = _compact(nodes, base, chain.from_iterable(due[r + 1 :]), start)
             # the level read last is in place now, and no later compaction
-            # before the next level moves it: its base, which a table's sweep
-            # by slot alone never reads
-            if by_node or not trim:
-                for b, lo, hi, _, _, _, _ in blocks:
-                    base[b] = start - lo
-                    start += hi - lo + 1
-            # the next level by descending count, with its slots and the
-            # node ids of its groups: the block of t - 1 has r more nodes than
-            # that of t, so (m - 1,) + (t - 1) comes before (m,) + t where the
-            # two have r parts
-            blocks, groups, node = [], [], start
-            for c in range(n, 0, -1):
-                level = by_count[c]
-                if not level:
-                    continue
-                evaluated = max(c - r, 0)  # m <= hi - r
+            # before the next level moves it: its base, the node id of each
+            # block's m = lo less lo, its blocks' nodes a run at a time
+            if base is not None:
+                firsts = []
+                for count, blocks in level.runs:
+                    # every block has a node, but for the empty tail's at
+                    # n = 0, whose base stays 0
+                    if count:
+                        firsts.append(range(start, start + count * blocks, count))
+                        start += count * blocks
+                for b, first, lo in zip(level.b, chain.from_iterable(firsts), level.lo):
+                    base[b] = first - lo
+            # the next level by descending count, with its slots and the node
+            # ids of its groups: the block of t - 1 has r more nodes than that
+            # of t, so (m - 1,) + (t - 1) comes before (m,) + t where the two
+            # have r parts
+            runs = [(count, len(by_count[count]) // 6) for count in range(n, 0, -1) if by_count[count]]
+            joined, column = array("i"), [] if hooked else None
+            for count, _ in runs:
+                joined += by_count[count]
+                if hooked:
+                    column += columns[count]
+            del by_count, columns
+            with_slots = sum(blocks for count, blocks in runs if count > r)
+            level = Level(*(joined[i::6] for i in range(6)), column, runs, with_slots)
+            del joined, column
+            groups, node, pos = [], start, 0
+            for count, blocks in runs:
+                evaluated = max(count - r, 0)  # m <= hi - r
                 if by_node or trim and evaluated:
-                    ids = array("i", map(itemgetter(0), level)) if by_node else None
-                    groups.append(_Group(ids, len(level), c, node, next_slot, evaluated))
-                node += len(level) * c
+                    ids = level.b[pos : pos + blocks] if by_node else None
+                    groups.append(_Group(ids, blocks, count, node, next_slot, evaluated))
                 # a block with no slot is no block's t - 1, and its slots is
                 # never read
                 if evaluated:
-                    for child, m, _, _, _, _, _ in level:
-                        slots[child] = next_slot - m
-                        next_slot += evaluated
-                blocks += level
+                    firsts = range(next_slot, next_slot + evaluated * blocks, evaluated)
+                    for child, first, m in zip(level.b[pos : pos + blocks], firsts, level.lo[pos : pos + blocks]):
+                        slots[child] = first - m
+                    next_slot += evaluated * blocks
+                node += blocks * count
+                pos += blocks
 
     def index(self, lam: tuple) -> int:
         """The node id of a partition of size at most n: the block of its
@@ -289,6 +344,30 @@ class PartitionLattice:
             b += step[hi][part]
             hi -= part
         return self.base[b] + lam[0] if lam else 0
+
+
+class Level:
+    """The blocks of one level of :meth:`PartitionLattice.levels`, in node
+    order, as flat columns: ``b``, ``lo``, ``hi``, ``head``, ``last`` and
+    ``below`` are ``array("i")`` of one entry per block, and ``column`` is a
+    list of F(t), or None without hook products.  ``runs`` holds the node
+    count and the number of blocks of each run of one count, by descending
+    count, and ``evaluated`` counts the blocks of more than r nodes, which
+    come first and alone have slots.  Iterating a level yields each block
+    as ``(b, lo, hi, head, last, column, below)``."""
+
+    __slots__ = ("b", "lo", "hi", "head", "last", "below", "column", "runs", "evaluated")
+
+    def __init__(self, b, lo, hi, head, last, below, column, runs, evaluated) -> None:
+        self.b, self.lo, self.hi, self.head, self.last, self.below = b, lo, hi, head, last, below
+        self.column, self.runs, self.evaluated = column, runs, evaluated
+
+    def __len__(self) -> int:
+        return len(self.b)
+
+    def __iter__(self) -> Iterator[tuple]:
+        column = repeat(None) if self.column is None else self.column
+        return zip(self.b, self.lo, self.hi, self.head, self.last, column, self.below)
 
 
 class _Group:

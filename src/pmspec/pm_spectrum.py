@@ -210,7 +210,8 @@ def _eta_sweep(n: int, table: bool = False, alpha: int = 2) -> tuple:
     coefficient of 1 or -1 (every j = 0, and j = 1 at last = 1) adds or
     subtracts its slice with no product, and a head of coefficient -1 is
     subtracted last, not negated first; a block of last part 1, most of
-    them, is one pass over its head and its one other child.  The one-part
+    them, is one pass over its head and its one other child.  The sweep
+    reads each level's b, lo, hi, head and last columns.  The one-part
     values are d_m (alpha = 2) or D_m (alpha = 1).
 
     For a ``table`` the lattice drops each value, and each hook product,
@@ -230,26 +231,29 @@ def _eta_sweep(n: int, table: bool = False, alpha: int = 2) -> tuple:
     one_part = pm_degree if alpha == 2 else derangement_count
     values = [1]
     by_row = [None] * lattice.row_count
-    for r, blocks in lattice.levels(nodes=values if table else None):
+    for r, level in lattice.levels(nodes=values if table else None):
         if r == 1:
             # (m,) for m = 1 to n, after the empty partition
             values.extend(map(one_part, range(1, n + 1)))
             by_row[0] = values[n]
             continue
         level_rows = rows[r & 1]
-        for place, lo, hi, head, last, _, _ in blocks:
+        # most blocks have last part 1: their row is [-1, 1] or [-1, -1] by
+        # the level's parity, and head - 1 is their one other child
+        kids_less_heads = level_rows[1][1] == 1
+        for place, lo, hi, head, last in zip(level.b, level.lo, level.hi, level.head, level.last):
             # head - j of (m,) + t is base[head] + m - j, where head starts
             # as the block of t without its last part and steps by minus1
-            count, row = hi - lo + 1, level_rows[last]
+            count = hi - lo + 1
             start = base[head] + lo
             heads = values[start : start + count]
             if last == 1:
-                # most blocks: the row is [-1, 1] or [-1, -1], head - 1 the one kid
                 start = base[minus1[head]] + lo - 1
                 kids = values[start : start + count]
-                values += map(sub, kids, heads) if row[1] == 1 else map(neg, map(add, kids, heads))
+                values += map(sub, kids, heads) if kids_less_heads else map(neg, map(add, kids, heads))
                 by_row[place] = values[-1]
                 continue
+            row = level_rows[last]
             acc = heads if row[0] == 1 else None
             for j in range(1, last + 1):
                 head = minus1[head]

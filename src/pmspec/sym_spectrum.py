@@ -17,6 +17,8 @@ those of a third path, the strip recurrence of eta at alpha = 1
 
 from __future__ import annotations
 
+from itertools import cycle
+from operator import add, mul
 from typing import NamedTuple
 
 from . import memo
@@ -136,9 +138,13 @@ def _xi_sweep(n: int, table: bool = False) -> tuple:
     with |nu| + len(nu) <= n are evaluated, p(n) of the latter, each at its
     slot (:mod:`pmspec.lattice`).  A block's evaluated mu - 1 are one slice
     of the block of t - 1, and t - 1 is at the slot the block carries, so a
-    block's values are appended in one pass.  For a ``table`` the lattice
-    drops each value by slot, and each hook product, once no later level
-    reads it (:meth:`pmspec.lattice.PartitionLattice.levels`).  Returns the
+    block's values are appended as one product of that slice with a range
+    of coefficients, with no Python step per value.  The blocks with slots
+    come first in their level, and a second pass over every block takes
+    the rows; the two read the level's b, lo, hi and below columns.  For a
+    ``table`` the lattice drops each value by slot, and each hook product,
+    once no later level reads it
+    (:meth:`pmspec.lattice.PartitionLattice.levels`).  Returns the
     lattice, the p(n) xi values by slot (None where dropped), the xi values
     of the rows and the dimensions of the rows (None but for a ``table``).
     """
@@ -148,22 +154,22 @@ def _xi_sweep(n: int, table: bool = False) -> tuple:
     values = list(map(derangement_count, range(n)))
     by_row = [None] * lattice.row_count
     by_row[0] = derangement_count(n)
-    for r, blocks in lattice.levels(slotted=values if table else None):
+    for r, level in lattice.levels(slotted=values if table else None):
         if r == 1:
             continue
         sign = 1 if r & 1 else -1  # (-1)^(r-1)
-        for place, lo, hi, _, _, _, below in blocks:
-            shifted = slots[minus1[place]] - 1  # mu - 1 is at slot shifted + m
-            tail_value = values[below]
-            # (-1)^(r-1) (m + r - 1) xi(mu - 1) + (-1)^(m + r - 1) xi(t - 1) at
-            # m <= hi - r, the block's next slots, and at the row, m = hi
-            top = hi - r
-            if lo <= top:
-                values += [
-                    sign * (m + r - 1) * values[shifted + m] + (tail_value if (m + r) & 1 else -tail_value)
-                    for m in range(lo, top + 1)
-                ]
-            row = sign * (hi + r - 1) * values[shifted + hi]
+        # (-1)^(r-1) (m + r - 1) xi(mu - 1) + (-1)^(m + r - 1) xi(t - 1), where
+        # mu - 1 is at slot slots[minus1[b]] + m - 1 and t - 1 at below: at
+        # m <= hi - r, the next slots, in the blocks of more than r nodes,
+        # which come first
+        for place, lo, hi, below in zip(level.b[: level.evaluated], level.lo, level.hi, level.below):
+            shifted, tail_value, top = slots[minus1[place]] - 1, values[below], hi - r + 1
+            coefficients = range(sign * (lo + r - 1), sign * hi, sign)  # m = lo to top - 1
+            tails = cycle((tail_value, -tail_value) if (lo + r) & 1 else (-tail_value, tail_value))
+            values += map(add, map(mul, coefficients, values[shifted + lo : shifted + top]), tails)
+        # and at each row, m = hi
+        for place, hi, below in zip(level.b, level.hi, level.below):
+            row, tail_value = sign * (hi + r - 1) * values[slots[minus1[place]] + hi - 1], values[below]
             by_row[place] = row + tail_value if (hi + r) & 1 else row - tail_value
     return lattice, values, by_row, lattice.row_dims
 

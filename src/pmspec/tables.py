@@ -31,7 +31,9 @@ class SpectrumTable(NamedTuple):
     @classmethod
     def from_rows(cls, family: str, n: int, rows: dict) -> "SpectrumTable":
         """The table whose :attr:`rows` is ``rows``; its keys must be the
-        partitions of n in row order."""
+        partitions of n in row order, and ``family`` "pm" or "sym"."""
+        if family not in ("pm", "sym"):
+            raise ValueError(f"unknown family {family!r}: a table is of pm or sym")
         if list(rows) != enumerate_partitions(n):
             raise ValueError(f"the keys of rows are not the partitions of {n} in decreasing lexicographic order")
         return cls(family, n, [val for val, _ in rows.values()], [mult for _, mult in rows.values()])
@@ -53,15 +55,14 @@ class SpectrumTable(NamedTuple):
         at a time, so that no rendering of the whole table is ever held.
         Partitions render as :meth:`Partition.to_text` does, from the texts
         of :func:`pmspec.partitions.walk_partitions`; json needs no escapes
-        in them."""
+        in them, nor in the family, so it is written with no json module."""
         rows = zip(walk_partitions(self.n), self.values, self.multiplicities)
         if fmt == "csv":
             head, tail = CSV_HEADER + "\n", ""
             lines = (f"{text},{val},{mult}\n" for (_, _, text), val, mult in rows)
         elif fmt == "json":
-            import json  # loaded only when json is written
-
-            head, tail = f'{{"family":{json.dumps(self.family)},"n":{self.n},"rows":[', "]}\n"
+            # the family is "pm" or "sym", which need no escape either
+            head, tail = f'{{"family":"{self.family}","n":{self.n},"rows":[', "]}\n"
             lines = (
                 f',{{"partition":"{text}","eigenvalue":{val},"multiplicity":{mult}}}'
                 for (_, _, text), val, mult in rows

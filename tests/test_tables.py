@@ -3,6 +3,7 @@
 import io
 import json
 import sys
+import tracemalloc
 
 import pytest
 
@@ -114,20 +115,56 @@ def test_from_rows_refuses_keys_out_of_row_order():
 
 # the most either case below peaked over the import in three sets of eight
 # fresh runs, in MiB, by Python version; sym 38 json peaked highest on each
-_TABLE_PEAKS = {(3, 10): 6.43, (3, 11): 5.39, (3, 12): 6.43}
+_TABLE_PEAKS = {(3, 10): 5.73, (3, 11): 4.68, (3, 12): 5.48}
 
 
 @pytest.mark.parametrize("family, n, fmt", [("sym", 38, "json"), ("pm", 36, "csv")])
 def test_table_peaks_near_the_import(peak_rss, import_peak, family, n, fmt):
     # the table's two lists hold about 2.5 MiB (sym 38) and the sweep's
-    # traced peak is about 4.2 MiB: the sweep keeps a value only while a
-    # later level reads it, and the lattice's ids are int arrays.  The bound
-    # is the most measured on this Python, or on any if it is not listed,
-    # and 0.5 MiB
+    # traced peak is about 3.3 MiB: the sweep keeps a value only while a
+    # later level reads it, and the lattice's ids and levels are int
+    # arrays.  The bound is the most measured on this Python, or on any if
+    # it is not listed, and 0.5 MiB
     status, peak = peak_rss("-m", "pmspec.cli", "table", "--family", family, "--n", str(n), "--format", fmt)
     assert status == 0
     measured = _TABLE_PEAKS.get(sys.version_info[:2], max(_TABLE_PEAKS.values()))
     assert peak - import_peak <= (measured + 0.5) * 2**20
+
+
+# the traced peak of each table below in process, in MiB, by Python version:
+# tracemalloc counts the same bytes on every run.  While a block was a tuple
+# of boxed ints, pm 36 traced 3.81-3.91 MiB and sym 38 3.95-4.09
+_TRACED_PEAKS = {
+    "pm": {(3, 10): 3.28, (3, 11): 3.33, (3, 12): 3.33},
+    "sym": {(3, 10): 3.26, (3, 11): 3.34, (3, 12): 3.34},
+}
+
+
+@pytest.mark.parametrize("family, n", [("pm", 36), ("sym", 38)])
+def test_table_sweeps_trace_no_block_objects(family, n):
+    # a level's blocks are flat int columns, and no tuple or boxed int per
+    # block outlives the pass that reads it.  The bound is the peak measured
+    # on this Python, or the most on any if it is not listed, and 5%
+    table = pm_spectrum_table if family == "pm" else sym_spectrum_table
+    tracemalloc.start()
+    try:
+        table(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    peaks = _TRACED_PEAKS[family]
+    assert peak <= peaks.get(sys.version_info[:2], max(peaks.values())) * 1.05 * 2**20
+
+
+def test_from_rows_refuses_another_family():
+    # json is written with the family unescaped, which is safe for "pm" and
+    # "sym" alone
+    rows = pm_spectrum_table(4).rows
+    for family in ("pm", "sym"):
+        assert SpectrumTable.from_rows(family, 4, rows).family == family
+    for family in ("", "PM", 'p"m'):
+        with pytest.raises(ValueError, match="unknown family"):
+            SpectrumTable.from_rows(family, 4, rows)
 
 
 def test_unknown_format_is_refused():
