@@ -131,12 +131,12 @@ def _report(suite: str, n_min: int, n_max: int) -> VerificationReport:
 
 class _Sweep:
     """f by partition, read off one pm lattice sweep of size n
-    (:func:`_eta_sweep`), at every partition of size at most n, for the
-    suites that read f out of row order (``prop2`` and ``lemmas``).
-    Each partition's node id is walked from the lattice's blocks, so the
-    lattice, whose arrays hold one entry per partition of n, is kept.  A
-    sweep that could not fit in the memory budget is refused before it
-    starts."""
+    (:func:`_eta_sweep`), at every partition of size at most n, for the one
+    suite that reads f across sizes, ``lemmas``; every other suite reads
+    each n's rows.  Each partition's node id is walked from the lattice's
+    blocks, so the lattice, whose arrays hold one entry per partition of n,
+    is kept.  A sweep that could not fit in the memory budget is refused
+    before it starts."""
 
     def __init__(self, n: int) -> None:
         admit_table("pm", n)
@@ -379,15 +379,22 @@ def _monotone_chains(parts: list, values: list, rows: list) -> list:
 def verify_transfer_monotone(n_max: int) -> VerificationReport:
     """f never decreases under a transfer move, at every partition of each n
     from 2 to n_max; equality exactly on the first-part-3 small-tail family
-    when the raised part is 1."""
+    when the raised part is 1.
+
+    A transfer keeps the size, so f at the partitions of each n is read off
+    the rows of n's pm sweep, by partition, as |eta|: for n >= 2 that is
+    (-1)^(n - lambda_1) eta, the sign relation the ``signs`` suite checks.
+    """
     report = _report("prop2", 2, n_max)
-    f = _Sweep(n_max).f
+    admit_table("pm", n_max)
     grows = report.relation("f(transfer) >= f", "partition", "move", "values")
     equal = report.relation("transfer equality characterization", "partition", "move", "values")
     for n in range(2, n_max + 1):
-        for mu in enumerate_partitions(n):
+        f = None  # the last n's dict goes before n's sweep, and n's partitions are listed after it
+        f = {mu: abs(value) for value, mu in zip(_eta_sweep(n)[2], enumerate_partitions(n))}
+        for mu, rhs in f.items():
             for move in valid_transfers(mu):
-                lhs, rhs = f(mu.transfer(move)), f(mu)
+                lhs = f[mu.transfer(move)]
                 grows(lhs >= rhs, mu, move, (lhs, rhs))
                 expected_equal = has_first_part_three_rest_small(mu) and mu[move.i - 1] == 1
                 if lhs == rhs:

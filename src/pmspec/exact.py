@@ -87,14 +87,10 @@ def _megabytes_up(needed) -> str:
     mb = int(-(-needed // 10**6))
     if mb < 10**6:
         return f"{mb}"
-    # mb's decimal exponent; log10 may be one off next to a power of 10
-    exponent = int(math.log10(mb))
-    exponent += 10 ** (exponent + 1) <= mb
-    exponent -= 10**exponent > mb
-    head = -(-mb // 10 ** (exponent - 2))  # 100 to 1000
-    if head == 1000:
-        head, exponent = 100, exponent + 1
-    return f"{head / 100:g}e+{exponent:02d}"
+    from decimal import ROUND_CEILING, Context  # only a need this large reads it
+
+    up = Context(prec=3, rounding=ROUND_CEILING).plus(mb)
+    return f"{up.scaleb(-up.adjusted()).normalize()}e+{up.adjusted():02d}"
 
 
 def memory_budget() -> tuple:

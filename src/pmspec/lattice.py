@@ -10,10 +10,9 @@ The lattice keeps three kinds of index:
 
 * by block, in ``array("i")`` of p(n) entries: ``base``, the node id of
   (0,) + t, so that (m,) + t has the node id ``base[b] + m``, made only
-  for the sweeps that read node ids; ``minus1``,
-  the block of t - 1, where ``nu - j`` subtracts j from every part and
-  drops the zeros; and ``slots``, the slot of (0,) + t (below), where
-  the block has slots;
+  by the pm sweeps, which read node ids; ``minus1``, the block of t - 1,
+  where ``nu - j`` subtracts j from every part and drops the zeros; and
+  ``slots``, the slot of (0,) + t (below), where the block has slots;
 * by node: each of the partitions of size at most n has a node id, assigned
   level by level (by number of parts), then by block, then by ascending m.
   Within a level the blocks come by descending node count, hi - lo + 1,
@@ -65,8 +64,8 @@ rank((m,) + t) = P(|t| + m, m - 1) + rank(t), with P from
 :func:`pmspec.partitions.bounded_partition_counts`.  The block of (m,) + t
 is thus the block of t plus ``step[hi][m]``, which depends on hi and m
 alone.  A partition's node id is walked that way from the empty block
-(:meth:`PartitionLattice.index`), which is how two suites read f off a pm
-sweep; the others read each n's rows.
+(:meth:`PartitionLattice.index`), which is how ``lemmas`` reads f off a pm
+sweep; the other suites read each n's rows.
 Where t - 1 keeps all the parts of t, its block holds len(t) + 1 more
 nodes than t's, so it comes first in their level, as (m - 1,) + (t - 1)
 must.
@@ -111,11 +110,12 @@ class PartitionLattice:
     """Blocks, node ids and slots for the partitions of size at most n,
     assigned by :meth:`levels`, and, with ``hooks``, their hook products.
     ``base``, ``minus1`` and ``slots`` are ``array("i")`` of one entry per
-    block, p(n) in all, ``base`` made on first use; ``step[h][m]`` is what
-    the block of (m,) + t adds to that of t, for t of size n - h.  ``hooks`` is H in a list by slot,
-    and ``row_dims`` holds N!/H at the partitions of n, of size N, in the
-    order of :func:`pmspec.partitions.enumerate_partitions`, each checked to
-    divide exactly; both are None without ``hooks``.
+    block, p(n) in all, ``base`` made on first read; ``step[h][m]`` is what
+    the block of (m,) + t adds to that of t, for t of size n - h.  ``hooks``
+    is H in a list by slot, and ``row_dims`` holds N!/H at the partitions of
+    n, of size N, in the order of
+    :func:`pmspec.partitions.enumerate_partitions`, each checked to divide
+    exactly; both are None without ``hooks``.
 
     H(nu) = F(nu) H(nu - 1) with H(()) = 1, where F(nu) is the product of
     the hooks in nu's first column: removing that column changes no other
@@ -157,8 +157,9 @@ class PartitionLattice:
 
     @cached_property
     def base(self):
-        """By block, the node id of (0,) + t, set by :meth:`levels`; a table's
-        sweep by slot alone never reads it, and never makes it."""
+        """By block, the node id of (0,) + t, set by :meth:`levels` only if
+        it was read, and so made, before the walk: the pm sweeps read it
+        first, and neither sym sweep ever makes it."""
         from array import array  # loaded already by __init__
 
         return array("i", [0]) * self.row_count
@@ -176,8 +177,8 @@ class PartitionLattice:
         slot of t - 1.  Blocks come in node order, which is also slot order:
         by descending node count, hi - lo + 1, and then as their parents
         came.  ``minus1`` and ``slots`` are set for every block of a level
-        before it is yielded, and ``base`` once it has been read, before the
-        next level (and not at all for a table's sweep by slot alone);
+        before it is yielded, and ``base``, if the sweep read it before the
+        walk, once the level has been read, before the next level;
         ``hooks`` at every slot of fewer than r parts, and ``row_dims`` at
         every row of fewer than r parts.
 
@@ -212,8 +213,8 @@ class PartitionLattice:
             order = math.factorial(2 * n if self.doubled else n)
         by_node = nodes is not None
         trim = by_node or slotted is not None
-        # a table's sweep by slot alone never reads base, so it is never made
-        base = self.base if by_node or not trim else None
+        # set only where the sweep read it before this walk, and so made it
+        base = vars(self).get("base")
         by_slot = [values for values in (slotted, hooks) if values is not None]
         # due[s]: the groups to visit before level s; those past n are kept whole
         due = [[] for _ in range(n + 2)]
@@ -338,7 +339,9 @@ class PartitionLattice:
 
     def index(self, lam: tuple) -> int:
         """The node id of a partition of size at most n: the block of its
-        tail is walked from the empty tail's, block 0, one part at a time."""
+        tail is walked from the empty tail's, block 0, one part at a time.
+        It reads ``base``, so it needs a walk of :meth:`levels` whose sweep
+        read ``base`` before it, as the pm sweeps do."""
         b, hi, step = 0, self.n, self.step
         for part in lam[:0:-1]:
             b += step[hi][part]
@@ -353,8 +356,7 @@ class Level:
     list of F(t), or None without hook products.  ``runs`` holds the node
     count and the number of blocks of each run of one count, by descending
     count, and ``evaluated`` counts the blocks of more than r nodes, which
-    come first and alone have slots.  Iterating a level yields each block
-    as ``(b, lo, hi, head, last, column, below)``."""
+    come first and alone have slots."""
 
     __slots__ = ("b", "lo", "hi", "head", "last", "below", "column", "runs", "evaluated")
 
@@ -364,10 +366,6 @@ class Level:
 
     def __len__(self) -> int:
         return len(self.b)
-
-    def __iter__(self) -> Iterator[tuple]:
-        column = repeat(None) if self.column is None else self.column
-        return zip(self.b, self.lo, self.hi, self.head, self.last, column, self.below)
 
 
 class _Group:

@@ -206,13 +206,15 @@ def _eta_sweep(n: int, table: bool = False, alpha: int = 2) -> tuple:
     times by ``minus1``, at ``base`` of that block, so a block's values are
     its coefficient row dotted with one slice of the values per child.
     The terms are chained maps, one per coefficient, read once as the
-    block's values are appended, so no list of partial sums is built.  A
-    coefficient of 1 or -1 (every j = 0, and j = 1 at last = 1) adds or
-    subtracts its slice with no product, and a head of coefficient -1 is
-    subtracted last, not negated first; a block of last part 1, most of
-    them, is one pass over its head and its one other child.  The sweep
-    reads each level's b, lo, hi, head and last columns.  The one-part
-    values are d_m (alpha = 2) or D_m (alpha = 1).
+    block's values are appended, so no list of partial sums is built.  The
+    head's coefficient is 1 or -1: it is added with no product, or
+    subtracted last, not negated first.  Past j = 0 every coefficient is at
+    least 2 in size, last at j = 1 and a multiple of P_j >= alpha + 1 from
+    j = 2 on, but at last = 1: a block of last part 1, most of them, is one
+    pass over its head and its one other child, with no product.  The sweep
+    reads ``base`` before its walk, so that the lattice sets it, and each
+    level's b, lo, hi, head and last columns.  The one-part values are d_m
+    (alpha = 2) or D_m (alpha = 1).
 
     For a ``table`` the lattice drops each value, and each hook product,
     once no later level reads it, and moves the live values to the front of
@@ -258,15 +260,8 @@ def _eta_sweep(n: int, table: bool = False, alpha: int = 2) -> tuple:
             for j in range(1, last + 1):
                 head = minus1[head]
                 start = base[head] + lo - j
-                kids, c = values[start : start + count], row[j]
-                if acc is None:
-                    acc = kids if c == 1 else map(c.__mul__, kids)
-                elif c == 1:
-                    acc = map(add, acc, kids)
-                elif c == -1:
-                    acc = map(sub, acc, kids)
-                else:
-                    acc = map(add, acc, map(c.__mul__, kids))
+                term = map(row[j].__mul__, values[start : start + count])
+                acc = term if acc is None else map(add, acc, term)
             if row[0] == -1:
                 acc = map(sub, acc, heads)
             values += acc

@@ -145,7 +145,7 @@ def test_xi_comparison_suite():
     assert report.passed, report.failures[:3]
 
 
-@pytest.mark.parametrize("name", ["signs", "thm6", "conjecture2", "dualpath", "kuwong-xi"])
+@pytest.mark.parametrize("name", ["signs", "thm6", "prop2", "conjecture2", "dualpath", "kuwong-xi"])
 def test_row_suites_read_each_n_from_its_rows(name, monkeypatch):
     # these suites read their values at the partitions of each n from the
     # row lists of that n's sweeps, in row order: they build no _Sweep and

@@ -1,11 +1,12 @@
 import math
-from itertools import chain
+from itertools import chain, repeat
 
 import pytest
 
 from pmspec.exact import irrep_dimension
 from pmspec.lattice import ID_LIMIT, PartitionLattice
 from pmspec.partitions import Partition, bounded_partition_counts, enumerate_partitions
+from pmspec.pm_spectrum import _eta_sweep
 from pmspec.sym_spectrum import _xi_sweep, xi_by_last_part
 
 
@@ -14,8 +15,13 @@ def minus(lam, j):
 
 
 def swept(n):
+    # base is set by a walk only if it was read, and so made, before it; each
+    # block as (b, lo, hi, head, last, F(t), below), F(t) None with no hooks
     lattice = PartitionLattice(n, doubled=False)
-    blocks = list(chain.from_iterable(level for _, level in lattice.levels()))
+    lattice.base
+    blocks = []
+    for _, level in lattice.levels():
+        blocks += zip(level.b, level.lo, level.hi, level.head, level.last, repeat(None), level.below)
     return lattice, blocks
 
 
@@ -50,6 +56,16 @@ def test_every_partition_gets_one_id_and_the_walk_finds_it(n):
         t = t_of[b]
         assert lo == (t[0] if t else 1) and hi == n - sum(t)
         assert [walked[base[b] + m] for m in range(lo, hi + 1)] == [(m,) + t for m in range(lo, hi + 1)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 12])
+def test_only_the_pm_sweeps_make_base(n):
+    # neither sym sweep reads a node id, so neither makes base; the pm
+    # sweeps, at alpha = 2 and 1, read it before their walk, which sets it
+    for table in (False, True):
+        assert "base" not in vars(_xi_sweep(n, table=table)[0])
+        for alpha in (1, 2):
+            assert "base" in vars(_eta_sweep(n, table=table, alpha=alpha)[0])
 
 
 @pytest.mark.parametrize("n", range(1, 13))

@@ -305,6 +305,19 @@ def test_deep_shapes_against_the_lowering_recurrence():
     assert eta(lam).eta == eta_alt(lam)
 
 
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_strip_rows_have_a_unit_past_the_head_only_at_last_part_1(alpha):
+    # the sweep multiplies every child past the head, with no case for a
+    # coefficient of 1 or -1: for last >= 2 it is last at j = 1 and a
+    # multiple of P_j >= alpha + 1 from j = 2 on.  At last = 1, which the
+    # sweep takes with no product, both rows are all units
+    rows = pm_spectrum._StripRows(alpha)
+    for parity in (0, 1):
+        assert list(map(abs, rows[1, parity])) == [1, 1]
+        for last in range(2, 61):
+            assert all(abs(c) >= 2 for c in rows[last, parity][1:]), (last, parity)
+
+
 def test_two_long_parts_evaluate_one_coefficient_row(monkeypatch):
     # the reach bound: (5000, 5000) reads prefix_1 - j for j <= 5000 and one
     # coefficient row, 5,001 terms, where every prefix_2 - j would be 12.5M.
