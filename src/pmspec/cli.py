@@ -9,14 +9,23 @@ Subcommands map one-to-one onto library operations:
     pmspec oracle --n 4 [--family pm|sym] [--format text|json]
     pmspec scan   --n-max 12 [--progress]
 
-Exit codes: 0 success/pass, 1 verification failure, 2 usage error or out of
-memory.  All numbers print in plain decimal; identical invocations produce
+Exit codes: 0 success/pass, 1 verification failure, 2 usage error, out of
+memory, or a failed write to stdout (a closed pipe, a full disk, a closed
+stdout).  All numbers print in plain decimal; identical invocations produce
 byte-identical json/csv output.
+
+:func:`main` is the in-process API: it returns the exit status and leaves
+the process running.  :func:`run` is the process entry of
+``python -m pmspec.cli`` and of the ``pmspec`` script: it runs :func:`main`,
+flushes stdout and stderr, and ends the process with ``os._exit``, so no
+interpreter teardown and no ``atexit`` handler runs.  Embedders and coverage
+runs should call :func:`main`.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import analysis
@@ -133,6 +142,9 @@ def _usage_error(message: str) -> int:
 
 
 def main(argv=None) -> int:
+    """Run the command that ``argv`` (``sys.argv[1:]`` by default) names and
+    return its exit status.  argparse raises ``SystemExit`` for ``--help``
+    and for the usage errors it finds itself."""
     # exact eigenvalues run to thousands of digits (eta at 1600 has about
     # 4,900); lift the decimal conversion limit, which Python gained in 3.10.7
     set_limit = getattr(sys, "set_int_max_str_digits", None)
@@ -156,5 +168,51 @@ def main(argv=None) -> int:
     return _usage_error("out of memory, though the memory check admitted this input; discard any output written")
 
 
+class _WriteFailed(Exception):
+    """A write to stdout failed, told apart from an OSError anywhere else."""
+
+
+class _Stdout:
+    """The stdout that :func:`run` hands to the commands: its failed writes
+    raise :class:`_WriteFailed`, and all else is the stream's own."""
+
+    def __init__(self, stream) -> None:
+        self.stream = stream
+
+    def __getattr__(self, name: str):
+        return getattr(self.stream, name)
+
+    def write(self, text: str) -> int:
+        try:
+            return self.stream.write(text)
+        except OSError as exc:
+            raise _WriteFailed(exc) from None
+
+
+def run() -> None:
+    """Run :func:`main` as the process, and end it at once with its status:
+    the status argparse exits with, or 2 with one ``pmspec: error:`` line
+    when stdout is closed or a write to it fails.  Nothing but stdout and
+    stderr is flushed, and no ``atexit`` handler runs; it never returns."""
+    stdout = sys.stdout
+    try:
+        if stdout is None:
+            raise _WriteFailed("stdout is closed")
+        sys.stdout = _Stdout(stdout)
+        try:
+            status = main()
+        except SystemExit as exc:  # argparse: --help, or a usage error it found
+            status = exc.code
+        try:
+            stdout.flush()
+        except OSError as exc:
+            raise _WriteFailed(exc) from None
+    except _WriteFailed as exc:
+        status = _usage_error(f"cannot write output: {exc}")
+    if sys.stderr is not None:  # closed, as stdout can be
+        sys.stderr.flush()
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -110,7 +110,8 @@ class PartitionLattice:
     """Blocks, node ids and slots for the partitions of size at most n,
     assigned by :meth:`levels`, and, with ``hooks``, their hook products.
     ``base``, ``minus1`` and ``slots`` are ``array("i")`` of one entry per
-    block, p(n) in all, ``base`` made on first read; ``step[h][m]`` is what
+    block, p(n) in all, ``base`` made on first read, or None once a walk
+    has begun without it; ``step[h][m]`` is what
     the block of (m,) + t adds to that of t, for t of size n - h.  ``hooks``
     is H in a list by slot, and ``row_dims`` holds N!/H at the partitions of
     n, of size N, in the order of
@@ -159,7 +160,8 @@ class PartitionLattice:
     def base(self):
         """By block, the node id of (0,) + t, set by :meth:`levels` only if
         it was read, and so made, before the walk: the pm sweeps read it
-        first, and neither sym sweep ever makes it."""
+        first.  A walk that begins without it sets it to None, so that a
+        later read makes no base of zeros: neither sym sweep has one."""
         from array import array  # loaded already by __init__
 
         return array("i", [0]) * self.row_count
@@ -214,7 +216,7 @@ class PartitionLattice:
         by_node = nodes is not None
         trim = by_node or slotted is not None
         # set only where the sweep read it before this walk, and so made it
-        base = vars(self).get("base")
+        base = vars(self).setdefault("base", None)
         by_slot = [values for values in (slotted, hooks) if values is not None]
         # due[s]: the groups to visit before level s; those past n are kept whole
         due = [[] for _ in range(n + 2)]
@@ -341,12 +343,16 @@ class PartitionLattice:
         """The node id of a partition of size at most n: the block of its
         tail is walked from the empty tail's, block 0, one part at a time.
         It reads ``base``, so it needs a walk of :meth:`levels` whose sweep
-        read ``base`` before it, as the pm sweeps do."""
+        read ``base`` before it, as the pm sweeps do, and raises
+        RuntimeError on a lattice whose walk began without it."""
+        base = self.base
+        if base is None:
+            raise RuntimeError("this lattice has no node ids: its walk began before base was read")
         b, hi, step = 0, self.n, self.step
         for part in lam[:0:-1]:
             b += step[hi][part]
             hi -= part
-        return self.base[b] + lam[0] if lam else 0
+        return base[b] + lam[0] if lam else 0
 
 
 class Level:

@@ -95,14 +95,18 @@ def test_table_json_and_text_golden_digest(capsys, family, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the tables the benchmark writes, by (family, n, format)
+BENCHMARK_TABLE_SHA256 = {
+    ("pm", 36, "csv"): "cd0c0b24ca5f932b2f11b13adacf7c40b525cb3b0652e47c6315f1481b1749e4",
+    ("pm", 36, "json"): "25eda21d0106d3b8f46e72d1681f9fb649a5c5d909130f3660e6902b66214680",
+    ("sym", 38, "csv"): "1c0cc0a1ffa062b6c4bd195383517cb6f950c79802e6d719a70aa7bfd46100e1",
+    ("sym", 38, "json"): "f9ee0e286abdb0a89afe74612398eb157167b8b37da534b1cb142e3abe62b4f4",
+}
+
+
 @pytest.mark.parametrize(
     "family, n, fmt, digest",
-    [
-        ("pm", 36, "csv", "cd0c0b24ca5f932b2f11b13adacf7c40b525cb3b0652e47c6315f1481b1749e4"),
-        ("pm", 36, "json", "25eda21d0106d3b8f46e72d1681f9fb649a5c5d909130f3660e6902b66214680"),
-        ("sym", 38, "csv", "1c0cc0a1ffa062b6c4bd195383517cb6f950c79802e6d719a70aa7bfd46100e1"),
-        ("sym", 38, "json", "f9ee0e286abdb0a89afe74612398eb157167b8b37da534b1cb142e3abe62b4f4"),
-    ],
+    [(*key, digest) for key, digest in BENCHMARK_TABLE_SHA256.items()],
     ids=["pm-csv", "pm-json", "sym-csv", "sym-json"],
 )
 def test_table_benchmark_sizes_golden_digest(capsys, family, n, fmt, digest):
@@ -490,6 +494,134 @@ def test_usage_errors_print_one_line_and_exit_2(argv):
     assert done.returncode == 2 and done.stdout == ""
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("pmspec: error:"), done.stderr
+
+
+def _process(*args, **kwargs):
+    """python with ``args``, ``src`` and ``tests`` on its path, and stdout
+    buffered, as it is unless PYTHONUNBUFFERED is set."""
+    tests = str(Path(__file__).resolve().parent)
+    src = str(Path(tests).parent / "src")
+    path = os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, *args], env=env, timeout=60, **kwargs)
+
+
+# table writes its rows a chunk at a time, so its write fails mid-command;
+# the others print less than stdout's buffer, which fails at the last flush
+WRITERS = {
+    "table": "table --n 30 --format csv",
+    "verify": "verify --suite thm6 --n-max 8",
+    "oracle": "oracle --family sym --n 4",
+    "eta": "eta --partition 3+2+1",
+}
+
+
+# by stdout: why its writes fail
+UNWRITABLE = {
+    "closed-pipe": "[Errno 32] Broken pipe",
+    "dev-full": "[Errno 28] No space left on device",
+    "closed": "stdout is closed",
+}
+
+
+@pytest.mark.parametrize("stdout", UNWRITABLE)
+@pytest.mark.parametrize("command", WRITERS)
+def test_a_failed_write_is_one_line_and_exit_2(command, stdout):
+    argv = ["-m", "pmspec.cli", *WRITERS[command].split()]
+    if stdout == "closed-pipe":
+        # a pipe whose reader is gone before anything is written
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = _process(*argv, stdout=write, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write)
+    elif stdout == "dev-full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full here")
+        with open("/dev/full", "w") as full:
+            done = _process(*argv, stdout=full, stderr=subprocess.PIPE, text=True)
+    else:
+        # as the shell's >&- leaves it
+        done = _process("-c", "import os, sys; os.close(1); os.execv(sys.argv[1], sys.argv[1:])",
+                        sys.executable, *argv, stderr=subprocess.PIPE, text=True)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == f"pmspec: error: cannot write output: {UNWRITABLE[stdout]}\n"
+
+
+def test_an_oserror_elsewhere_keeps_its_traceback():
+    # only a write to stdout is a usage error; any other OSError is a fault
+    probe = (
+        "import pmspec.cli as cli\n"
+        "def planted(args): raise OSError(5, 'planted')\n"
+        "cli._cmd_eta = planted\n"
+        "cli.run()\n"
+    )
+    done = _process("-c", probe, "eta", "--partition", "3", capture_output=True, text=True)
+    assert done.returncode == 1 and done.stdout == ""
+    assert "Traceback" in done.stderr and done.stderr.endswith("OSError: [Errno 5] planted\n")
+    assert "pmspec: error" not in done.stderr
+
+
+@pytest.mark.parametrize("key", [("pm", 36, "csv"), ("sym", 38, "json")], ids=["pm-csv", "sym-json"])
+@pytest.mark.parametrize("to", ["pipe", "file"])
+def test_process_entry_writes_every_byte(tmp_path, key, to):
+    # the process ends with os._exit, which flushes nothing: a flush missed
+    # before it would cut the table's tail
+    family, n, fmt = key
+    argv = ["-m", "pmspec.cli", "table", "--n", str(n), "--family", family, "--format", fmt]
+    if to == "pipe":
+        done = _process(*argv, capture_output=True)
+        out = done.stdout
+    else:
+        with open(tmp_path / "table.out", "wb") as file:
+            done = _process(*argv, stdout=file, stderr=subprocess.PIPE)
+        out = (tmp_path / "table.out").read_bytes()
+    assert done.returncode == 0 and done.stderr == b""
+    assert hashlib.sha256(out).hexdigest() == BENCHMARK_TABLE_SHA256[key]
+
+
+def test_process_entry_passes_each_status_through(capsys, monkeypatch):
+    # 1: a failed check, under the golden reports' fault planted before run()
+    argv = ["verify", "--suite", "thm6", "--n-max", "12"]
+    probe = (
+        "import pytest, test_golden_reports, pmspec.cli\n"
+        "test_golden_reports._install_fault(pytest.MonkeyPatch())\n"
+        "pmspec.cli.run()\n"
+    )
+    done = _process("-c", probe, *argv, capture_output=True, text=True)
+    _install_fault(monkeypatch)
+    code, out, _ = run(capsys, *argv)
+    assert done.returncode == code == 1 and done.stdout == out and done.stderr == ""
+    assert out.endswith("verdict: FAIL\n")
+    # 2: a usage error found by argparse; those found by pmspec are
+    # test_usage_errors_print_one_line_and_exit_2's, through run() as well
+    done = _process("-m", "pmspec.cli", "verify", "--suite", "bogus", "--n-max", "5", capture_output=True, text=True)
+    assert done.returncode == 2 and done.stdout == ""
+    assert "invalid choice: 'bogus'" in done.stderr and "Traceback" not in done.stderr
+    # 0: --help prints its text
+    done = _process("-m", "pmspec.cli", "--help", capture_output=True, text=True)
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.startswith("usage: pmspec ") and "{eta,xi,table,verify,oracle,scan}" in done.stdout
+
+
+@pytest.mark.parametrize(
+    "call, stderr", [("run()", ""), ("main(sys.argv[1:])", "returned 0\natexit ran\n")], ids=["run", "main"]
+)
+def test_run_ends_the_process_and_main_returns(call, stderr):
+    # run() ends the process with no atexit handler; main() returns its
+    # status and leaves the process to end as usual
+    probe = (
+        "import atexit, sys, pmspec.cli as cli\n"
+        "atexit.register(sys.stderr.write, 'atexit ran\\n')\n"
+        f"status = cli.{call}\n"
+        "sys.stderr.write(f'returned {status}\\n')\n"
+    )
+    done = _process("-c", probe, "eta", "--partition", "3+2+1", capture_output=True, text=True)
+    assert done.returncode == 0
+    assert done.stdout == "partition: 3+2+1\neta: -14\nf: 14\nsign-pattern: ok\n"
+    assert done.stderr == stderr
 
 
 @pytest.mark.parametrize(

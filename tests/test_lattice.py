@@ -60,12 +60,27 @@ def test_every_partition_gets_one_id_and_the_walk_finds_it(n):
 
 @pytest.mark.parametrize("n", [1, 2, 12])
 def test_only_the_pm_sweeps_make_base(n):
-    # neither sym sweep reads a node id, so neither makes base; the pm
-    # sweeps, at alpha = 2 and 1, read it before their walk, which sets it
+    # neither sym sweep reads a node id, so neither makes base, and its walk
+    # leaves base None; the pm sweeps, at alpha = 2 and 1, read it before
+    # their walk, which sets it
     for table in (False, True):
-        assert "base" not in vars(_xi_sweep(n, table=table)[0])
+        assert _xi_sweep(n, table=table)[0].base is None
         for alpha in (1, 2):
-            assert "base" in vars(_eta_sweep(n, table=table, alpha=alpha)[0])
+            assert len(_eta_sweep(n, table=table, alpha=alpha)[0].base) == bounded_partition_counts(n)[n][n]
+
+
+@pytest.mark.parametrize("table", [False, True], ids=["suite", "table"])
+def test_index_refuses_a_lattice_with_no_base(table):
+    # a sym sweep's lattice has no node ids: a base of zeros made after its
+    # walk gave 6, 5, 4, 4, 3 at the first partitions of 6, where a pm
+    # suite sweep's lattice gives their node ids, 6, 11, 14, 19, 15
+    lattice = _xi_sweep(6, table=table)[0]
+    for lam in enumerate_partitions(6)[:5] + [()]:
+        with pytest.raises(RuntimeError, match="no node ids"):
+            lattice.index(lam)
+    assert lattice.base is None
+    pm = _eta_sweep(6)[0]
+    assert [pm.index(lam) for lam in enumerate_partitions(6)[:5]] == [6, 11, 14, 19, 15]
 
 
 @pytest.mark.parametrize("n", range(1, 13))
