@@ -32,7 +32,7 @@ from .partitions import (
     valid_transfers,
     walk_partitions,
 )
-from .pm_spectrum import _eta_sweep, _normalized, eta_alt, eta_alt_at, f_closed_form_2a1b, f_value
+from .pm_spectrum import _eta_sweep, eta_alt, eta_alt_at, f_closed_form_2a1b, f_value
 from .sym_spectrum import _xi_sweep, xi_by_last_part_printed_variant
 
 MAX_LISTED_FAILURES = 100
@@ -127,25 +127,6 @@ def _report(suite: str, n_min: int, n_max: int) -> VerificationReport:
     if n_max < n_min:
         raise ValueError(f"suite {suite} needs n_max >= {n_min}")
     return VerificationReport(suite, (n_min, n_max))
-
-
-class _Sweep:
-    """f by partition, read off one pm lattice sweep of size n
-    (:func:`_eta_sweep`), at every partition of size at most n, for the one
-    suite that reads f across sizes, ``lemmas``; every other suite reads
-    each n's rows.  Each partition's node id is walked from the lattice's
-    blocks, so the lattice, whose arrays hold one entry per partition of n,
-    is kept.  A sweep that could not fit in the memory budget is refused
-    before it starts."""
-
-    def __init__(self, n: int) -> None:
-        admit_table("pm", n)
-        lattice, self._values, _, _ = _eta_sweep(n)
-        self._index = lattice.index
-
-    def f(self, lam: Partition) -> int:
-        """(-1)^(n - lam_1) eta, checked nonnegative and zero only at (1)."""
-        return _normalized(lam, self._values[self._index(lam)])
 
 
 @cache
@@ -427,6 +408,31 @@ def raising_identity_fails_at_first_index() -> bool:
     return False
 
 
+def _f_by_place(n: int):
+    """f at every partition of size at most n, as |eta|, which is
+    (-1)^(n - lambda_1) eta by the sign relation the ``signs`` suite checks,
+    off the rows of each size's own pm sweep, the largest first, so that no
+    smaller size's rows are held beside it.  A row is found by its place
+    among the partitions of its size, the sum over i of P(s_i, lam_(i-1)) -
+    P(s_i, lam_i), where s_i is the size left before part i, lam_0 the size,
+    and P(s, m) counts the partitions of s with parts at most m."""
+    rows = [None] * (n + 1)
+    for k in range(n, -1, -1):
+        rows[k] = list(map(abs, _eta_sweep(k)[2]))
+    counts = list(zip(*bounded_partition_counts(n)))  # counts[s][m] = P(s, m)
+
+    def f(lam: Partition) -> int:
+        size = left = bound = sum(lam)
+        place = 0
+        for part in lam:
+            below = counts[left]
+            place += below[bound] - below[part]
+            left, bound = left - part, part
+        return rows[size][place]
+
+    return f
+
+
 def verify_step_identities(n_max: int) -> VerificationReport:
     """Exact identities relating f across one-box and uniform-subtraction moves.
 
@@ -442,11 +448,12 @@ def verify_step_identities(n_max: int) -> VerificationReport:
       and the comparison f(raise - 1 everywhere) >= f(mu - 1 everywhere)
       with its equality characterization.
 
-    Raising a part adds a box, so the sweep reaches size n_max + 1.  The
-    breakdown at i = 1 is checked once per n.
+    Raising a part adds a box, so f is read at every size up to n_max + 1
+    (:func:`_f_by_place`).  The breakdown at i = 1 is checked once per n.
     """
     report = _report("lemmas", 2, n_max)
-    f = _Sweep(n_max + 1).f
+    admit_table("pm", n_max + 1)
+    f = _f_by_place(n_max + 1)
     weighted = report.relation("weighted-sum identity", "partition", "values")
     raising = report.relation("raising identity", "partition", "index", "values")
     bounded = report.relation("raising lower bound", "partition", "index", "values")

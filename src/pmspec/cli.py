@@ -11,8 +11,8 @@ Subcommands map one-to-one onto library operations:
 
 Exit codes: 0 success/pass, 1 verification failure, 2 usage error, out of
 memory, or a failed write to stdout (a closed pipe, a full disk, a closed
-stdout).  All numbers print in plain decimal; identical invocations produce
-byte-identical json/csv output.
+stdout); a failed write to stderr changes no status.  All numbers print in
+plain decimal; identical invocations produce byte-identical json/csv output.
 
 :func:`main` is the in-process API: it returns the exit status and leaves
 the process running.  :func:`run` is the process entry of
@@ -124,7 +124,7 @@ def _cmd_scan(args) -> int:
     progress = None
     if args.progress:
         def progress(n, checks):
-            print(f"scan: finished n={n} ({checks} checks so far)", file=sys.stderr)
+            _note(f"scan: finished n={n} ({checks} checks so far)")
     report = analysis.scan_cross_gap_conjecture(args.n_max, progress=progress)
     if report.failure_count:
         print("*** CONJECTURE VIOLATIONS FOUND ***")
@@ -136,8 +136,17 @@ def _cmd_scan(args) -> int:
     return 0
 
 
+def _note(line: str) -> None:
+    """Write a line to stderr, or drop it where stderr is closed (None) or
+    its write fails: nowhere is left to report that, so the status stands."""
+    try:
+        sys.stderr.write(line + "\n")
+    except (AttributeError, OSError):
+        pass
+
+
 def _usage_error(message: str) -> int:
-    print(f"pmspec: error: {message}", file=sys.stderr)
+    _note(f"pmspec: error: {message}")
     return 2
 
 
@@ -209,8 +218,10 @@ def run() -> None:
             raise _WriteFailed(exc) from None
     except _WriteFailed as exc:
         status = _usage_error(f"cannot write output: {exc}")
-    if sys.stderr is not None:  # closed, as stdout can be
+    try:
         sys.stderr.flush()
+    except (AttributeError, OSError):  # as in _note
+        pass
     os._exit(status)
 
 

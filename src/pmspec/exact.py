@@ -203,8 +203,8 @@ def _query_needs(family: str, lam: tuple):
 # two sizes, or a sum of CPython object sizes, rounded up; tests/test_memory.py
 # measures each again.  A node is a partition of size at most n.
 LEDGER = {
-    # per node: _Sweep, which keeps every value, grew 52 bytes from n = 45 to 50 (signs, a
-    # sweep per n, 53; table --n, which drops the dead ones, 35), plus ~22 of digit growth
+    # per node: lemmas' reader, the rows of every size off each size's own sweep, grew 58 bytes from
+    # n = 45 to 50 (signs, a sweep per n, 53; table --n, which drops the dead ones, 35), plus ~22 of digits
     "a pm sweep": 140,
     # per node: table --n 45 to 50 grew 24 bytes, plus ~22 of one value's digit growth
     "a sym sweep": 90,

@@ -9,8 +9,8 @@ place of its row (hi,) + t in the table, decreasing lexicographic order.
 The lattice keeps three kinds of index:
 
 * by block, in ``array("i")`` of p(n) entries: ``base``, the node id of
-  (0,) + t, so that (m,) + t has the node id ``base[b] + m``, made only
-  by the pm sweeps, which read node ids; ``minus1``, the block of t - 1,
+  (0,) + t, so that (m,) + t has the node id ``base[b] + m``, set only for
+  the pm sweeps, which read node ids; ``minus1``, the block of t - 1,
   where ``nu - j`` subtracts j from every part and drops the zeros; and
   ``slots``, the slot of (0,) + t (below), where the block has slots;
 * by node: each of the partitions of size at most n has a node id, assigned
@@ -63,12 +63,9 @@ those of first part below m and the (m,) + u with u before t, so
 rank((m,) + t) = P(|t| + m, m - 1) + rank(t), with P from
 :func:`pmspec.partitions.bounded_partition_counts`.  The block of (m,) + t
 is thus the block of t plus ``step[hi][m]``, which depends on hi and m
-alone.  A partition's node id is walked that way from the empty block
-(:meth:`PartitionLattice.index`), which is how ``lemmas`` reads f off a pm
-sweep; the other suites read each n's rows.
-Where t - 1 keeps all the parts of t, its block holds len(t) + 1 more
-nodes than t's, so it comes first in their level, as (m - 1,) + (t - 1)
-must.
+alone.  Where t - 1 keeps all the parts of t, its block holds len(t) + 1
+more nodes than t's, so it comes first in their level, as (m - 1,) +
+(t - 1) must.
 
 A level's blocks are held in flat columns, a :class:`Level`: b, lo, hi,
 head, last and below in ``array("i")``, and F(t) in one list where hook
@@ -87,7 +84,6 @@ fit in 4 bytes.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from itertools import accumulate, chain, compress, count, repeat
 from operator import attrgetter, mul
 from struct import Struct
@@ -110,13 +106,12 @@ class PartitionLattice:
     """Blocks, node ids and slots for the partitions of size at most n,
     assigned by :meth:`levels`, and, with ``hooks``, their hook products.
     ``base``, ``minus1`` and ``slots`` are ``array("i")`` of one entry per
-    block, p(n) in all, ``base`` made on first read, or None once a walk
-    has begun without it; ``step[h][m]`` is what
-    the block of (m,) + t adds to that of t, for t of size n - h.  ``hooks``
-    is H in a list by slot, and ``row_dims`` holds N!/H at the partitions of
-    n, of size N, in the order of
-    :func:`pmspec.partitions.enumerate_partitions`, each checked to divide
-    exactly; both are None without ``hooks``.
+    block, p(n) in all, ``base`` None but where a pm sweep set it before
+    its walk; ``step[h][m]`` is what the block of (m,) + t adds to that of
+    t, for t of size n - h.  ``hooks`` is H in a list by slot, and
+    ``row_dims`` holds N!/H at the partitions of n, of size N, in the order
+    of :func:`pmspec.partitions.enumerate_partitions`, each checked to
+    divide exactly; both are None without ``hooks``.
 
     H(nu) = F(nu) H(nu - 1) with H(()) = 1, where F(nu) is the product of
     the hooks in nu's first column: removing that column changes no other
@@ -147,7 +142,9 @@ class PartitionLattice:
             for h in range(n + 1)
         ]
         # by block, set by :meth:`levels`; block 0, of the empty tail, is 0
-        # in all three, and ``base`` is made on first use
+        # in all three.  Only a sweep that reads node ids sets ``base``, to an
+        # array of zeros, before its walk
+        self.base = None
         self.minus1 = array("i", [0]) * self.row_count
         self.slots = array("i", [0]) * self.row_count
         # H by slot, and N!/H at each row; complete once :meth:`levels` is exhausted
@@ -155,16 +152,6 @@ class PartitionLattice:
         if hooks:
             self.hooks = []
             self.row_dims = [None] * self.row_count
-
-    @cached_property
-    def base(self):
-        """By block, the node id of (0,) + t, set by :meth:`levels` only if
-        it was read, and so made, before the walk: the pm sweeps read it
-        first.  A walk that begins without it sets it to None, so that a
-        later read makes no base of zeros: neither sym sweep has one."""
-        from array import array  # loaded already by __init__
-
-        return array("i", [0]) * self.row_count
 
     def levels(self, nodes: list = None, slotted: list = None) -> Iterator[tuple]:
         """Yield ``(r, level)`` for r = 1, 2, ..., n, the partitions of r
@@ -179,7 +166,7 @@ class PartitionLattice:
         slot of t - 1.  Blocks come in node order, which is also slot order:
         by descending node count, hi - lo + 1, and then as their parents
         came.  ``minus1`` and ``slots`` are set for every block of a level
-        before it is yielded, and ``base``, if the sweep read it before the
+        before it is yielded, and ``base``, if the sweep set it before the
         walk, once the level has been read, before the next level;
         ``hooks`` at every slot of fewer than r parts, and ``row_dims`` at
         every row of fewer than r parts.
@@ -203,8 +190,8 @@ class PartitionLattice:
         half of what it holds is dead (its nodes, or without ``nodes`` its
         slots), then each time half of what it still holds has died.  Once
         at most half of ``nodes`` is live, its live ranges are moved to its
-        front and ``base`` follows them, so that :meth:`index` finds only
-        the live nodes of a table's sweep.
+        front and ``base`` follows them, so that a table's sweep finds its
+        live nodes where they moved.
         """
         from array import array  # loaded already by __init__
 
@@ -215,8 +202,8 @@ class PartitionLattice:
             order = math.factorial(2 * n if self.doubled else n)
         by_node = nodes is not None
         trim = by_node or slotted is not None
-        # set only where the sweep read it before this walk, and so made it
-        base = vars(self).setdefault("base", None)
+        # None but for the pm sweeps, which set it before this walk
+        base = self.base
         by_slot = [values for values in (slotted, hooks) if values is not None]
         # due[s]: the groups to visit before level s; those past n are kept whole
         due = [[] for _ in range(n + 2)]
@@ -338,21 +325,6 @@ class PartitionLattice:
                     next_slot += evaluated * blocks
                 node += blocks * count
                 pos += blocks
-
-    def index(self, lam: tuple) -> int:
-        """The node id of a partition of size at most n: the block of its
-        tail is walked from the empty tail's, block 0, one part at a time.
-        It reads ``base``, so it needs a walk of :meth:`levels` whose sweep
-        read ``base`` before it, as the pm sweeps do, and raises
-        RuntimeError on a lattice whose walk began without it."""
-        base = self.base
-        if base is None:
-            raise RuntimeError("this lattice has no node ids: its walk began before base was read")
-        b, hi, step = 0, self.n, self.step
-        for part in lam[:0:-1]:
-            b += step[hi][part]
-            hi -= part
-        return base[b] + lam[0] if lam else 0
 
 
 class Level:

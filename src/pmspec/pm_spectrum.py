@@ -212,8 +212,8 @@ def _eta_sweep(n: int, table: bool = False, alpha: int = 2) -> tuple:
     least 2 in size, last at j = 1 and a multiple of P_j >= alpha + 1 from
     j = 2 on, but at last = 1: a block of last part 1, most of them, is one
     pass over its head and its one other child, with no product.  The sweep
-    reads ``base`` before its walk, so that the lattice sets it, and each
-    level's b, lo, hi, head and last columns.  The one-part values are d_m
+    sets ``base`` before its walk, so that the lattice fills it, and reads
+    each level's b, lo, hi, head and last columns.  The one-part values are d_m
     (alpha = 2) or D_m (alpha = 1).
 
     For a ``table`` the lattice drops each value, and each hook product,
@@ -225,8 +225,11 @@ def _eta_sweep(n: int, table: bool = False, alpha: int = 2) -> tuple:
     None or gone), the values of the rows and the dimensions of the doubled
     rows (None but for a ``table``).
     """
+    from array import array  # loaded already by the lattice
+
     lattice = PartitionLattice(n, doubled=True, hooks=table)
-    base, minus1 = lattice.base, lattice.minus1
+    lattice.base = base = array("i", [0]) * lattice.row_count  # filled by the walk
+    minus1 = lattice.minus1
     # the coefficient rows by the level's parity and t's last part, at most n / 2
     strip = _StripRows(alpha)
     rows = [[strip[last, parity] for last in range(n // 2 + 1)] for parity in (0, 1)]

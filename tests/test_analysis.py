@@ -4,10 +4,10 @@ import weakref
 import pytest
 
 from pmspec import analysis, sym_spectrum
-from pmspec.lattice import PartitionLattice
 from pmspec.partitions import (
     Dominance,
     Partition,
+    bounded_partition_counts,
     dominance_chain,
     dominance_compare,
     enumerate_partitions,
@@ -145,18 +145,40 @@ def test_xi_comparison_suite():
     assert report.passed, report.failures[:3]
 
 
-@pytest.mark.parametrize("name", ["signs", "thm6", "prop2", "conjecture2", "dualpath", "kuwong-xi"])
+@pytest.mark.parametrize("name", ["signs", "thm6", "prop2", "lemmas", "conjecture2", "dualpath", "kuwong-xi"])
 def test_row_suites_read_each_n_from_its_rows(name, monkeypatch):
-    # these suites read their values at the partitions of each n from the
-    # row lists of that n's sweeps, in row order: they build no _Sweep and
-    # walk no node id, and their clean reports keep their golden digests
-    def refused(*args):
-        raise AssertionError(f"{name} built a _Sweep or walked a node id")
+    # these suites read their values from the row lists of each size's own
+    # sweeps, in row order: handed the rows alone, with no lattice and no
+    # values by node id, their clean reports keep their golden digests
+    def rows_only(sweep):
+        return lambda *args, **kwargs: (None, None, *sweep(*args, **kwargs)[2:])
 
-    monkeypatch.setattr(analysis, "_Sweep", refused)
-    monkeypatch.setattr(PartitionLattice, "index", refused)
+    monkeypatch.setattr(analysis, "_eta_sweep", rows_only(analysis._eta_sweep))
+    monkeypatch.setattr(analysis, "_xi_sweep", rows_only(analysis._xi_sweep))
     n_max, clean, _ = GOLDEN[name]
     assert _fingerprint(name, n_max) == clean
+
+
+def test_place_is_the_row_order(monkeypatch):
+    # sum_i P(s_i, lam_(i-1)) - P(s_i, lam_i), with lam_0 = k, puts every
+    # partition of k at its place in enumerate_partitions(k): with each row
+    # its own place, the reader reads back 0, 1, ..., p(k) - 1
+    def places(k):
+        return None, None, list(range(bounded_partition_counts(k)[k][k])), None
+
+    monkeypatch.setattr(analysis, "_eta_sweep", places)
+    f = analysis._f_by_place(20)
+    for k in range(21):
+        assert list(map(f, enumerate_partitions(k))) == list(range(len(enumerate_partitions(k)))), k
+
+
+def test_lemmas_reads_f_as_the_single_query_does():
+    # |eta| off each size's rows, found by place, against f_value, which
+    # normalizes the prefix table's eta by its sign and checks that sign
+    f = analysis._f_by_place(16)
+    for k in range(17):
+        for lam in enumerate_partitions(k):
+            assert f(lam) == f_value(lam), lam
 
 
 def test_xi_comparison_fills_no_last_part_store():

@@ -550,6 +550,20 @@ def test_a_failed_write_is_one_line_and_exit_2(command, stdout):
     assert done.stderr == f"pmspec: error: cannot write output: {UNWRITABLE[stdout]}\n"
 
 
+@pytest.mark.parametrize("argv, status", [("table --n 0", 2), ("scan --n-max 6 --progress", 0)], ids=["usage", "progress"])
+def test_a_failed_write_to_stderr_keeps_the_status(argv, status):
+    # nowhere is left to report a failed write to stderr: a usage error still
+    # exits 2, and scan still writes all its stdout and exits 0
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full here")
+    argv = ["-m", "pmspec.cli", *argv.split()]
+    with open("/dev/full", "w") as full:
+        done = _process(*argv, stdout=subprocess.PIPE, stderr=full, text=True)
+    clean = _process(*argv, capture_output=True, text=True)
+    assert done.returncode == clean.returncode == status and clean.stderr
+    assert done.stdout == clean.stdout
+
+
 def test_an_oserror_elsewhere_keeps_its_traceback():
     # only a write to stdout is a usage error; any other OSError is a fault
     probe = (

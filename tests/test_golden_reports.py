@@ -1,11 +1,12 @@
 """Pin every suite's report, byte for byte, clean and under an injected fault.
 
 Each case hashes ``to_json() + to_text()`` of ``run_suite(name, n_max)``.  The
-fault perturbs the values the suites read (eta, f and xi off a lattice sweep,
-the single query f and the second eta path) at a handful of partitions, so
-that 24 of the 29 relations list failures: the digests then pin the witness
-rendering of every relation, the failure order and the cap, not only the
-clean verdicts.  A census counts every relation's failures under the fault,
+fault perturbs the values the suites read at a handful of partitions, where
+they are produced: the rows of eta's sweeps at alpha = 2 (which every pm row
+suite and ``lemmas`` read) and of xi's sweeps, the single query f and the
+second eta path.  So 24 of the 29 relations list failures: the digests then
+pin the witness rendering of every relation, the failure order and the cap,
+not only the clean verdicts.  A census counts every relation's failures under the fault,
 listed or not, and pins the four that it cannot reach; each of those four
 fails under a fault of its own kind.
 """
@@ -111,8 +112,6 @@ def _scaled_rows(sweep):
 
 
 def _install_fault(monkeypatch):
-    read = analysis._Sweep.f
-    monkeypatch.setattr(analysis._Sweep, "f", lambda self, lam: _scale(lam, read(self, lam)))
     # eta's rows only: the strip sweep at alpha = 1 is kuwong-xi's clean
     # second xi, which the faulty first one must disagree with
     eta_sweep, faulty = analysis._eta_sweep, _scaled_rows(analysis._eta_sweep)

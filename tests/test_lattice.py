@@ -1,4 +1,5 @@
 import math
+from array import array
 from itertools import chain, repeat
 
 import pytest
@@ -8,6 +9,7 @@ from pmspec.lattice import ID_LIMIT, PartitionLattice
 from pmspec.partitions import Partition, bounded_partition_counts, enumerate_partitions
 from pmspec.pm_spectrum import _eta_sweep
 from pmspec.sym_spectrum import _xi_sweep, xi_by_last_part
+from reference import node_id
 
 
 def minus(lam, j):
@@ -15,10 +17,10 @@ def minus(lam, j):
 
 
 def swept(n):
-    # base is set by a walk only if it was read, and so made, before it; each
-    # block as (b, lo, hi, head, last, F(t), below), F(t) None with no hooks
+    # base is filled by a walk only if it was set before it; each block as
+    # (b, lo, hi, head, last, F(t), below), F(t) None with no hooks
     lattice = PartitionLattice(n, doubled=False)
-    lattice.base
+    lattice.base = array("i", [0]) * lattice.row_count
     blocks = []
     for _, level in lattice.levels():
         blocks += zip(level.b, level.lo, level.hi, level.head, level.last, repeat(None), level.below)
@@ -49,7 +51,7 @@ def test_every_partition_gets_one_id_and_the_walk_finds_it(n):
     assert ids == list(range(1, len(ids) + 1))
     partitions = list(chain.from_iterable(enumerate_partitions(k) for k in range(n + 1)))
     assert len(ids) + 1 == len(partitions)
-    walked = {lattice.index(lam): lam for lam in partitions}
+    walked = {node_id(lattice, lam): lam for lam in partitions}
     assert sorted(walked) == list(range(len(partitions)))
     # each block's partitions are (m,) + t for its tail t
     for b, lo, hi, *_ in blocks:
@@ -60,27 +62,13 @@ def test_every_partition_gets_one_id_and_the_walk_finds_it(n):
 
 @pytest.mark.parametrize("n", [1, 2, 12])
 def test_only_the_pm_sweeps_make_base(n):
-    # neither sym sweep reads a node id, so neither makes base, and its walk
-    # leaves base None; the pm sweeps, at alpha = 2 and 1, read it before
-    # their walk, which sets it
+    # neither sym sweep reads a node id, so neither sets base, and it stays
+    # None: a node id read off a sym sweep's lattice fails, not wrong.  The
+    # pm sweeps, at alpha = 2 and 1, set it before their walk, which fills it
     for table in (False, True):
         assert _xi_sweep(n, table=table)[0].base is None
         for alpha in (1, 2):
             assert len(_eta_sweep(n, table=table, alpha=alpha)[0].base) == bounded_partition_counts(n)[n][n]
-
-
-@pytest.mark.parametrize("table", [False, True], ids=["suite", "table"])
-def test_index_refuses_a_lattice_with_no_base(table):
-    # a sym sweep's lattice has no node ids: a base of zeros made after its
-    # walk gave 6, 5, 4, 4, 3 at the first partitions of 6, where a pm
-    # suite sweep's lattice gives their node ids, 6, 11, 14, 19, 15
-    lattice = _xi_sweep(6, table=table)[0]
-    for lam in enumerate_partitions(6)[:5] + [()]:
-        with pytest.raises(RuntimeError, match="no node ids"):
-            lattice.index(lam)
-    assert lattice.base is None
-    pm = _eta_sweep(6)[0]
-    assert [pm.index(lam) for lam in enumerate_partitions(6)[:5]] == [6, 11, 14, 19, 15]
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -95,9 +83,9 @@ def test_children_are_found_by_index_and_come_first(n):
             assert t_of[head] == t[:-1] and last == t[-1]
         for m in range(lo, hi + 1):
             lam, node = (m,) + t, base[b] + m
-            assert lattice.index(t) < node
+            assert node_id(lattice, t) < node
             # lam - 1, by node and, for the evaluated lam and the row, by slot
-            assert base[minus1[b]] + m - 1 == lattice.index(minus(lam, 1)) < node
+            assert base[minus1[b]] + m - 1 == node_id(lattice, minus(lam, 1)) < node
             if m <= hi - r or m == hi:
                 assert slots[minus1[b]] + m - 1 == slot_of[minus(lam, 1)]
             if m <= hi - r:
@@ -107,7 +95,7 @@ def test_children_are_found_by_index_and_come_first(n):
             # the head and head - j, as the strip recurrence reads them
             child = head
             for j in range(last + 1):
-                assert base[child] + m - j == lattice.index(minus(lam[:-1], j)) < node
+                assert base[child] + m - j == node_id(lattice, minus(lam[:-1], j)) < node
                 child = minus1[child]
 
 
@@ -121,7 +109,7 @@ def test_block_places_are_the_row_order(n):
     rows, t_of = enumerate_partitions(n), tails(n)
     place_of = {t: b for b, t in enumerate(t_of)}
     assert sorted(b for b, *_ in blocks) == list(range(len(rows))) and len(rows) == lattice.row_count
-    assert [lattice.base[b] + hi for b, _, hi, *_ in sorted(blocks)] == [lattice.index(lam) for lam in rows]
+    assert [lattice.base[b] + hi for b, _, hi, *_ in sorted(blocks)] == [node_id(lattice, lam) for lam in rows]
     for b, lo, hi, *_ in blocks:
         t = t_of[b]
         assert [b + lattice.step[hi][m] for m in range(lo, hi // 2 + 1)] == [
@@ -137,7 +125,7 @@ def test_lattice_lists_hold_one_slot_per_row(n, doubled):
     # with |nu| + len(nu) <= n, one per partition of n
     lattice = PartitionLattice(n, doubled=doubled, hooks=True)
     p = lattice.row_count
-    assert len(lattice.base) == len(lattice.minus1) == len(lattice.slots) == p == len(enumerate_partitions(n))
+    assert lattice.base is None and len(lattice.minus1) == len(lattice.slots) == p == len(enumerate_partitions(n))
     for _ in lattice.levels():
         pass
     assert len(lattice.hooks) == p and None not in lattice.hooks and None not in lattice.row_dims

@@ -21,6 +21,7 @@ from pmspec.sym_spectrum import (
     xi_by_last_part,
     xi_by_last_part_printed_variant,
 )
+from reference import node_id
 
 P = Partition
 
@@ -198,6 +199,6 @@ def test_four_xi_paths_agree_up_to_twenty():
     checked = 0
     for n in range(1, 21):
         for mu, row in zip(enumerate_partitions(n), _xi_sweep(n)[2]):
-            assert row == strip[lattice.index(mu)] == xi_by_first_part(mu) == xi_by_last_part(mu), mu
+            assert row == strip[node_id(lattice, mu)] == xi_by_first_part(mu) == xi_by_last_part(mu), mu
             checked += 1
     assert checked == 2713  # p(1) + ... + p(20)
