@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import os
-from itertools import accumulate, count
+from itertools import accumulate
 
 from .lattice import ID_LIMIT, _hook_quotient
 from .partitions import Partition, bounded_partition_counts
@@ -148,25 +148,6 @@ def _strip_row_bits(x: float) -> float:
     return (x**3 / 3 * math.log(2 * x) - 5 * x**3 / 18) / (2 * math.log(2))
 
 
-def _strip_rows_bytes(lam: tuple) -> float:
-    """Bytes of the coefficient rows an eta query caches: (last, parity) =
-    (lam_i - j, i mod 2) for each part lam_i after the first and each
-    j <= min(lam_(i+1), lam_i - 1), with lam_(r+1) = 0."""
-    spans = sorted(
-        {(i & 1, part - min(reach, part - 1), part) for i, part, reach in zip(count(2), lam[1:], lam[2:] + (0,))}
-    )
-    total, seen, done = 0.0, None, 0  # done: the last counted so far at parity seen
-    for parity, lo, hi in spans:
-        if parity != seen:
-            seen, done = parity, 0
-        lo = max(lo, done + 1)
-        if lo <= hi:
-            bits = _strip_row_bits(hi + 0.5) - _strip_row_bits(lo - 0.5)
-            total += _held_bytes(bits, (hi - lo + 1) * (hi + lo + 2) / 2)
-            done = hi
-    return total
-
-
 def admit_query(family: str, lam: tuple) -> None:
     """Refuse a single query whose evaluation could not fit in memory.
 
@@ -177,7 +158,8 @@ def admit_query(family: str, lam: tuple) -> None:
     :func:`pmspec.sym_spectrum._xi_suffixes`), the checkpoint pairs of d or
     D it rolls to lam_1 (at most 64 times the bits of term lam_1, counted
     past lam_1 = 1,024, below which they hold under 100 KB), and, for eta,
-    the coefficient rows it caches.  Both families roll their sequence
+    one coefficient row, the largest it builds, of last part lam_2 (see
+    :func:`pmspec.pm_spectrum._strip_row`).  Both families roll their sequence
     through :mod:`pmspec.exact` up to lam_1.  One value that alone exceeds
     memory is refused first, and so is the sum.
     """
@@ -185,7 +167,9 @@ def admit_query(family: str, lam: tuple) -> None:
 
 
 def _query_needs(family: str, lam: tuple):
-    """One value of a query, then all it holds at its peak, for :func:`admit`."""
+    """One value of a query, then all it holds at its peak (see
+    :func:`admit_query`), for :func:`admit`.  eta's coefficient row is
+    charged from lam_2 = 2 on: at last part 1 it builds none."""
     n = sum(lam)
     bits = _log_bound(family, n) / math.log(2)
     yield bits / 8, f"a partition of size n={n} has values up to {'d_n' if family == 'pm' else 'D_n'}, each"
@@ -193,8 +177,8 @@ def _query_needs(family: str, lam: tuple):
     needed = _held_bytes(2 * (second + 1) * bits, 2 * (second + 1))
     if first > 1024:
         needed += _held_bytes(64 * _log_bound(family, first) / math.log(2), 64)
-    if family == "pm":
-        needed += _strip_rows_bytes(lam)
+    if family == "pm" and second > 1:
+        needed += _held_bytes(_strip_row_bits(second + 0.5) - _strip_row_bits(second - 0.5), second + 1)
     yield needed, f"the {family} query on this partition of size n={n} holds at its peak"
 
 

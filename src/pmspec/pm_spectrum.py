@@ -36,10 +36,9 @@ class EtaValue(NamedTuple):
     f: int
 
 
-class _StripRows(dict):
-    """Coefficient rows of the strip recurrence of the family alpha, by
-    (last, r mod 2), each computed on first use.  One lives for one query
-    or one sweep:
+def _strip_row(last: int, parity: int, alpha: int = 2) -> list:
+    """The coefficient row of the strip recurrence of the family alpha at
+    last part ``last`` and r mod 2 = ``parity``, built on each call:
 
     (-1)^last x(lam) = x(head) + sum_j (-1)^(j r) C(last, j) P_j x(head - j),
 
@@ -47,25 +46,16 @@ class _StripRows(dict):
     the children's values dotted with the row
     [(-1)^(last + j r) C(last, j) P_j for j in 0..last].  At alpha = 2,
     P_j = (2j-1)!! and x is eta; at alpha = 1, P_j = j! and x is xi."""
-
-    def __init__(self, alpha: int = 2) -> None:
-        super().__init__()
-        self.alpha = alpha
-
-    def __missing__(self, key: tuple) -> list:
-        last, parity = key
-        alpha = self.alpha
-        # C(last, j+1) P_(j+1) = C(last, j) P_j (last - j)(alpha j + 1)/(j + 1)
-        row, c = [], 1
-        for j in range(last + 1):
-            row.append(c)
-            c = c * (last - j) * (alpha * j + 1) // (j + 1)
-        if parity:
-            row[(last + 1) & 1 :: 2] = map(neg, row[(last + 1) & 1 :: 2])
-        elif last & 1:
-            row = list(map(neg, row))
-        self[key] = row
-        return row
+    # C(last, j+1) P_(j+1) = C(last, j) P_j (last - j)(alpha j + 1)/(j + 1)
+    row, c = [], 1
+    for j in range(last + 1):
+        row.append(c)
+        c = c * (last - j) * (alpha * j + 1) // (j + 1)
+    if parity:
+        row[(last + 1) & 1 :: 2] = map(neg, row[(last + 1) & 1 :: 2])
+    elif last & 1:
+        row = list(map(neg, row))
+    return row
 
 
 def _normalized(lam: tuple, value: int) -> int:
@@ -96,18 +86,25 @@ def _eta_prefixes(lam: tuple) -> int:
     node is row i - 1's.  So two rows are alive at a time and no tuple is
     built or hashed.  Row 1 is d_(lam_1 - j) for j <= lam_2, read from
     :func:`pmspec.exact.pm_degree` in ascending order, one roll step each.
+    Each coefficient row (:func:`_strip_row`) is built when it is read and
+    dropped after, so a query holds one at a time; at last part lam_i - j
+    = 1 the row is [-1, 1] (odd i) or [-1, -1] (even i), and none is built.
     """
     if len(lam) < 2:
         return pm_degree(lam[0]) if lam else 1
-    rows = _StripRows()
     row = list(map(pm_degree, range(lam[0] - lam[1], lam[0] + 1)))[::-1]
     for i in range(2, len(lam) + 1):
         part, parity = lam[i - 1], i & 1
         reach = lam[i] if i < len(lam) else 0
+        kids = row
         row = [
-            row[j] if j == part else sum(map(mul, rows[part - j, parity], row[j : part + 1]))
-            for j in range(reach + 1)
+            sum(map(mul, _strip_row(part - j, parity), kids[j : part + 1]))
+            for j in range(min(reach + 1, part - 1))
         ]
+        if reach >= part - 1:
+            row.append(kids[part] - kids[part - 1] if parity else -(kids[part - 1] + kids[part]))
+        if reach == part:
+            row.append(kids[part])
     return row[0]
 
 
@@ -198,7 +195,7 @@ def _eta_sweep(n: int, table: bool = False, alpha: int = 2) -> tuple:
     those, and only the values some later level still reads.
     At ``alpha`` = 1 the values are xi, not eta; the hooks stay doubled.
 
-    One forward sweep of the strip recurrence (:class:`_StripRows`): the
+    One forward sweep of the strip recurrence (:func:`_strip_row`): the
     children of lam = (m,) + t are its head and head - j for j <= last,
     all of fewer parts and of every size, so the values are kept by node,
     not by slot (:mod:`pmspec.lattice`).  head - j of a block's partitions
@@ -231,8 +228,7 @@ def _eta_sweep(n: int, table: bool = False, alpha: int = 2) -> tuple:
     lattice.base = base = array("i", [0]) * lattice.row_count  # filled by the walk
     minus1 = lattice.minus1
     # the coefficient rows by the level's parity and t's last part, at most n / 2
-    strip = _StripRows(alpha)
-    rows = [[strip[last, parity] for last in range(n // 2 + 1)] for parity in (0, 1)]
+    rows = [[_strip_row(last, parity, alpha) for last in range(n // 2 + 1)] for parity in (0, 1)]
     one_part = pm_degree if alpha == 2 else derangement_count
     values = [1]
     by_row = [None] * lattice.row_count

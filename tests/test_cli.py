@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import resource
@@ -7,8 +9,11 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmspec import analysis, cli, exact, oracle
 from pmspec.cli import main
@@ -384,7 +389,8 @@ def test_oracle_refuses_a_need_past_any_float(capsys, monkeypatch):
     [
         ("pm", "5000+5000", True),
         ("sym", "5000+5000", True),
-        ("pm", "5000+5000+5000", False),
+        # 277 MiB with one coefficient row at a time; caching every row it reads would need 32,684 MiB
+        ("pm", "5000+5000+5000", True),
         ("sym", "5000+5000+5000", True),
         ("pm", "100000000", False),
         ("sym", "100000000", False),
@@ -843,15 +849,10 @@ def test_queries_too_large_for_memory_are_refused(command, bound):
     assert bound in done.stderr and "MB" in done.stderr and "physical memory" in done.stderr
 
 
-@pytest.mark.parametrize(
-    "partition, memory",
-    [("1200+1200+1200", 200e6), ("100000000", 8 * 2**30)],
-    ids=["coefficient-rows", "checkpoints"],
-)
+@pytest.mark.parametrize("partition, memory", [("100000000", 8 * 2**30)], ids=["checkpoints"])
 def test_queries_refused_by_what_they_hold_at_their_peak(capsys, monkeypatch, partition, memory):
-    # 1200+1200+1200 would cache about 420 MB of coefficient rows, and 10^8
-    # keep 64 checkpoint pairs of values of about 330 MB each, where one
-    # value alone would fit
+    # 10^8 would keep 64 checkpoint pairs of values of about 330 MB each,
+    # where one value alone would fit
     monkeypatch.setattr(exact, "physical_memory_bytes", lambda: memory)
     start = time.perf_counter()
     code, out, err = run(capsys, "eta", "--partition", partition)
@@ -861,7 +862,7 @@ def test_queries_refused_by_what_they_hold_at_their_peak(capsys, monkeypatch, pa
 
 
 def test_query_admitted_below_its_peak(capsys, monkeypatch):
-    # 600+600+600 holds about 50 MB
+    # 600+600+600 holds about 3.1 MiB
     monkeypatch.setattr(exact, "physical_memory_bytes", lambda: 200e6)
     code, out, _ = run(capsys, "eta", "--partition", "600+600+600")
     assert code == 0 and "sign-pattern: ok" in out
@@ -872,6 +873,15 @@ def test_deep_query_peaks_where_the_import_does(peak_rss, import_peak):
     status, peak = peak_rss("-m", "pmspec.cli", "eta", "--partition", "+".join(["2"] * 300 + ["1"] * 250))
     assert status == 0
     assert peak - import_peak <= 1 << 20
+
+
+def test_three_part_query_peaks_within_its_model(peak_rss, import_peak):
+    # two rows of 601 values and one coefficient row of last part 600: the
+    # model's need, about 3.1 MiB, covers the peak over the import
+    status, peak = peak_rss("-m", "pmspec.cli", "eta", "--partition", "600+600+600")
+    assert status == 0
+    *_, (need, _) = exact._query_needs("pm", (600, 600, 600))
+    assert peak - import_peak <= need
 
 
 def test_xi_deep_partition(capsys):
@@ -932,3 +942,107 @@ def test_readme_cli_examples_run(capsys):
         code, out, err = run(capsys, *argv[1:])
         assert code == 0, (argv, err)
         assert hashlib.sha256(out.encode()).hexdigest() == README_STDOUT_SHA256[" ".join(argv[1:])], argv
+
+
+# per command or suite: the largest size drawn below its limit, at which a
+# run takes well under a second, and the least size _SMALL_BUDGET refuses
+_SMALL_BUDGET = 64 * 10**6
+_DRAWN_SIZES = {
+    "table": (30, 47),
+    "oracle": (6, 9),
+    "scan": (14, 36),
+    "signs": (25, 45),
+    "thm6": (14, 36),
+    "prop2": (14, 45),
+    "lemmas": (16, 44),
+    "identities": (80, 1160),
+    "crossblock": (60, 3995),
+    "kuwong-xi": (14, 36),
+    "dualpath": (16, 39),
+    "conjecture2": (14, 36),
+}
+# each command's own flags; a flag of another command is drawn beside them
+_FLAGS = {
+    "eta": ("--partition",),
+    "xi": ("--partition",),
+    "table": ("--n", "--family", "--format"),
+    "verify": ("--suite", "--n-max", "--format"),
+    "oracle": ("--family", "--n", "--format"),
+    "scan": ("--n-max", "--progress"),
+}
+_FULL_WIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+
+
+def _often(*values):
+    """The first of ``values`` as often as all the others together."""
+    return st.sampled_from([values[0]] * (len(values) - 1) + list(values[1:]))
+
+
+def _spelled(size, how):
+    if how == "full-width":
+        return str(size).translate(_FULL_WIDTH)
+    return f" {size} " if how == " " else how + str(size)
+
+
+def _digits(sizes):
+    """A size as the command line spells it: mostly plain, else signed,
+    zero-padded, padded with spaces or in full-width digits."""
+    return st.builds(_spelled, sizes, _often("", "+", "-", "0", " ", "full-width"))
+
+
+def _sizes(cap, past):
+    return st.integers(0, cap) | st.integers(0, cap) | st.integers(past, 10**40)
+
+
+# a query's parts, up to 300 each, run well under a second; from 10^6 on,
+# its values alone exceed the budget
+_PARTITIONS = st.one_of(
+    st.sampled_from(["0", "", "+", "0+1", "3++2"]),
+    st.lists(_digits(_sizes(300, 10**6)), min_size=1, max_size=6).map("+".join),
+    st.lists(st.integers(1, 300), min_size=1, max_size=6).map(lambda parts: "+".join(map(str, sorted(parts)[::-1]))),
+)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from([*_FLAGS, "frob"]))
+    own = _FLAGS.get(command, ())
+    dropped = draw(st.sampled_from([None] * 4 + list(own)))
+    extra = draw(st.sampled_from([None] * 15 + ["--partition", "--n", "--n-max", "--suite", "--help"]))
+    flags = [flag for flag in (*own, extra) if flag not in (None, dropped)]
+    suite = draw(st.sampled_from([*analysis.SUITE_NAMES, "nosuch"]))
+    cap, past = _DRAWN_SIZES.get(suite if command == "verify" else command, _DRAWN_SIZES["thm6"])
+    values = {
+        "--partition": _PARTITIONS,
+        "--n": _digits(_sizes(cap, past)),
+        "--n-max": _digits(_sizes(cap, past)),
+        "--family": _often("pm", "sym", "PM"),
+        "--format": _often("text", "csv", "json", "xml"),
+        "--suite": st.just(suite),
+    }
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        argv += [flag, draw(values[flag])] if flag in values else [flag]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+def test_any_command_line_ends_in_a_status_and_no_traceback(argv):
+    # every command and flag of the grammar, sizes from 0 past each limit
+    # under a 64 MB budget: the answer, a failed verification, or one
+    # error line with nothing on stdout
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(exact, "memory_budget", lambda: (_SMALL_BUDGET, "physical memory")):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                status = main(argv)
+            except SystemExit as exc:  # argparse: --help, or a usage error it found
+                status = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert status in (0, 1, 2), (argv, status)
+    assert "Traceback" not in err, argv
+    if status == 2:
+        assert out == "", argv
+        lines = err.splitlines()
+        assert err.endswith("\n") and [line for line in lines if "error:" in line] == lines[-1:], (argv, err)

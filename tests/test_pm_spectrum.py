@@ -310,12 +310,11 @@ def test_strip_rows_have_a_unit_past_the_head_only_at_last_part_1(alpha):
     # the sweep multiplies every child past the head, with no case for a
     # coefficient of 1 or -1: for last >= 2 it is last at j = 1 and a
     # multiple of P_j >= alpha + 1 from j = 2 on.  At last = 1, which the
-    # sweep takes with no product, both rows are all units
-    rows = pm_spectrum._StripRows(alpha)
+    # sweep and the prefix table take with no product, both rows are all units
     for parity in (0, 1):
-        assert list(map(abs, rows[1, parity])) == [1, 1]
+        assert list(map(abs, pm_spectrum._strip_row(1, parity, alpha))) == [1, 1]
         for last in range(2, 61):
-            assert all(abs(c) >= 2 for c in rows[last, parity][1:]), (last, parity)
+            assert all(abs(c) >= 2 for c in pm_spectrum._strip_row(last, parity, alpha)[1:]), (last, parity)
 
 
 def test_two_long_parts_evaluate_one_coefficient_row(monkeypatch):
@@ -331,11 +330,11 @@ def test_two_long_parts_evaluate_one_coefficient_row(monkeypatch):
     for k in range(2, a + 1):
         degrees.append(2 * (k - 1) * (degrees[-1] + degrees[-2]) % prime)
     requested = []
-    missing = pm_spectrum._StripRows.__missing__
+    strip_row = pm_spectrum._strip_row
     monkeypatch.setattr(
-        pm_spectrum._StripRows,
-        "__missing__",
-        lambda rows, key: requested.append(key) or [c % prime for c in missing(rows, key)],
+        pm_spectrum,
+        "_strip_row",
+        lambda last, parity: requested.append((last, parity)) or [c % prime for c in strip_row(last, parity)],
     )
     value = pm_spectrum._eta_prefixes(P((a, b)))
     assert requested == [(b, 0)]
@@ -344,6 +343,36 @@ def test_two_long_parts_evaluate_one_coefficient_row(monkeypatch):
         total = (total + c * degrees[a - j]) % prime
         c = c * (b - j) * (2 * j + 1) * pow(j + 1, -1, prime) % prime
     assert value % prime == (-total if b & 1 else total) % prime
+
+
+@pytest.mark.parametrize(
+    "lam, lasts",
+    [((1,) * 5000, set()), ((2,) * 300 + (1,) * 250, {2}), ((7, 4, 4, 2, 1), {2, 3, 4})],
+    ids=["ones", "twos-and-ones", "mixed"],
+)
+def test_last_part_1_builds_no_coefficient_row(monkeypatch, lam, lasts):
+    # at last part lam_i - j = 1 the row is two units, taken with no
+    # product: 1^5000 builds no row at all, and 2^300 1^250 only rows of
+    # last part 2
+    built = []
+    strip_row = pm_spectrum._strip_row
+    monkeypatch.setattr(pm_spectrum, "_strip_row", lambda last, parity: built.append(last) or strip_row(last, parity))
+    eta(P(lam))
+    assert set(built) == lasts
+
+
+def test_three_long_parts_peak_at_one_coefficient_row():
+    # 300+300+300 reads 299 coefficient rows at level 2 and one at level 3,
+    # about 6 MiB together; built one at a time, the query's traced peak is
+    # about 0.2 MiB
+    eta(P((1, 1))), eta(P((300,)))  # the degrees' checkpoints, kept for good
+    tracemalloc.start()
+    try:
+        eta(P((300, 300, 300)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("lam", [(1, 1), (3, 1), (6, 6), (9, 4, 2), (12, 5, 5, 1)])
