@@ -18,30 +18,51 @@ id, its image under each generator and its bit in each layout as entries of
 4-byte int arrays.  So no graph with more than 256 columns, or with 2^31
 vertices or more, is built.
 
-Certification never diagonalises A.  Every vertex is labelled by its cell
-relative to the base vertex x0 = vertex 0: the coset type of m ∪ x0 for a
-matching m, the cycle type of x0^-1 σ for a permutation σ.  The certificate
-checks, on the real graph, that
+Certification never diagonalises A.  The cells around the base vertex
+x0 = vertex 0 are the orbits of the stabiliser of x0 in the symmetric group
+of the points: the coset type of m ∪ x0 for a matching m, the cycle type of
+σ x0^-1 for a permutation σ (Godsil and Meagher 2016, chs. 14-15).  The
+certificate checks, on the real graph, that
 
-- the cells form an equitable partition with x0 alone in its cell, so
-  A P = P B for the cell indicator P and a p(n) x p(n) integer quotient B;
 - a transposition and a full cycle of the points act on the vertices as
   automorphisms of A whose orbit of x0 is every vertex;
+- the cells form an equitable partition with x0 alone in its cell, so
+  A P = P B for the cell indicator P and a p(n) x p(n) integer quotient B;
 - charpoly(B) = prod over the table's rows of (x - theta), q(B) = 0 for
   q = prod over the distinct predicted theta of (x - theta), and
   sum m_theta theta^k = V (B^k)[c0, c0] for every k < #distinct theta.
 
-The first two are checked on every vertex pair, in one streamed pass over a
-layout that numbers the vertices cell by cell, each cell padded to whole
-bytes, so that a row's count into a cell is the popcount of one byte slice
-of it.  B is read off the first vertex of each cell, and every vertex's
-counts must equal its cell's row of B.  For each generator g, the row of
-g(x) read through holder sets laid out by g (vertex g(y) at the bit of y)
-must equal the row of x: that is A[g(x), g(y)] = A[x, y] for every y.
-Together they give q(A) e_x0 = P q(B) e_c0 = 0, hence q(A) = 0 by
-transitivity, and tr(A^k) = V (A^k)[x0, x0] = V (B^k)[c0, c0].  So every
-eigenvalue of A is a predicted one, and the walk moments fix each
-multiplicity (a Vandermonde system), with no float step anywhere.
+The automorphisms are checked on every vertex pair, in one streamed pass
+over a layout that numbers the vertices cell by cell, each cell padded to
+whole bytes.  For each generator g, the row of g(x) read through holder sets
+laid out by g (vertex g(y) at the bit of y) must equal the row of x: that is
+A[g(x), g(y)] = A[x, y] for every y.  The same pass reads B off the first
+vertex of each cell, whose count into a cell is the popcount of one byte
+slice of its row: p(n) rows are counted, not V.
+
+Equitability is derived from that symmetry, not counted.  The cells are the
+orbits of two or three vertex maps built from x0's label that fix x0:
+
+- pm.  For x0's pairs {a1,b1}, {a2,b2}, ...: swap a1 and b1; swap the first
+  two pairs; shift the pairs cyclically.  The two moves, the transposition
+  and the full cycle, preserve every row and permute the vertices, so the
+  labels are distinct and every relabelling of the 2n points acts as a
+  product of the two moves.  So these maps are automorphisms that fix x0.
+  Each cell is one of their orbits, and the orbits of a group of
+  automorphisms form an equitable partition.
+- sym.  The maps conjugate relative to x0, σ ↦ hσx0⁻¹h⁻¹x0, by the
+  transposition and by the n-cycle h.  Left multiplication is checked on
+  every row and is transitive, so N(g·x0) = g·N(x0), and conjugation sends
+  g·x0 to (hgh⁻¹)·x0.  Conjugation is therefore an automorphism iff it maps
+  N(x0) onto itself, which it does iff x0's row is a union of its orbits.
+
+So `equitable` passes iff the automorphisms pass, no stabiliser map sends a
+vertex off the vertex list, every one fixes vertex 0, and x0's row meets
+each cell wholly or not at all.  Together the checks give
+q(A) e_x0 = P q(B) e_c0 = 0, hence q(A) = 0 by transitivity, and
+tr(A^k) = V (A^k)[x0, x0] = V (B^k)[c0, c0].  So every eigenvalue of A is a
+predicted one, and the walk moments fix each multiplicity (a Vandermonde
+system), with no float step anywhere.
 """
 
 from __future__ import annotations
@@ -267,12 +288,9 @@ def charpoly(matrix: list[list[int]]) -> list[int]:
         column = [r[k] for r in matrix[k + 1 :]]
         toeplitz = [1, -matrix[k][k]]
         for _ in range(size - k - 1):
-            toeplitz.append(-sum(a * b for a, b in zip(row, column)))
-            column = [sum(a * b for a, b in zip(r, column)) for r in sub]
-        poly = [
-            sum(toeplitz[i - j] * poly[j] for j in range(min(i, len(poly) - 1) + 1))
-            for i in range(len(poly) + 1)
-        ]
+            toeplitz.append(-sum(map(mul, row, column)))
+            column = [sum(map(mul, r, column)) for r in sub]
+        poly = [sum(map(mul, toeplitz[i::-1], poly)) for i in range(len(poly) + 1)]
     return poly
 
 
@@ -285,7 +303,8 @@ def _poly_from_roots(roots) -> list[int]:
 
 
 def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+    columns = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in columns] for row in a]
 
 
 # ---------------------------------------------------------------------------
@@ -293,72 +312,103 @@ def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _partner(matching: tuple) -> list[int]:
-    """Each point's partner in the matching, the points numbered from 0."""
-    out = [0] * (2 * len(matching))
-    for a, b in matching:
-        out[a - 1], out[b - 1] = b - 1, a - 1
-    return out
+def _generators(points: list) -> list[list]:
+    """A transposition and a full cycle of the points, each as the list of
+    the points' images."""
+    return [points[1::-1] + points[2:], points[1:] + points[:1]]
 
 
-def _cycle_type(step: list[int]) -> tuple:
-    """Cycle lengths of the permutation `step` of 0..len-1, ascending."""
-    seen = [False] * len(step)
-    lengths = []
-    for start in range(len(step)):
-        length, point = 0, start
-        while not seen[point]:
-            seen[point] = True
-            point = step[point]
-            length += 1
-        if length:
-            lengths.append(length)
-    lengths.sort()
-    return tuple(lengths)
+def _relabelled(labels: list, g: dict):
+    """Each matching with every point p relabelled g[p], again a sorted tuple
+    of sorted pairs."""
+    pair = {(a, b): tuple(sorted((g[a], g[b]))) for a, b in itertools.permutations(g, 2)}
+    return (tuple(sorted(map(pair.__getitem__, m))) for m in labels)
 
 
-def _cells(family: str, labels: list) -> array:
-    """Each vertex's cell relative to x0 = vertex 0, as an int array of ids
-    0, 1, ... in order of first appearance, so x0's cell is 0: the cycle
-    type of x0^-1 σ for a permutation σ, the coset type of m ∪ x0 for a
-    matching m.  A component of m ∪ x0 on 2k points is two k-cycles of
-    x0∘m, so the cycle type of x0∘m names the coset type."""
-    if family == "sym":
-        # x0^-1 as a translation table of the byte values
-        inverse = bytearray(256)
-        for position, value in enumerate(labels[0]):
-            inverse[value] = position
-        steps = map(bytes.translate, labels, itertools.repeat(bytes(inverse)))
+def _composed(labels: list, g: list, r):
+    """Each permutation σ as g∘σ, its values mapped by g, or as g∘σ∘r, g∘σ
+    read at the positions r: the bytes of r translated by g∘σ's values."""
+    values = map(bytes.translate, labels, itertools.repeat(bytes(g) + bytes(range(len(g), 256))))
+    if r is None:
+        return values
+    return map(bytes.translate, itertools.repeat(bytes(r)), map(bytes.ljust, values, itertools.repeat(256)))
+
+
+def _vertex_maps(family: str, labels: list, maps: list) -> list[array]:
+    """How each map moves the vertices, as an int array from vertex to the
+    vertex its image labels.  A map of a matching's points, a dict from
+    point to point, relabels them; a map (g, r) of a permutation σ takes it
+    to g∘σ∘r, or to g∘σ if r is None.  An image that is not on the vertex
+    list maps to -1, and one that labels several vertices maps to the last
+    of them."""
+    if family == "pm":
+        images = [_relabelled(labels, g) for g in maps]
     else:
-        x0 = _partner(labels[0])
-        steps = ([x0[q] for q in _partner(m)] for m in labels)
-    ids: dict = {}
-    return array("i", (ids.setdefault(_cycle_type(step), len(ids)) for step in steps))
+        images = [_composed(labels, g, r) for g, r in maps]
+    index = {label: v for v, label in enumerate(labels)}
+    return [array("i", map(index.get, each, itertools.repeat(-1))) for each in images]
+
+
+def _moves(family: str, labels: list) -> list:
+    """A transposition and a full cycle of the points, as maps for
+    :func:`_vertex_maps`: left multiplication on the values 0..n-1 of a
+    permutation, relabelling of the points 1..2n of a matching.  The two
+    generate the symmetric group."""
+    if family == "sym":
+        return [(g, None) for g in _generators(list(range(len(labels[0]))))]
+    points = list(range(1, 2 * len(labels[0]) + 1))
+    return [dict(zip(points, g)) for g in _generators(points)]
+
+
+def _fixers(family: str, labels: list) -> list:
+    """Maps for :func:`_vertex_maps` that fix x0 = labels[0] and whose orbits
+    are the cells.  For a matching x0 = {a1,b1}, {a2,b2}, ...: swap a1 and
+    b1, swap the first two pairs, shift the pairs cyclically.  For a
+    permutation, conjugation relative to x0, σ ↦ hσx0⁻¹h⁻¹x0, by a
+    transposition and by a full cycle h."""
+    x0 = labels[0]
+    if family == "pm":
+        firsts, seconds = map(list, zip(*x0))
+        swaps = [
+            (seconds[:1] + firsts[1:], firsts[:1] + seconds[1:]),
+            (firsts[1::-1] + firsts[2:], seconds[1::-1] + seconds[2:]),
+            (firsts[1:] + firsts[:1], seconds[1:] + seconds[:1]),
+        ]
+        return [dict(zip(firsts + seconds, a + b)) for a, b in swaps]
+    # r = x0⁻¹h⁻¹x0, read off as positions: r[i] = x0⁻¹(h⁻¹(x0[i]))
+    return [(h, [x0.index(h.index(v)) for v in x0]) for h in _generators(list(range(len(x0))))]
 
 
 def _vertex_permutations(family: str, labels: list) -> list[array]:
-    """How a transposition and a full cycle of the points move the vertices,
-    each an int array from vertex to image: left multiplication on the
-    values 0..n-1 of a permutation, relabelling of the points 1..2n of a
-    matching.  The two generate the symmetric group.  A vertex whose image
-    is not on the vertex list maps to -1, and one whose image labels several
-    vertices maps to the last of them."""
-    index = {label: v for v, label in enumerate(labels)}
-    if family == "sym":
-        points = list(range(len(labels[0])))
-    else:
-        points = list(range(1, 2 * len(labels[0]) + 1))
-    swap = dict(zip(points, points[1::-1] + points[2:]))
-    shift = dict(zip(points, points[1:] + points[:1]))
+    """How the two moves of :func:`_moves` move the vertices."""
+    return _vertex_maps(family, labels, _moves(family, labels))
 
-    def images(g):
-        if family == "sym":
-            # g as a translation table of the byte values
-            return map(bytes.translate, labels, itertools.repeat(bytes(map(g.get, range(256), range(256)))))
-        pair = {(a, b): tuple(sorted((g[a], g[b]))) for a, b in itertools.permutations(points, 2)}
-        return (tuple(sorted(map(pair.__getitem__, m))) for m in labels)
 
-    return [array("i", map(index.get, images(g), itertools.repeat(-1))) for g in (swap, shift)]
+def _orbits(maps: list[array]) -> array:
+    """Each vertex's orbit under the maps, as an int array of ids 0, 1, ...
+    in order of first appearance, so vertex 0's is 0.  An image -1 is no
+    vertex and is skipped."""
+    orbit = [-1] * len(maps[0])
+    count = 0
+    for start, seen in enumerate(orbit):
+        if seen < 0:
+            orbit[start] = count
+            stack = [start]
+            while stack:
+                x = stack.pop()
+                for m in maps:
+                    y = m[x]
+                    if y >= 0 and orbit[y] < 0:
+                        orbit[y] = count
+                        stack.append(y)
+            count += 1
+    return array("i", orbit)
+
+
+def _cells(family: str, labels: list) -> array:
+    """Each vertex's cell relative to x0 = vertex 0: its orbit under the
+    maps of :func:`_fixers`."""
+    return _orbits(_vertex_maps(family, labels, _fixers(family, labels)))
 
 
 def _cell_positions(cell_of: Sequence[int], cell_count: int):
@@ -397,43 +447,25 @@ def _moved_position(move: array, position: array):
 
 
 def _stream(graph: Graph, cell_of: array, cell_count: int, moves: list[array]):
-    """The quotient B, read off the first vertex of each cell, then one pass
-    over every vertex: whether its counts into the cells are its cell's row
-    of B, and whether each move permutes the vertices and preserves its
-    adjacency row, hence every vertex pair."""
-    vertex_count = graph.vertex_count
+    """One pass over every vertex's row in the cells' layout: the quotient B,
+    read off the first vertex of each cell; whether x0's row meets each cell
+    wholly or not at all; and whether each move permutes the vertices and
+    preserves every row, hence every vertex pair."""
     position, sizes, slices = _cell_positions(cell_of, cell_count)
     layout = _layout(graph, position)
-    # non-neighbours per cell; a vertex's edges into a cell are the rest of it
-    shared = [
-        _counts(graph.non_neighbours(cell_of.index(c), layout), slices) for c in range(cell_count)
-    ]
     moved_positions = [_moved_position(move, position) for move in moves]
     automorphisms = None not in moved_positions
     moved = [(move, _layout(graph, p)) for move, p in zip(moves, moved_positions)] if automorphisms else []
-    equitable = True
-    for x in range(vertex_count):
+    shared = []  # non-neighbours per cell of each cell's first vertex
+    for x, c in enumerate(cell_of):
         row = graph.non_neighbours(x, layout)
-        equitable = equitable and _counts(row, slices) == shared[cell_of[x]]
+        if c == len(shared):  # cells are numbered by first appearance
+            shared.append(_counts(row, slices))
         for move, moved_layout in moved:
             automorphisms = automorphisms and graph.non_neighbours(move[x], moved_layout) == row
     quotient = [[size - k for size, k in zip(sizes, counts)] for counts in shared]
-    return quotient, equitable, automorphisms
-
-
-def _orbit_size(moves: list[array], vertex_count: int) -> int:
-    """Size of the orbit of vertex 0 under the group the moves generate."""
-    reached = [False] * vertex_count
-    reached[0] = True
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for move in moves:
-            y = move[x]
-            if y >= 0 and not reached[y]:
-                reached[y] = True
-                stack.append(y)
-    return sum(reached)
+    whole = all(k in (0, size) for k, size in zip(shared[0], sizes))
+    return quotient, whole, automorphisms
 
 
 def certify(table: SpectrumTable, graph: Graph) -> OracleReport:
@@ -443,8 +475,10 @@ def certify(table: SpectrumTable, graph: Graph) -> OracleReport:
     graph's spectrum, with multiplicities, is exactly the table's; the trace
     identities are checked separately.  Mismatches are reported, not raised.
     """
-    if table.n != graph.n:
-        raise ValueError(f"table n={table.n} does not match graph n={graph.n}")
+    if (table.family, table.n) != (graph.family, graph.n):
+        raise ValueError(
+            f"table {table.family} n={table.n} does not match graph {graph.family} n={graph.n}"
+        )
     # distinct partitions can share an eigenvalue (e.g. the permutation family
     # at n = 4); merge such rows for the multiplicity checks
     predicted: dict = {}
@@ -452,10 +486,16 @@ def certify(table: SpectrumTable, graph: Graph) -> OracleReport:
         predicted[val] = predicted.get(val, 0) + mult
 
     vertex_count = graph.vertex_count
-    cell_of = _cells(graph.family, graph.labels)
+    family, labels = graph.family, graph.labels
+    # one label index for all the maps: a second would outgrow the first's
+    # freed memory, by about 3 MiB at pm n=7
+    maps = _vertex_maps(family, labels, _moves(family, labels) + _fixers(family, labels))
+    moves, fixers = maps[:2], maps[2:]
+    fixed = all(-1 not in m and m[0] == 0 for m in fixers)
+    cell_of = _orbits(fixers)
+    del maps, fixers  # not held through the stream
     cell_count = max(cell_of) + 1
-    moves = _vertex_permutations(graph.family, graph.labels)
-    quotient, equitable, automorphisms = _stream(graph, cell_of, cell_count, moves)
+    quotient, whole, automorphisms = _stream(graph, cell_of, cell_count, moves)
     base = cell_of[0]
     # x0's degree; the checks below make every vertex's the same
     degree = sum(quotient[base])
@@ -468,15 +508,16 @@ def certify(table: SpectrumTable, graph: Graph) -> OracleReport:
         annihilator = _matmul(annihilator, shifted)
     closed_walks = []
     walk = [int(c == base) for c in range(cell_count)]  # row c0 of B^k
+    columns = list(zip(*quotient))
     for _ in range(len(predicted)):
         closed_walks.append(walk[base])
-        walk = [sum(w * row[j] for w, row in zip(walk, quotient)) for j in range(cell_count)]
+        walk = [sum(map(mul, walk, col)) for col in columns]
 
     quotient_checks = [
-        ("equitable", equitable),
+        ("equitable", automorphisms and fixed and whole),
         ("base_alone", cell_of.count(base) == 1),
         ("automorphisms", automorphisms),
-        ("orbit", _orbit_size(moves, vertex_count) == vertex_count),
+        ("orbit", not any(_orbits(moves))),
         ("charpoly", charpoly(quotient) == _poly_from_roots(table.eigenvalues())),
         ("annihilator", not any(any(row) for row in annihilator)),
         (

@@ -13,6 +13,7 @@ from pmspec.partitions import Partition
 from pmspec.pm_spectrum import pm_spectrum_table
 from pmspec.sym_spectrum import sym_spectrum_table
 from pmspec.tables import SpectrumTable
+from reference import count_every_row
 
 
 def test_enumerate_perfect_matchings_counts():
@@ -198,6 +199,11 @@ def test_certify_sym(n):
 def test_certify_rejects_mismatched_n():
     with pytest.raises(ValueError):
         oracle.certify(pm_spectrum_table(2), oracle.build_pm_graph(3))
+    # a table of the other family, at n = 1 where both graphs are one vertex
+    with pytest.raises(ValueError, match="table sym n=1 does not match graph pm n=1"):
+        oracle.certify(sym_spectrum_table(1), oracle.build_pm_graph(1))
+    with pytest.raises(ValueError):
+        oracle.certify(pm_spectrum_table(3), oracle.build_derangement_graph(3))
 
 
 def test_injected_fault_is_detected():
@@ -307,11 +313,9 @@ def test_removed_edge_fails_the_partition_or_the_symmetry(family, n):
         assert report.degree_observed == sum(_adjacency(broken)[0])
 
 
-def test_equitable_edge_switch_is_caught_by_the_automorphism_check():
-    # swapping edges ab, cd for ad, cb with a, c in one cell and b, d in
-    # another keeps every vertex's count per cell, so B and all its checks
-    # still pass; only the symmetry the argument relies on is broken
-    graph = oracle.build_pm_graph(4)
+def _edge_switch(graph):
+    """Edges ab, cd swapped for ad, cb with a, c in one cell and b, d in
+    another: every vertex keeps its count per cell."""
     adjacency = _adjacency(graph)
     cells = oracle._cells("pm", graph.labels)
     every = range(graph.vertex_count)
@@ -325,10 +329,16 @@ def test_equitable_edge_switch_is_caught_by_the_automorphism_check():
         for d in every
         if adjacency[c][d] and d not in (a, b) and cells[d] == cells[b] and not adjacency[a][d]
     )
-    broken = _edited(graph, (a, b, 0), (c, d, 0), (a, d, 1), (c, b, 1))
-    report = oracle.certify(pm_spectrum_table(4), broken)
+    return _edited(graph, (a, b, 0), (c, d, 0), (a, d, 1), (c, b, 1))
+
+
+def test_equitable_edge_switch_is_caught_by_the_automorphism_check():
+    # the switch keeps every count per cell, so B and all its checks still
+    # pass; only the symmetry the argument relies on is broken, and the
+    # equitability it derives from that symmetry fails with it
+    report = oracle.certify(pm_spectrum_table(4), _edge_switch(oracle.build_pm_graph(4)))
     checks = dict(report.quotient_checks)
-    assert checks.pop("automorphisms") is False
+    assert checks.pop("automorphisms") is False and checks.pop("equitable") is False
     assert all(checks.values()) and not report.passed
 
 
@@ -373,8 +383,9 @@ def test_edited_graph_reads_its_edits_in_every_order():
 def test_oracle_holds_few_bytes_per_vertex(family, n, bound):
     # the traced peak of build and certificate, per vertex: supports and
     # permutations as bytes, cell ids, moves and bit positions in int arrays
-    # read 168 (sym 7) and 221 (pm 6) bytes on Python 3.11, peaking at the
-    # label index of the moves; tuples and lists of ints had read 394 and 349
+    # read 172 (sym 7) and 234 (pm 6) bytes on Python 3.11, peaking at the
+    # label index of the vertex maps; tuples and lists of ints had read 394
+    # and 349
     table = _table(family, n)
     tracemalloc.start()
     try:
@@ -484,13 +495,17 @@ def _reference_moves(graph) -> list[list[int]]:
     return [[index.get(act(g, label), -1) for label in graph.labels] for g in (swap, shift)]
 
 
+def _assert_moves_match_reference(graph):
+    moves = oracle._vertex_permutations(graph.family, graph.labels)
+    assert list(map(list, moves)) == _reference_moves(graph)
+    return moves
+
+
 def _assert_matches_reference(graph):
     cells, expected = oracle._cells(graph.family, graph.labels), _reference_cells(graph)
     # the same partition: cell ids and cell labels in bijection
     assert len(set(zip(cells, expected))) == len(set(cells)) == len(set(expected))
-    moves = oracle._vertex_permutations(graph.family, graph.labels)
-    assert list(map(list, moves)) == _reference_moves(graph)
-    return moves
+    return _assert_moves_match_reference(graph)
 
 
 @pytest.mark.parametrize(
@@ -506,7 +521,95 @@ def test_cells_and_moves_on_edited_labels_match_the_tuple_reference(family, n):
     # vertex 2 relabelled as vertex 1: images of that label go to the last
     # vertex carrying it, and the old label of vertex 2 is nobody's
     duplicated = _relabelled(graph, graph.labels[:2] + graph.labels[1:2] + graph.labels[3:])
-    assert any(-1 in move for move in _assert_matches_reference(duplicated))
+    assert any(-1 in move for move in _assert_moves_match_reference(duplicated))
     # the last vertex dropped: whatever moved onto it maps to -1
     missing = _relabelled(graph, graph.labels[:-1])
-    assert any(-1 in move for move in _assert_matches_reference(missing))
+    assert any(-1 in move for move in _assert_moves_match_reference(missing))
+    # the cells are orbits of maps that no longer act on the vertices, and
+    # the certificate fails
+    for broken in (duplicated, missing):
+        assert not oracle.certify(_table(family, n), broken).passed
+
+
+@pytest.mark.parametrize(
+    "family, n", [("pm", k) for k in range(1, 6)] + [("sym", k) for k in range(1, 7)]
+)
+def test_representative_rows_give_the_quotient_every_row_counts(family, n):
+    # B from one row a cell, against the brute-force count of every row per
+    # cell, which also finds every row equal to its cell's row of B
+    graph = _graph(family, n)
+    cell_of = oracle._cells(family, graph.labels)
+    moves = oracle._vertex_permutations(family, graph.labels)
+    quotient, whole, automorphisms = oracle._stream(graph, cell_of, max(cell_of) + 1, moves)
+    assert whole and automorphisms
+    assert count_every_row(graph, cell_of, max(cell_of) + 1, moves) == (quotient, True, True)
+
+
+def _edited_faults():
+    """Every EditedGraph fault of the tests above, as (id, table, graph)."""
+    for family, n in [("pm", 3), ("pm", 4), ("sym", 4), ("sym", 5)]:
+        graph = _graph(family, n)
+        u = graph.vertex_count // 2
+        for x in (0, u):
+            broken = _edited(graph, (x, _neighbours(graph, x)[0], 0))
+            yield f"{family}{n}-removed-{x}", _table(family, n), broken
+    graph = oracle.build_pm_graph(3)
+    v = _neighbours(graph, 0)[0]
+    yield "pm3-removed-and-added", pm_spectrum_table(3), _edited(graph, (0, v, 0), (1, 2, 1))
+    graph = oracle.build_pm_graph(4)
+    yield "pm4-switch", pm_spectrum_table(4), _edge_switch(graph)
+    u = graph.vertex_count - 1
+    yield "pm4-late", pm_spectrum_table(4), _edited(graph, (u, _neighbours(graph, u)[-1], 0))
+
+
+def test_edited_faults_fail_the_certificate_and_the_every_row_count():
+    for name, table, broken in _edited_faults():
+        assert not oracle.certify(table, broken).passed, name
+        cell_of = oracle._cells(broken.family, broken.labels)
+        moves = oracle._vertex_permutations(broken.family, broken.labels)
+        _, equitable, automorphisms = count_every_row(broken, cell_of, max(cell_of) + 1, moves)
+        assert not (equitable and automorphisms), name
+
+
+@pytest.mark.parametrize("family, n", [("pm", 3), ("pm", 4), ("sym", 4), ("sym", 5)])
+def test_support_changed_in_one_column_fails_the_symmetry(family, n):
+    # the labels, and so the cells and every map, stay; only the vertex's row
+    # changes, and a move that carries it to or from another row sees that
+    graph = _graph(family, n)
+    width = oracle._width(family, n)
+    for x in (0, graph.vertex_count // 2):
+        support = list(graph.support)
+        column = next(c for c in range(width) if c not in support[x])
+        support[x] = bytes([column]) + support[x][1:]
+        report = oracle.certify(_table(family, n), oracle.Graph(family, n, graph.labels, support))
+        assert dict(report.quotient_checks)["automorphisms"] is False, x
+        assert not report.passed
+
+
+@pytest.mark.parametrize("family, n", [("pm", k) for k in range(1, 5)] + [("sym", k) for k in range(1, 6)])
+def test_shuffled_vertices_pass_around_their_own_x0(family, n):
+    # labels and supports shuffled together: the same graph, with some other
+    # vertex as vertex 0, so the maps that fix x0 must be built from it
+    graph = _graph(family, n)
+    order = random.Random(n).sample(range(graph.vertex_count), graph.vertex_count)
+    if n > 1:
+        order.insert(0, order.pop(order.index(graph.vertex_count - 1)))
+    shuffled = oracle.Graph(
+        family, n, [graph.labels[v] for v in order], [graph.support[v] for v in order]
+    )
+    report = oracle.certify(_table(family, n), shuffled)
+    assert report.passed
+    assert report.to_json() == oracle.certify(_table(family, n), graph).to_json()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_left_invariant_rows_off_the_classes_fail_equitable(n):
+    # σ ~ τ iff σ(0) != τ(0): every left multiplication is an automorphism
+    # and moves x0 anywhere, yet x0's row cuts through the class of a
+    # transposition, so conjugation is no automorphism and the cells are not
+    # equitable.  Only the check on x0's row sees that
+    graph = oracle.build_derangement_graph(n)
+    first = oracle.Graph("sym", n, graph.labels, [label[:1] for label in graph.labels])
+    checks = dict(oracle.certify(sym_spectrum_table(n), first).quotient_checks)
+    assert checks["automorphisms"] and checks["orbit"] and checks["base_alone"]
+    assert checks["equitable"] is False
